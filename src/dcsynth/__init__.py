@@ -21,12 +21,11 @@ from .fixedpoint import (FixedPointFormat, FixedPointValue, fp_add, fp_div,
                          fp_mul, fp_sub, quantize, quantize_nearest,
                          quantize_poly, quantize_truncate)
 from .intervals import (IntervalPoly, RationalInterval, family_grid_box,
-                        family_to_interval_poly, ipoly_add, ipoly_mul, iv_add,
-                        iv_div, iv_mul, iv_sub)
+                        family_to_interval_poly, ipoly_add, ipoly_mul)
 from .simulate import (NoiseModel, SimulationTrace, frequency_margins,
                        sensitivity_functions, step_response, write_margins)
-from .stability import (JuryTable, JuryVerdict, Status, jury_stable,
-                        jury_stable_interval, jury_table, root_oracle)
+from .stability import (JuryVerdict, Status, jury_stable, jury_stable_interval,
+                        root_oracle)
 from .transfer import (Controller, PlantFamily, Poly, TransferFunction,
                        cancellation_on_or_outside_unit_circle, char_poly,
                        pack_coefficients, poly_add, poly_mul,

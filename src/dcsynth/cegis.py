@@ -10,6 +10,7 @@ enumeration when the grid is small enough to sweep.
 from __future__ import annotations
 
 import itertools
+import operator
 import random
 import time
 from dataclasses import dataclass, field
@@ -20,8 +21,10 @@ from .errors import (CounterexampleExtractionFailed, DegenerateCharPoly,
 from .fixedpoint import FixedPointFormat, FixedPointValue, quantize_truncate
 from .intervals import (IntervalPoly, RationalInterval, family_grid_box,
                         family_to_interval_poly, ipoly_add, ipoly_mul)
-from .stability import JuryVerdict, Status, jury_stable, jury_stable_interval
-from .transfer import Controller, PlantFamily, Poly, TransferFunction, char_poly
+from .stability import (JuryVerdict, Status, jury_conditions, jury_stable,
+                        jury_stable_interval)
+from .transfer import (Controller, PlantFamily, Poly, TransferFunction,
+                       char_poly, closed_loop_coeffs)
 
 DEFAULT_PLANT_FORMAT = FixedPointFormat(16, 24)
 PRECISION_STEP = (4, 4)
@@ -213,7 +216,8 @@ def synthesize_candidate(inputs, controller_format: FixedPointFormat, orders,
         cd = [r * step for r in raws[m:]]
         cost = 0.0
         for gn, gd in plant_floats:
-            margin = _float_jury_margin(_float_char(cn, gn, cd, gd))
+            margin = _float_jury_margin(
+                closed_loop_coeffs(cn, gn, cd, gd, 0.0))
             if margin <= 0.0:
                 cost += -margin + 1e-9
         if cost > 0.0:
@@ -230,22 +234,6 @@ def synthesize_candidate(inputs, controller_format: FixedPointFormat, orders,
     return _controller_from_raws(raws, controller_format, orders)
 
 
-def _float_char(cn, gn, cd, gd):
-    """Float characteristic polynomial cn*gn + cd*gd (descending)."""
-    a = [0.0] * (len(cn) + len(gn) - 1)
-    for i, x in enumerate(cn):
-        for j, y in enumerate(gn):
-            a[i + j] += x * y
-    b = [0.0] * (len(cd) + len(gd) - 1)
-    for i, x in enumerate(cd):
-        for j, y in enumerate(gd):
-            b[i + j] += x * y
-    n = max(len(a), len(b))
-    a = [0.0] * (n - len(a)) + a
-    b = [0.0] * (n - len(b)) + b
-    return [x + y for x, y in zip(a, b)]
-
-
 def _float_jury_margin(c) -> float:
     """Min slack of the stability conditions in float arithmetic (search
     guidance only; never a verdict)."""
@@ -259,18 +247,14 @@ def _float_jury_margin(c) -> float:
         c = [-x for x in c]
     if len(c) == 1:
         return c[0]
-    margin = sum(c)
-    margin = min(margin,
-                 sum(x if k % 2 == 0 else -x for k, x in enumerate(c)))
-    margin = min(margin, abs(c[0]) - abs(c[-1]))
-    row = c
-    while len(row) > 2:
-        if row[0] == 0.0:
+    # A float pivot may be zero only when it is 0.0 (falsy).
+    conditions = jury_conditions(c, operator.not_)
+    _, margin = next(conditions)
+    for _, value in conditions:
+        if value is None:
             return min(margin, 0.0)
-        alpha = row[-1] / row[0]
-        row = [row[k] - alpha * row[len(row) - 1 - k]
-               for k in range(len(row) - 1)]
-        margin = min(margin, row[0])
+        if value < margin:
+            margin = value
     return margin
 
 
@@ -441,7 +425,8 @@ def verify_precision(candidate: Controller, family: PlantFamily):
     return jury_stable_interval(s_iv)
 
 
-def _describe_controller(c: Controller | None):
+def describe_controller(c: Controller | None):
+    """Report form of a controller: exact decimals, raw integers, format."""
     if c is None:
         return None
     return {"num": [v.decimal_str() for v in c.num],
@@ -454,6 +439,12 @@ def _describe_controller(c: Controller | None):
 def _describe_plant(p: TransferFunction):
     return {"num": [str(c) for c in p.num.coeffs],
             "den": [str(c) for c in p.den.coeffs]}
+
+
+def _failure_reason(reason: str, deadline: float) -> str:
+    """A run that fails once its deadline has passed reports the timeout,
+    whichever stage noticed it first."""
+    return "timeout" if time.perf_counter() > deadline else reason
 
 
 def cegis_two_stage(family: PlantFamily, controller_format: FixedPointFormat,
@@ -472,7 +463,8 @@ def cegis_two_stage(family: PlantFamily, controller_format: FixedPointFormat,
     def fail(reason):
         return SynthesisResult(False, state.candidate, state.plant_format,
                                state.iteration, time.perf_counter() - start,
-                               reason, None, transcript)
+                               _failure_reason(reason, deadline), None,
+                               transcript)
 
     while True:
         if time.perf_counter() > deadline:
@@ -489,7 +481,7 @@ def cegis_two_stage(family: PlantFamily, controller_format: FixedPointFormat,
         except NoCandidate:
             return fail("no-candidate")
         transcript.append({"phase": "synthesize", "iteration": state.iteration,
-                           "candidate": _describe_controller(state.candidate),
+                           "candidate": describe_controller(state.candidate),
                            "inputs": len(state.inputs)})
         try:
             cex = verify_uncertainty(state.candidate, fam)
@@ -558,14 +550,14 @@ def cegis_one_stage(family: PlantFamily, controller_format: FixedPointFormat,
                             limits.synth_budget, evaluate, orders[0] + 1,
                             deadline=deadline)
     except NoCandidate:
-        elapsed = time.perf_counter() - start
-        reason = "timeout" if elapsed > limits.timeout_s else "no-candidate"
-        return SynthesisResult(False, None, fmt_p, 1, elapsed, reason, None,
-                               transcript)
+        return SynthesisResult(False, None, fmt_p, 1,
+                               time.perf_counter() - start,
+                               _failure_reason("no-candidate", deadline),
+                               None, transcript)
     controller = _controller_from_raws(raws, controller_format, orders)
     verdict = jury_stable_interval(_interval_char_poly(controller, num_iv, den_iv))
     transcript.append({"phase": "one-stage-accept",
-                       "candidate": _describe_controller(controller),
+                       "candidate": describe_controller(controller),
                        "plant_format": str(fmt_p)})
     return SynthesisResult(True, controller, fmt_p, 1,
                            time.perf_counter() - start, None, verdict,

@@ -13,7 +13,8 @@ import sys
 from fractions import Fraction
 
 from .benchmark import BenchmarkSpec, parse_benchmark, parse_controller
-from .cegis import Limits, cegis_one_stage, cegis_two_stage, verify_precision
+from .cegis import (Limits, cegis_one_stage, cegis_two_stage,
+                    describe_controller, verify_precision)
 from .errors import DcsynthError, ParseError, ValidationError
 from .fixedpoint import FixedPointFormat, quantize_poly
 from .simulate import NoiseModel, frequency_margins, step_response
@@ -22,18 +23,6 @@ from .transfer import (Controller, TransferFunction,
                        cancellation_on_or_outside_unit_circle, char_poly)
 
 FORMAT_VERSION = 1
-
-
-def _controller_report(controller: Controller | None):
-    if controller is None:
-        return None
-    return {
-        "num": [v.decimal_str() for v in controller.num],
-        "den": [v.decimal_str() for v in controller.den],
-        "num_raw": [v.raw for v in controller.num],
-        "den_raw": [v.raw for v in controller.den],
-        "format": str(controller.format),
-    }
 
 
 def _certificate_report(verdict):
@@ -57,6 +46,12 @@ def _oracle_spot_check(controller: Controller, spec: BenchmarkSpec):
 
 def run_synthesis(spec: BenchmarkSpec, engine: str, seed: int,
                   limits: Limits, with_timing: bool = True) -> dict:
+    return _synthesis(spec, engine, seed, limits, with_timing)[1]
+
+
+def _synthesis(spec: BenchmarkSpec, engine: str, seed: int, limits: Limits,
+               with_timing: bool):
+    """The engine's SynthesisResult and the synth report built from it."""
     engines = {"two": cegis_two_stage, "one": cegis_one_stage}
     result = engines[engine](spec.family, spec.controller_format,
                              spec.controller_orders, seed, limits)
@@ -68,8 +63,8 @@ def run_synthesis(spec: BenchmarkSpec, engine: str, seed: int,
         "seed": seed,
         "outcome": "Success" if result.success else "Failure",
         "reason": result.reason,
-        "controller": _controller_report(result.controller
-                                         if result.success else None),
+        "controller": describe_controller(result.controller
+                                          if result.success else None),
         "plant_format": str(result.plant_format),
         "iterations": result.iterations,
         "certificate": _certificate_report(result.certificate),
@@ -79,7 +74,22 @@ def run_synthesis(spec: BenchmarkSpec, engine: str, seed: int,
     }
     if with_timing:
         report["wall_time_s"] = result.wall_time_s
-    return report
+    return result, report
+
+
+def _write_trace(controller: Controller, spec: BenchmarkSpec, path,
+                 steps: int, seed: int) -> dict:
+    """Write the closed-loop step response under worst-case quantization
+    noise to `path` as CSV; returns the report's `trace` block."""
+    q = controller.format.step
+    trace = step_response(controller, spec.plant,
+                          spec.sample_time or Fraction(1), steps,
+                          NoiseModel.worst_case(q, q), seed,
+                          stop_on_divergence=True)
+    with open(path, "w") as fh:
+        trace.write_csv(fh)
+    return {"path": str(path), "steps": len(trace),
+            "diverged": trace.diverged()}
 
 
 def run_verify(spec: BenchmarkSpec, controller_coeffs, rounding: str,
@@ -98,7 +108,7 @@ def run_verify(spec: BenchmarkSpec, controller_coeffs, rounding: str,
         "command": "verify",
         "benchmark": spec.name,
         "outcome": verdict.status.value,
-        "controller": _controller_report(controller),
+        "controller": describe_controller(controller),
         "jury": _certificate_report(verdict),
         "interval_jury": _certificate_report(sound),
         "cancellation_on_or_outside_unit_circle":
@@ -109,18 +119,8 @@ def run_verify(spec: BenchmarkSpec, controller_coeffs, rounding: str,
         "phase_margin_deg": "inf" if math.isinf(pm) else round(pm, 6),
     }
     if trace_out is not None:
-        q = controller.format.step
-        trace = step_response(controller, spec.plant,
-                              spec.sample_time or Fraction(1), steps,
-                              NoiseModel.worst_case(q, q), seed,
-                              stop_on_divergence=True)
-        with open(trace_out, "w") as fh:
-            trace.write_csv(fh)
-        report["trace"] = {
-            "path": str(trace_out),
-            "steps": len(trace),
-            "diverged": trace.diverged(),
-        }
+        report["trace"] = _write_trace(controller, spec, trace_out, steps,
+                                       seed)
     return report
 
 
@@ -205,10 +205,11 @@ def main(argv=None) -> int:
             limits = Limits(max_iterations=args.max_iters,
                             max_precision=args.max_precision,
                             timeout_s=args.timeout)
-            report = run_synthesis(spec, args.engine, args.seed, limits,
-                                   with_timing=not args.no_timing)
-            if args.trace_out and report["outcome"] == "Success":
-                _emit_synth_trace(spec, report, args)
+            result, report = _synthesis(spec, args.engine, args.seed, limits,
+                                        not args.no_timing)
+            if args.trace_out and result.success:
+                report["trace"] = _write_trace(result.controller, spec,
+                                               args.trace_out, 1000, args.seed)
             emit_report(report, args.report)
             return 0 if report["outcome"] == "Success" else 1
         controller_coeffs = parse_controller(args.controller)
@@ -223,24 +224,6 @@ def main(argv=None) -> int:
     except DcsynthError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-
-def _emit_synth_trace(spec: BenchmarkSpec, report: dict, args):
-    raws_n = report["controller"]["num_raw"]
-    raws_d = report["controller"]["den_raw"]
-    from .fixedpoint import FixedPointValue
-    fmt = spec.controller_format
-    controller = Controller([FixedPointValue(r, fmt) for r in raws_n],
-                            [FixedPointValue(r, fmt) for r in raws_d])
-    q = fmt.step
-    trace = step_response(controller, spec.plant,
-                          spec.sample_time or Fraction(1), 1000,
-                          NoiseModel.worst_case(q, q), args.seed,
-                          stop_on_divergence=True)
-    with open(args.trace_out, "w") as fh:
-        trace.write_csv(fh)
-    report["trace"] = {"path": args.trace_out, "steps": len(trace),
-                       "diverged": trace.diverged()}
 
 
 if __name__ == "__main__":

@@ -21,10 +21,6 @@ class DegenerateCharPoly(DcsynthError):
     """Characteristic polynomial normalized to the zero polynomial."""
 
 
-class SingularTable(DcsynthError):
-    """A Jury table pivot is exactly zero; the recursion cannot continue."""
-
-
 class ImproperTransferFunction(DcsynthError):
     """Numerator degree exceeds denominator degree where properness is required."""
 

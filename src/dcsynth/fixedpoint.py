@@ -87,6 +87,16 @@ class FixedPointValue:
     def __str__(self):
         return f"{self.decimal_str()}{self.format}"
 
+    def __add__(self, other: "FixedPointValue") -> "FixedPointValue":
+        fmt = _same_format(self, other)
+        return _check_and_build(self.raw + other.raw, fmt)
+
+    def __mul__(self, other: "FixedPointValue") -> "FixedPointValue":
+        """Exact product truncated toward zero back to the shared format."""
+        fmt = _same_format(self, other)
+        raw = _trunc_div(self.raw * other.raw, fmt.scale)
+        return _check_and_build(raw, fmt)
+
 
 def _check_and_build(raw: int, fmt: FixedPointFormat) -> FixedPointValue:
     if abs(raw) >= fmt.raw_limit:
@@ -138,9 +148,8 @@ def _same_format(a: FixedPointValue, b: FixedPointValue) -> FixedPointFormat:
     return a.format
 
 
-def fp_add(a: FixedPointValue, b: FixedPointValue) -> FixedPointValue:
-    fmt = _same_format(a, b)
-    return _check_and_build(a.raw + b.raw, fmt)
+fp_add = FixedPointValue.__add__
+fp_mul = FixedPointValue.__mul__
 
 
 def fp_sub(a: FixedPointValue, b: FixedPointValue) -> FixedPointValue:
@@ -152,13 +161,6 @@ def _trunc_div(num: int, den: int) -> int:
     # Python's // floors; truncate toward zero instead.
     q = abs(num) // abs(den)
     return q if (num >= 0) == (den > 0) else -q
-
-
-def fp_mul(a: FixedPointValue, b: FixedPointValue) -> FixedPointValue:
-    """Exact product truncated toward zero back to the shared format."""
-    fmt = _same_format(a, b)
-    raw = _trunc_div(a.raw * b.raw, fmt.scale)
-    return _check_and_build(raw, fmt)
 
 
 def fp_div(a: FixedPointValue, b: FixedPointValue) -> FixedPointValue:

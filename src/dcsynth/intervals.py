@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from .errors import DivisorContainsZero
 from .fixedpoint import FixedPointFormat
-from .transfer import PlantFamily
+from .transfer import PlantFamily, add_aligned, convolve
 
 
 @dataclass(frozen=True)
@@ -52,12 +52,35 @@ class RationalInterval:
     def __neg__(self):
         return RationalInterval(-self.hi, -self.lo)
 
-    def abs(self) -> "RationalInterval":
+    def __abs__(self):
         if self.contains_zero():
             return RationalInterval(0, max(-self.lo, self.hi))
         if self.hi < 0:
             return -self
         return self
+
+    def __add__(self, other):
+        return RationalInterval(self.lo + other.lo, self.hi + other.hi)
+
+    def __radd__(self, other):
+        # sum() starts from the number 0.
+        return self + RationalInterval.point(other)
+
+    def __sub__(self, other):
+        return RationalInterval(self.lo - other.hi, self.hi - other.lo)
+
+    def __mul__(self, other):
+        p = (self.lo * other.lo, self.lo * other.hi,
+             self.hi * other.lo, self.hi * other.hi)
+        return RationalInterval(min(p), max(p))
+
+    def __truediv__(self, other):
+        if other.contains_zero():
+            raise DivisorContainsZero(
+                f"divisor [{other.lo}, {other.hi}] contains zero")
+        p = (self.lo / other.lo, self.lo / other.hi,
+             self.hi / other.lo, self.hi / other.hi)
+        return RationalInterval(min(p), max(p))
 
     def subset_of(self, other: "RationalInterval") -> bool:
         return other.lo <= self.lo and self.hi <= other.hi
@@ -81,26 +104,6 @@ class RationalInterval:
         return RationalInterval(lo, hi)
 
 
-def iv_add(a: RationalInterval, b: RationalInterval) -> RationalInterval:
-    return RationalInterval(a.lo + b.lo, a.hi + b.hi)
-
-
-def iv_sub(a: RationalInterval, b: RationalInterval) -> RationalInterval:
-    return RationalInterval(a.lo - b.hi, a.hi - b.lo)
-
-
-def iv_mul(a: RationalInterval, b: RationalInterval) -> RationalInterval:
-    p = (a.lo * b.lo, a.lo * b.hi, a.hi * b.lo, a.hi * b.hi)
-    return RationalInterval(min(p), max(p))
-
-
-def iv_div(a: RationalInterval, b: RationalInterval) -> RationalInterval:
-    if b.contains_zero():
-        raise DivisorContainsZero(f"divisor [{b.lo}, {b.hi}] contains zero")
-    p = (a.lo / b.lo, a.lo / b.hi, a.hi / b.lo, a.hi / b.hi)
-    return RationalInterval(min(p), max(p))
-
-
 @dataclass(frozen=True)
 class IntervalPoly:
     """Polynomial with interval coefficients, descending powers of z."""
@@ -122,26 +125,16 @@ class IntervalPoly:
     def from_exact(cls, coeffs) -> "IntervalPoly":
         return cls([RationalInterval.point(c) for c in coeffs])
 
-    def sample(self, picker) -> list:
-        """Concrete coefficient list with picker(interval) choosing members."""
-        return [picker(c) for c in self.coeffs]
+
+_ZERO = RationalInterval.point(0)
 
 
 def ipoly_add(a: IntervalPoly, b: IntervalPoly) -> IntervalPoly:
-    n = max(len(a.coeffs), len(b.coeffs))
-    zero = RationalInterval.point(0)
-    ca = (zero,) * (n - len(a.coeffs)) + a.coeffs
-    cb = (zero,) * (n - len(b.coeffs)) + b.coeffs
-    return IntervalPoly([iv_add(x, y) for x, y in zip(ca, cb)])
+    return IntervalPoly(add_aligned(a.coeffs, b.coeffs, _ZERO))
 
 
 def ipoly_mul(a: IntervalPoly, b: IntervalPoly) -> IntervalPoly:
-    zero = RationalInterval.point(0)
-    out = [zero] * (len(a.coeffs) + len(b.coeffs) - 1)
-    for i, x in enumerate(a.coeffs):
-        for j, y in enumerate(b.coeffs):
-            out[i + j] = iv_add(out[i + j], iv_mul(x, y))
-    return IntervalPoly(out)
+    return IntervalPoly(convolve(a.coeffs, b.coeffs, _ZERO))
 
 
 def _coeff_interval(c: Fraction, delta: Fraction,

@@ -361,10 +361,12 @@ def sensitivity_functions(controller, plant: TransferFunction):
     """(H1, H2, H3) = (1, G, GC) / (1 + GC), all over the shared closed-loop
     denominator S = Cn*Gn + Cd*Gd."""
     cn, cd, _ = _controller_polys(controller)
-    s = poly_add(poly_mul(cn, plant.num), poly_mul(cd, plant.den)).normalize()
+    cn_gn = poly_mul(cn, plant.num)
+    cd_gd = poly_mul(cd, plant.den)
+    s = poly_add(cn_gn, cd_gd).normalize()
     if s.is_zero():
         raise DegenerateLoop("1 + G*C is identically zero")
-    h1 = TransferFunction(poly_mul(cd, plant.den), s)
+    h1 = TransferFunction(cd_gd, s)
     h2 = TransferFunction(poly_mul(cd, plant.num), s)
-    h3 = TransferFunction(poly_mul(cn, plant.num), s)
+    h3 = TransferFunction(cn_gn, s)
     return h1, h2, h3

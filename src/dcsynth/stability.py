@@ -1,5 +1,5 @@
-"""Jury's stability criterion over exact, interval, and fixed-point
-coefficients, plus a root-modulus oracle used by the test suite.
+"""Jury's stability criterion over exact and interval coefficients, plus a
+root-modulus oracle used by the test suite.
 
 For S(z) = a0 z^N + ... + aN with a0 > 0 the verdict is Stable iff:
 
@@ -11,19 +11,19 @@ For S(z) = a0 z^N + ... + aN with a0 > 0 the verdict is Stable iff:
       (N-1 reductions, down to a degree-1 row; stopping one step earlier
       provably disagrees with the root oracle).
 
-R3 follows the standard magnitude convention |aN| < |a0|; the reversed
-form seen in some statements of the test is available behind a flag for
-auditing.
+`jury_conditions` states these once in plain arithmetic operators, so the
+same recursion runs on Fraction, RationalInterval and float coefficients.
 """
 
 from __future__ import annotations
 
 import enum
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DegenerateCharPoly
-from .intervals import IntervalPoly, RationalInterval, iv_add, iv_div, iv_mul, iv_sub
+from .intervals import IntervalPoly, RationalInterval
 from .transfer import Poly
 
 
@@ -44,54 +44,29 @@ class JuryVerdict:
         return self.status is Status.STABLE
 
 
-@dataclass(frozen=True)
-class JuryTable:
-    """The reduction rows as generated (each block: row and its reverse)."""
+def jury_conditions(c, may_be_zero):
+    """Jury's conditions in order, as (label, value) pairs, for coefficients
+    `c` (descending powers, at least two, positive leading coefficient):
+    R1, R2, R3, then one R4 value per table reduction.
 
-    rows: tuple
-
-
-def jury_table(s: Poly) -> JuryTable:
-    c = list(s.normalize().coeffs)
-    if c[0] == 0:
-        raise DegenerateCharPoly("zero leading coefficient")
-    if c[0] < 0:
-        c = [-x for x in c]
-    rows = []
-    row = c
-    while len(row) > 2:
-        rows.append(tuple(row))
-        rows.append(tuple(reversed(row)))
-        pivot = row[0]
-        if pivot == 0:
-            break
-        alpha = row[-1] / pivot
-        row = [row[i] - alpha * row[len(row) - 1 - i] for i in range(len(row) - 1)]
-    if len(rows) == 0 and len(row) >= 2:
-        rows.append(tuple(row))
-        rows.append(tuple(reversed(row)))
-    return JuryTable(tuple(rows))
-
-
-def _conditions(c):
-    """Ordered (label, value) stability conditions for exact coefficients
-    with c[0] > 0.  Yields None values when a table pivot vanishes."""
-    n = len(c) - 1
+    Works in any arithmetic with + - * /, abs() and sum().  When
+    `may_be_zero(pivot)` holds the recursion cannot divide by the pivot, and
+    ("R4", None) ends the sequence.
+    """
     yield "R1", sum(c)
     yield "R2", sum(x if i % 2 == 0 else -x for i, x in enumerate(c))
     yield "R3", abs(c[0]) - abs(c[-1])
     row = c
     while len(row) > 2:
-        pivot = row[0]
-        if pivot == 0:
+        if may_be_zero(row[0]):
             yield "R4", None
             return
-        alpha = row[-1] / pivot
-        row = [row[i] - alpha * row[len(row) - 1 - i] for i in range(len(row) - 1)]
+        alpha = row[-1] / row[0]
+        row = [row[i] - alpha * row[-1 - i] for i in range(len(row) - 1)]
         yield "R4", row[0]
 
 
-def jury_stable(s: Poly, reversed_r3: bool = False) -> JuryVerdict:
+def jury_stable(s: Poly) -> JuryVerdict:
     """Three-valued Jury verdict for an exact polynomial."""
     s = s.normalize()
     c = list(s.coeffs)
@@ -103,42 +78,16 @@ def jury_stable(s: Poly, reversed_r3: bool = False) -> JuryVerdict:
     if c[0] < 0:
         c = [-x for x in c]
     margin = None
-    for label, value in _conditions(c):
+    # An exact pivot may be zero only when it is zero (falsy).
+    for label, value in jury_conditions(c, operator.not_):
         if value is None:
             # Singular table: zero pivot, verdict undecidable here.
-            return JuryVerdict(Status.UNKNOWN, "R4",
-                               min(margin, Fraction(0)) if margin is not None else Fraction(0))
-        if label == "R3" and reversed_r3:
-            value = c[-1] - abs(c[0])
+            return JuryVerdict(Status.UNKNOWN, "R4", min(margin, Fraction(0)))
         if margin is None or value < margin:
             margin = value
         if value <= 0:
             return JuryVerdict(Status.UNSTABLE, label, margin)
     return JuryVerdict(Status.STABLE, None, margin)
-
-
-def _iconditions(civ):
-    """Interval analogue of `_conditions`; civ has strictly positive leading
-    interval.  Yields None when a pivot interval contains zero."""
-    zero = RationalInterval.point(0)
-    acc = zero
-    for c in civ:
-        acc = iv_add(acc, c)
-    yield "R1", acc
-    acc = zero
-    for i, c in enumerate(civ):
-        acc = iv_add(acc, c if i % 2 == 0 else -c)
-    yield "R2", acc
-    yield "R3", iv_sub(civ[0].abs(), civ[-1].abs())
-    row = list(civ)
-    while len(row) > 2:
-        if row[0].contains_zero():
-            yield "R4", None
-            return
-        alpha = iv_div(row[-1], row[0])
-        row = [iv_sub(row[i], iv_mul(alpha, row[len(row) - 1 - i]))
-               for i in range(len(row) - 1)]
-        yield "R4", row[0]
 
 
 def jury_stable_interval(s: IntervalPoly) -> JuryVerdict:
@@ -159,7 +108,7 @@ def jury_stable_interval(s: IntervalPoly) -> JuryVerdict:
     incomplete = False
     margin = None
     first_violated = None
-    for label, iv in _iconditions(civ):
+    for label, iv in jury_conditions(civ, RationalInterval.contains_zero):
         if iv is None:
             incomplete = True
             break
@@ -169,8 +118,6 @@ def jury_stable_interval(s: IntervalPoly) -> JuryVerdict:
             return JuryVerdict(Status.UNSTABLE, label, margin)
         if iv.lo <= 0 and first_violated is None:
             first_violated = label
-    if margin is None:
-        margin = Fraction(0)
     if incomplete or first_violated is not None:
         return JuryVerdict(Status.UNKNOWN, first_violated or "R4",
                            min(margin, Fraction(0)))

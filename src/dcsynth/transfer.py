@@ -11,8 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DegenerateCharPoly, ImproperTransferFunction
-from .fixedpoint import (FixedPointFormat, FixedPointValue, fp_add, fp_mul,
-                         quantize_truncate)
+from .fixedpoint import FixedPointFormat, FixedPointValue, quantize_truncate
 
 
 def _frac_tuple(coeffs):
@@ -57,21 +56,39 @@ class Poly:
         return Poly([k * c for c in self.coeffs])
 
 
+def convolve(a, b, zero):
+    """Coefficients of the product of two polynomials given in descending
+    powers, in whatever arithmetic their elements carry; `zero` is that
+    arithmetic's additive identity."""
+    out = [zero] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b, i):
+            out[j] += x * y
+    return out
+
+
+def add_aligned(a, b, zero):
+    """Coefficientwise sum of two descending-power coefficient sequences, the
+    shorter padded with leading zeros."""
+    d = len(a) - len(b)
+    if d < 0:
+        a = [zero] * -d + list(a)
+    elif d > 0:
+        b = [zero] * d + list(b)
+    return [x + y for x, y in zip(a, b)]
+
+
+def closed_loop_coeffs(cn, gn, cd, gd, zero):
+    """Coefficients of S = Cn*Gn + Cd*Gd, descending powers."""
+    return add_aligned(convolve(cn, gn, zero), convolve(cd, gd, zero), zero)
+
+
 def poly_add(a: Poly, b: Poly) -> Poly:
-    n = max(len(a.coeffs), len(b.coeffs))
-    ca = (Fraction(0),) * (n - len(a.coeffs)) + a.coeffs
-    cb = (Fraction(0),) * (n - len(b.coeffs)) + b.coeffs
-    return Poly([x + y for x, y in zip(ca, cb)])
+    return Poly(add_aligned(a.coeffs, b.coeffs, Fraction(0)))
 
 
 def poly_mul(a: Poly, b: Poly) -> Poly:
-    out = [Fraction(0)] * (len(a.coeffs) + len(b.coeffs) - 1)
-    for i, x in enumerate(a.coeffs):
-        if x == 0:
-            continue
-        for j, y in enumerate(b.coeffs):
-            out[i + j] += x * y
-    return Poly(out)
+    return Poly(convolve(a.coeffs, b.coeffs, Fraction(0)))
 
 
 @dataclass(frozen=True)
@@ -199,9 +216,10 @@ def char_poly(controller: Controller, plant: TransferFunction,
     if fast_format is None:
         # Built from raw coefficient values, not as_transfer(): the all-zero
         # candidate must reach the degeneracy check below, not fail earlier.
-        cn = Poly([v.value for v in controller.num])
-        cd = Poly([v.value for v in controller.den])
-        s = poly_add(poly_mul(cn, plant.num), poly_mul(cd, plant.den))
+        s = Poly(closed_loop_coeffs([v.value for v in controller.num],
+                                    plant.num.coeffs,
+                                    [v.value for v in controller.den],
+                                    plant.den.coeffs, Fraction(0)))
     else:
         s = _char_poly_fixed(controller, plant, fast_format)
     s = s.normalize()
@@ -212,13 +230,6 @@ def char_poly(controller: Controller, plant: TransferFunction,
 
 def _char_poly_fixed(controller: Controller, plant: TransferFunction,
                      fmt: FixedPointFormat) -> Poly:
-    def conv_fp(a, b):
-        out = [FixedPointValue(0, fmt)] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            for j, y in enumerate(b):
-                out[i + j] = fp_add(out[i + j], fp_mul(x, y))
-        return out
-
     def to_fmt(v):
         # Exact widening when possible, truncating re-quantization otherwise.
         if fmt.fraction_bits >= v.format.fraction_bits:
@@ -229,12 +240,8 @@ def _char_poly_fixed(controller: Controller, plant: TransferFunction,
     cd = [to_fmt(v) for v in controller.den]
     gn = [quantize_truncate(c, fmt) for c in plant.num.coeffs]
     gd = [quantize_truncate(c, fmt) for c in plant.den.coeffs]
-    a = conv_fp(cn, gn)
-    b = conv_fp(cd, gd)
-    n = max(len(a), len(b))
-    a = [FixedPointValue(0, fmt)] * (n - len(a)) + a
-    b = [FixedPointValue(0, fmt)] * (n - len(b)) + b
-    return Poly([fp_add(x, y).value for x, y in zip(a, b)])
+    s = closed_loop_coeffs(cn, gn, cd, gd, FixedPointValue(0, fmt))
+    return Poly([v.value for v in s])
 
 
 def cancellation_on_or_outside_unit_circle(controller: Controller,

@@ -148,6 +148,17 @@ def test_two_stage_timeout():
     assert not result.success and result.reason == "timeout"
 
 
+def test_deadline_inside_search_reports_timeout():
+    # Unstabilizable family: the deadline passes inside the candidate
+    # search, and both engines name it the same way.
+    fam = cruise_family(delta_num=[Fraction(1, 2)],
+                        delta_den=[0, Fraction(1, 2)])
+    for engine in (cegis_two_stage, cegis_one_stage):
+        result = engine(fam, F416, (2, 2), seed=1,
+                        limits=Limits(timeout_s=0.05))
+        assert not result.success and result.reason == "timeout", engine
+
+
 def test_one_stage_success_and_zero_budget_timeout():
     result = cegis_one_stage(cruise_family(), F416, (2, 2), seed=1234,
                              limits=Limits())

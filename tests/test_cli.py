@@ -60,6 +60,17 @@ def test_controller_decimal_round_trip():
         assert quantize_truncate(Fraction(text), fmt).raw == raw
 
 
+def test_synth_trace_emission(tmp_path):
+    trace = tmp_path / "trace.csv"
+    code, out = run(["synth", CRUISE, "--seed", "1234", "--trace-out",
+                     str(trace), "--report", "json", "--no-timing"])
+    assert code == 0
+    assert trace.exists()
+    report = json.loads(out)
+    assert report["trace"] == {"path": str(trace), "steps": 1000,
+                               "diverged": False}
+
+
 def test_synth_failure_exit_code():
     code, out = run(["synth", CRUISE, "--max-iters", "0", "--report", "json",
                      "--no-timing"])

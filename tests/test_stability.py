@@ -1,15 +1,17 @@
 """Stability table: exact verdicts, interval verdicts, and oracle agreement."""
 
+import operator
 import random
 from fractions import Fraction
 
 import pytest
 
+from dcsynth.cegis import _float_jury_margin
 from dcsynth.errors import DegenerateCharPoly
 from dcsynth.intervals import IntervalPoly, RationalInterval
-from dcsynth.stability import (Status, jury_stable, jury_stable_interval,
-                               jury_table, root_oracle)
-from dcsynth.transfer import Poly
+from dcsynth.stability import (Status, jury_conditions, jury_stable,
+                               jury_stable_interval, root_oracle)
+from dcsynth.transfer import Poly, poly_mul
 
 
 def test_known_verdicts():
@@ -21,6 +23,8 @@ def test_known_verdicts():
     assert not jury_stable(Poly([1, -1])).is_stable
     # Degree zero has no roots at all.
     assert jury_stable(Poly([3])).is_stable
+    # R3 in the standard convention |aN| < |a0|: z^2 + 1/2 is stable.
+    assert jury_stable(Poly([1, 0, Fraction(1, 2)])).is_stable
 
 
 def test_negative_leading_coefficient_is_normalized():
@@ -50,17 +54,10 @@ def test_zero_polynomial_raises():
 
 
 def test_table_rows_shrink_to_length_two():
-    table = jury_table(Poly([1, 0, 0, Fraction(1, 8)]))
-    lengths = [len(r) for r in table.rows[::2]]
-    assert lengths == [4, 3]
-
-
-def test_reversed_r3_flag():
-    # Standard convention: |aN| < |a0| holds for z^2 + 0.5.
-    p = Poly([1, 0, Fraction(1, 2)])
-    assert jury_stable(p).is_stable
-    # The reversed form demands aN > |a0| and rejects it.
-    assert not jury_stable(p, reversed_r3=True).is_stable
+    # N - 1 reductions: a degree-3 polynomial yields exactly two R4 values.
+    c = list(Poly([1, 0, 0, Fraction(1, 8)]).coeffs)
+    labels = [label for label, _ in jury_conditions(c, operator.not_)]
+    assert labels == ["R1", "R2", "R3", "R4", "R4"]
 
 
 def _random_poly(rng, max_degree=6):
@@ -88,16 +85,44 @@ def test_oracle_agreement_sample():
 
 def test_interval_point_matches_exact():
     rng = random.Random(8)
-    for _ in range(300):
-        p = _random_poly(rng, max_degree=4)
+    for max_degree in (4, 8):
+        for _ in range(300):
+            p = _random_poly(rng, max_degree=max_degree)
+            exact = jury_stable(p)
+            if exact.status is Status.UNKNOWN:
+                continue
+            interval = jury_stable_interval(IntervalPoly.from_exact(p.coeffs))
+            if interval.status is Status.UNKNOWN:
+                # Interval mode may be conservative but never wrong.
+                continue
+            assert interval.status == exact.status
+
+
+def _random_stable_poly(rng, degree):
+    p = Poly([1])
+    for _ in range(degree):
+        p = poly_mul(p, Poly([1, Fraction(rng.randint(-950, 950), 1000)]))
+    return p
+
+
+def test_float_guidance_tracks_exact_margin():
+    """The search's float margin has the exact Jury margin's sign away from
+    zero, and equals it on Stable polynomials up to float rounding."""
+    rng = random.Random(11)
+    polys = [_random_poly(rng, max_degree=8) for _ in range(2000)]
+    # Random coefficients rarely give a Stable polynomial past degree 4.
+    polys += [_random_stable_poly(rng, degree)
+              for degree in range(1, 9) for _ in range(25)]
+    stable = 0
+    for p in polys:
         exact = jury_stable(p)
-        if exact.status is Status.UNKNOWN:
-            continue
-        interval = jury_stable_interval(IntervalPoly.from_exact(p.coeffs))
-        if interval.status is Status.UNKNOWN:
-            # Interval mode may be conservative but never wrong.
-            continue
-        assert interval.status == exact.status
+        guide = _float_jury_margin([float(c) for c in p.coeffs])
+        if abs(exact.margin) > 1e-9:
+            assert (guide > 0) == (exact.margin > 0), (p.coeffs, guide)
+        if exact.is_stable:
+            stable += 1
+            assert guide == pytest.approx(float(exact.margin), rel=1e-9)
+    assert stable > 400
 
 
 def test_interval_stable_family():
