@@ -2,24 +2,22 @@
 
 Synthesizes controllers in a finite word length format that provably
 BIBO-stabilize every plant in a coefficient-box uncertainty family, using a
-counterexample-guided loop with a fast fixed-point verification stage and a
-sound exact-rational interval stage.
+counterexample-guided loop with a fast exact verification stage over the
+plant grid and a sound exact-rational interval stage.
 """
 
 from .benchmark import BenchmarkSpec, parse_benchmark, parse_controller
-from .cegis import (CegisState, Limits, SynthesisResult, cegis_one_stage,
-                    cegis_two_stage, synthesize_candidate, verify_precision,
-                    verify_uncertainty)
-from .discretize import ContinuousTF, matrix_exp, zoh_discretize
+from .cegis import (Limits, SynthesisResult, cegis_one_stage, cegis_two_stage,
+                    synthesize_candidate, verify_precision, verify_uncertainty)
+from .discretize import ContinuousTF, zoh_discretize
 from .errors import (ArithmeticOverflow, CounterexampleExtractionFailed,
                      DcsynthError, DegenerateCharPoly, DegenerateLoop,
                      DivisionByZero, DivisorContainsZero,
                      EvaluationSingularity, ImproperTransferFunction,
                      NoCandidate, NonpositiveSampleTime, Overflow, ParseError,
                      ValidationError)
-from .fixedpoint import (FixedPointFormat, FixedPointValue, fp_add, fp_div,
-                         fp_mul, fp_sub, quantize, quantize_nearest,
-                         quantize_poly, quantize_truncate)
+from .fixedpoint import (FixedPointFormat, FixedPointValue, quantize,
+                         quantize_nearest, quantize_poly, quantize_truncate)
 from .intervals import (IntervalPoly, RationalInterval, family_grid_box,
                         family_to_interval_poly, ipoly_add, ipoly_mul)
 from .simulate import (NoiseModel, SimulationTrace, frequency_margins,
@@ -28,7 +26,6 @@ from .stability import (JuryVerdict, Status, jury_stable, jury_stable_interval,
                         root_oracle)
 from .transfer import (Controller, PlantFamily, Poly, TransferFunction,
                        cancellation_on_or_outside_unit_circle, char_poly,
-                       pack_coefficients, poly_add, poly_mul,
-                       unpack_coefficients)
+                       poly_add, poly_mul)
 
 __version__ = "0.1.0"

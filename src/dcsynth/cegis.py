@@ -10,6 +10,7 @@ enumeration when the grid is small enough to sweep.
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 import random
 import time
@@ -17,8 +18,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import (CounterexampleExtractionFailed, DegenerateCharPoly,
-                     NoCandidate, Overflow)
-from .fixedpoint import FixedPointFormat, FixedPointValue, quantize_truncate
+                     NoCandidate)
+from .fixedpoint import FixedPointFormat, FixedPointValue
 from .intervals import (IntervalPoly, RationalInterval, family_grid_box,
                         family_to_interval_poly, ipoly_add, ipoly_mul)
 from .stability import (JuryVerdict, Status, jury_conditions, jury_stable,
@@ -31,6 +32,7 @@ PRECISION_STEP = (4, 4)
 PRECISION_CAP = FixedPointFormat(32, 32)
 EXHAUSTIVE_LIMIT = 1 << 20
 SUBDIVISION_DEPTH = 8
+DESCENT_STEPS = 64
 
 _BIG_PENALTY = Fraction(10 ** 6)
 
@@ -41,15 +43,6 @@ class Limits:
     max_precision: FixedPointFormat = PRECISION_CAP
     timeout_s: float = 600.0
     synth_budget: int = 60000
-
-
-@dataclass
-class CegisState:
-    inputs: list
-    candidate: Controller | None
-    plant_format: FixedPointFormat
-    iteration: int
-    seed: int
 
 
 @dataclass
@@ -75,12 +68,12 @@ def _controller_from_raws(raws, fmt: FixedPointFormat, orders) -> Controller:
                       [FixedPointValue(r, fmt) for r in raws[m:]])
 
 
-def concrete_verdict(candidate: Controller, plant: TransferFunction,
-                     fast_format: FixedPointFormat | None = None) -> JuryVerdict:
-    """Jury verdict of the closed loop; a degenerate S counts as unstable."""
+def concrete_verdict(candidate: Controller, plant: TransferFunction) -> JuryVerdict:
+    """Exact Jury verdict of the closed loop; a degenerate S counts as
+    unstable."""
     try:
-        s = char_poly(candidate, plant, fast_format=fast_format)
-    except (DegenerateCharPoly, Overflow):
+        s = char_poly(candidate, plant)
+    except DegenerateCharPoly:
         return JuryVerdict(Status.UNSTABLE, None, -_BIG_PENALTY)
     v = jury_stable(s)
     if v.status is Status.UNKNOWN:
@@ -174,11 +167,9 @@ def _start_pool(rng, n_coeffs, num_len, limit, one):
 
 
 def synthesize_candidate(inputs, controller_format: FixedPointFormat, orders,
-                         seed: int, budget: int,
-                         plant_format: FixedPointFormat | None = None,
-                         deadline=None) -> Controller:
-    """Find a controller that is Jury-stable against every plant in `inputs`
-    (fast fixed-point path when `plant_format` is given)."""
+                         seed: int, budget: int, deadline=None) -> Controller:
+    """Find a controller whose closed loop is exactly Jury-stable against
+    every plant in `inputs`."""
     if orders[0] < 0 or orders[1] < 0:
         raise ValueError("controller orders must be >= 0")
     if budget <= 0:
@@ -190,23 +181,10 @@ def synthesize_candidate(inputs, controller_format: FixedPointFormat, orders,
     n_coeffs = orders[0] + orders[1] + 2
     m = orders[0] + 1
 
-    # Float images of the (grid-snapped) plant coefficients guide the search;
-    # a candidate is only accepted after exact fixed-point confirmation.
-    plant_floats = []
-    for plant in inputs:
-        if plant_format is not None:
-            try:
-                gn = [float(quantize_truncate(c, plant_format).value)
-                      for c in plant.num.coeffs]
-                gd = [float(quantize_truncate(c, plant_format).value)
-                      for c in plant.den.coeffs]
-            except Overflow:
-                gn = [float(c) for c in plant.num.coeffs]
-                gd = [float(c) for c in plant.den.coeffs]
-        else:
-            gn = [float(c) for c in plant.num.coeffs]
-            gd = [float(c) for c in plant.den.coeffs]
-        plant_floats.append((gn, gd))
+    # Float images of the plant coefficients guide the search; a candidate is
+    # only accepted after the exact verdict that the uncertainty stage uses.
+    plant_floats = [([float(c) for c in plant.num.coeffs],
+                     [float(c) for c in plant.den.coeffs]) for plant in inputs]
     step = float(controller_format.step)
 
     def evaluate(raws):
@@ -224,7 +202,7 @@ def synthesize_candidate(inputs, controller_format: FixedPointFormat, orders,
             return False, cost
         cand = _controller_from_raws(raws, controller_format, orders)
         for plant in inputs:
-            v = concrete_verdict(cand, plant, fast_format=plant_format)
+            v = concrete_verdict(cand, plant)
             if v.margin <= 0:
                 return False, float(-v.margin) + 1e-9
         return True, 0.0
@@ -279,14 +257,20 @@ def _make_plant(num_coeffs, den_coeffs) -> TransferFunction | None:
     return TransferFunction(Poly(num_coeffs), Poly(den_coeffs))
 
 
+def _check_deadline(deadline):
+    if deadline is not None and time.perf_counter() > deadline:
+        raise CounterexampleExtractionFailed("deadline passed")
+
+
 def verify_uncertainty(candidate: Controller, family: PlantFamily,
-                       descent_steps: int = 64):
+                       deadline=None):
     """First (fast) verification stage over the representable-plant box.
 
     Returns None when the stage finds the closed loop stable for the whole
     box, else a concrete counterexample plant (grid member, certified
     unstable).  Raises CounterexampleExtractionFailed when the interval
-    verdict is inconclusive but no witness can be located.
+    verdict is inconclusive but no witness can be located, or when the
+    `deadline` (a time.perf_counter() value) passes before either is known.
     """
     num_iv, den_iv = family_grid_box(family)
     s_iv = _interval_char_poly(candidate, num_iv, den_iv)
@@ -295,13 +279,14 @@ def verify_uncertainty(candidate: Controller, family: PlantFamily,
         return None
 
     witness = _extract_counterexample(candidate, family, num_iv, den_iv,
-                                      descent_steps)
+                                      deadline)
     if witness is not None:
         return witness
 
     # Completeness backstop: subdivide the box; all-stable leaves mean the
     # top-level verdict was merely conservative.
-    outcome = _subdivide(candidate, family, num_iv, den_iv, SUBDIVISION_DEPTH)
+    outcome = _subdivide(candidate, family, num_iv, den_iv, SUBDIVISION_DEPTH,
+                         deadline)
     if outcome == "stable":
         return None
     if isinstance(outcome, TransferFunction):
@@ -310,10 +295,11 @@ def verify_uncertainty(candidate: Controller, family: PlantFamily,
         "interval verdict inconclusive and no unstable grid plant found")
 
 
-def _extract_counterexample(candidate, family, num_iv, den_iv, descent_steps):
+def _extract_counterexample(candidate, family, num_iv, den_iv, deadline):
     fmt = family.plant_format
     worst = None  # (margin, num, den)
     for num_c, den_c in _box_vertices(num_iv, den_iv):
+        _check_deadline(deadline)
         plant = _make_plant(num_c, den_c)
         if plant is None:
             continue
@@ -332,7 +318,7 @@ def _extract_counterexample(candidate, family, num_iv, den_iv, descent_steps):
     nn = len(num_c)
     margin = worst[0]
     step_unit = fmt.step if fmt is not None else None
-    for _ in range(descent_steps):
+    for _ in range(DESCENT_STEPS):
         improved = False
         for i, box in enumerate(boxes):
             if box.is_point():
@@ -344,6 +330,7 @@ def _extract_counterexample(candidate, family, num_iv, den_iv, descent_steps):
                     trial = coeffs[i] + sign * delta
                     if not box.contains(trial):
                         continue
+                    _check_deadline(deadline)
                     coeffs[i] = trial
                     plant = _make_plant(coeffs[:nn], coeffs[nn:])
                     if plant is None:
@@ -365,9 +352,10 @@ def _extract_counterexample(candidate, family, num_iv, den_iv, descent_steps):
     return None
 
 
-def _subdivide(candidate, family, num_iv, den_iv, depth):
+def _subdivide(candidate, family, num_iv, den_iv, depth, deadline):
     """Interval-Jury over recursively split boxes.  Returns 'stable', an
     unstable witness plant, or 'unknown'."""
+    _check_deadline(deadline)
     s_iv = _interval_char_poly(candidate, num_iv, den_iv)
     verdict = jury_stable_interval(s_iv)
     if verdict.status is Status.STABLE:
@@ -392,7 +380,7 @@ def _subdivide(candidate, family, num_iv, den_iv, depth):
         split[i] = half
         nn = len(num_iv.coeffs)
         sub = _subdivide(candidate, family, IntervalPoly(split[:nn]),
-                         IntervalPoly(split[nn:]), depth - 1)
+                         IntervalPoly(split[nn:]), depth - 1, deadline)
         if isinstance(sub, TransferFunction):
             return sub
         results.append(sub)
@@ -402,13 +390,18 @@ def _subdivide(candidate, family, num_iv, den_iv, depth):
 
 
 def _grid_member(family, num_iv, den_iv):
+    """A plant of the box near its centre, on the plant grid; None when some
+    coefficient's box holds no grid point."""
     fmt = family.plant_format
 
     def pick(box):
         if fmt is None:
             return box.midpoint
         inner = box.snap_inward(fmt)
-        return inner.midpoint if inner is not None else None
+        if inner is None:
+            return None
+        # The grid point at or below the midpoint; inner.lo bounds it.
+        return Fraction(math.floor(inner.midpoint * fmt.scale), fmt.scale)
 
     num = [pick(b) for b in num_iv.coeffs]
     den = [pick(b) for b in den_iv.coeffs]
@@ -455,66 +448,64 @@ def cegis_two_stage(family: PlantFamily, controller_format: FixedPointFormat,
     limits = limits or Limits()
     start = time.perf_counter()
     deadline = start + limits.timeout_s
-    fmt_p = family.plant_format or DEFAULT_PLANT_FORMAT
-    state = CegisState(inputs=[], candidate=None, plant_format=fmt_p,
-                       iteration=0, seed=seed)
+    plant_format = family.plant_format or DEFAULT_PLANT_FORMAT
+    inputs = []
+    candidate = None
+    iteration = 0
     transcript = []
 
     def fail(reason):
-        return SynthesisResult(False, state.candidate, state.plant_format,
-                               state.iteration, time.perf_counter() - start,
+        return SynthesisResult(False, candidate, plant_format, iteration,
+                               time.perf_counter() - start,
                                _failure_reason(reason, deadline), None,
                                transcript)
 
     while True:
         if time.perf_counter() > deadline:
             return fail("timeout")
-        if state.iteration >= limits.max_iterations:
+        if iteration >= limits.max_iterations:
             return fail("iteration-limit")
-        state.iteration += 1
-        fam = family.with_format(state.plant_format)
+        iteration += 1
+        fam = family.with_format(plant_format)
         try:
-            state.candidate = synthesize_candidate(
-                state.inputs, controller_format, orders,
-                seed + state.iteration, limits.synth_budget,
-                plant_format=state.plant_format, deadline=deadline)
+            candidate = synthesize_candidate(
+                inputs, controller_format, orders, seed + iteration,
+                limits.synth_budget, deadline=deadline)
         except NoCandidate:
             return fail("no-candidate")
-        transcript.append({"phase": "synthesize", "iteration": state.iteration,
-                           "candidate": describe_controller(state.candidate),
-                           "inputs": len(state.inputs)})
+        transcript.append({"phase": "synthesize", "iteration": iteration,
+                           "candidate": describe_controller(candidate),
+                           "inputs": len(inputs)})
         try:
-            cex = verify_uncertainty(state.candidate, fam)
+            cex = verify_uncertainty(candidate, fam, deadline)
         except CounterexampleExtractionFailed:
             return fail("counterexample-extraction-failed")
         if cex is not None:
-            state.inputs.append(cex)
+            inputs.append(cex)
             transcript.append({"phase": "counterexample",
-                               "iteration": state.iteration,
+                               "iteration": iteration,
                                "plant": _describe_plant(cex)})
             continue
-        transcript.append({"phase": "uncertainty-ok",
-                           "iteration": state.iteration})
-        verdict = verify_precision(state.candidate, fam)
+        transcript.append({"phase": "uncertainty-ok", "iteration": iteration})
+        verdict = verify_precision(candidate, fam)
         if verdict.status is Status.STABLE:
             transcript.append({"phase": "precision-ok",
-                               "iteration": state.iteration,
-                               "plant_format": str(state.plant_format)})
-            return SynthesisResult(True, state.candidate, state.plant_format,
-                                   state.iteration,
+                               "iteration": iteration,
+                               "plant_format": str(plant_format)})
+            return SynthesisResult(True, candidate, plant_format, iteration,
                                    time.perf_counter() - start, None,
                                    verdict, transcript)
         next_fmt = FixedPointFormat(
-            state.plant_format.integer_bits + PRECISION_STEP[0],
-            state.plant_format.fraction_bits + PRECISION_STEP[1])
+            plant_format.integer_bits + PRECISION_STEP[0],
+            plant_format.fraction_bits + PRECISION_STEP[1])
         transcript.append({"phase": "increase-precision",
-                           "iteration": state.iteration,
+                           "iteration": iteration,
                            "plant_format": str(next_fmt)})
         if (next_fmt.integer_bits > limits.max_precision.integer_bits
                 or next_fmt.fraction_bits > limits.max_precision.fraction_bits):
             return fail("precision-limit")
-        state.plant_format = next_fmt
-        state.inputs.clear()  # stale: they were found at lower precision
+        plant_format = next_fmt
+        inputs.clear()  # stale: they were found at lower precision
 
 
 def cegis_one_stage(family: PlantFamily, controller_format: FixedPointFormat,

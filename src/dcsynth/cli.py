@@ -18,7 +18,7 @@ from .cegis import (Limits, cegis_one_stage, cegis_two_stage,
 from .errors import DcsynthError, ParseError, ValidationError
 from .fixedpoint import FixedPointFormat, quantize_poly
 from .simulate import NoiseModel, frequency_margins, step_response
-from .stability import jury_stable, jury_stable_interval, root_oracle
+from .stability import jury_stable, root_oracle
 from .transfer import (Controller, TransferFunction,
                        cancellation_on_or_outside_unit_circle, char_poly)
 
@@ -172,8 +172,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("file", help="benchmark file")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--trace-out", metavar="PATH", default=None)
-        p.add_argument("--rounding", choices=("truncate", "nearest"),
-                       default="truncate")
         p.add_argument("--report", choices=("json", "text"), default="text")
         p.add_argument("--no-timing", action="store_true",
                        help="omit wall-clock fields (byte-identical reruns)")
@@ -191,6 +189,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_verify)
     p_verify.add_argument("--controller", required=True, metavar="PATH",
                           help="controller coefficient file")
+    p_verify.add_argument("--rounding", choices=("truncate", "nearest"),
+                          default="truncate")
     p_verify.add_argument("--steps", type=int, default=1000,
                           help="trace length when --trace-out is given")
     return parser

@@ -59,20 +59,11 @@ class FixedPointValue:
 
     def __post_init__(self):
         if abs(self.raw) >= self.format.raw_limit:
-            raise Overflow(
-                f"raw {self.raw} outside (-2^{self.format.integer_bits}, "
-                f"2^{self.format.integer_bits}) at {self.format}")
+            raise Overflow(f"value {self.value} does not fit {self.format}")
 
     @property
     def value(self) -> Fraction:
         return Fraction(self.raw, self.format.scale)
-
-    def convert(self, fmt: FixedPointFormat) -> "FixedPointValue":
-        """Exact widening conversion; raises Overflow if `fmt` cannot hold it."""
-        if fmt.fraction_bits < self.format.fraction_bits:
-            raise ValueError("convert() only widens; re-quantize to narrow")
-        shift = fmt.fraction_bits - self.format.fraction_bits
-        return FixedPointValue(self.raw << shift, fmt)
 
     def decimal_str(self) -> str:
         """Exact decimal rendering (dyadic rationals terminate in decimal)."""
@@ -87,28 +78,30 @@ class FixedPointValue:
     def __str__(self):
         return f"{self.decimal_str()}{self.format}"
 
+    # Every operator takes two values of one format and raises Overflow when
+    # the result leaves it; products and quotients truncate toward zero.
     def __add__(self, other: "FixedPointValue") -> "FixedPointValue":
-        fmt = _same_format(self, other)
-        return _check_and_build(self.raw + other.raw, fmt)
+        return FixedPointValue(self.raw + other.raw, _same_format(self, other))
+
+    def __sub__(self, other: "FixedPointValue") -> "FixedPointValue":
+        return FixedPointValue(self.raw - other.raw, _same_format(self, other))
 
     def __mul__(self, other: "FixedPointValue") -> "FixedPointValue":
-        """Exact product truncated toward zero back to the shared format."""
         fmt = _same_format(self, other)
-        raw = _trunc_div(self.raw * other.raw, fmt.scale)
-        return _check_and_build(raw, fmt)
+        return FixedPointValue(_trunc_div(self.raw * other.raw, fmt.scale), fmt)
 
-
-def _check_and_build(raw: int, fmt: FixedPointFormat) -> FixedPointValue:
-    if abs(raw) >= fmt.raw_limit:
-        raise Overflow(f"value {Fraction(raw, fmt.scale)} does not fit {fmt}")
-    return FixedPointValue(raw, fmt)
+    def __truediv__(self, other: "FixedPointValue") -> "FixedPointValue":
+        fmt = _same_format(self, other)
+        if other.raw == 0:
+            raise DivisionByZero("fixed-point division by zero")
+        return FixedPointValue(_trunc_div(self.raw * fmt.scale, other.raw), fmt)
 
 
 def quantize_truncate(x, fmt: FixedPointFormat) -> FixedPointValue:
     """Round toward zero onto the 2**-F grid."""
     x = Fraction(x)
     raw = int(x * fmt.scale)  # int() truncates toward zero
-    return _check_and_build(raw, fmt)
+    return FixedPointValue(raw, fmt)
 
 
 def quantize_nearest(x, fmt: FixedPointFormat) -> FixedPointValue:
@@ -121,7 +114,7 @@ def quantize_nearest(x, fmt: FixedPointFormat) -> FixedPointValue:
         # ties land exactly on an integer and round up (away from zero).
     else:
         raw = -int(-scaled + Fraction(1, 2))
-    return _check_and_build(raw, fmt)
+    return FixedPointValue(raw, fmt)
 
 
 _QUANTIZERS = {"truncate": quantize_truncate, "nearest": quantize_nearest}
@@ -148,24 +141,7 @@ def _same_format(a: FixedPointValue, b: FixedPointValue) -> FixedPointFormat:
     return a.format
 
 
-fp_add = FixedPointValue.__add__
-fp_mul = FixedPointValue.__mul__
-
-
-def fp_sub(a: FixedPointValue, b: FixedPointValue) -> FixedPointValue:
-    fmt = _same_format(a, b)
-    return _check_and_build(a.raw - b.raw, fmt)
-
-
 def _trunc_div(num: int, den: int) -> int:
     # Python's // floors; truncate toward zero instead.
     q = abs(num) // abs(den)
     return q if (num >= 0) == (den > 0) else -q
-
-
-def fp_div(a: FixedPointValue, b: FixedPointValue) -> FixedPointValue:
-    fmt = _same_format(a, b)
-    if b.raw == 0:
-        raise DivisionByZero("fixed-point division by zero")
-    raw = _trunc_div(a.raw * fmt.scale, b.raw)
-    return _check_and_build(raw, fmt)

@@ -1,8 +1,8 @@
 """Interval arithmetic with exact rational endpoints.
 
 Endpoints are `Fraction`s, so every operation encloses its exact result set
-with no rounding at all; outward rounding only enters when endpoints are
-snapped to a dyadic grid (lo floors, hi ceils).
+with no rounding at all.  Plant quantization enters only as a widening of each
+coefficient by one grid step (`family_to_interval_poly`).
 """
 
 from __future__ import annotations
@@ -84,13 +84,6 @@ class RationalInterval:
 
     def subset_of(self, other: "RationalInterval") -> bool:
         return other.lo <= self.lo and self.hi <= other.hi
-
-    def snap_outward(self, fmt: FixedPointFormat) -> "RationalInterval":
-        """Smallest grid-endpoint interval containing self (lo floors, hi ceils)."""
-        s = fmt.scale
-        import math
-        return RationalInterval(Fraction(math.floor(self.lo * s), s),
-                                Fraction(math.ceil(self.hi * s), s))
 
     def snap_inward(self, fmt: FixedPointFormat) -> "RationalInterval | None":
         """Largest grid-endpoint interval inside self, or None if no grid

@@ -20,8 +20,7 @@ import numpy as np
 
 from .errors import (ArithmeticOverflow, DegenerateLoop,
                      EvaluationSingularity, Overflow)
-from .fixedpoint import (FixedPointFormat, FixedPointValue, fp_add, fp_div,
-                         fp_mul, fp_sub)
+from .fixedpoint import FixedPointFormat, FixedPointValue, quantize_truncate
 from .transfer import Controller, Poly, TransferFunction, poly_add, poly_mul
 
 SIGNAL_INTEGER_BITS = 40
@@ -211,7 +210,7 @@ def step_response(controller, plant: TransferFunction, T, steps: int,
             e_pre = reference - y_fr
             e_meas = e_pre + nu1(noise.q1, e_pre)
             try:
-                e_q = _quantize_sig(e_meas, sig_fmt)
+                e_q = quantize_truncate(e_meas, sig_fmt)
                 u_q = (FixedPointValue(0, sig_fmt) if controller_is_zero
                        else _controller_step(bq, aq, e_q, e_hist, u_hist,
                                              sig_fmt))
@@ -243,21 +242,16 @@ def _to_sig(c: Fraction, fmt: FixedPointFormat) -> FixedPointValue:
     return FixedPointValue(int(raw), fmt)
 
 
-def _quantize_sig(x: Fraction, fmt: FixedPointFormat) -> FixedPointValue:
-    raw = int(Fraction(x) * fmt.scale)  # truncation toward zero
-    return FixedPointValue(raw, fmt)
-
-
 def _controller_step(bq, aq, e_q, e_hist, u_hist, fmt):
     """Direct-form-I update a0*u[k] = sum b_j e[k-j] - sum_{j>=1} a_j u[k-j],
     every operation truncating on the signal grid."""
     acc = FixedPointValue(0, fmt)
     es = [e_q] + e_hist[:len(bq) - 1]
     for coeff, sig in zip(bq, es):
-        acc = fp_add(acc, fp_mul(coeff, sig))
+        acc = acc + coeff * sig
     for j in range(1, len(aq)):
-        acc = fp_sub(acc, fp_mul(aq[j], u_hist[j - 1]))
-    return fp_div(acc, aq[0])
+        acc = acc - aq[j] * u_hist[j - 1]
+    return acc / aq[0]
 
 
 def _plant_step(gn, gd, u_in, uin_hist, y_hist):

@@ -1,8 +1,6 @@
 """Polynomials and rational transfer functions in z, with exact coefficients.
 
 Coefficients are stored in descending powers of z (index 0 = highest power).
-Inputs written in ascending powers of z^-1 are converted at parse boundaries
-only; see `from_zinv`.
 """
 
 from __future__ import annotations
@@ -10,8 +8,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DegenerateCharPoly, ImproperTransferFunction
-from .fixedpoint import FixedPointFormat, FixedPointValue, quantize_truncate
+from .errors import DegenerateCharPoly
+from .fixedpoint import FixedPointFormat
 
 
 def _frac_tuple(coeffs):
@@ -98,46 +96,18 @@ class TransferFunction:
     num: Poly
     den: Poly
 
-    def __init__(self, num, den, require_proper=False):
+    def __init__(self, num, den):
         num = num if isinstance(num, Poly) else Poly(num)
         den = den if isinstance(den, Poly) else Poly(den)
         num = num.normalize()
         den = den.normalize()
         if den.coeffs[0] == 0:
             raise ValueError("denominator is identically zero")
-        if require_proper and num.degree > den.degree and not num.is_zero():
-            raise ImproperTransferFunction(
-                f"numerator degree {num.degree} > denominator degree {den.degree}")
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
-    @classmethod
-    def from_zinv(cls, num_zinv, den_zinv, **kw) -> "TransferFunction":
-        """Build from coefficient lists in ascending powers of z^-1.
-
-        (b0 + b1 z^-1 + ... + bM z^-M) / (a0 + ... + aN z^-N) is multiplied
-        through by z^max(M,N) to reach descending-z form.
-        """
-        num = list(num_zinv)
-        den = list(den_zinv)
-        n = max(len(num), len(den))
-        num = num + [0] * (n - len(num))
-        den = den + [0] * (n - len(den))
-        return cls(num, den, **kw)
-
     def __call__(self, z):
         return self.num(z) / self.den(z)
-
-
-def pack_coefficients(tf: TransferFunction):
-    """Flat vector [n_0 .. n_M d_0 .. d_N] of the normalized coefficients."""
-    return list(tf.num.coeffs) + list(tf.den.coeffs)
-
-
-def unpack_coefficients(vec, num_order: int, den_order: int) -> TransferFunction:
-    if len(vec) != num_order + den_order + 2:
-        raise ValueError("coefficient vector length does not match orders")
-    return TransferFunction(vec[:num_order + 1], vec[num_order + 1:])
 
 
 @dataclass(frozen=True)
@@ -201,47 +171,18 @@ class Controller:
         return TransferFunction([v.value for v in self.num],
                                 [v.value for v in self.den])
 
-    def coefficient_values(self):
-        return [v.value for v in self.num] + [v.value for v in self.den]
 
-
-def char_poly(controller: Controller, plant: TransferFunction,
-              fast_format: FixedPointFormat | None = None) -> Poly:
-    """Closed-loop characteristic polynomial S = Cn*Gn + Cd*Gd.
-
-    With `fast_format` set, the plant is snapped to that grid and every
-    product/sum is truncated back to it (the fast, potentially unsound path);
-    otherwise the computation is exact.
-    """
-    if fast_format is None:
-        # Built from raw coefficient values, not as_transfer(): the all-zero
-        # candidate must reach the degeneracy check below, not fail earlier.
-        s = Poly(closed_loop_coeffs([v.value for v in controller.num],
-                                    plant.num.coeffs,
-                                    [v.value for v in controller.den],
-                                    plant.den.coeffs, Fraction(0)))
-    else:
-        s = _char_poly_fixed(controller, plant, fast_format)
-    s = s.normalize()
+def char_poly(controller: Controller, plant: TransferFunction) -> Poly:
+    """Exact closed-loop characteristic polynomial S = Cn*Gn + Cd*Gd."""
+    # Built from raw coefficient values, not as_transfer(): the all-zero
+    # candidate must reach the degeneracy check below, not fail earlier.
+    s = Poly(closed_loop_coeffs([v.value for v in controller.num],
+                                plant.num.coeffs,
+                                [v.value for v in controller.den],
+                                plant.den.coeffs, Fraction(0))).normalize()
     if s.is_zero():
         raise DegenerateCharPoly("characteristic polynomial is identically zero")
     return s
-
-
-def _char_poly_fixed(controller: Controller, plant: TransferFunction,
-                     fmt: FixedPointFormat) -> Poly:
-    def to_fmt(v):
-        # Exact widening when possible, truncating re-quantization otherwise.
-        if fmt.fraction_bits >= v.format.fraction_bits:
-            return v.convert(fmt)
-        return quantize_truncate(v.value, fmt)
-
-    cn = [to_fmt(v) for v in controller.num]
-    cd = [to_fmt(v) for v in controller.den]
-    gn = [quantize_truncate(c, fmt) for c in plant.num.coeffs]
-    gd = [quantize_truncate(c, fmt) for c in plant.den.coeffs]
-    s = closed_loop_coeffs(cn, gn, cd, gd, FixedPointValue(0, fmt))
-    return Poly([v.value for v in s])
 
 
 def cancellation_on_or_outside_unit_circle(controller: Controller,

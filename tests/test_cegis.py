@@ -1,6 +1,7 @@
 """Synthesis loop: candidate search, both verification stages, escalation,
 and the failure taxonomy."""
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -10,9 +11,11 @@ from dcsynth.cegis import (DEFAULT_PLANT_FORMAT, Limits, cegis_one_stage,
                            cegis_two_stage, concrete_verdict,
                            synthesize_candidate, verify_precision,
                            verify_uncertainty)
-from dcsynth.errors import NoCandidate
+from dcsynth.errors import CounterexampleExtractionFailed, NoCandidate
 from dcsynth.fixedpoint import FixedPointFormat, quantize_poly
-from dcsynth.stability import Status, jury_stable, root_oracle
+from dcsynth.intervals import IntervalPoly, RationalInterval, family_grid_box
+from dcsynth.stability import (Status, jury_stable, jury_stable_interval,
+                               root_oracle)
 from dcsynth.transfer import Controller, PlantFamily, TransferFunction, char_poly
 
 F416 = FixedPointFormat(4, 16)
@@ -35,10 +38,9 @@ def test_empty_inputs_give_zero_controller():
 def test_candidate_stabilizes_all_inputs():
     inputs = [CRUISE,
               TransferFunction([Fraction("0.03")], [1, Fraction("-1.01")])]
-    c = synthesize_candidate(inputs, F416, (2, 2), seed=5, budget=20000,
-                             plant_format=DEFAULT_PLANT_FORMAT)
+    c = synthesize_candidate(inputs, F416, (2, 2), seed=5, budget=20000)
     for plant in inputs:
-        v = concrete_verdict(c, plant, fast_format=DEFAULT_PLANT_FORMAT)
+        v = concrete_verdict(c, plant)
         assert v.status is Status.STABLE and v.margin > 0
 
 
@@ -46,8 +48,20 @@ def test_no_candidate_when_plant_cannot_be_stabilized():
     # Zero gain with an unstable pole: S = Cd * (z - 1.5) for every C.
     hopeless = TransferFunction([0], [1, Fraction(-3, 2)])
     with pytest.raises(NoCandidate):
-        synthesize_candidate([hopeless], F416, (2, 2), seed=1, budget=2000,
-                             plant_format=DEFAULT_PLANT_FORMAT)
+        synthesize_candidate([hopeless], F416, (2, 2), seed=1, budget=2000)
+
+
+def test_exhaustive_sweep_after_spent_budget():
+    # A one-evaluation budget is spent on the origin probe, so only the sweep
+    # of the tiny <1,1> grid can answer: it finds a stabilizing controller,
+    # or proves that none exists.
+    fmt = FixedPointFormat(1, 1)
+    plant = TransferFunction([1], [1, Fraction(-3, 2)])
+    c = synthesize_candidate([plant], fmt, (0, 0), seed=1, budget=1)
+    assert jury_stable(char_poly(c, plant)).status is Status.STABLE
+    hopeless = TransferFunction([0], [1, Fraction(-3, 2)])
+    with pytest.raises(NoCandidate):
+        synthesize_candidate([hopeless], fmt, (0, 0), seed=1, budget=1)
 
 
 def test_verify_uncertainty_accepts_stabilizing_controller():
@@ -75,6 +89,64 @@ def test_verify_uncertainty_counterexample_on_uncertain_family():
     cex = verify_uncertainty(bad, fam)
     assert cex is not None
     assert concrete_verdict(bad, cex).status is Status.UNSTABLE
+
+
+def _subdivision_case():
+    """A family whose grid box the interval verdict cannot settle (R1 is
+    Unknown) although every vertex is stable, and a controller for it."""
+    radius = Fraction(1, 20)
+    plant = TransferFunction([Fraction(-2, 5), Fraction(-6, 25)],
+                             [1, Fraction(19, 50), Fraction(-2, 5)])
+    fam = PlantFamily(plant, delta_num=[radius, radius],
+                      delta_den=[0, radius, radius],
+                      plant_format=DEFAULT_PLANT_FORMAT)
+    c = make_controller([Fraction(41, 100), Fraction(-1, 20)],
+                        [1, Fraction(-29, 50)])
+    return fam, c
+
+
+def test_subdivision_proves_box_the_interval_verdict_leaves_open():
+    fam, c = _subdivision_case()
+    num_iv, den_iv = family_grid_box(fam)
+    verdict = jury_stable_interval(
+        cegis_mod._interval_char_poly(c, num_iv, den_iv))
+    assert verdict.status is Status.UNKNOWN and verdict.violated == "R1"
+    for num, den in cegis_mod._box_vertices(num_iv, den_iv):
+        plant = TransferFunction(num, den)
+        assert concrete_verdict(c, plant).status is Status.STABLE
+    # Neither the vertices nor the descent find a witness; subdivision
+    # then proves every sub-box stable.
+    assert verify_uncertainty(c, fam) is None
+
+
+def test_uncertainty_stage_honours_deadline(monkeypatch):
+    fam, c = _subdivision_case()
+    with pytest.raises(CounterexampleExtractionFailed):
+        verify_uncertainty(c, fam, deadline=time.perf_counter() - 1)
+    assert verify_uncertainty(c, fam, deadline=None) is None
+    # The two-stage engine hands its own deadline to the stage.
+    seen = []
+    real = cegis_mod.verify_uncertainty
+
+    def spy(candidate, family, deadline=None):
+        seen.append(deadline)
+        return real(candidate, family, deadline)
+
+    monkeypatch.setattr(cegis_mod, "verify_uncertainty", spy)
+    assert cegis_two_stage(cruise_family(), F416, (2, 2), seed=1234).success
+    assert seen and all(d is not None for d in seen)
+
+
+def test_grid_member_is_on_the_grid():
+    # The box [0, 3 steps] snaps inward to itself; its midpoint, 1.5 steps,
+    # is off the grid, so the witness must be a neighbouring grid point.
+    fmt = DEFAULT_PLANT_FORMAT
+    fam = PlantFamily(CRUISE, plant_format=fmt)
+    box = RationalInterval(0, 3 * fmt.step)
+    plant = cegis_mod._grid_member(fam, IntervalPoly([box]),
+                                   IntervalPoly([1, box]))
+    for c in plant.num.coeffs + plant.den.coeffs[1:]:
+        assert box.contains(c) and (c * fmt.scale).denominator == 1
 
 
 def test_verify_precision_verdicts():

@@ -6,6 +6,8 @@ import pathlib
 from contextlib import redirect_stdout
 from fractions import Fraction
 
+import pytest
+
 from dcsynth.cli import main
 from dcsynth.fixedpoint import FixedPointFormat, quantize_truncate
 
@@ -156,3 +158,10 @@ def test_rounding_flag_changes_quantization(tmp_path):
                       "--rounding", mode, "--report", "json"])
         reports[mode] = json.loads(out)["controller"]["num_raw"][0]
     assert reports["truncate"] != reports["nearest"]
+
+
+def test_rounding_flag_is_verify_only(capsys):
+    # synth never quantizes a given controller, so it has no --rounding.
+    with pytest.raises(SystemExit) as exc:
+        main(["synth", CRUISE, "--rounding", "nearest"])
+    assert exc.value.code == 2

@@ -5,11 +5,10 @@ import random
 import warnings
 from fractions import Fraction
 
-import mpmath as mp
 import numpy as np
 import pytest
 
-from dcsynth.discretize import ContinuousTF, matrix_exp, zoh_discretize
+from dcsynth.discretize import ContinuousTF, zoh_discretize
 from dcsynth.errors import ImproperTransferFunction, NonpositiveSampleTime
 
 
@@ -20,16 +19,6 @@ def test_continuous_tf_validation():
         ContinuousTF([1, 0, 0], [1, 1], Fraction(1, 10))
     with pytest.raises(ValueError):
         ContinuousTF([1], [0], Fraction(1, 10))
-
-
-def test_matrix_exp_against_reference():
-    a = [[0, 1], [-2, -3]]
-    with mp.workdps(40):
-        expected = mp.expm(mp.matrix(a) * mp.mpf("0.7"))
-        got = matrix_exp(a, Fraction(7, 10))
-        for i in range(2):
-            for j in range(2):
-                assert abs(got[i, j] - expected[i, j]) < mp.mpf("1e-30")
 
 
 def test_integrator_closed_form():

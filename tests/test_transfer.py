@@ -7,12 +7,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dcsynth.errors import DegenerateCharPoly, ImproperTransferFunction
+from dcsynth.errors import DegenerateCharPoly
 from dcsynth.fixedpoint import FixedPointFormat, quantize_poly
 from dcsynth.transfer import (Controller, PlantFamily, Poly, TransferFunction,
                               cancellation_on_or_outside_unit_circle,
-                              char_poly, pack_coefficients, poly_add,
-                              poly_mul, unpack_coefficients)
+                              char_poly, poly_add, poly_mul)
 
 F416 = FixedPointFormat(4, 16)
 
@@ -44,27 +43,7 @@ def test_transfer_normalizes_and_validates():
     assert tf.num.coeffs == (1,) and tf.den.coeffs == (1, -2)
     with pytest.raises(ValueError):
         TransferFunction([1], [0, 0])
-    with pytest.raises(ImproperTransferFunction):
-        TransferFunction([1, 0, 0], [1, 1], require_proper=True)
     assert tf(Fraction(3)) == Fraction(1, 1)
-
-
-def test_from_zinv_pads_trailing_zeros():
-    # 1 z^0 / (1 + 0.5 z^-1 + 0.25 z^-2)  ->  z^2 / (z^2 + 0.5 z + 0.25)
-    tf = TransferFunction.from_zinv([1], [1, Fraction(1, 2), Fraction(1, 4)])
-    assert tf.num.coeffs == (1, 0, 0)
-    assert tf.den.coeffs == (1, Fraction(1, 2), Fraction(1, 4))
-
-
-def test_pack_unpack_round_trip():
-    tf = TransferFunction([1, 2], [1, 0, -1])
-    vec = pack_coefficients(tf)
-    assert vec == [1, 2, 1, 0, -1]
-    back = unpack_coefficients(vec, 1, 2)
-    assert back.num.coeffs == tf.num.coeffs
-    assert back.den.coeffs == tf.den.coeffs
-    with pytest.raises(ValueError):
-        unpack_coefficients(vec, 1, 1)
 
 
 def test_plant_family_validation():
@@ -85,7 +64,6 @@ def test_controller_shared_format():
     c = make_controller([1, 2], [1])
     assert c.format == F416
     assert c.as_transfer().num.coeffs == (1, 2)
-    assert c.coefficient_values() == [1, 2, 1]
 
 
 def test_char_poly_exact():
@@ -101,25 +79,6 @@ def test_char_poly_degenerate():
     g = TransferFunction([1], [1, -2])
     with pytest.raises(DegenerateCharPoly):
         char_poly(c, g)
-
-
-def test_char_poly_fast_path_matches_exact_on_grid():
-    c = make_controller([Fraction(3, 4), Fraction(-1, 2)], [1, Fraction(1, 4)])
-    g = TransferFunction([Fraction(1, 8)], [1, Fraction(-1, 2)])
-    exact = char_poly(c, g)
-    fast = char_poly(c, g, fast_format=FixedPointFormat(16, 24))
-    # All products are exactly representable, so the paths agree.
-    assert fast.coeffs == exact.coeffs
-
-
-def test_char_poly_fast_path_truncates():
-    c = make_controller([1], [1])
-    g = TransferFunction([Fraction("0.0264")], [1, Fraction("-0.9998")])
-    fast = char_poly(c, g, fast_format=FixedPointFormat(4, 4))
-    exact = char_poly(c, g)
-    assert fast.coeffs != exact.coeffs
-    assert all(abs(f - e) < Fraction(1, 8)
-               for f, e in zip(fast.coeffs, exact.coeffs))
 
 
 def test_cancellation_detection():
