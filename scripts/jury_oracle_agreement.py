@@ -2,17 +2,27 @@
 """Cross-check the table-based stability test against a root-finding oracle
 on random polynomials, and report the disagreement margin histogram near the
 unit circle (where the exact test and the float oracle legitimately split).
+Then cross-check the segment test (the edge step of the box verdict) against
+a root sweep of each segment, on random segments between stable ends.
 """
 
 import argparse
+import cmath
+import math
 import pathlib
 import random
 import sys
 from fractions import Fraction
 
+import numpy as np
+
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from dcsynth import Poly, Status, jury_stable, root_oracle
+from dcsynth.stability import has_root, segment_chain
+
+SEGMENTS = 2000
+SWEEP_POINTS = 4001
 
 
 def random_poly(rng, max_degree):
@@ -22,6 +32,63 @@ def random_poly(rng, max_degree):
     if coeffs[0] == 0:
         coeffs[0] = Fraction(1)
     return Poly(coeffs)
+
+
+def random_stable_poly(rng, degree):
+    """Roots of modulus 0.6-0.99, coefficients on the 1/1024 grid (which
+    may move a root across the unit circle), scaled by a positive factor."""
+    roots = []
+    while len(roots) < degree:
+        r = rng.uniform(0.6, 0.99)
+        if degree - len(roots) >= 2 and rng.random() < 0.7:
+            w = cmath.exp(1j * rng.uniform(0, math.pi))
+            roots += [r * w, r * w.conjugate()]
+        else:
+            roots.append(r * rng.choice((-1, 1)))
+    coeffs = [1]
+    for root in roots:
+        coeffs = [x - root * y for x, y in zip(coeffs + [0], [0] + coeffs)]
+    k = Fraction(rng.randint(512, 2048), 1024)
+    return [k * Fraction(round(x.real * 1024), 1024) for x in coeffs]
+
+
+def sweep_max_modulus(p0, p1, ts):
+    """Largest root modulus over the segment members at `ts` (the root
+    oracle's companion-matrix eigenvalues, batched)."""
+    f0, f1 = (np.array([float(c) for c in p]) for p in (p0, p1))
+    members = (1 - ts)[:, None] * f0 + ts[:, None] * f1
+    n = len(f0) - 1
+    companion = np.zeros((len(ts), n, n))
+    companion[:, 1:, :-1] = np.eye(n - 1)
+    companion[:, 0, :] = -members[:, 1:] / members[:, :1]
+    return float(np.abs(np.linalg.eigvals(companion)).max())
+
+
+def segment_agreement(rng, exclusion):
+    """Segments of degree 2-6 between exactly Jury-stable ends: the segment
+    test's verdict against a SWEEP_POINTS-point root sweep."""
+    ts = np.linspace(0, 1, SWEEP_POINTS)
+    checked = unstable = skipped = disagreements = 0
+    while checked + skipped < SEGMENTS:
+        degree = rng.randint(2, 6)
+        p0, p1 = random_stable_poly(rng, degree), random_stable_poly(rng, degree)
+        if not all(jury_stable(Poly(p)).is_stable for p in (p0, p1)):
+            continue
+        exact_unstable = has_root(segment_chain(p0, p1), 0, 1)
+        rho = sweep_max_modulus(p0, p1, ts)
+        if abs(rho - 1.0) < exclusion:
+            skipped += 1
+            continue
+        checked += 1
+        unstable += exact_unstable
+        if exact_unstable != (rho > 1.0):
+            disagreements += 1
+            print(f"segment disagreement: rho={rho!r} "
+                  f"exact={'unstable' if exact_unstable else 'stable'}")
+            print(f"  ends: {[str(c) for c in p0]} {[str(c) for c in p1]}")
+    print(f"segments: checked {checked} ({unstable} unstable), skipped "
+          f"{skipped} near-unit-circle, {disagreements} disagreements")
+    return disagreements
 
 
 def main():
@@ -53,6 +120,7 @@ def main():
             print(f"  coeffs: {[str(c) for c in p.coeffs]}")
     print(f"checked {checked}, skipped {skipped} near-unit-circle, "
           f"{unknown} singular tables, {disagreements} disagreements")
+    disagreements += segment_agreement(rng, args.exclusion)
     return 1 if disagreements else 0
 
 

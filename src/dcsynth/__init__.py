@@ -2,8 +2,9 @@
 
 Synthesizes controllers in a finite word length format that provably
 BIBO-stabilize every plant in a coefficient-box uncertainty family, using a
-counterexample-guided loop with a fast exact verification stage over the
-plant grid and a sound exact-rational interval stage.
+counterexample-guided loop with a fast exact stage over the plant grid and a
+sound stage over the inflated family, both by interval Jury, then vertices
+and edges (Edge Theorem).
 """
 
 from .benchmark import BenchmarkSpec, parse_benchmark, parse_controller
@@ -16,8 +17,8 @@ from .errors import (ArithmeticOverflow, CounterexampleExtractionFailed,
                      EvaluationSingularity, ImproperTransferFunction,
                      NoCandidate, NonpositiveSampleTime, Overflow, ParseError,
                      ValidationError)
-from .fixedpoint import (FixedPointFormat, FixedPointValue, quantize,
-                         quantize_nearest, quantize_poly, quantize_truncate)
+from .fixedpoint import (FixedPointFormat, FixedPointValue, quantize_nearest,
+                         quantize_poly, quantize_truncate)
 from .intervals import (IntervalPoly, RationalInterval, family_grid_box,
                         family_to_interval_poly, ipoly_add, ipoly_mul)
 from .simulate import (NoiseModel, SimulationTrace, frequency_margins,

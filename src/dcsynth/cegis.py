@@ -1,6 +1,6 @@
 """Synthesis orchestrator: inductive candidate search against a counterexample
-set, two-stage verification (uncertainty box, then interval precision check),
-and plant-precision escalation; plus the slower sound one-stage engine.
+set, two-stage verification (`_box_verdict` of the grid box, then of the
+inflated box), plant-precision escalation; plus the sound one-stage engine.
 
 The candidate search is deterministic seeded hill climbing over the <I,F>
 coefficient grid with randomized restarts, falling back to exhaustive
@@ -10,7 +10,6 @@ enumeration when the grid is small enough to sweep.
 from __future__ import annotations
 
 import itertools
-import math
 import operator
 import random
 import time
@@ -20,10 +19,10 @@ from fractions import Fraction
 from .errors import (CounterexampleExtractionFailed, DegenerateCharPoly,
                      NoCandidate)
 from .fixedpoint import FixedPointFormat, FixedPointValue
-from .intervals import (IntervalPoly, RationalInterval, family_grid_box,
+from .intervals import (IntervalPoly, family_grid_box,
                         family_to_interval_poly, ipoly_add, ipoly_mul)
-from .stability import (JuryVerdict, Status, jury_conditions, jury_stable,
-                        jury_stable_interval)
+from .stability import (JuryVerdict, Status, has_root, jury_conditions,
+                        jury_stable, jury_stable_interval, segment_chain)
 from .transfer import (Controller, PlantFamily, Poly, TransferFunction,
                        char_poly, closed_loop_coeffs)
 
@@ -31,8 +30,6 @@ DEFAULT_PLANT_FORMAT = FixedPointFormat(16, 24)
 PRECISION_STEP = (4, 4)
 PRECISION_CAP = FixedPointFormat(32, 32)
 EXHAUSTIVE_LIMIT = 1 << 20
-SUBDIVISION_DEPTH = 8
-DESCENT_STEPS = 64
 
 _BIG_PENALTY = Fraction(10 ** 6)
 
@@ -265,157 +262,99 @@ def _check_deadline(deadline):
 def verify_uncertainty(candidate: Controller, family: PlantFamily,
                        deadline=None):
     """First (fast) verification stage over the representable-plant box.
-
-    Returns None when the stage finds the closed loop stable for the whole
-    box, else a concrete counterexample plant (grid member, certified
-    unstable).  Raises CounterexampleExtractionFailed when the interval
-    verdict is inconclusive but no witness can be located, or when the
-    `deadline` (a time.perf_counter() value) passes before either is known.
-    """
+    Returns a certified unstable grid plant (a vertex, or the grid point
+    just past an unstable edge's first root), else None: the box is stable,
+    or that point is not, and the precision stage, whose box contains the
+    edge, rejects.  Raises CounterexampleExtractionFailed when the lead of S
+    changes sign or vanishes over the box, or past the `deadline` (a
+    time.perf_counter() value)."""
     num_iv, den_iv = family_grid_box(family)
-    s_iv = _interval_char_poly(candidate, num_iv, den_iv)
-    verdict = jury_stable_interval(s_iv)
+    verdict, evidence = _box_verdict(candidate, num_iv, den_iv, deadline)
     if verdict.status is Status.STABLE:
         return None
-
-    witness = _extract_counterexample(candidate, family, num_iv, den_iv,
-                                      deadline)
-    if witness is not None:
-        return witness
-
-    # Completeness backstop: subdivide the box; all-stable leaves mean the
-    # top-level verdict was merely conservative.
-    outcome = _subdivide(candidate, family, num_iv, den_iv, SUBDIVISION_DEPTH,
-                         deadline)
-    if outcome == "stable":
-        return None
-    if isinstance(outcome, TransferFunction):
-        return outcome
-    raise CounterexampleExtractionFailed(
-        "interval verdict inconclusive and no unstable grid plant found")
+    if isinstance(evidence, TransferFunction):
+        return evidence
+    if isinstance(evidence, str):
+        raise CounterexampleExtractionFailed(evidence)
+    return _edge_witness(candidate, family, *evidence)
 
 
-def _extract_counterexample(candidate, family, num_iv, den_iv, deadline):
-    fmt = family.plant_format
-    worst = None  # (margin, num, den)
-    for num_c, den_c in _box_vertices(num_iv, den_iv):
+def _box_verdict(candidate, num_iv, den_iv, deadline):
+    """Verdict of the closed loop over a box of plants, and its evidence:
+    an unstable vertex plant, an unstable edge (end vertices, Sturm chain),
+    the cause of an Unknown, or None.  A Stable or Unstable interval Jury
+    verdict stands; else exact Jury decides each vertex, then the segment
+    test each edge: S is affine in the plant, so a box over which its degree
+    is constant is stable iff every edge is (Edge Theorem, Bartlett, Hollot
+    & Lin 1988).  An edge-proven Stable reports the least vertex margin."""
+    verdict = jury_stable_interval(_interval_char_poly(candidate, num_iv,
+                                                       den_iv))
+    if verdict.status is Status.STABLE:
+        return verdict, None
+    cn = [v.value for v in candidate.num]
+    cd = [v.value for v in candidate.den]
+    corners = list(_box_vertices(num_iv, den_iv))
+    polys, margin = [], None
+    for num_c, den_c in corners:
         _check_deadline(deadline)
         plant = _make_plant(num_c, den_c)
         if plant is None:
+            polys.append(None)  # no plant here: the lead check fails below
             continue
         v = concrete_verdict(candidate, plant)
         if v.status is Status.UNSTABLE:
-            return plant
-        if worst is None or v.margin < worst[0]:
-            worst = (v.margin, list(num_c), list(den_c))
-    if worst is None:
-        return None
-
-    # Coordinate descent on the Jury margin from the worst vertex.
-    _, num_c, den_c = worst
-    coeffs = num_c + den_c
-    boxes = list(num_iv.coeffs) + list(den_iv.coeffs)
-    nn = len(num_c)
-    margin = worst[0]
-    step_unit = fmt.step if fmt is not None else None
-    for _ in range(DESCENT_STEPS):
-        improved = False
-        for i, box in enumerate(boxes):
-            if box.is_point():
-                continue
-            base_step = step_unit if step_unit is not None else box.width / 16
-            for mult in (1024, 64, 8, 1):
-                delta = base_step * mult
-                for sign in (1, -1):
-                    trial = coeffs[i] + sign * delta
-                    if not box.contains(trial):
-                        continue
-                    _check_deadline(deadline)
-                    coeffs[i] = trial
-                    plant = _make_plant(coeffs[:nn], coeffs[nn:])
-                    if plant is None:
-                        coeffs[i] = trial - sign * delta
-                        continue
-                    v = concrete_verdict(candidate, plant)
-                    if v.status is Status.UNSTABLE:
-                        return plant
-                    if v.margin < margin:
-                        margin = v.margin
-                        improved = True
-                        break
-                    coeffs[i] = trial - sign * delta
-                else:
-                    continue
-                break
-        if not improved:
-            break
-    return None
+            return (verdict if verdict.status is Status.UNSTABLE else v), plant
+        margin = v.margin if margin is None else min(margin, v.margin)
+        polys.append(closed_loop_coeffs(cn, num_c, cd, den_c, Fraction(0)))
+    # The leading coefficient of S is affine too: one strict sign at every
+    # vertex keeps it off zero, and the degree of S constant, over the box.
+    top = min(next(i for i, c in enumerate(p) if c) for p in polys if p)
+    signs = ["0" if p is None or p[top] == 0 else "+-"[p[top] < 0]
+             for p in polys]
+    if len(set(signs)) > 1:
+        counts = ", ".join(f"{signs.count(s)} {s}" for s in "+0-" if s in signs)
+        return verdict, ("leading coefficient of S changes sign or vanishes "
+                         f"over the box (vertex signs: {counts})")
+    edges = [(lo, lo | 1 << bit) for bit in range(len(polys).bit_length() - 1)
+             for lo in range(len(polys)) if not lo >> bit & 1]
+    for lo, hi in edges:
+        _check_deadline(deadline)
+        chain = segment_chain(polys[lo][top:], polys[hi][top:])
+        if has_root(chain, 0, 1):
+            return (JuryVerdict(Status.UNSTABLE, "edge", Fraction(0)),
+                    (corners[lo], corners[hi], chain))
+    return JuryVerdict(Status.STABLE, None, margin), None
 
 
-def _subdivide(candidate, family, num_iv, den_iv, depth, deadline):
-    """Interval-Jury over recursively split boxes.  Returns 'stable', an
-    unstable witness plant, or 'unknown'."""
-    _check_deadline(deadline)
-    s_iv = _interval_char_poly(candidate, num_iv, den_iv)
-    verdict = jury_stable_interval(s_iv)
-    if verdict.status is Status.STABLE:
-        return "stable"
-    if verdict.status is Status.UNSTABLE:
-        witness = _grid_member(family, num_iv, den_iv)
-        if witness is not None:
-            return witness
-        return "unknown"
-    if depth == 0:
-        return "unknown"
-    boxes = list(num_iv.coeffs) + list(den_iv.coeffs)
-    widths = [b.width for b in boxes]
-    i = widths.index(max(widths))
-    if widths[i] == 0:
-        return "unknown"
-    mid = boxes[i].midpoint
-    results = []
-    for half in (RationalInterval(boxes[i].lo, mid),
-                 RationalInterval(mid, boxes[i].hi)):
-        split = list(boxes)
-        split[i] = half
-        nn = len(num_iv.coeffs)
-        sub = _subdivide(candidate, family, IntervalPoly(split[:nn]),
-                         IntervalPoly(split[nn:]), depth - 1, deadline)
-        if isinstance(sub, TransferFunction):
-            return sub
-        results.append(sub)
-    if all(r == "stable" for r in results):
-        return "stable"
-    return "unknown"
-
-
-def _grid_member(family, num_iv, den_iv):
-    """A plant of the box near its centre, on the plant grid; None when some
-    coefficient's box holds no grid point."""
+def _edge_witness(candidate, family, lo_corner, hi_corner, chain):
+    """The grid plant at or just past the first root of the edge's Hurwitz
+    minor (Sturm bisection over the grid steps) if it is unstable, else
+    None.  Without a plant grid, the only grid points are the ends."""
+    a = list(lo_corner[0] + lo_corner[1])
+    b = list(hi_corner[0] + hi_corner[1])
+    i = next(j for j, (x, y) in enumerate(zip(a, b)) if x != y)
     fmt = family.plant_format
-
-    def pick(box):
-        if fmt is None:
-            return box.midpoint
-        inner = box.snap_inward(fmt)
-        if inner is None:
-            return None
-        # The grid point at or below the midpoint; inner.lo bounds it.
-        return Fraction(math.floor(inner.midpoint * fmt.scale), fmt.scale)
-
-    num = [pick(b) for b in num_iv.coeffs]
-    den = [pick(b) for b in den_iv.coeffs]
-    if any(c is None for c in num + den):
-        return None
-    return _make_plant(num, den)
+    steps = int((b[i] - a[i]) / fmt.step) if fmt is not None else 1
+    below, past = 0, steps  # no root on [0, below/steps]; one on [0, past/steps]
+    while past - below > 1:
+        mid = (below + past) // 2
+        if has_root(chain, 0, Fraction(mid, steps)):
+            past = mid
+        else:
+            below = mid
+    a[i] += (b[i] - a[i]) * Fraction(past, steps)
+    nn = len(lo_corner[0])
+    plant = _make_plant(a[:nn], a[nn:])
+    unstable = plant is not None and not concrete_verdict(candidate, plant).is_stable
+    return plant if unstable else None
 
 
-def verify_precision(candidate: Controller, family: PlantFamily):
-    """Second (sound) stage: exact-rational interval Jury over the fully
-    inflated family.  Returns the interval verdict."""
+def verify_precision(candidate: Controller, family: PlantFamily,
+                     deadline=None):
+    """Second (sound) stage: `_box_verdict` over the fully inflated family;
+    raises CounterexampleExtractionFailed past the `deadline`."""
     num_iv, den_iv = family_to_interval_poly(family)
-    s_iv = _interval_char_poly(candidate, num_iv, den_iv)
-    return jury_stable_interval(s_iv)
+    return _box_verdict(candidate, num_iv, den_iv, deadline)[0]
 
 
 def describe_controller(c: Controller | None):
@@ -487,7 +426,10 @@ def cegis_two_stage(family: PlantFamily, controller_format: FixedPointFormat,
                                "plant": _describe_plant(cex)})
             continue
         transcript.append({"phase": "uncertainty-ok", "iteration": iteration})
-        verdict = verify_precision(candidate, fam)
+        try:
+            verdict = verify_precision(candidate, fam, deadline)
+        except CounterexampleExtractionFailed:  # only the deadline raises here
+            return fail("timeout")
         if verdict.status is Status.STABLE:
             transcript.append({"phase": "precision-ok",
                                "iteration": iteration,

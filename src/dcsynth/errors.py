@@ -46,7 +46,7 @@ class EvaluationSingularity(DcsynthError):
 
 
 class CounterexampleExtractionFailed(DcsynthError):
-    """Interval verdict was not Stable but no concrete witness plant was found."""
+    """Unknown box verdict (the lead of S changes sign), or deadline passed."""
 
 
 class NoCandidate(DcsynthError):

@@ -43,11 +43,6 @@ class FixedPointFormat:
     def step(self) -> Fraction:
         return Fraction(1, self.scale)
 
-    def contains(self, other: "FixedPointFormat") -> bool:
-        """True if every value of `other` is exactly representable here."""
-        return (self.fraction_bits >= other.fraction_bits
-                and self.integer_bits >= other.integer_bits)
-
     def __str__(self):
         return f"<{self.integer_bits},{self.fraction_bits}>"
 
@@ -118,14 +113,6 @@ def quantize_nearest(x, fmt: FixedPointFormat) -> FixedPointValue:
 
 
 _QUANTIZERS = {"truncate": quantize_truncate, "nearest": quantize_nearest}
-
-
-def quantize(x, fmt: FixedPointFormat, mode: str = "truncate") -> FixedPointValue:
-    try:
-        return _QUANTIZERS[mode](x, fmt)
-    except KeyError:
-        raise ValueError(f"unknown rounding mode {mode!r}") from None
-
 
 def quantize_poly(coeffs, fmt: FixedPointFormat, mode: str = "truncate"):
     """Elementwise quantization of a coefficient list."""

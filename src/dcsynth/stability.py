@@ -13,18 +13,20 @@ For S(z) = a0 z^N + ... + aN with a0 > 0 the verdict is Stable iff:
 
 `jury_conditions` states these once in plain arithmetic operators, so the
 same recursion runs on Fraction, RationalInterval and float coefficients.
+`segment_chain` and `has_root` are Białas' exact segment test.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DegenerateCharPoly
 from .intervals import IntervalPoly, RationalInterval
-from .transfer import Poly
+from .transfer import Poly, add_aligned, convolve
 
 
 class Status(enum.Enum):
@@ -122,6 +124,81 @@ def jury_stable_interval(s: IntervalPoly) -> JuryVerdict:
         return JuryVerdict(Status.UNKNOWN, first_violated or "R4",
                            min(margin, Fraction(0)))
     return JuryVerdict(Status.STABLE, None, margin)
+
+
+def segment_chain(p0, p1) -> list:
+    """Sturm chain of the Hurwitz minor Δ(t) of (1-t)·p0 + t·p1, for Schur-
+    stable ends of length n+1 whose leading coefficients share a strict sign.
+    Every member is stable iff Δ has no root on [0, 1] (Białas 1985): the
+    map z = (s+1)/(s-1) gives (s-1)^n·P a lead P(1) and a constant term
+    (-1)^n·P(-1) of fixed sign, so stability is lost only where a root pair
+    crosses the imaginary axis, where Δ_{n-1} vanishes (Orlando).  Δ, of
+    degree < n, is interpolated from exact (Bareiss) integer determinants
+    at t = 0 .. n-1 of the common-denominator-scaled coefficients.
+    """
+    n = len(p0) - 1
+    scale = math.lcm(*(Fraction(c).denominator for c in list(p0) + list(p1)))
+    plus, minus = [[1]], [[1]]
+    for _ in range(n):
+        plus.append(convolve(plus[-1], [1, 1], 0))
+        minus.append(convolve(minus[-1], [1, -1], 0))
+    basis = [convolve(plus[n - k], minus[k], 0) for k in range(n + 1)]
+    q0, q1 = ([sum(int(a * scale) * b[i] for a, b in zip(p, basis))
+               for i in range(n + 1)] for p in (p0, p1))
+    values = []
+    for t in range(max(n, 1)):
+        q = [x + t * (y - x) for x, y in zip(q0, q1)]
+        values.append(_det([[q[2 * j - i + 1] if 0 <= 2 * j - i + 1 <= n else 0
+                             for j in range(n - 1)] for i in range(n - 1)]))
+    # Newton's forward differences at t = 0, 1, ...: Δ = Σ diff_j·C(t, j).
+    delta, falling = [0], [Fraction(1)]
+    for j in range(len(values)):
+        delta = add_aligned(delta, [values[0] * c for c in falling], 0)
+        values = [b - a for a, b in zip(values, values[1:])]
+        falling = [c / (j + 1) for c in convolve(falling, [1, -j], 0)]
+    a = Poly(delta).normalize()
+    b = Poly([c * (a.degree - i) for i, c in enumerate(a.coeffs[:-1])] or [0])
+    chain = [a]
+    while not b.is_zero():
+        chain.append(b)
+        a, b = b, _negated_remainder(a, b)
+    return chain
+
+
+def has_root(chain, lo, hi) -> bool:
+    """Whether chain[0] has a real root in [lo, hi] (Sturm's theorem)."""
+    return chain[0](lo) == 0 or _sign_changes(chain, lo) > _sign_changes(chain, hi)
+
+
+def _sign_changes(chain, x) -> int:
+    signs = [v > 0 for v in (p(x) for p in chain) if v != 0]
+    return sum(u != v for u, v in zip(signs, signs[1:]))
+
+
+def _negated_remainder(a: Poly, b: Poly) -> Poly:
+    r, d = list(a.coeffs), b.coeffs
+    while len(r) >= len(d):
+        f = r[0] / d[0]
+        r = [x - f * y for x, y in zip(r[1:], d[1:])] + r[len(d):]
+    return Poly([-x for x in r] or [0]).normalize()
+
+
+def _det(m) -> int:
+    """Determinant of a square integer matrix by fraction-free (Bareiss)
+    elimination; every division is exact."""
+    sign, prev = 1, 1
+    for k in range(len(m) - 1):
+        if m[k][k] == 0:
+            swap = next((i for i in range(k + 1, len(m)) if m[i][k]), None)
+            if swap is None:
+                return 0
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        for i in range(k + 1, len(m)):
+            for j in range(k + 1, len(m)):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+        prev = m[k][k]
+    return sign * m[-1][-1] if m else 1
 
 
 def root_oracle(s: Poly) -> float:

@@ -49,10 +49,6 @@ class Poly:
             acc = acc * z + c
         return acc
 
-    def scale(self, k) -> "Poly":
-        k = Fraction(k)
-        return Poly([k * c for c in self.coeffs])
-
 
 def convolve(a, b, zero):
     """Coefficients of the product of two polynomials given in descending
@@ -105,9 +101,6 @@ class TransferFunction:
             raise ValueError("denominator is identically zero")
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
-
-    def __call__(self, z):
-        return self.num(z) / self.den(z)
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,8 @@
 """Synthesis loop: candidate search, both verification stages, escalation,
 and the failure taxonomy."""
 
+import itertools
+import random
 import time
 from fractions import Fraction
 
@@ -13,10 +15,11 @@ from dcsynth.cegis import (DEFAULT_PLANT_FORMAT, Limits, cegis_one_stage,
                            verify_uncertainty)
 from dcsynth.errors import CounterexampleExtractionFailed, NoCandidate
 from dcsynth.fixedpoint import FixedPointFormat, quantize_poly
-from dcsynth.intervals import IntervalPoly, RationalInterval, family_grid_box
+from dcsynth.intervals import family_grid_box, family_to_interval_poly
 from dcsynth.stability import (Status, jury_stable, jury_stable_interval,
                                root_oracle)
 from dcsynth.transfer import Controller, PlantFamily, TransferFunction, char_poly
+from test_stability import random_stable_poly
 
 F416 = FixedPointFormat(4, 16)
 CRUISE = TransferFunction([Fraction("0.0264")], [1, Fraction("-0.9998")])
@@ -105,48 +108,170 @@ def _subdivision_case():
     return fam, c
 
 
-def test_subdivision_proves_box_the_interval_verdict_leaves_open():
+def test_edges_prove_box_the_interval_verdict_leaves_open():
     fam, c = _subdivision_case()
     num_iv, den_iv = family_grid_box(fam)
     verdict = jury_stable_interval(
         cegis_mod._interval_char_poly(c, num_iv, den_iv))
     assert verdict.status is Status.UNKNOWN and verdict.violated == "R1"
     for num, den in cegis_mod._box_vertices(num_iv, den_iv):
-        plant = TransferFunction(num, den)
-        assert concrete_verdict(c, plant).status is Status.STABLE
-    # Neither the vertices nor the descent find a witness; subdivision
-    # then proves every sub-box stable.
+        assert concrete_verdict(c, TransferFunction(num, den)).is_stable
+    # The vertices and then the box edges prove both boxes stable; the
+    # certificate carries the smallest vertex margin of the inflated box.
     assert verify_uncertainty(c, fam) is None
+    sound = verify_precision(c, fam)
+    assert sound.status is Status.STABLE and sound.violated is None
+    inflated = cegis_mod._box_vertices(*family_to_interval_poly(fam))
+    assert sound.margin == min(concrete_verdict(c, TransferFunction(n, d)).margin
+                               for n, d in inflated) > 0
+
+
+def test_unstable_edge_between_stable_vertices_gives_grid_witness():
+    # Both vertices are stable, but the nominal plant, in the middle of the
+    # one uncertain edge, is not.
+    plant = TransferFunction(
+        [Fraction(1, 2), Fraction(-41, 64), Fraction(1, 4)],
+        [1, Fraction(-73, 64), Fraction(31, 32), Fraction(-13, 64)])
+    fam = PlantFamily(plant, delta_den=[0, Fraction(1, 2), 0, 0],
+                      plant_format=DEFAULT_PLANT_FORMAT)
+    c = make_controller([Fraction(-11, 64), Fraction(-1, 2), Fraction(21, 32)],
+                        [1, Fraction(-5, 4), Fraction(9, 16)])
+    assert concrete_verdict(c, plant).status is Status.UNSTABLE
+    num_iv, den_iv = family_grid_box(fam)
+    for num, den in cegis_mod._box_vertices(num_iv, den_iv):
+        assert concrete_verdict(c, TransferFunction(num, den)).is_stable
+    cex = verify_uncertainty(c, fam)
+    assert cex is not None
+    assert concrete_verdict(c, cex).status is Status.UNSTABLE
+    for x in cex.num.coeffs + cex.den.coeffs:
+        assert (x * DEFAULT_PLANT_FORMAT.scale).denominator == 1
+    assert den_iv.coeffs[1].contains(cex.den.coeffs[1])
+    # The witness is the first unstable grid point along the edge.
+    previous = list(cex.den.coeffs)
+    previous[1] -= DEFAULT_PLANT_FORMAT.step
+    assert concrete_verdict(c, TransferFunction(cex.num, previous)).is_stable
+    verdict = verify_precision(c, fam)
+    assert verdict.status is Status.UNSTABLE and verdict.violated == "edge"
+
+
+def test_vanishing_leading_coefficient_is_the_one_unknown():
+    # The denominator's leading coefficient ranges over [-1, 3], so the
+    # leading coefficient of S = Cd*Gd + Cn*Gn changes sign over the box.
+    plant = TransferFunction([Fraction(1, 10)], [1, Fraction(-1, 2)])
+    fam = PlantFamily(plant, delta_den=[2, 0],
+                      plant_format=DEFAULT_PLANT_FORMAT)
+    c = make_controller([0], [1])
+    with pytest.raises(CounterexampleExtractionFailed,
+                       match=r"leading coefficient of S changes sign .*"
+                             r"vertex signs: 1 \+, 1 -"):
+        verify_uncertainty(c, fam)
+    assert verify_precision(c, fam).status is Status.UNKNOWN
+
+
+def _fuzz_family(rng, fmt, near_edge_case):
+    """A seeded random plant family and controller.  Some of them perturb
+    the nominal-unstable instance above, whose one long edge leaves the
+    stability region and comes back; the others are generic."""
+    def jitter(*xs):
+        return [x + Fraction(rng.randint(-20, 20), 1000) for x in xs]
+
+    def coeff(k):
+        return Fraction(rng.randint(-k, k), 1000)
+
+    if near_edge_case:
+        num = jitter(Fraction(1, 2), Fraction(-41, 64), Fraction(1, 4))
+        den = [1] + jitter(Fraction(-73, 64), Fraction(31, 32),
+                           Fraction(-13, 64))
+        radii = [0] * 7
+        radii[4] = Fraction(rng.randint(300, 600), 1000)
+        radii[rng.choice((0, 1, 2, 3, 5, 6))] = Fraction(rng.randint(0, 20),
+                                                         1000)
+        c = make_controller(jitter(Fraction(-11, 64), Fraction(-1, 2),
+                                   Fraction(21, 32)),
+                            [1] + jitter(Fraction(-5, 4), Fraction(9, 16)))
+    else:
+        order = rng.randint(2, 4)
+        den = random_stable_poly(rng, order)
+        num = [Fraction(rng.choice((-1, 1)) * rng.randint(1, 1000), 1000)
+               for _ in range(rng.randint(1, order))]
+        radii = [0] * (len(num) + order + 1)
+        for i in rng.sample([i for i in range(len(radii)) if i != len(num)],
+                            rng.randint(1, 3)):
+            radii[i] = Fraction(rng.randint(1, 300), 1000)
+        c = make_controller([coeff(100), coeff(100)], [1, coeff(100)])
+    nn = len(num)
+    return PlantFamily(TransferFunction(num, den), delta_num=radii[:nn],
+                       delta_den=radii[nn:], plant_format=fmt), c
+
+
+def test_box_verdict_soundness_fuzz():
+    # Seeded random families whose box vertices are all stable but whose
+    # interval verdict is Unknown, so that the edges decide.  Every Stable
+    # must hold on 100 sampled members and densely along every edge; every
+    # witness must be an unstable grid plant inside the box.
+    rng = random.Random(2024)
+    fmt = FixedPointFormat(8, 12)
+    counts = {"edge-stable": 0, "edge-unstable": 0, "witness": 0}
+    for i in range(160):
+        fam, c = _fuzz_family(rng, fmt, i % 2 == 0)
+        # Without a plant grid the verified box is the uncertainty box.
+        num_iv, den_iv = family_to_interval_poly(fam.with_format(None))
+        corners = [n + d for n, d in cegis_mod._box_vertices(num_iv, den_iv)]
+        nn = len(num_iv.coeffs)
+
+        def stable(m):
+            plant = TransferFunction(m[:nn], m[nn:])
+            return jury_stable(char_poly(c, plant)).is_stable
+
+        interval = jury_stable_interval(
+            cegis_mod._interval_char_poly(c, num_iv, den_iv))
+        if interval.status is not Status.UNKNOWN or not all(
+                stable(m) for m in corners):
+            continue
+        verdict = verify_precision(c, fam.with_format(None))
+        counts["edge-stable" if verdict.is_stable else "edge-unstable"] += 1
+        if verdict.is_stable:
+            boxes = num_iv.coeffs + den_iv.coeffs
+            members = [[b.lo + b.width * Fraction(rng.randrange(1025), 1024)
+                        for b in boxes] for _ in range(100)]
+            for a, b in itertools.combinations(corners, 2):
+                if sum(x != y for x, y in zip(a, b)) == 1:
+                    members += [[x + (y - x) * Fraction(k, 16)
+                                 for x, y in zip(a, b)] for k in range(1, 16)]
+            for m in members:
+                assert stable(m), (fam, c, m)
+        cex = verify_uncertainty(c, fam)
+        if cex is not None:
+            counts["witness"] += 1
+            assert concrete_verdict(c, cex).status is Status.UNSTABLE
+            grid = family_grid_box(fam)
+            for x, box in zip(cex.num.coeffs + cex.den.coeffs,
+                              grid[0].coeffs + grid[1].coeffs):
+                assert box.contains(x) and (x / fmt.step).denominator == 1
+    assert min(counts.values()) >= 10, counts
 
 
 def test_uncertainty_stage_honours_deadline(monkeypatch):
     fam, c = _subdivision_case()
-    with pytest.raises(CounterexampleExtractionFailed):
-        verify_uncertainty(c, fam, deadline=time.perf_counter() - 1)
+    for stage in (verify_uncertainty, verify_precision):
+        with pytest.raises(CounterexampleExtractionFailed):
+            stage(c, fam, deadline=time.perf_counter() - 1)
     assert verify_uncertainty(c, fam, deadline=None) is None
-    # The two-stage engine hands its own deadline to the stage.
+    # The two-stage engine hands its own deadline to both stages.
     seen = []
-    real = cegis_mod.verify_uncertainty
 
-    def spy(candidate, family, deadline=None):
-        seen.append(deadline)
-        return real(candidate, family, deadline)
+    def spy(real):
+        def stage(candidate, family, deadline=None):
+            seen.append((real.__name__, deadline))
+            return real(candidate, family, deadline)
+        return stage
 
-    monkeypatch.setattr(cegis_mod, "verify_uncertainty", spy)
+    for name in ("verify_uncertainty", "verify_precision"):
+        monkeypatch.setattr(cegis_mod, name, spy(getattr(cegis_mod, name)))
     assert cegis_two_stage(cruise_family(), F416, (2, 2), seed=1234).success
-    assert seen and all(d is not None for d in seen)
-
-
-def test_grid_member_is_on_the_grid():
-    # The box [0, 3 steps] snaps inward to itself; its midpoint, 1.5 steps,
-    # is off the grid, so the witness must be a neighbouring grid point.
-    fmt = DEFAULT_PLANT_FORMAT
-    fam = PlantFamily(CRUISE, plant_format=fmt)
-    box = RationalInterval(0, 3 * fmt.step)
-    plant = cegis_mod._grid_member(fam, IntervalPoly([box]),
-                                   IntervalPoly([1, box]))
-    for c in plant.num.coeffs + plant.den.coeffs[1:]:
-        assert box.contains(c) and (c * fmt.scale).denominator == 1
+    assert {name for name, _ in seen} == {"verify_uncertainty",
+                                          "verify_precision"}
+    assert all(d is not None for _, d in seen)
 
 
 def test_verify_precision_verdicts():
@@ -175,12 +300,12 @@ def test_two_stage_clears_inputs_on_escalation(monkeypatch):
     real_verify = cegis_mod.verify_precision
     calls = []
 
-    def flaky(candidate, family):
+    def flaky(candidate, family, deadline=None):
         calls.append(family.plant_format)
         if len(calls) == 1:
-            verdict = real_verify(candidate, family)
+            verdict = real_verify(candidate, family, deadline)
             return type(verdict)(Status.UNKNOWN, "R4", Fraction(0))
-        return real_verify(candidate, family)
+        return real_verify(candidate, family, deadline)
 
     monkeypatch.setattr(cegis_mod, "verify_precision", flaky)
     result = cegis_mod.cegis_two_stage(fam, F416, (2, 2), seed=1234,
@@ -196,7 +321,7 @@ def test_two_stage_clears_inputs_on_escalation(monkeypatch):
 
 
 def test_two_stage_precision_limit(monkeypatch):
-    def never(candidate, family):
+    def never(candidate, family, deadline=None):
         from dcsynth.stability import JuryVerdict
         return JuryVerdict(Status.UNKNOWN, "R4", Fraction(0))
 

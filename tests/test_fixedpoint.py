@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dcsynth.errors import DivisionByZero, Overflow
-from dcsynth.fixedpoint import (FixedPointFormat, FixedPointValue, quantize,
+from dcsynth.fixedpoint import (FixedPointFormat, FixedPointValue,
                                 quantize_nearest, quantize_poly,
                                 quantize_truncate)
 
@@ -28,11 +28,6 @@ def test_format_validation():
         FixedPointFormat(4, -1)
     with pytest.raises(ValueError):
         FixedPointFormat(40, 32)
-
-
-def test_format_contains():
-    assert FixedPointFormat(16, 24).contains(F416)
-    assert not F416.contains(FixedPointFormat(16, 24))
 
 
 def test_truncation_bit_patterns():
@@ -67,10 +62,11 @@ def test_nearest_ties_away_from_zero():
 
 
 def test_quantize_mode_dispatch():
-    assert quantize(Fraction(1, 4), FixedPointFormat(4, 1), "truncate").raw == 0
-    assert quantize(Fraction(1, 4), FixedPointFormat(4, 1), "nearest").raw == 1
+    fmt = FixedPointFormat(4, 1)
+    assert quantize_poly([Fraction(1, 4)], fmt, "truncate")[0].raw == 0
+    assert quantize_poly([Fraction(1, 4)], fmt, "nearest")[0].raw == 1
     with pytest.raises(ValueError):
-        quantize(0, F416, "stochastic")
+        quantize_poly([0], F416, "stochastic")
 
 
 def test_quantize_poly():

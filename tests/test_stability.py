@@ -1,16 +1,20 @@
 """Stability table: exact verdicts, interval verdicts, and oracle agreement."""
 
+import cmath
+import math
 import operator
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from dcsynth.cegis import _float_jury_margin
 from dcsynth.errors import DegenerateCharPoly
 from dcsynth.intervals import IntervalPoly, RationalInterval
-from dcsynth.stability import (Status, jury_conditions, jury_stable,
-                               jury_stable_interval, root_oracle)
+from dcsynth.stability import (Status, has_root, jury_conditions, jury_stable,
+                               jury_stable_interval, root_oracle,
+                               segment_chain)
 from dcsynth.transfer import Poly, poly_mul
 
 
@@ -173,3 +177,75 @@ def test_root_oracle():
     assert root_oracle(Poly([1, 0, Fraction(-1, 4)])) == pytest.approx(0.5)
     with pytest.raises(ValueError):
         root_oracle(Poly([1]))
+
+
+def random_stable_poly(rng, degree, min_modulus=0.5, scale=1000):
+    """Seeded polynomial with roots of modulus in [min_modulus, 0.99],
+    coefficients rounded to multiples of 1/scale (which may move a root
+    across the unit circle: check the result)."""
+    roots = []
+    while len(roots) < degree:
+        r = rng.uniform(min_modulus, 0.99)
+        if degree - len(roots) >= 2 and rng.random() < 0.7:
+            w = cmath.exp(1j * rng.uniform(0, math.pi))
+            roots += [r * w, r * w.conjugate()]
+        else:
+            roots.append(r * rng.choice((-1, 1)))
+    coeffs = [1]
+    for root in roots:
+        coeffs = [x - root * y for x, y in zip(coeffs + [0], [0] + coeffs)]
+    return [Fraction(round(x.real * scale), scale) for x in coeffs]
+
+
+def sweep_max_modulus(p0, p1, ts):
+    """Largest root modulus of (1-t)·p0 + t·p1 over the points `ts`:
+    root_oracle's companion-matrix eigenvalues, batched."""
+    f0, f1 = (np.array([float(c) for c in p]) for p in (p0, p1))
+    members = (1 - ts)[:, None] * f0 + ts[:, None] * f1
+    n = len(f0) - 1
+    companion = np.zeros((len(ts), n, n))
+    companion[:, 1:, :-1] = np.eye(n - 1)
+    companion[:, 0, :] = -members[:, 1:] / members[:, :1]
+    return float(np.abs(np.linalg.eigvals(companion)).max())
+
+
+def test_segment_test_matches_root_sweep():
+    # 300 seeded segments of degree 2-6 between Schur-stable ends (leading
+    # coefficients scaled by positive factors), against a 4001-point root
+    # sweep.  A segment the exact test calls unstable needs one unstable
+    # sweep point, so a coarse pass runs first.
+    rng = random.Random(7)
+    ts = np.linspace(0, 1, 4001)
+    segments = unstable = 0
+    while segments < 300:
+        degree = rng.randint(2, 6)
+        p0, p1 = ([k * c for c in random_stable_poly(rng, degree, 0.6, 1024)]
+                  for k in (Fraction(rng.randint(512, 2048), 1024)
+                            for _ in range(2)))
+        if not all(jury_stable(Poly(p)).is_stable for p in (p0, p1)):
+            continue
+        segments += 1
+        exact_unstable = has_root(segment_chain(p0, p1), 0, 1)
+        unstable += exact_unstable
+        rho = sweep_max_modulus(p0, p1, ts[::50])
+        if rho < 1:
+            rho = sweep_max_modulus(p0, p1, ts)
+        assert abs(rho - 1) > 1e-9 and (rho > 1) == exact_unstable, (p0, p1)
+    assert unstable >= 30
+    # The batched sweep is the root oracle's computation.
+    for t in (0, Fraction(1, 3), 1):
+        member = [(1 - t) * a + t * b for a, b in zip(p0, p1)]
+        assert sweep_max_modulus(p0, p1, np.array([float(t)])) == \
+            pytest.approx(root_oracle(Poly(member)), rel=1e-9)
+
+
+def test_segment_test_small_cases():
+    half = Fraction(1, 2)
+    # Monic degree-2 segments stay in the (convex) stability triangle.
+    assert not has_root(segment_chain([1, half, Fraction(9, 10)],
+                                      [1, -half, Fraction(9, 10)]), 0, 1)
+    # Degree 1 and below never leave the disc between stable ends.
+    assert not has_root(segment_chain([2, 1], [1, -half]), 0, 1)
+    assert not has_root(segment_chain([3], [1]), 0, 1)
+    # A Hurwitz minor that vanishes at an end is a root on [0, 1].
+    assert has_root(segment_chain([1, 0, 1], [1, 0, 1]), 0, 1)

@@ -26,7 +26,6 @@ def test_poly_basics():
     assert p.degree == 3 and p.normalize().degree == 1
     assert p(3) == 1
     assert Poly([0]).is_zero()
-    assert p.scale(2).coeffs == (0, 0, 2, -4)
     with pytest.raises(ValueError):
         Poly([])
 
@@ -43,7 +42,6 @@ def test_transfer_normalizes_and_validates():
     assert tf.num.coeffs == (1,) and tf.den.coeffs == (1, -2)
     with pytest.raises(ValueError):
         TransferFunction([1], [0, 0])
-    assert tf(Fraction(3)) == Fraction(1, 1)
 
 
 def test_plant_family_validation():
