@@ -4,7 +4,10 @@ inflated box), plant-precision escalation; plus the sound one-stage engine.
 
 The candidate search is deterministic seeded hill climbing over the <I,F>
 coefficient grid with randomized restarts, falling back to exhaustive
-enumeration when the grid is small enough to sweep.
+enumeration when the grid is small enough to sweep.  After 16 failed
+restarts, the two-stage search runs up to 128 restarts side by side, their
+float guidance in one numpy pass per step; it returns what the
+one-at-a-time search returns.
 """
 
 from __future__ import annotations
@@ -15,6 +18,8 @@ import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+
+import numpy as np
 
 from .errors import (CounterexampleExtractionFailed, DegenerateCharPoly,
                      NoCandidate)
@@ -30,6 +35,9 @@ DEFAULT_PLANT_FORMAT = FixedPointFormat(16, 24)
 PRECISION_STEP = (4, 4)
 PRECISION_CAP = FixedPointFormat(32, 32)
 EXHAUSTIVE_LIMIT = 1 << 20
+SERIAL_RESTARTS = 16   # failed restarts before restarts run side by side
+SIDE_BY_SIDE = 128     # restarts climbing side by side; sweep batch size
+BATCH_MIN = 16         # fewer points than this take the scalar guidance
 
 _BIG_PENALTY = Fraction(10 ** 6)
 
@@ -79,74 +87,133 @@ def concrete_verdict(candidate: Controller, plant: TransferFunction) -> JuryVerd
     return v
 
 
+def _past(deadline):
+    return deadline is not None and time.perf_counter() > deadline
+
+
+@dataclass
+class _Climb:
+    """A restart under way: its `_climb` generator, the point it waits to
+    have evaluated and its evaluations so far; once it ends, the point it
+    accepted, or None."""
+    gen: object
+    point: list
+    evals: int = 0
+    running: bool = True
+    accepted: tuple | None = None
+
+
 def _grid_search(n_coeffs, fmt, seed, budget, evaluate, num_len,
-                 deadline=None):
+                 deadline=None, evaluate_batch=None):
     """Deterministic seeded hill climbing with restarts over raw-integer
     coordinates; returns an accepted raw vector or raises NoCandidate.
 
     evaluate(raws) -> (accepted, cost); cost 0.0 only for accepted points.
-    The denominator leading raw (index num_len) is kept nonzero.
+    evaluate_batch(points), if given, yields the same pairs for a list of
+    points, in order; then, after SERIAL_RESTARTS failed restarts, up to
+    SIDE_BY_SIDE restarts climb side by side, one point each per batch.
+    They settle in pool order, and a restart's acceptance counts only when
+    every earlier one has failed and all their evaluations and its own fit
+    the budget: the result and the budget accounting are those of running
+    the restarts one at a time.  The denominator leading raw (index
+    num_len) is kept nonzero.
     """
     rng = random.Random(seed)
     limit = fmt.raw_limit
-    evals = 0
-
-    def spent():
-        return evals >= budget or (deadline is not None
-                                   and evals % 256 == 0
-                                   and time.perf_counter() > deadline)
-
-    def run(raws):
-        nonlocal evals
-        evals += 1
-        return evaluate(tuple(raws))
-
-    one = fmt.scale  # raw for value 1.0
-    start_pool = _start_pool(rng, n_coeffs, num_len, limit, one)
-    best_overall = None
-    for raws in start_pool:
-        if spent():
+    starts = _start_pool(rng, n_coeffs, num_len, limit, fmt.scale)
+    batch = evaluate_batch or (lambda points: map(evaluate, points))
+    used = failed = 0  # the failed restarts' evaluations, and their count
+    climbs = []  # the restarts under way, in pool order
+    closed = False  # no restart past the last one in `climbs` can count
+    while not _past(deadline):
+        while climbs and not climbs[0].running:
+            head = climbs.pop(0)
+            if head.accepted is not None and used + head.evals <= budget:
+                return head.accepted
+            used += head.evals
+            failed += 1
+        # From the first restart whose next evaluation would overrun the
+        # budget on, none can count.
+        total = used
+        for k, climb in enumerate(climbs):
+            total += climb.evals
+            if climb.running and total >= budget:
+                del climbs[k:]
+                closed = True
+                break
+        width = (SIDE_BY_SIDE if evaluate_batch and failed >= SERIAL_RESTARTS
+                 else 1)
+        running = [c for c in climbs if c.running]
+        while len(running) < width and total < budget and not closed:
+            gen = _climb(next(starts), n_coeffs, num_len, limit)
+            climbs.append(_Climb(gen, next(gen)))
+            running.append(climbs[-1])
+        if not running:
             break
-        accepted, cost = run(raws)
-        if accepted:
-            return tuple(raws)
-        step = max(1, limit >> 2)
-        while step >= 1 and not spent():
-            improved = False
-            for i in range(n_coeffs):
-                for delta in (step, -step):
-                    if spent():
+        # Step the running restarts together until one ends, or until the
+        # budget could be reached.
+        for _ in range(max(1, (budget - total) // len(running))):
+            ended = False
+            for climb, result in zip(running, batch([tuple(c.point)
+                                                     for c in running])):
+                climb.evals += 1
+                try:
+                    climb.point = climb.gen.send(result)
+                except StopIteration as stop:
+                    ended = True
+                    climb.running, climb.accepted = False, stop.value
+                    if stop.value is not None:  # later ones can never count
+                        del climbs[climbs.index(climb) + 1:]
+                        closed = True
                         break
-                    cand = list(raws)
-                    cand[i] += delta
-                    if abs(cand[i]) >= limit:
-                        continue
-                    if i == num_len and cand[i] == 0:
-                        continue
-                    a, c = run(cand)
-                    if a:
-                        return tuple(cand)
-                    if c < cost:
-                        raws, cost = cand, c
-                        improved = True
-                        break
-            if not improved:
-                step >>= 1
-        if best_overall is None or cost < best_overall:
-            best_overall = cost
+            if ended or _past(deadline):
+                break
 
     # Exhaustive sweep is feasible only for tiny grids; it turns a failed
     # search into a proof that no candidate exists.
     span = 2 * limit - 1
     if span ** n_coeffs <= EXHAUSTIVE_LIMIT:
         values = range(-limit + 1, limit)
-        for raws in itertools.product(values, repeat=n_coeffs):
-            if raws[num_len] == 0:
-                continue
-            accepted, _ = evaluate(raws)
-            if accepted:
-                return raws
+        points = (raws for raws in itertools.product(values, repeat=n_coeffs)
+                  if raws[num_len] != 0)
+        while not _past(deadline):
+            chunk = list(itertools.islice(points, SIDE_BY_SIDE))
+            if not chunk:
+                break
+            for raws, (accepted, _) in zip(chunk, batch(chunk)):
+                if accepted:
+                    return raws
     raise NoCandidate(f"search budget of {budget} evaluations exhausted")
+
+
+def _climb(raws, n_coeffs, num_len, limit):
+    """One restart of the coordinate climb from `raws`: yields each point to
+    evaluate, is sent its (accepted, cost), and returns the accepted point,
+    or None once the step has shrunk below 1."""
+    accepted, cost = yield raws
+    if accepted:
+        return tuple(raws)
+    step = max(1, limit >> 2)
+    while step >= 1:
+        improved = False
+        for i in range(n_coeffs):
+            for delta in (step, -step):
+                cand = list(raws)
+                cand[i] += delta
+                if abs(cand[i]) >= limit:
+                    continue
+                if i == num_len and cand[i] == 0:
+                    continue
+                a, c = yield cand
+                if a:
+                    return tuple(cand)
+                if c < cost:
+                    raws, cost = cand, c
+                    improved = True
+                    break
+        if not improved:
+            step >>= 1
+    return None
 
 
 def _start_pool(rng, n_coeffs, num_len, limit, one):
@@ -184,9 +251,9 @@ def synthesize_candidate(inputs, controller_format: FixedPointFormat, orders,
                      [float(c) for c in plant.den.coeffs]) for plant in inputs]
     step = float(controller_format.step)
 
-    def evaluate(raws):
+    def guidance(raws):
         if raws[m] == 0:
-            return False, float(_BIG_PENALTY) * len(inputs)
+            return float(_BIG_PENALTY) * len(inputs)
         cn = [r * step for r in raws[:m]]
         cd = [r * step for r in raws[m:]]
         cost = 0.0
@@ -195,6 +262,26 @@ def synthesize_candidate(inputs, controller_format: FixedPointFormat, orders,
                 closed_loop_coeffs(cn, gn, cd, gd, 0.0))
             if margin <= 0.0:
                 cost += -margin + 1e-9
+        return cost
+
+    def batch_guidance(points):
+        """guidance() of every point, bit for bit, in float64 arrays."""
+        if len(points) < BATCH_MIN:
+            return map(guidance, points)
+        raws = np.fromiter(itertools.chain.from_iterable(points), float,
+                           len(points) * n_coeffs).reshape(-1, n_coeffs)
+        cn = [raws[:, j] * step for j in range(m)]
+        cd = [raws[:, j] * step for j in range(m, n_coeffs)]
+        fallback = raws[:, m] == 0.0
+        cost = np.zeros(len(points))
+        for gn, gd in plant_floats:
+            margin = _float_jury_margins(
+                closed_loop_coeffs(cn, gn, cd, gd, 0.0), fallback)
+            cost += np.where(margin <= 0.0, -margin + 1e-9, 0.0)
+        return [guidance(p) if f else c
+                for p, f, c in zip(points, fallback.tolist(), cost.tolist())]
+
+    def confirm(raws, cost):
         if cost > 0.0:
             return False, cost
         cand = _controller_from_raws(raws, controller_format, orders)
@@ -204,8 +291,11 @@ def synthesize_candidate(inputs, controller_format: FixedPointFormat, orders,
                 return False, float(-v.margin) + 1e-9
         return True, 0.0
 
-    raws = _grid_search(n_coeffs, controller_format, seed, budget, evaluate,
-                        orders[0] + 1, deadline=deadline)
+    raws = _grid_search(
+        n_coeffs, controller_format, seed, budget,
+        lambda raws: confirm(raws, guidance(raws)), m, deadline=deadline,
+        evaluate_batch=lambda points: map(confirm, points,
+                                          batch_guidance(points)))
     return _controller_from_raws(raws, controller_format, orders)
 
 
@@ -233,6 +323,31 @@ def _float_jury_margin(c) -> float:
     return margin
 
 
+def _float_jury_margins(c, fallback):
+    """`_float_jury_margin` of many coefficient lists at once: `c` holds one
+    float64 array per coefficient, one element per list.  The operations
+    and their order are the same, so each margin is bit-identical.  Lists
+    it cannot follow (zero leading coefficient, degree 0, a zero pivot) are
+    marked in the boolean array `fallback`, their margins left undefined."""
+    fallback |= c[0] == 0.0
+    if len(c) == 1:
+        fallback[:] = True
+        return c[0]
+    negative = c[0] < 0
+    c = [np.where(negative, -x, x) for x in c]
+
+    def zero_pivot(pivot):
+        fallback[pivot == 0.0] = True
+        return False
+
+    with np.errstate(all="ignore"):  # zero pivots: those lists fall back
+        conditions = jury_conditions(c, zero_pivot)
+        _, margin = next(conditions)
+        for _, value in conditions:
+            margin = np.where(value < margin, value, margin)
+    return margin
+
+
 def _interval_char_poly(candidate: Controller, num_iv: IntervalPoly,
                         den_iv: IntervalPoly) -> IntervalPoly:
     cn = IntervalPoly.from_exact([v.value for v in candidate.num])
@@ -255,7 +370,7 @@ def _make_plant(num_coeffs, den_coeffs) -> TransferFunction | None:
 
 
 def _check_deadline(deadline):
-    if deadline is not None and time.perf_counter() > deadline:
+    if _past(deadline):
         raise CounterexampleExtractionFailed("deadline passed")
 
 

@@ -14,8 +14,6 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
-import mpmath as mp
-
 from .errors import ImproperTransferFunction, NonpositiveSampleTime
 from .transfer import Poly, TransferFunction
 
@@ -49,6 +47,8 @@ class ContinuousTF:
 
 def _controllable_canonical(g: ContinuousTF):
     """(A, B, C, D) with monic denominator, as mpmath matrices."""
+    import mpmath as mp
+
     with mp.workdps(_DPS):
         den = [mp.mpf(c.numerator) / mp.mpf(c.denominator) for c in g.den.coeffs]
         num = [mp.mpf(c.numerator) / mp.mpf(c.denominator) for c in g.num.coeffs]
@@ -80,6 +80,8 @@ def _faddeev_leverrier(a, n):
     Returns (den, mats): den = [1, c1, ..., cn] descending, and mats[k] such
     that adj(zI - A) = sum_k mats[k] * z^(n-1-k).
     """
+    import mpmath as mp
+
     ident = mp.eye(n)
     mats = []
     den = [mp.mpf(1)]
@@ -95,6 +97,8 @@ def _faddeev_leverrier(a, n):
 
 def _snap_rational(x) -> Fraction:
     """Nearest rational within _SNAP_TOL via continued fractions."""
+    import mpmath as mp
+
     sign, man, exp, _ = mp.mpf(x)._mpf_
     if man == 0:
         return Fraction(0)
@@ -113,6 +117,8 @@ def _snap_rational(x) -> Fraction:
 def zoh_discretize(g: ContinuousTF) -> TransferFunction:
     """Pulse transfer function G(z, T) of the plant behind a synchronized
     ZOH input and sample-and-hold output."""
+    import mpmath as mp
+
     t = g.sample_time
     with mp.workdps(_DPS):
         a, b, c, d, n = _controllable_canonical(g)

@@ -15,7 +15,6 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import mpmath as mp
 import numpy as np
 
 from .errors import (ArithmeticOverflow, DegenerateLoop,
@@ -174,6 +173,8 @@ def step_response(controller, plant: TransferFunction, T, steps: int,
     loop eventually overflows even the wide signal format, so this is how a
     divergent trace is inspected rather than raised out of).
     """
+    import mpmath as mp
+
     if steps < 1:
         raise ValueError("steps must be >= 1")
     noise = noise or NoiseModel.zero()
@@ -255,6 +256,8 @@ def _controller_step(bq, aq, e_q, e_hist, u_hist, fmt):
 
 
 def _plant_step(gn, gd, u_in, uin_hist, y_hist):
+    import mpmath as mp
+
     us = [u_in] + uin_hist[:len(gn) - 1]
     acc = mp.mpf(0)
     for coeff, sig in zip(gn, us):
@@ -265,6 +268,8 @@ def _plant_step(gn, gd, u_in, uin_hist, y_hist):
 
 
 def _mpf_to_fraction(x) -> Fraction:
+    import mpmath as mp
+
     sign, man, exp, _ = mp.mpf(x)._mpf_
     if man == 0:
         return Fraction(0)

@@ -67,6 +67,178 @@ def test_exhaustive_sweep_after_spent_budget():
         synthesize_candidate([hopeless], fmt, (0, 0), seed=1, budget=1)
 
 
+def test_exhaustive_sweep_honours_deadline():
+    # The <2,2> grid of a (1,1) controller is small enough to sweep (about
+    # 9e5 points), and no controller stabilizes the zero-gain plant: past the
+    # deadline the sweep must stop, not run on for seconds.
+    hopeless = PlantFamily(TransferFunction([0], [1, Fraction(-3, 2)]))
+    start = time.perf_counter()
+    result = cegis_two_stage(hopeless, FixedPointFormat(2, 2), (1, 1), 1,
+                             Limits(timeout_s=0.05))
+    assert result.reason == "timeout"
+    assert time.perf_counter() - start < 1.0
+
+
+def _landscape(seed, rarity):
+    """evaluate() over a seeded pseudo-random cost landscape: about one
+    point in `rarity` is accepted (cost 0.0), the others cost [1, 2)."""
+    def evaluate(raws):
+        h = hash((seed,) + raws) & 0xFFFFFFFF
+        if h % rarity == 0:
+            return True, 0.0
+        return False, 1 + (h >> 8) / 2 ** 24
+    return evaluate
+
+
+def _search_both_ways(fmt, seed, budget, evaluate, n_coeffs=4):
+    """_grid_search one restart at a time, then with the evaluator mapped
+    over each batch of points: for each, the raws (None for NoCandidate),
+    the evaluations and the restarts drawn from the pool."""
+    runs = []
+    for batched in (False, True):
+        counts = [0, 0]
+
+        def counted(raws):
+            counts[0] += 1
+            return evaluate(raws)
+
+        def counted_pool(*args, pool=cegis_mod._start_pool):
+            for raws in pool(*args):
+                counts[1] += 1
+                yield raws
+
+        batch = (lambda points: map(counted, points)) if batched else None
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cegis_mod, "_start_pool", counted_pool)
+            try:
+                raws = cegis_mod._grid_search(n_coeffs, fmt, seed, budget,
+                                              counted, 1, evaluate_batch=batch)
+            except NoCandidate:
+                raws = None
+        runs.append((raws, *counts))
+    return runs
+
+
+def test_side_by_side_restarts_match_one_at_a_time():
+    """Restarts that run side by side settle in pool order within the
+    budget: the result is that of the one-at-a-time search, also when the
+    budget cuts a restart short, and when a restart past the 16th accepts.
+    Restarts are drawn ahead only to fill the window, and none once the
+    budget is reached."""
+    fmt = FixedPointFormat(3, 5)  # too large a grid for the sweep
+    rng = random.Random(3)
+    late = 0
+    for seed in range(20):
+        evaluate = _landscape(seed, 3000)
+        (accepted, evals, drawn), _ = runs = _search_both_ways(
+            fmt, seed, 20000, evaluate)
+        late += accepted is not None and drawn > cegis_mod.SERIAL_RESTARTS
+        # One evaluation short, the accepting restart is cut before it
+        # accepts; a random budget cuts some restart in the middle.
+        budgets = ((evals - 1, evals, rng.randrange(1, evals)) if accepted
+                   else ())
+        for budget in budgets:
+            runs += _search_both_ways(fmt, seed, budget, evaluate)
+        expected = [accepted] + [accepted if b == evals else None
+                                 for b in budgets]
+        for (serial, _, drawn), (side, _, side_drawn), raws in zip(
+                runs[::2], runs[1::2], expected):
+            assert side == serial == raws
+            assert side_drawn - drawn <= 3 * cegis_mod.SIDE_BY_SIDE
+    assert late >= 10
+    # A grid small enough to sweep: the sweep answers in product order.
+    tiny = FixedPointFormat(1, 1)
+    found = 0
+    for seed in range(20):
+        serial, side = _search_both_ways(tiny, seed, seed + 1,
+                                         _landscape(seed, 40), n_coeffs=3)
+        assert side[0] == serial[0]
+        found += serial[0] is not None
+    assert found >= 10
+
+
+def _evaluators(monkeypatch, inputs, fmt, orders):
+    """The evaluate and evaluate_batch that synthesize_candidate hands to
+    the search for `inputs`."""
+    captured = {}
+
+    def grid_search(n_coeffs, fmt, seed, budget, evaluate, num_len,
+                    deadline=None, evaluate_batch=None):
+        captured.update(evaluate=evaluate, evaluate_batch=evaluate_batch)
+        return (0,) * num_len + (1,) * (n_coeffs - num_len)
+
+    monkeypatch.setattr(cegis_mod, "_grid_search", grid_search)
+    synthesize_candidate(inputs, fmt, orders, seed=1, budget=1)
+    monkeypatch.undo()
+    return captured["evaluate"], captured["evaluate_batch"]
+
+
+# Counterexamples of cruise_uncertain's failing third search.
+CRUISE_UNCERTAIN_CEX = [
+    TransferFunction([Fraction(-7945689, 2 ** 24)],
+                     [1, Fraction(-6290617, 2 ** 22)]),
+    TransferFunction([Fraction(4415763, 2 ** 23)],
+                     [1, Fraction(-6290617, 2 ** 22)])]
+
+
+def _random_inputs(rng):
+    order = rng.randint(1, 2)
+    inputs = []
+    for _ in range(rng.randint(2, 3)):
+        den = [1] + [Fraction(rng.randint(-2500, 2500), 1000)
+                     for _ in range(order)]
+        num = [Fraction(rng.randint(-1000, 1000), 1000)
+               for _ in range(rng.randint(1, order + 1))]
+        inputs.append(TransferFunction(num, den))
+    return inputs
+
+
+def test_batch_evaluator_matches_one_at_a_time(monkeypatch):
+    """synthesize_candidate's batch evaluator gives every point the
+    one-at-a-time evaluator's (accepted, cost), bit for bit, and the search
+    returns the same raws with and without it."""
+    rng = random.Random(5)
+    # Budgets past 16 failed restarts, and budgets that cut one short; the
+    # grids are too large for the sweep.
+    cases = [(CRUISE_UNCERTAIN_CEX, F416, (2, 2), (12000, 9876))]
+    cases += [(_random_inputs(rng),
+               FixedPointFormat(rng.choice((3, 4)), rng.choice((8, 10))),
+               (rng.randint(0, 2), rng.randint(0, 2)), (4000, 2345))
+              for _ in range(12)]
+    accepted = 0
+    for inputs, fmt, orders, budgets in cases:
+        evaluate, evaluate_batch = _evaluators(monkeypatch, inputs, fmt,
+                                               orders)
+        n_coeffs, m = orders[0] + orders[1] + 2, orders[0] + 1
+        limit = fmt.raw_limit
+        points = [tuple(rng.randrange(-limit + 1, limit) >> rng.randrange(8)
+                        for _ in range(n_coeffs)) for _ in range(200)]
+        points[::7] = [p[:m] + (0,) + p[m + 1:] for p in points[::7]]
+        for size in (1, 15, 16, 200):
+            batched = list(evaluate_batch(points[:size]))
+            assert batched == [evaluate(p) for p in points[:size]]
+        accepted += sum(a for a, _ in batched)
+
+        search = cegis_mod._grid_search
+        results = []
+        for batched_search in (False, True):
+            def grid_search(*args, evaluate_batch=None, **kw):
+                return search(*args, **kw, evaluate_batch=(
+                    evaluate_batch if batched_search else None))
+
+            monkeypatch.setattr(cegis_mod, "_grid_search", grid_search)
+            for budget in budgets:
+                try:
+                    c = synthesize_candidate(inputs, fmt, orders, seed=14,
+                                             budget=budget)
+                    results.append([v.raw for v in c.num + c.den])
+                except NoCandidate:
+                    results.append(None)
+            monkeypatch.undo()
+        assert results[:2] == results[2:]
+    assert accepted > 0
+
+
 def test_verify_uncertainty_accepts_stabilizing_controller():
     fam = cruise_family()
     c = make_controller([0, 0, 0], [1, 0, 0])  # open loop, plant is stable
