@@ -13,13 +13,13 @@ one-at-a-time search returns.
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-
-import numpy as np
+from typing import NamedTuple
 
 from .errors import (CounterexampleExtractionFailed, DegenerateCharPoly,
                      NoCandidate)
@@ -268,6 +268,8 @@ def synthesize_candidate(inputs, controller_format: FixedPointFormat, orders,
         """guidance() of every point, bit for bit, in float64 arrays."""
         if len(points) < BATCH_MIN:
             return map(guidance, points)
+        import numpy as np  # not loaded unless a batch pass runs
+
         raws = np.fromiter(itertools.chain.from_iterable(points), float,
                            len(points) * n_coeffs).reshape(-1, n_coeffs)
         cn = [raws[:, j] * step for j in range(m)]
@@ -329,6 +331,8 @@ def _float_jury_margins(c, fallback):
     and their order are the same, so each margin is bit-identical.  Lists
     it cannot follow (zero leading coefficient, degree 0, a zero pivot) are
     marked in the boolean array `fallback`, their margins left undefined."""
+    import numpy as np
+
     fallback |= c[0] == 0.0
     if len(c) == 1:
         fallback[:] = True
@@ -374,34 +378,47 @@ def _check_deadline(deadline):
         raise CounterexampleExtractionFailed("deadline passed")
 
 
+class _LeadZeros(NamedTuple):
+    """Why a box verdict is Unknown: the leading coefficient of S changes
+    sign or vanishes over the box.  `edges` holds (end corners, t) for each
+    edge along which it has a single zero, at t."""
+    cause: str
+    edges: list
+
+
 def verify_uncertainty(candidate: Controller, family: PlantFamily,
                        deadline=None):
     """First (fast) verification stage over the representable-plant box.
-    Returns a certified unstable grid plant (a vertex, or the grid point
-    just past an unstable edge's first root), else None: the box is stable,
-    or that point is not, and the precision stage, whose box contains the
-    edge, rejects.  Raises CounterexampleExtractionFailed when the lead of S
-    changes sign or vanishes over the box, or past the `deadline` (a
-    time.perf_counter() value)."""
+    Returns a certified unstable grid plant (a vertex, the grid point just
+    past an unstable edge's first root, or one beside a zero of the lead of
+    S on an edge), else None: the box is stable, or that edge point is not,
+    and the precision stage, whose box contains the edge, rejects.  Raises
+    CounterexampleExtractionFailed when the lead of S changes sign or
+    vanishes over the box and no grid plant beside its zeros is unstable,
+    or past the `deadline` (a time.perf_counter() value)."""
     num_iv, den_iv = family_grid_box(family)
     verdict, evidence = _box_verdict(candidate, num_iv, den_iv, deadline)
     if verdict.status is Status.STABLE:
         return None
     if isinstance(evidence, TransferFunction):
         return evidence
-    if isinstance(evidence, str):
-        raise CounterexampleExtractionFailed(evidence)
+    if isinstance(evidence, _LeadZeros):
+        witness = _lead_witness(candidate, family, evidence.edges, deadline)
+        if witness is None:
+            raise CounterexampleExtractionFailed(evidence.cause)
+        return witness
     return _edge_witness(candidate, family, *evidence)
 
 
 def _box_verdict(candidate, num_iv, den_iv, deadline):
     """Verdict of the closed loop over a box of plants, and its evidence:
     an unstable vertex plant, an unstable edge (end vertices, Sturm chain),
-    the cause of an Unknown, or None.  A Stable or Unstable interval Jury
-    verdict stands; else exact Jury decides each vertex, then the segment
-    test each edge: S is affine in the plant, so a box over which its degree
-    is constant is stable iff every edge is (Edge Theorem, Bartlett, Hollot
-    & Lin 1988).  An edge-proven Stable reports the least vertex margin."""
+    the zeros of the lead of S behind an Unknown (`_LeadZeros`), or None.
+    A Stable or Unstable interval Jury verdict stands; else exact Jury
+    decides each vertex, then the segment test each edge: S is affine in
+    the plant, so a box over which its degree is constant is stable iff
+    every edge is (Edge Theorem, Bartlett, Hollot & Lin 1988).  An
+    edge-proven Stable reports the least vertex margin."""
     verdict = jury_stable_interval(_interval_char_poly(candidate, num_iv,
                                                        den_iv))
     if verdict.status is Status.STABLE:
@@ -424,14 +441,20 @@ def _box_verdict(candidate, num_iv, den_iv, deadline):
     # The leading coefficient of S is affine too: one strict sign at every
     # vertex keeps it off zero, and the degree of S constant, over the box.
     top = min(next(i for i, c in enumerate(p) if c) for p in polys if p)
-    signs = ["0" if p is None or p[top] == 0 else "+-"[p[top] < 0]
-             for p in polys]
-    if len(set(signs)) > 1:
-        counts = ", ".join(f"{signs.count(s)} {s}" for s in "+0-" if s in signs)
-        return verdict, ("leading coefficient of S changes sign or vanishes "
-                         f"over the box (vertex signs: {counts})")
+    leads = [None if p is None else p[top] for p in polys]
+    signs = ["0" if x is None or x == 0 else "+-"[x < 0] for x in leads]
     edges = [(lo, lo | 1 << bit) for bit in range(len(polys).bit_length() - 1)
              for lo in range(len(polys)) if not lo >> bit & 1]
+    if len(set(signs)) > 1:
+        counts = ", ".join(f"{signs.count(s)} {s}" for s in "+0-" if s in signs)
+        zeros = []
+        for lo, hi in edges:
+            a, b = leads[lo], leads[hi]
+            if None not in (a, b) and a != b and a * b <= 0:
+                zeros.append((corners[lo], corners[hi], a / (a - b)))
+        return verdict, _LeadZeros(
+            "leading coefficient of S changes sign or vanishes over the box "
+            f"(vertex signs: {counts})", zeros)
     for lo, hi in edges:
         _check_deadline(deadline)
         chain = segment_chain(polys[lo][top:], polys[hi][top:])
@@ -441,15 +464,33 @@ def _box_verdict(candidate, num_iv, den_iv, deadline):
     return JuryVerdict(Status.STABLE, None, margin), None
 
 
-def _edge_witness(candidate, family, lo_corner, hi_corner, chain):
-    """The grid plant at or just past the first root of the edge's Hurwitz
-    minor (Sturm bisection over the grid steps) if it is unstable, else
-    None.  Without a plant grid, the only grid points are the ends."""
+def _edge_grid(family, lo_corner, hi_corner):
+    """The number of plant-grid steps along an edge, and a function giving
+    the plant k steps from its low end (None where the den is all zero).
+    Without a plant grid, the only grid points are the ends."""
     a = list(lo_corner[0] + lo_corner[1])
     b = list(hi_corner[0] + hi_corner[1])
     i = next(j for j, (x, y) in enumerate(zip(a, b)) if x != y)
     fmt = family.plant_format
     steps = int((b[i] - a[i]) / fmt.step) if fmt is not None else 1
+    nn = len(lo_corner[0])
+
+    def plant(k):
+        point = list(a)
+        point[i] += (b[i] - a[i]) * Fraction(k, steps)
+        return _make_plant(point[:nn], point[nn:])
+    return steps, plant
+
+
+def _unstable(candidate, plant):
+    return plant is not None and not concrete_verdict(candidate, plant).is_stable
+
+
+def _edge_witness(candidate, family, lo_corner, hi_corner, chain):
+    """The grid plant at or just past the first root of the edge's Hurwitz
+    minor (Sturm bisection over the grid steps) if it is unstable, else
+    None."""
+    steps, plant_at = _edge_grid(family, lo_corner, hi_corner)
     below, past = 0, steps  # no root on [0, below/steps]; one on [0, past/steps]
     while past - below > 1:
         mid = (below + past) // 2
@@ -457,11 +498,21 @@ def _edge_witness(candidate, family, lo_corner, hi_corner, chain):
             past = mid
         else:
             below = mid
-    a[i] += (b[i] - a[i]) * Fraction(past, steps)
-    nn = len(lo_corner[0])
-    plant = _make_plant(a[:nn], a[nn:])
-    unstable = plant is not None and not concrete_verdict(candidate, plant).is_stable
-    return plant if unstable else None
+    plant = plant_at(past)
+    return plant if _unstable(candidate, plant) else None
+
+
+def _lead_witness(candidate, family, edges, deadline):
+    """The first unstable grid plant among those just below and just above
+    the zero at t of the lead of S, edge by edge, else None."""
+    for lo_corner, hi_corner, t in edges:
+        _check_deadline(deadline)
+        steps, plant_at = _edge_grid(family, lo_corner, hi_corner)
+        for k in (math.ceil(t * steps) - 1, math.floor(t * steps) + 1):
+            plant = plant_at(k) if 0 <= k <= steps else None
+            if _unstable(candidate, plant):
+                return plant
+    return None
 
 
 def verify_precision(candidate: Controller, family: PlantFamily,

@@ -10,11 +10,13 @@ expects exact coefficients.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ImproperTransferFunction, NonpositiveSampleTime
+from .stability import root_oracle
 from .transfer import Poly, TransferFunction
 
 _DPS = 60
@@ -146,11 +148,7 @@ def zoh_discretize(g: ContinuousTF) -> TransferFunction:
 
 
 def _warn_if_beyond_nyquist(g: ContinuousTF):
-    import numpy as np
-
-    poles = np.roots([float(c) for c in g.den.coeffs])
-    t = float(g.sample_time)
-    if any(abs(p) * t > np.pi for p in poles):
+    if root_oracle(g.den) * float(g.sample_time) > math.pi:
         warnings.warn(
             "a continuous pole has |p*T| > pi; the sample time may violate "
             "the Nyquist criterion", stacklevel=2)

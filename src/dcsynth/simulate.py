@@ -9,13 +9,12 @@ the controller output (DAC side), each bounded by half a quantization step.
 
 from __future__ import annotations
 
+import cmath
 import csv
 import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-
-import numpy as np
 
 from .errors import (ArithmeticOverflow, DegenerateLoop,
                      EvaluationSingularity, Overflow)
@@ -277,15 +276,42 @@ def _mpf_to_fraction(x) -> Fraction:
 
 
 def _loop_response(controller, plant, omegas, T):
+    """C*G at z = exp(j*w*T) for each w in `omegas`, each polynomial by
+    Horner's rule over the whole grid at once."""
     cn, cd, _ = _controller_polys(controller)
-    z = np.exp(1j * omegas * float(T))
-    num = (np.polyval([float(c) for c in cn.coeffs], z)
-           * np.polyval([float(c) for c in plant.num.coeffs], z))
-    den = (np.polyval([float(c) for c in cd.coeffs], z)
-           * np.polyval([float(c) for c in plant.den.coeffs], z))
-    if np.any(den == 0) or not np.all(np.isfinite(den)):
+    t = float(T)
+    zs = [cmath.exp(1j * (w * t)) for w in omegas]
+
+    def horner(p):
+        # From 0j, the first step gives complex(c0) at every z.
+        y = [complex(p.coeffs[0])] * len(zs)
+        for c in p.coeffs[1:]:
+            c = float(c)
+            y = [v * z + c for v, z in zip(y, zs)]
+        return y
+
+    den = [x * y for x, y in zip(horner(cd), horner(plant.den))]
+    if 0 in den or not all(map(cmath.isfinite, den)):
         raise EvaluationSingularity("loop pole on the evaluation grid")
-    return num / den
+    return [x * y / d
+            for x, y, d in zip(horner(cn), horner(plant.num), den)]
+
+
+def _unwrap(phase):
+    """Phase with every jump of pi or more between neighbours replaced by
+    its equivalent in [-pi, pi] (the rule of numpy.unwrap, same operations
+    in the same order)."""
+    out = phase[:1]
+    correction = 0.0
+    for p0, p1 in zip(phase, phase[1:]):
+        jump = p1 - p0
+        if abs(jump) >= math.pi:
+            reduced = (jump + math.pi) % (2 * math.pi) - math.pi
+            if reduced == -math.pi and jump > 0:
+                reduced = math.pi
+            correction += reduced - jump
+        out.append(p1 + correction)
+    return out
 
 
 def frequency_margins(controller, plant: TransferFunction, T,
@@ -298,22 +324,24 @@ def frequency_margins(controller, plant: TransferFunction, T,
     """
     t = float(T)
     w_max = math.pi / t
-    omegas = np.logspace(math.log10(w_max) - 6, math.log10(w_max), points,
-                         endpoint=False)[1:]
+    hi = math.log10(w_max)
+    lo = hi - 6
+    step = (hi - lo) / points
+    omegas = [10.0 ** (lo + i * step) for i in range(1, points)]
     try:
         resp = _loop_response(controller, plant, omegas, T)
     except EvaluationSingularity:
-        omegas = omegas * (1 + 1e-9)
+        omegas = [w * (1 + 1e-9) for w in omegas]
         resp = _loop_response(controller, plant, omegas, T)
 
-    mag = np.abs(resp)
-    phase = np.unwrap(np.angle(resp))
+    mag = [abs(r) for r in resp]
+    phase = _unwrap([cmath.phase(r) for r in resp])
 
     gm_candidates = []
     # Interior -180 degree crossings (phase through an odd multiple of pi).
-    shifted = (phase + math.pi) / (2 * math.pi)
-    wraps = np.floor(shifted)
-    for i in np.nonzero(np.diff(wraps) != 0)[0]:
+    shifted = [(p + math.pi) / (2 * math.pi) for p in phase]
+    wraps = [math.floor(p) for p in shifted]
+    for i in _changes(wraps):
         # Linear interpolation of |L| at the crossing.
         p0, p1 = shifted[i], shifted[i + 1]
         target = max(wraps[i], wraps[i + 1])
@@ -323,23 +351,27 @@ def frequency_margins(controller, plant: TransferFunction, T,
         m = mag[i] + frac * (mag[i + 1] - mag[i])
         if m > 0:
             gm_candidates.append(-20 * math.log10(m))
-    nyq = _loop_response(controller, plant, np.array([w_max]), T)
-    m_nyq = abs(nyq[0])
+    m_nyq = abs(_loop_response(controller, plant, [w_max], T)[0])
     if m_nyq > 0:
         gm_candidates.append(-20 * math.log10(m_nyq))
     gain_margin = min(gm_candidates) if gm_candidates else math.inf
 
     pm_candidates = []
-    above = mag >= 1.0
-    for i in np.nonzero(np.diff(above))[0]:
+    above = [m >= 1.0 for m in mag]
+    for i in _changes(above):
         m0, m1 = mag[i], mag[i + 1]
         frac = (1.0 - m0) / (m1 - m0) if m1 != m0 else 0.5
         ph = phase[i] + frac * (phase[i + 1] - phase[i])
         pm_candidates.append(_wrap_margin(math.degrees(ph) + 180.0))
-    if np.all(above) and abs(mag[0] - 1.0) < 1e-12:
+    if all(above) and abs(mag[0] - 1.0) < 1e-12:
         pm_candidates.append(_wrap_margin(math.degrees(phase[0]) + 180.0))
     phase_margin = min(pm_candidates) if pm_candidates else math.inf
     return gain_margin, phase_margin
+
+
+def _changes(values):
+    """Indices i with values[i] != values[i + 1]."""
+    return [i for i, (u, v) in enumerate(zip(values, values[1:])) if u != v]
 
 
 def _wrap_margin(deg: float) -> float:

@@ -1,5 +1,5 @@
 """Jury's stability criterion over exact and interval coefficients, plus a
-root-modulus oracle used by the test suite.
+float root-modulus oracle independent of it (reports and tests).
 
 For S(z) = a0 z^N + ... + aN with a0 > 0 the verdict is Stable iff:
 
@@ -19,6 +19,7 @@ same recursion runs on Fraction, RationalInterval and float coefficients.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -26,7 +27,7 @@ from fractions import Fraction
 
 from .errors import DegenerateCharPoly
 from .intervals import IntervalPoly, RationalInterval
-from .transfer import Poly, add_aligned, convolve
+from .transfer import Poly, add_aligned, convolve, poly_roots
 
 
 class Status(enum.Enum):
@@ -138,11 +139,7 @@ def segment_chain(p0, p1) -> list:
     """
     n = len(p0) - 1
     scale = math.lcm(*(Fraction(c).denominator for c in list(p0) + list(p1)))
-    plus, minus = [[1]], [[1]]
-    for _ in range(n):
-        plus.append(convolve(plus[-1], [1, 1], 0))
-        minus.append(convolve(minus[-1], [1, -1], 0))
-    basis = [convolve(plus[n - k], minus[k], 0) for k in range(n + 1)]
+    basis, binomials = _segment_bases(n)
     q0, q1 = ([sum(int(a * scale) * b[i] for a, b in zip(p, basis))
                for i in range(n + 1)] for p in (p0, p1))
     values = []
@@ -151,11 +148,10 @@ def segment_chain(p0, p1) -> list:
         values.append(_det([[q[2 * j - i + 1] if 0 <= 2 * j - i + 1 <= n else 0
                              for j in range(n - 1)] for i in range(n - 1)]))
     # Newton's forward differences at t = 0, 1, ...: Δ = Σ diff_j·C(t, j).
-    delta, falling = [0], [Fraction(1)]
-    for j in range(len(values)):
-        delta = add_aligned(delta, [values[0] * c for c in falling], 0)
+    delta = [0]
+    for binomial in binomials:
+        delta = add_aligned(delta, [values[0] * c for c in binomial], 0)
         values = [b - a for a, b in zip(values, values[1:])]
-        falling = [c / (j + 1) for c in convolve(falling, [1, -j], 0)]
     a = Poly(delta).normalize()
     b = Poly([c * (a.degree - i) for i, c in enumerate(a.coeffs[:-1])] or [0])
     chain = [a]
@@ -163,6 +159,25 @@ def segment_chain(p0, p1) -> list:
         chain.append(b)
         a, b = b, _negated_remainder(a, b)
     return chain
+
+
+@functools.cache
+def _segment_bases(n) -> tuple:
+    """The segment test's constants for length n+1: the integer
+    coefficients of (s+1)^(n-k)·(s-1)^k for k = 0 .. n (z^(n-k) under
+    z = (s+1)/(s-1), times (s-1)^n), and those of the binomial polynomials
+    C(t, j) for j below max(n, 1)."""
+    plus, minus = [[1]], [[1]]
+    for _ in range(n):
+        plus.append(convolve(plus[-1], [1, 1], 0))
+        minus.append(convolve(minus[-1], [1, -1], 0))
+    basis = tuple(tuple(convolve(plus[n - k], minus[k], 0))
+                  for k in range(n + 1))
+    binomials = [(Fraction(1),)]
+    for j in range(1, max(n, 1)):
+        binomials.append(tuple(c / j for c in convolve(binomials[-1],
+                                                       [1, 1 - j], 0)))
+    return basis, tuple(binomials)
 
 
 def has_root(chain, lo, hi) -> bool:
@@ -202,13 +217,9 @@ def _det(m) -> int:
 
 
 def root_oracle(s: Poly) -> float:
-    """Maximum root modulus via companion-matrix eigenvalues (test oracle)."""
-    import numpy as np
-
+    """Maximum root modulus, from the float roots of `poly_roots` (an
+    oracle independent of Jury)."""
     s = s.normalize()
     if s.degree < 1:
         raise ValueError("root oracle needs degree >= 1")
-    roots = np.roots([float(c) for c in s.coeffs])
-    if len(roots) == 0:
-        return 0.0
-    return float(max(abs(roots)))
+    return max(abs(r) for r in poly_roots(s.coeffs))

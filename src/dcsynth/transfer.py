@@ -5,6 +5,8 @@ Coefficients are stored in descending powers of z (index 0 = highest power).
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -75,6 +77,57 @@ def add_aligned(a, b, zero):
 def closed_loop_coeffs(cn, gn, cd, gd, zero):
     """Coefficients of S = Cn*Gn + Cd*Gd, descending powers."""
     return add_aligned(convolve(cn, gn, zero), convolve(cd, gd, zero), zero)
+
+
+_EPS = 2.0 ** -52
+_ROOT_ITERATIONS = 500
+
+
+def poly_roots(coeffs) -> list:
+    """Every complex root, with multiplicity, of the real polynomial with
+    coefficients `coeffs` (descending, leading zeros ignored), in floats:
+    Aberth-Ehrlich simultaneous iteration from fixed start points on a
+    circle.  A root stops moving once |p(z)| is within rounding of its
+    Horner evaluation, so repeated roots stop as a cluster of the size
+    their conditioning allows."""
+    c = [float(x) for x in coeffs]
+    while c and c[0] == 0.0:
+        c.pop(0)
+    zeros = 0
+    while c and c[-1] == 0.0:
+        c.pop()
+        zeros += 1
+    n = len(c) - 1
+    a = [x / c[0] for x in c]
+    if n <= 1:
+        return [complex(-x) for x in a[1:]] + [0j] * zeros
+    # Start on the circle of the roots' geometric-mean modulus, turned off
+    # the real axis so that no start is real.
+    radius = abs(a[-1]) ** (1.0 / n)
+    z = [radius * cmath.exp(1j * (2 * math.pi * k / n + 0.4))
+         for k in range(n)]
+    moving = list(range(n))
+    for _ in range(_ROOT_ITERATIONS):
+        still = []
+        for k in moving:
+            zk, r = z[k], abs(z[k])
+            p = dp = 0j
+            bound = 0.0
+            for x in a:
+                dp = dp * zk + p
+                p = p * zk + x
+                bound = bound * r + abs(x)
+            if abs(p) <= 4 * _EPS * bound:
+                continue
+            s = sum(1 / (zk - zj) for zj in z if zj != zk)
+            d = dp - p * s
+            if d != 0:
+                z[k] = zk - p / d
+                still.append(k)
+        if not still:
+            break
+        moving = still
+    return z + [0j] * zeros
 
 
 def poly_add(a: Poly, b: Poly) -> Poly:
@@ -183,15 +236,13 @@ def cancellation_on_or_outside_unit_circle(controller: Controller,
                                            tol: float = 1e-6) -> bool:
     """True iff the loop product C*G has a near-common numerator/denominator
     root pair with both moduli >= 1 - tol."""
-    import numpy as np
-
     ctf = controller.as_transfer()
     loop_num = poly_mul(ctf.num, plant.num).normalize()
     loop_den = poly_mul(ctf.den, plant.den).normalize()
     if loop_num.degree < 1 or loop_den.degree < 1:
         return False
-    zeros = np.roots([float(c) for c in loop_num.coeffs])
-    poles = np.roots([float(c) for c in loop_den.coeffs])
+    zeros = poly_roots(loop_num.coeffs)
+    poles = poly_roots(loop_den.coeffs)
     for zr in zeros:
         for pr in poles:
             if (abs(zr - pr) < tol

@@ -328,16 +328,44 @@ def test_unstable_edge_between_stable_vertices_gives_grid_witness():
 
 def test_vanishing_leading_coefficient_is_the_one_unknown():
     # The denominator's leading coefficient ranges over [-1, 3], so the
-    # leading coefficient of S = Cd*Gd + Cn*Gn changes sign over the box.
-    plant = TransferFunction([Fraction(1, 10)], [1, Fraction(-1, 2)])
+    # leading coefficient of S = Cd*Gd + Cn*Gn = a·z + 1/256 changes sign
+    # over the box.  On the coarse plant grid (step 1/4) every plant has
+    # its root at -1/(256a), inside the unit disc, so there is no witness.
+    plant = TransferFunction([Fraction(1, 4)], [1, 0])
     fam = PlantFamily(plant, delta_den=[2, 0],
-                      plant_format=DEFAULT_PLANT_FORMAT)
-    c = make_controller([0], [1])
+                      plant_format=FixedPointFormat(4, 2))
+    c = make_controller([Fraction(1, 64)], [1])
     with pytest.raises(CounterexampleExtractionFailed,
                        match=r"leading coefficient of S changes sign .*"
                              r"vertex signs: 1 \+, 1 -"):
         verify_uncertainty(c, fam)
     assert verify_precision(c, fam).status is Status.UNKNOWN
+
+
+def test_lead_sign_change_gives_grid_witness():
+    # S = Gd = a·z - 1/2 with a in [-1, 3]: the grid plants beside a = 0
+    # have a root far outside the unit circle.  The plant just below the
+    # zero comes first.
+    plant = TransferFunction([Fraction(1, 10)], [1, Fraction(-1, 2)])
+    fam = PlantFamily(plant, delta_den=[2, 0],
+                      plant_format=DEFAULT_PLANT_FORMAT)
+    c = make_controller([0], [1])
+    cex = verify_uncertainty(c, fam)
+    assert cex.den.coeffs == (-DEFAULT_PLANT_FORMAT.step, Fraction(-1, 2))
+    assert concrete_verdict(c, cex).status is Status.UNSTABLE
+    num_iv, den_iv = family_grid_box(fam)
+    assert cex.num.coeffs[0] == num_iv.coeffs[0].lo
+    assert verify_precision(c, fam).status is Status.UNKNOWN
+    # A vertex lead of zero: a in [0, 2]; the zero is at the low end.
+    fam = PlantFamily(TransferFunction([1], [1, Fraction(1, 4)]),
+                      delta_den=[1, 0], plant_format=DEFAULT_PLANT_FORMAT)
+    cex = verify_uncertainty(make_controller([0], [1]), fam)
+    assert cex.den.coeffs == (DEFAULT_PLANT_FORMAT.step, Fraction(1, 4))
+    # The two-stage engine turns the witness into a counterexample.
+    result = cegis_two_stage(fam, F416, (0, 0), seed=1,
+                             limits=Limits(max_iterations=3))
+    assert result.reason != "counterexample-extraction-failed"
+    assert result.transcript[1]["phase"] == "counterexample"
 
 
 def _fuzz_family(rng, fmt, near_edge_case):

@@ -2,7 +2,10 @@
 
 import io
 import json
+import os
 import pathlib
+import subprocess
+import sys
 from contextlib import redirect_stdout
 from fractions import Fraction
 
@@ -11,7 +14,8 @@ import pytest
 from dcsynth.cli import main
 from dcsynth.fixedpoint import FixedPointFormat, quantize_truncate
 
-BENCH_DIR = pathlib.Path(__file__).resolve().parents[1] / "benchmarks"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+BENCH_DIR = ROOT / "benchmarks"
 CRUISE = str(BENCH_DIR / "cruise.bench")
 STABLE_CTL = str(BENCH_DIR / "cruise_stable.ctl")
 UNSTABLE_CTL = str(BENCH_DIR / "cruise_quantized_unstable.ctl")
@@ -165,3 +169,33 @@ def test_rounding_flag_is_verify_only(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["synth", CRUISE, "--rounding", "nearest"])
     assert exc.value.code == 2
+
+
+def imported_modules(*args):
+    """Top-level names of every module a fresh `python -X importtime ARGS`
+    imports from its start to its exit, with dcsynth taken from src/."""
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                         os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-X", "importtime", *args],
+                          env=dict(os.environ, PYTHONPATH=path), cwd=ROOT,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode in (0, 1), proc.stderr[-2000:]
+    return {line.rsplit("|", 1)[1].strip().split(".")[0]
+            for line in proc.stderr.splitlines()
+            if line.startswith("import time:")}
+
+
+def test_cli_import_loads_neither_numpy_nor_mpmath():
+    loaded = imported_modules("-c", "import dcsynth.cli")
+    assert "dcsynth" in loaded
+    assert not loaded & {"numpy", "mpmath"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["synth", CRUISE, "--engine", "two"],
+    ["synth", CRUISE, "--engine", "one"],
+    ["verify", CRUISE, "--controller", STABLE_CTL],
+], ids=["synth-two", "synth-one", "verify"])
+def test_cli_runs_without_numpy(argv):
+    loaded = imported_modules("-m", "dcsynth", *argv, "--report", "json")
+    assert "dcsynth" in loaded and "numpy" not in loaded

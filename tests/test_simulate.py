@@ -2,15 +2,18 @@
 
 import io
 import math
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from dcsynth.errors import ArithmeticOverflow, DegenerateLoop
+from dcsynth.errors import (ArithmeticOverflow, DegenerateLoop,
+                            EvaluationSingularity)
 from dcsynth.fixedpoint import FixedPointFormat, quantize_poly
-from dcsynth.simulate import (NoiseModel, frequency_margins,
-                              sensitivity_functions, step_response,
-                              write_margins)
+from dcsynth.simulate import (NoiseModel, _controller_polys, _wrap_margin,
+                              frequency_margins, sensitivity_functions,
+                              step_response, write_margins)
 from dcsynth.transfer import Controller, TransferFunction, poly_add
 
 F416 = FixedPointFormat(4, 16)
@@ -110,6 +113,89 @@ def test_margins_of_cruise_loop():
     assert 0 < pm < 180
     gm_bad, _ = frequency_margins(UNSTABLE_CTL, CRUISE, T)
     assert gm_bad < 0
+
+
+def numpy_loop_response(controller, plant, omegas, T):
+    cn, cd, _ = _controller_polys(controller)
+    z = np.exp(1j * omegas * float(T))
+    num = (np.polyval([float(c) for c in cn.coeffs], z)
+           * np.polyval([float(c) for c in plant.num.coeffs], z))
+    den = (np.polyval([float(c) for c in cd.coeffs], z)
+           * np.polyval([float(c) for c in plant.den.coeffs], z))
+    if np.any(den == 0) or not np.all(np.isfinite(den)):
+        raise EvaluationSingularity("loop pole on the evaluation grid")
+    return num / den
+
+
+def numpy_frequency_margins(controller, plant, T, points=20000):
+    """frequency_margins as it was, in numpy arrays."""
+    w_max = math.pi / float(T)
+    omegas = np.logspace(math.log10(w_max) - 6, math.log10(w_max), points,
+                         endpoint=False)[1:]
+    try:
+        resp = numpy_loop_response(controller, plant, omegas, T)
+    except EvaluationSingularity:
+        omegas = omegas * (1 + 1e-9)
+        resp = numpy_loop_response(controller, plant, omegas, T)
+    mag = np.abs(resp)
+    phase = np.unwrap(np.angle(resp))
+    gm_candidates = []
+    shifted = (phase + math.pi) / (2 * math.pi)
+    wraps = np.floor(shifted)
+    for i in np.nonzero(np.diff(wraps) != 0)[0]:
+        p0, p1 = shifted[i], shifted[i + 1]
+        target = max(wraps[i], wraps[i + 1])
+        if p1 == p0:
+            continue
+        frac = (target - p0) / (p1 - p0)
+        m = mag[i] + frac * (mag[i + 1] - mag[i])
+        if m > 0:
+            gm_candidates.append(-20 * math.log10(m))
+    m_nyq = abs(numpy_loop_response(controller, plant, np.array([w_max]),
+                                    T)[0])
+    if m_nyq > 0:
+        gm_candidates.append(-20 * math.log10(m_nyq))
+    pm_candidates = []
+    above = mag >= 1.0
+    for i in np.nonzero(np.diff(above))[0]:
+        m0, m1 = mag[i], mag[i + 1]
+        frac = (1.0 - m0) / (m1 - m0) if m1 != m0 else 0.5
+        ph = phase[i] + frac * (phase[i + 1] - phase[i])
+        pm_candidates.append(_wrap_margin(math.degrees(ph) + 180.0))
+    if np.all(above) and abs(mag[0] - 1.0) < 1e-12:
+        pm_candidates.append(_wrap_margin(math.degrees(phase[0]) + 180.0))
+    return (float(min(gm_candidates)) if gm_candidates else math.inf,
+            float(min(pm_candidates)) if pm_candidates else math.inf)
+
+
+def test_margins_match_numpy_reference():
+    # The two cruise loops and 52 seeded random loops of controller and
+    # plant orders up to 2 and 3.  The grid, Horner order, unwrap rule and
+    # interpolation are numpy's; its vectorised exp, power and complex
+    # division may round differently in the last bit.
+    rng = random.Random(41)
+
+    def poly(degree):
+        return [Fraction(rng.randint(-2000, 2000), 1000)
+                for _ in range(degree + 1)]
+
+    loops = [(STABLE_CTL, CRUISE, T), (UNSTABLE_CTL, CRUISE, T)]
+    while len(loops) < 54:
+        cn, cd = poly(rng.randint(0, 2)), poly(rng.randint(0, 2))
+        gn, gd = poly(rng.randint(0, 2)), poly(rng.randint(1, 3))
+        if cd[0] and gd[0]:
+            loops.append((TransferFunction(cn, cd), TransferFunction(gn, gd),
+                          Fraction(rng.randint(1, 100), 100)))
+    finite = 0
+    for controller, plant, t in loops:
+        got = frequency_margins(controller, plant, t)
+        expected = numpy_frequency_margins(controller, plant, t)
+        for x, y in zip(got, expected):
+            assert round(x, 6) == round(y, 6), (controller, plant, t)
+            if math.isfinite(y):
+                finite += 1
+                assert x == pytest.approx(y, rel=1e-9, abs=0)
+    assert finite >= 80
 
 
 def test_write_margins_format():

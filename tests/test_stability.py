@@ -15,7 +15,7 @@ from dcsynth.intervals import IntervalPoly, RationalInterval
 from dcsynth.stability import (Status, has_root, jury_conditions, jury_stable,
                                jury_stable_interval, root_oracle,
                                segment_chain)
-from dcsynth.transfer import Poly, poly_mul
+from dcsynth.transfer import Poly, poly_mul, poly_roots
 
 
 def test_known_verdicts():
@@ -222,6 +222,63 @@ def test_root_oracle():
         root_oracle(Poly([1]))
 
 
+def numpy_root_oracle(s):
+    """The root oracle as it was: companion-matrix eigenvalues."""
+    roots = np.roots([float(c) for c in s.normalize().coeffs])
+    return float(max(abs(roots))) if len(roots) else 0.0
+
+
+def test_root_oracle_matches_companion_eigenvalues():
+    # 2100 seeded polynomials of degree 1-10 whose roots are simple with
+    # probability one: random coefficients at mixed scales, and products
+    # of random real roots and conjugate pairs.
+    rng = random.Random(31)
+    worst = 0.0
+    for k in range(2100):
+        degree = rng.randint(1, 10)
+        if k % 3 == 2:
+            coeffs = random_stable_poly(rng, degree, 0.05, 10 ** 12)
+            coeffs = [c * rng.choice((1, 3, 10)) for c in coeffs]
+        else:
+            scale = 10.0 ** rng.randint(-3, 3) if k % 3 else 1.0
+            coeffs = [Fraction(rng.uniform(-2, 2) * scale)
+                      for _ in range(degree + 1)]
+        p = Poly(coeffs)
+        rho, expected = root_oracle(p), numpy_root_oracle(p)
+        worst = max(worst, abs(rho - expected) / expected)
+    assert worst <= 1e-9
+
+
+def test_root_oracle_on_repeated_roots():
+    # (z - r)^m: a backward-stable root finder moves an m-fold root by up
+    # to 2|r|·eta^(1/m) for a relative coefficient error eta; eta = 8m·eps
+    # covers the stopping rule's 4 eps and the rounding of m Horner steps.
+    rng = random.Random(32)
+    eps = 2.0 ** -52
+    for m in range(1, 9):
+        for _ in range(40):
+            r = Fraction(rng.uniform(0.01, 3) * rng.choice((1, -1)))
+            coeffs = [Fraction(1)]
+            for _ in range(m):
+                coeffs = [x - r * y for x, y in zip(coeffs + [0], [0] + coeffs)]
+            bound = 2 * abs(float(r)) * (8 * m * eps) ** (1 / m)
+            assert abs(root_oracle(Poly(coeffs)) - abs(float(r))) <= bound
+
+
+def test_root_oracle_edge_cases():
+    # Zero roots are split off exactly; degree 1 is solved directly;
+    # leading zeros are not roots at infinity.
+    assert root_oracle(Poly([1, 0, 0])) == 0.0
+    assert root_oracle(Poly([2, -1, 0, 0])) == 0.5
+    assert root_oracle(Poly([1, 0, Fraction(-1, 4), 0])) == pytest.approx(0.5)
+    assert root_oracle(Poly([4, 3])) == 0.75
+    assert root_oracle(Poly([0, 0, -2, 5])) == 2.5
+    assert root_oracle(Poly([0, 1, 0, -4])) == pytest.approx(2.0)
+    for p in (Poly([0, 3, 1, -7, 0]), Poly([Fraction(1, 3), 0, 0, 2])):
+        assert root_oracle(p) == pytest.approx(numpy_root_oracle(p), rel=1e-12)
+    assert poly_roots([0, 0, 1, -2, 0]) == [2, 0]
+
+
 def random_stable_poly(rng, degree, min_modulus=0.5, scale=1000):
     """Seeded polynomial with roots of modulus in [min_modulus, 0.99],
     coefficients rounded to multiples of 1/scale (which may move a root
@@ -242,7 +299,7 @@ def random_stable_poly(rng, degree, min_modulus=0.5, scale=1000):
 
 def sweep_max_modulus(p0, p1, ts):
     """Largest root modulus of (1-t)·p0 + t·p1 over the points `ts`:
-    root_oracle's companion-matrix eigenvalues, batched."""
+    `numpy_root_oracle`'s companion-matrix eigenvalues, batched."""
     f0, f1 = (np.array([float(c) for c in p]) for p in (p0, p1))
     members = (1 - ts)[:, None] * f0 + ts[:, None] * f1
     n = len(f0) - 1
@@ -275,7 +332,7 @@ def test_segment_test_matches_root_sweep():
             rho = sweep_max_modulus(p0, p1, ts)
         assert abs(rho - 1) > 1e-9 and (rho > 1) == exact_unstable, (p0, p1)
     assert unstable >= 30
-    # The batched sweep is the root oracle's computation.
+    # The batched sweep agrees with the root oracle.
     for t in (0, Fraction(1, 3), 1):
         member = [(1 - t) * a + t * b for a, b in zip(p0, p1)]
         assert sweep_max_modulus(p0, p1, np.array([float(t)])) == \
