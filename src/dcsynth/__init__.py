@@ -12,8 +12,8 @@ from .cegis import (Limits, SynthesisResult, cegis_one_stage, cegis_two_stage,
                     synthesize_candidate, verify_precision, verify_uncertainty)
 from .discretize import ContinuousTF, zoh_discretize
 from .errors import (ArithmeticOverflow, CounterexampleExtractionFailed,
-                     DcsynthError, DegenerateCharPoly, DegenerateLoop,
-                     DivisionByZero, DivisorContainsZero,
+                     DcsynthError, DeadlineExceeded, DegenerateCharPoly,
+                     DegenerateLoop, DivisionByZero, DivisorContainsZero,
                      EvaluationSingularity, ImproperTransferFunction,
                      NoCandidate, NonpositiveSampleTime, Overflow, ParseError,
                      ValidationError)

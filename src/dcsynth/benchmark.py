@@ -137,6 +137,9 @@ def parse_benchmark(path) -> BenchmarkSpec:
                        linenos["controller_orders"])
     if orders[0] < 0 or orders[1] < 0:
         raise ValidationError("controller orders must be nonnegative")
+    if orders[0] > orders[1]:
+        raise ValidationError("controller numerator order exceeds its "
+                              "denominator order (not causal)")
 
     return BenchmarkSpec(
         name=entries["name"],

@@ -19,10 +19,9 @@ import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import NamedTuple
 
-from .errors import (CounterexampleExtractionFailed, DegenerateCharPoly,
-                     NoCandidate)
+from .errors import (CounterexampleExtractionFailed, DeadlineExceeded,
+                     DegenerateCharPoly, NoCandidate)
 from .fixedpoint import FixedPointFormat, FixedPointValue
 from .intervals import (IntervalPoly, family_grid_box,
                         family_to_interval_poly, ipoly_add, ipoly_mul)
@@ -87,8 +86,10 @@ def concrete_verdict(candidate: Controller, plant: TransferFunction) -> JuryVerd
     return v
 
 
-def _past(deadline):
-    return deadline is not None and time.perf_counter() > deadline
+def _check_deadline(deadline):
+    """Raises DeadlineExceeded once a time.perf_counter() `deadline` passed."""
+    if deadline is not None and time.perf_counter() > deadline:
+        raise DeadlineExceeded("deadline passed")
 
 
 @dataclass
@@ -106,7 +107,8 @@ class _Climb:
 def _grid_search(n_coeffs, fmt, seed, budget, evaluate, num_len,
                  deadline=None, evaluate_batch=None):
     """Deterministic seeded hill climbing with restarts over raw-integer
-    coordinates; returns an accepted raw vector or raises NoCandidate.
+    coordinates; returns an accepted raw vector, or raises NoCandidate, or
+    DeadlineExceeded past the `deadline`.
 
     evaluate(raws) -> (accepted, cost); cost 0.0 only for accepted points.
     evaluate_batch(points), if given, yields the same pairs for a list of
@@ -115,8 +117,10 @@ def _grid_search(n_coeffs, fmt, seed, budget, evaluate, num_len,
     They settle in pool order, and a restart's acceptance counts only when
     every earlier one has failed and all their evaluations and its own fit
     the budget: the result and the budget accounting are those of running
-    the restarts one at a time.  The denominator leading raw (index
-    num_len) is kept nonzero.
+    the restarts one at a time.  The climbs never step the denominator
+    leading raw (index num_len) to zero and the sweep skips such points, but
+    the origin probe and its climb start at zero: `evaluate` must penalize
+    those points.
     """
     rng = random.Random(seed)
     limit = fmt.raw_limit
@@ -125,7 +129,8 @@ def _grid_search(n_coeffs, fmt, seed, budget, evaluate, num_len,
     used = failed = 0  # the failed restarts' evaluations, and their count
     climbs = []  # the restarts under way, in pool order
     closed = False  # no restart past the last one in `climbs` can count
-    while not _past(deadline):
+    while True:
+        _check_deadline(deadline)
         while climbs and not climbs[0].running:
             head = climbs.pop(0)
             if head.accepted is not None and used + head.evals <= budget:
@@ -166,8 +171,9 @@ def _grid_search(n_coeffs, fmt, seed, budget, evaluate, num_len,
                         del climbs[climbs.index(climb) + 1:]
                         closed = True
                         break
-            if ended or _past(deadline):
+            if ended:
                 break
+            _check_deadline(deadline)
 
     # Exhaustive sweep is feasible only for tiny grids; it turns a failed
     # search into a proof that no candidate exists.
@@ -176,7 +182,8 @@ def _grid_search(n_coeffs, fmt, seed, budget, evaluate, num_len,
         values = range(-limit + 1, limit)
         points = (raws for raws in itertools.product(values, repeat=n_coeffs)
                   if raws[num_len] != 0)
-        while not _past(deadline):
+        while True:
+            _check_deadline(deadline)
             chunk = list(itertools.islice(points, SIDE_BY_SIDE))
             if not chunk:
                 break
@@ -233,7 +240,8 @@ def _start_pool(rng, n_coeffs, num_len, limit, one):
 def synthesize_candidate(inputs, controller_format: FixedPointFormat, orders,
                          seed: int, budget: int, deadline=None) -> Controller:
     """Find a controller whose closed loop is exactly Jury-stable against
-    every plant in `inputs`."""
+    every plant in `inputs`; raises NoCandidate, or DeadlineExceeded past
+    the `deadline`."""
     if orders[0] < 0 or orders[1] < 0:
         raise ValueError("controller orders must be >= 0")
     if budget <= 0:
@@ -373,19 +381,6 @@ def _make_plant(num_coeffs, den_coeffs) -> TransferFunction | None:
     return TransferFunction(Poly(num_coeffs), Poly(den_coeffs))
 
 
-def _check_deadline(deadline):
-    if _past(deadline):
-        raise CounterexampleExtractionFailed("deadline passed")
-
-
-class _LeadZeros(NamedTuple):
-    """Why a box verdict is Unknown: the leading coefficient of S changes
-    sign or vanishes over the box.  `edges` holds (end corners, t) for each
-    edge along which it has a single zero, at t."""
-    cause: str
-    edges: list
-
-
 def verify_uncertainty(candidate: Controller, family: PlantFamily,
                        deadline=None):
     """First (fast) verification stage over the representable-plant box.
@@ -395,25 +390,34 @@ def verify_uncertainty(candidate: Controller, family: PlantFamily,
     and the precision stage, whose box contains the edge, rejects.  Raises
     CounterexampleExtractionFailed when the lead of S changes sign or
     vanishes over the box and no grid plant beside its zeros is unstable,
-    or past the `deadline` (a time.perf_counter() value)."""
+    and DeadlineExceeded past the `deadline` (a time.perf_counter() value)."""
     num_iv, den_iv = family_grid_box(family)
-    verdict, evidence = _box_verdict(candidate, num_iv, den_iv, deadline)
-    if verdict.status is Status.STABLE:
-        return None
+    _, evidence, cause = _box_verdict(candidate, num_iv, den_iv, deadline,
+                                      family.plant_format)
     if isinstance(evidence, TransferFunction):
         return evidence
-    if isinstance(evidence, _LeadZeros):
-        witness = _lead_witness(candidate, family, evidence.edges, deadline)
-        if witness is None:
-            raise CounterexampleExtractionFailed(evidence.cause)
-        return witness
-    return _edge_witness(candidate, family, *evidence)
+    for lo, hi, positions in evidence:
+        _check_deadline(deadline)
+        for t in positions:
+            num = [x + (y - x) * t for x, y in zip(lo[0], hi[0])]
+            den = [x + (y - x) * t for x, y in zip(lo[1], hi[1])]
+            plant = _make_plant(num, den)
+            if (plant is not None
+                    and not concrete_verdict(candidate, plant).is_stable):
+                return plant
+    if cause is not None:
+        raise CounterexampleExtractionFailed(cause)
+    return None
 
 
-def _box_verdict(candidate, num_iv, den_iv, deadline):
-    """Verdict of the closed loop over a box of plants, and its evidence:
-    an unstable vertex plant, an unstable edge (end vertices, Sturm chain),
-    the zeros of the lead of S behind an Unknown (`_LeadZeros`), or None.
+def _box_verdict(candidate, num_iv, den_iv, deadline, grid=None):
+    """Verdict of the closed loop over a box of plants, its evidence, and
+    the cause of an Unknown verdict (else None).  The evidence is an
+    unstable vertex plant or a list of failing edges, each (low corner, high
+    corner, positions): the positions t in [0, 1] of the plant-`grid` points
+    on the edge worth trying, the one at or just past the first root of an
+    unstable edge, or the two either side of a zero of the lead of S.
+    Without a grid, only the ends are grid points.
     A Stable or Unstable interval Jury verdict stands; else exact Jury
     decides each vertex, then the segment test each edge: S is affine in
     the plant, so a box over which its degree is constant is stable iff
@@ -422,7 +426,7 @@ def _box_verdict(candidate, num_iv, den_iv, deadline):
     verdict = jury_stable_interval(_interval_char_poly(candidate, num_iv,
                                                        den_iv))
     if verdict.status is Status.STABLE:
-        return verdict, None
+        return verdict, [], None
     cn = [v.value for v in candidate.num]
     cd = [v.value for v in candidate.den]
     corners = list(_box_vertices(num_iv, den_iv))
@@ -435,9 +439,18 @@ def _box_verdict(candidate, num_iv, den_iv, deadline):
             continue
         v = concrete_verdict(candidate, plant)
         if v.status is Status.UNSTABLE:
-            return (verdict if verdict.status is Status.UNSTABLE else v), plant
+            return (verdict if verdict.status is Status.UNSTABLE else v,
+                    plant, None)
         margin = v.margin if margin is None else min(margin, v.margin)
         polys.append(closed_loop_coeffs(cn, num_c, cd, den_c, Fraction(0)))
+
+    def grid_steps(lo, hi):  # the corners differ in one coefficient
+        if grid is None:
+            return 1
+        width = max(y - x for a, b in zip(corners[lo], corners[hi])
+                    for x, y in zip(a, b))
+        return int(width / grid.step)
+
     # The leading coefficient of S is affine too: one strict sign at every
     # vertex keeps it off zero, and the degree of S constant, over the box.
     top = min(next(i for i, c in enumerate(p) if c) for p in polys if p)
@@ -446,79 +459,48 @@ def _box_verdict(candidate, num_iv, den_iv, deadline):
     edges = [(lo, lo | 1 << bit) for bit in range(len(polys).bit_length() - 1)
              for lo in range(len(polys)) if not lo >> bit & 1]
     if len(set(signs)) > 1:
-        counts = ", ".join(f"{signs.count(s)} {s}" for s in "+0-" if s in signs)
-        zeros = []
+        counts = ", ".join(f"{signs.count(s)} {s}" for s in "+0-"
+                           if s in signs)
+        failing = []
         for lo, hi in edges:
             a, b = leads[lo], leads[hi]
             if None not in (a, b) and a != b and a * b <= 0:
-                zeros.append((corners[lo], corners[hi], a / (a - b)))
-        return verdict, _LeadZeros(
+                n, t = grid_steps(lo, hi), a / (a - b)
+                failing.append((corners[lo], corners[hi], [
+                    Fraction(k, n) for k in (math.ceil(t * n) - 1,
+                                             math.floor(t * n) + 1)
+                    if 0 <= k <= n]))
+        return verdict, failing, (
             "leading coefficient of S changes sign or vanishes over the box "
-            f"(vertex signs: {counts})", zeros)
+            f"(vertex signs: {counts})")
     for lo, hi in edges:
         _check_deadline(deadline)
         chain = segment_chain(polys[lo][top:], polys[hi][top:])
         if has_root(chain, 0, 1):
+            n = grid_steps(lo, hi)
             return (JuryVerdict(Status.UNSTABLE, "edge", Fraction(0)),
-                    (corners[lo], corners[hi], chain))
-    return JuryVerdict(Status.STABLE, None, margin), None
+                    [(corners[lo], corners[hi],
+                      [Fraction(_first_root_step(chain, n), n)])], None)
+    return JuryVerdict(Status.STABLE, None, margin), [], None
 
 
-def _edge_grid(family, lo_corner, hi_corner):
-    """The number of plant-grid steps along an edge, and a function giving
-    the plant k steps from its low end (None where the den is all zero).
-    Without a plant grid, the only grid points are the ends."""
-    a = list(lo_corner[0] + lo_corner[1])
-    b = list(hi_corner[0] + hi_corner[1])
-    i = next(j for j, (x, y) in enumerate(zip(a, b)) if x != y)
-    fmt = family.plant_format
-    steps = int((b[i] - a[i]) / fmt.step) if fmt is not None else 1
-    nn = len(lo_corner[0])
-
-    def plant(k):
-        point = list(a)
-        point[i] += (b[i] - a[i]) * Fraction(k, steps)
-        return _make_plant(point[:nn], point[nn:])
-    return steps, plant
-
-
-def _unstable(candidate, plant):
-    return plant is not None and not concrete_verdict(candidate, plant).is_stable
-
-
-def _edge_witness(candidate, family, lo_corner, hi_corner, chain):
-    """The grid plant at or just past the first root of the edge's Hurwitz
-    minor (Sturm bisection over the grid steps) if it is unstable, else
-    None."""
-    steps, plant_at = _edge_grid(family, lo_corner, hi_corner)
-    below, past = 0, steps  # no root on [0, below/steps]; one on [0, past/steps]
+def _first_root_step(chain, n):
+    """The least k for which the chain's polynomial has a root on [0, k/n],
+    given one on [0, 1] (Sturm bisection)."""
+    below, past = 0, n  # no root on [0, below/n]; one on [0, past/n]
     while past - below > 1:
         mid = (below + past) // 2
-        if has_root(chain, 0, Fraction(mid, steps)):
+        if has_root(chain, 0, Fraction(mid, n)):
             past = mid
         else:
             below = mid
-    plant = plant_at(past)
-    return plant if _unstable(candidate, plant) else None
-
-
-def _lead_witness(candidate, family, edges, deadline):
-    """The first unstable grid plant among those just below and just above
-    the zero at t of the lead of S, edge by edge, else None."""
-    for lo_corner, hi_corner, t in edges:
-        _check_deadline(deadline)
-        steps, plant_at = _edge_grid(family, lo_corner, hi_corner)
-        for k in (math.ceil(t * steps) - 1, math.floor(t * steps) + 1):
-            plant = plant_at(k) if 0 <= k <= steps else None
-            if _unstable(candidate, plant):
-                return plant
-    return None
+    return past
 
 
 def verify_precision(candidate: Controller, family: PlantFamily,
                      deadline=None):
     """Second (sound) stage: `_box_verdict` over the fully inflated family;
-    raises CounterexampleExtractionFailed past the `deadline`."""
+    raises DeadlineExceeded past the `deadline`."""
     num_iv, den_iv = family_to_interval_poly(family)
     return _box_verdict(candidate, num_iv, den_iv, deadline)[0]
 
@@ -539,12 +521,6 @@ def _describe_plant(p: TransferFunction):
             "den": [str(c) for c in p.den.coeffs]}
 
 
-def _failure_reason(reason: str, deadline: float) -> str:
-    """A run that fails once its deadline has passed reports the timeout,
-    whichever stage noticed it first."""
-    return "timeout" if time.perf_counter() > deadline else reason
-
-
 def cegis_two_stage(family: PlantFamily, controller_format: FixedPointFormat,
                     orders, seed: int, limits: Limits | None = None) -> SynthesisResult:
     """Fig-4-style loop: synthesize -> uncertainty check -> precision check,
@@ -559,61 +535,61 @@ def cegis_two_stage(family: PlantFamily, controller_format: FixedPointFormat,
     iteration = 0
     transcript = []
 
-    def fail(reason):
-        return SynthesisResult(False, candidate, plant_format, iteration,
-                               time.perf_counter() - start,
-                               _failure_reason(reason, deadline), None,
-                               transcript)
+    def result(reason, certificate=None):
+        """The run's result; a run that fails once its deadline has passed
+        reports the timeout, whichever stage noticed it first."""
+        if reason is not None and time.perf_counter() > deadline:
+            reason = "timeout"
+        return SynthesisResult(reason is None, candidate, plant_format,
+                               iteration, time.perf_counter() - start, reason,
+                               certificate, transcript)
 
-    while True:
-        if time.perf_counter() > deadline:
-            return fail("timeout")
-        if iteration >= limits.max_iterations:
-            return fail("iteration-limit")
-        iteration += 1
-        fam = family.with_format(plant_format)
-        try:
+    try:
+        while True:
+            _check_deadline(deadline)
+            if iteration >= limits.max_iterations:
+                return result("iteration-limit")
+            iteration += 1
+            fam = family.with_format(plant_format)
             candidate = synthesize_candidate(
                 inputs, controller_format, orders, seed + iteration,
                 limits.synth_budget, deadline=deadline)
-        except NoCandidate:
-            return fail("no-candidate")
-        transcript.append({"phase": "synthesize", "iteration": iteration,
-                           "candidate": describe_controller(candidate),
-                           "inputs": len(inputs)})
-        try:
+            transcript.append({"phase": "synthesize", "iteration": iteration,
+                               "candidate": describe_controller(candidate),
+                               "inputs": len(inputs)})
             cex = verify_uncertainty(candidate, fam, deadline)
-        except CounterexampleExtractionFailed:
-            return fail("counterexample-extraction-failed")
-        if cex is not None:
-            inputs.append(cex)
-            transcript.append({"phase": "counterexample",
-                               "iteration": iteration,
-                               "plant": _describe_plant(cex)})
-            continue
-        transcript.append({"phase": "uncertainty-ok", "iteration": iteration})
-        try:
+            if cex is not None:
+                inputs.append(cex)
+                transcript.append({"phase": "counterexample",
+                                   "iteration": iteration,
+                                   "plant": _describe_plant(cex)})
+                continue
+            transcript.append({"phase": "uncertainty-ok",
+                               "iteration": iteration})
             verdict = verify_precision(candidate, fam, deadline)
-        except CounterexampleExtractionFailed:  # only the deadline raises here
-            return fail("timeout")
-        if verdict.status is Status.STABLE:
-            transcript.append({"phase": "precision-ok",
+            if verdict.status is Status.STABLE:
+                transcript.append({"phase": "precision-ok",
+                                   "iteration": iteration,
+                                   "plant_format": str(plant_format)})
+                return result(None, verdict)
+            next_fmt = FixedPointFormat(
+                plant_format.integer_bits + PRECISION_STEP[0],
+                plant_format.fraction_bits + PRECISION_STEP[1])
+            transcript.append({"phase": "increase-precision",
                                "iteration": iteration,
-                               "plant_format": str(plant_format)})
-            return SynthesisResult(True, candidate, plant_format, iteration,
-                                   time.perf_counter() - start, None,
-                                   verdict, transcript)
-        next_fmt = FixedPointFormat(
-            plant_format.integer_bits + PRECISION_STEP[0],
-            plant_format.fraction_bits + PRECISION_STEP[1])
-        transcript.append({"phase": "increase-precision",
-                           "iteration": iteration,
-                           "plant_format": str(next_fmt)})
-        if (next_fmt.integer_bits > limits.max_precision.integer_bits
-                or next_fmt.fraction_bits > limits.max_precision.fraction_bits):
-            return fail("precision-limit")
-        plant_format = next_fmt
-        inputs.clear()  # stale: they were found at lower precision
+                               "plant_format": str(next_fmt)})
+            if (next_fmt.integer_bits > limits.max_precision.integer_bits
+                    or next_fmt.fraction_bits
+                    > limits.max_precision.fraction_bits):
+                return result("precision-limit")
+            plant_format = next_fmt
+            inputs.clear()  # stale: they were found at lower precision
+    except DeadlineExceeded:
+        return result("timeout")
+    except NoCandidate:
+        return result("no-candidate")
+    except CounterexampleExtractionFailed:
+        return result("counterexample-extraction-failed")
 
 
 def cegis_one_stage(family: PlantFamily, controller_format: FixedPointFormat,
@@ -627,12 +603,6 @@ def cegis_one_stage(family: PlantFamily, controller_format: FixedPointFormat,
     fam = family.with_format(fmt_p)
     num_iv, den_iv = family_to_interval_poly(fam)
     transcript = []
-
-    if time.perf_counter() > deadline:
-        return SynthesisResult(False, None, fmt_p, 0,
-                               time.perf_counter() - start, "timeout", None,
-                               transcript)
-
     n_coeffs = orders[0] + orders[1] + 2
 
     def evaluate(raws):
@@ -644,20 +614,24 @@ def cegis_one_stage(family: PlantFamily, controller_format: FixedPointFormat,
             return True, 0.0
         return False, float(-min(v.margin, Fraction(0))) + 1e-9
 
+    def result(reason, controller=None, certificate=None):
+        if reason is not None and time.perf_counter() > deadline:
+            reason = "timeout"
+        return SynthesisResult(reason is None, controller, fmt_p, 1,
+                               time.perf_counter() - start, reason,
+                               certificate, transcript)
+
     try:
         raws = _grid_search(n_coeffs, controller_format, seed + 1,
                             limits.synth_budget, evaluate, orders[0] + 1,
                             deadline=deadline)
+    except DeadlineExceeded:
+        return result("timeout")
     except NoCandidate:
-        return SynthesisResult(False, None, fmt_p, 1,
-                               time.perf_counter() - start,
-                               _failure_reason("no-candidate", deadline),
-                               None, transcript)
+        return result("no-candidate")
     controller = _controller_from_raws(raws, controller_format, orders)
     verdict = jury_stable_interval(_interval_char_poly(controller, num_iv, den_iv))
     transcript.append({"phase": "one-stage-accept",
                        "candidate": describe_controller(controller),
                        "plant_format": str(fmt_p)})
-    return SynthesisResult(True, controller, fmt_p, 1,
-                           time.perf_counter() - start, None, verdict,
-                           transcript)
+    return result(None, controller, verdict)

@@ -98,6 +98,12 @@ def run_verify(spec: BenchmarkSpec, controller_coeffs, rounding: str,
     fmt = file_fmt or spec.controller_format
     controller = Controller(quantize_poly(num, fmt, rounding),
                             quantize_poly(den, fmt, rounding))
+    # The controller update divides by the denominator's leading
+    # coefficient, with the denominator front-padded to the numerator.
+    if (len(controller.num) > len(controller.den)
+            or controller.den[0].raw == 0):
+        raise ValidationError("controller is not causal: zero leading "
+                              "coefficient of the padded denominator")
     s = char_poly(controller, spec.plant)
     verdict = jury_stable(s)
     sound = verify_precision(controller, spec.family)
@@ -199,6 +205,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "verify" and args.steps < 1:
+        parser.error("--steps must be at least 1")
     try:
         spec = parse_benchmark(args.file)
         if args.command == "synth":

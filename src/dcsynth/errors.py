@@ -46,7 +46,14 @@ class EvaluationSingularity(DcsynthError):
 
 
 class CounterexampleExtractionFailed(DcsynthError):
-    """Unknown box verdict (the lead of S changes sign), or deadline passed."""
+    """The box verdict is Unknown: the leading coefficient of the closed-loop
+    polynomial S changes sign or vanishes over the plant box, so its degree
+    is not constant there, and no grid plant beside its zeros is unstable."""
+
+
+class DeadlineExceeded(DcsynthError):
+    """The synthesis deadline passed; raised by the candidate search and by
+    both verification stages, and reported by the engines as `timeout`."""
 
 
 class NoCandidate(DcsynthError):

@@ -100,6 +100,19 @@ controller_orders = 1,1
         parse_benchmark(p)
 
 
+def test_noncausal_controller_orders_rejected(tmp_path):
+    p = write(tmp_path, """
+name = broken
+domain = z
+num = 1
+den = 1, -0.5
+controller_format = 4,16
+controller_orders = 2,1
+""")
+    with pytest.raises(ValidationError, match="not causal"):
+        parse_benchmark(p)
+
+
 def test_missing_keys(tmp_path):
     p = write(tmp_path, "name = x\n")
     with pytest.raises(ValidationError) as err:

@@ -13,7 +13,8 @@ from dcsynth.cegis import (DEFAULT_PLANT_FORMAT, Limits, cegis_one_stage,
                            cegis_two_stage, concrete_verdict,
                            synthesize_candidate, verify_precision,
                            verify_uncertainty)
-from dcsynth.errors import CounterexampleExtractionFailed, NoCandidate
+from dcsynth.errors import (CounterexampleExtractionFailed, DeadlineExceeded,
+                            NoCandidate)
 from dcsynth.fixedpoint import FixedPointFormat, quantize_poly
 from dcsynth.intervals import family_grid_box, family_to_interval_poly
 from dcsynth.stability import (Status, jury_stable, jury_stable_interval,
@@ -65,6 +66,20 @@ def test_exhaustive_sweep_after_spent_budget():
     hopeless = TransferFunction([0], [1, Fraction(-3, 2)])
     with pytest.raises(NoCandidate):
         synthesize_candidate([hopeless], fmt, (0, 0), seed=1, budget=1)
+
+
+def test_search_past_deadline_raises_deadline_exceeded():
+    with pytest.raises(DeadlineExceeded):
+        synthesize_candidate([CRUISE], F416, (2, 2), seed=1, budget=60000,
+                             deadline=time.perf_counter() - 1)
+
+
+def test_den_lead_penalty_keeps_controllers_causal():
+    # The origin probe and its climb start at a zero denominator lead; only
+    # the guidance penalty keeps the search from accepting such a point.
+    for seed in range(20):
+        c = synthesize_candidate([CRUISE], F416, (2, 2), seed, 60000)
+        assert c.den[0].raw != 0, seed
 
 
 def test_exhaustive_sweep_honours_deadline():
@@ -454,7 +469,7 @@ def test_box_verdict_soundness_fuzz():
 def test_uncertainty_stage_honours_deadline(monkeypatch):
     fam, c = _subdivision_case()
     for stage in (verify_uncertainty, verify_precision):
-        with pytest.raises(CounterexampleExtractionFailed):
+        with pytest.raises(DeadlineExceeded):
             stage(c, fam, deadline=time.perf_counter() - 1)
     assert verify_uncertainty(c, fam, deadline=None) is None
     # The two-stage engine hands its own deadline to both stages.

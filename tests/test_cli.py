@@ -130,11 +130,42 @@ def test_verify_trace_emission(tmp_path):
     assert len(lines) == 101
 
 
+@pytest.mark.parametrize("num,den", [
+    ("0.5, 0.25", "0, 1"),   # C(z) = (0.5z + 0.25) / 1
+    ("1", "0"),
+    ("1, 2", "1"),           # padded to the numerator: 0z + 1
+    ("1", "0.000001"),       # quantizes to zero
+], ids=["lead-zero", "zero-den", "short-den", "quantized-zero"])
+def test_verify_rejects_noncausal_controller(tmp_path, capsys, num, den):
+    ctl = tmp_path / "c.ctl"
+    ctl.write_text(f"num = {num}\nden = {den}\n")
+    assert main(["verify", CRUISE, "--controller", str(ctl)]) == 2
+    assert "not causal" in capsys.readouterr().err
+
+
+def test_verify_steps_must_be_positive(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", CRUISE, "--controller", STABLE_CTL, "--steps", "0",
+              "--trace-out", str(tmp_path / "trace.csv")])
+    assert exc.value.code == 2
+
+
 def test_parse_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.bench"
     bad.write_text("this is not valid\n")
     assert main(["synth", str(bad)]) == 2
     assert main(["synth", str(tmp_path / "missing.bench")]) == 2
+
+
+def test_synth_rejects_noncausal_orders(tmp_path, capsys):
+    # A numerator order above the denominator order is not causal.
+    bench = tmp_path / "noncausal.bench"
+    bench.write_text((ROOT / "perfbench" / "fixtures"
+                      / "double_integrator.bench").read_text().replace(
+        "controller_orders = 2,2", "controller_orders = 2,1"))
+    for engine in ("two", "one"):
+        assert main(["synth", str(bench), "--engine", engine]) == 2
+    assert "not causal" in capsys.readouterr().err
 
 
 def test_text_report_mirrors_json_fields():
