@@ -4,6 +4,10 @@ on random polynomials, and report the disagreement margin histogram near the
 unit circle (where the exact test and the float oracle legitimately split).
 Then cross-check the segment test (the edge step of the box verdict) against
 a root sweep of each segment, on random segments between stable ends.
+Last, cross-check the box verdict's "lead" label (the leading coefficient
+of the closed-loop polynomial vanishes over the box) on random families
+whose denominator lead ranges through zero: each such box must hold a
+member that exact Jury and the root oracle both find unstable.
 """
 
 import argparse
@@ -18,11 +22,16 @@ import numpy as np
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
-from dcsynth import Poly, Status, jury_stable, root_oracle
+from dcsynth import (Controller, FixedPointFormat, PlantFamily, Poly,
+                     TransferFunction, char_poly, family_to_interval_poly,
+                     jury_stable, quantize_poly, root_oracle, verify_precision)
+from dcsynth.cegis import _box_verdict
 from dcsynth.stability import has_root, segment_chain
+from dcsynth.transfer import closed_loop_coeffs
 
 SEGMENTS = 2000
 SWEEP_POINTS = 4001
+LEAD_FAMILIES = 1000
 
 
 def random_poly(rng, max_degree):
@@ -91,6 +100,74 @@ def segment_agreement(rng, exclusion):
     return disagreements
 
 
+def lead_family(rng):
+    """A random family whose denominator lead ranges over an interval
+    through zero (at an end for about half of them), with a small random
+    controller, so that most vertices are stable."""
+    def coeff(k):
+        return Fraction(rng.randint(-k, k), 1000)
+
+    def radius():
+        return Fraction(rng.randint(1, 50), 1000) if rng.random() < 0.3 else 0
+
+    order = rng.randint(1, 3)
+    den = [1] + [coeff(300) for _ in range(order)]
+    num = [Fraction(rng.choice((-1, 1)) * rng.randint(1, 500), 1000)
+           for _ in range(rng.randint(1, order + 1))]
+    lead = Fraction(rng.choice((1000, rng.randint(1100, 2500))), 1000)
+    fam = PlantFamily(TransferFunction(num, den),
+                      delta_num=[radius() for _ in num],
+                      delta_den=[lead] + [radius() for _ in range(order)],
+                      plant_format=FixedPointFormat(8, 12))
+    m = rng.randint(0, 2)
+    fmt = FixedPointFormat(4, 16)
+    return fam, Controller(
+        quantize_poly([coeff(200) for _ in range(m + 1)], fmt),
+        quantize_poly([1] + [coeff(200) for _ in range(m)], fmt))
+
+
+def unstable_beside_lead_zero(c, lo, hi):
+    """Whether an edge member beside the zero of the lead of S, at a step
+    of 1/4000 or, where the rest of S is small there, a finer one, is
+    unstable by exact Jury and by the root oracle."""
+    cn, cd = [v.value for v in c.num], [v.value for v in c.den]
+    ends = [closed_loop_coeffs(cn, num, cd, den, Fraction(0))
+            for num, den in (lo, hi)]
+    top = min(next(i for i, x in enumerate(p) if x) for p in ends)
+    a, b = (p[top] for p in ends)
+    t = a / (a - b)
+    for n in (4000 * 16 ** j for j in range(8)):
+        for k in (math.ceil(t * n) - 1, math.floor(t * n) + 1):
+            if 0 <= k <= n:
+                plant = TransferFunction(*([x + (y - x) * Fraction(k, n)
+                                            for x, y in zip(u, v)]
+                                           for u, v in zip(lo, hi)))
+                s = char_poly(c, plant)
+                if not jury_stable(s).is_stable and root_oracle(s) > 1:
+                    return True
+    return False
+
+
+def lead_agreement(rng):
+    """LEAD_FAMILIES random lead families: how many get the "lead" verdict,
+    and how many of those show no unstable member beside the lead's zero
+    on any failing edge."""
+    leads = missing = 0
+    for _ in range(LEAD_FAMILIES):
+        fam, c = lead_family(rng)
+        if verify_precision(c, fam).violated != "lead":
+            continue
+        leads += 1
+        _, edges = _box_verdict(c, *family_to_interval_poly(fam), None)
+        if not any(unstable_beside_lead_zero(c, lo, hi)
+                   for lo, hi, _ in edges):
+            missing += 1
+            print(f"lead verdict without an unstable member: {fam} {c}")
+    print(f"lead families: {LEAD_FAMILIES} drawn, {leads} lead verdicts, "
+          f"{missing} without an unstable member")
+    return missing
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--trials", type=int, default=20000)
@@ -102,7 +179,7 @@ def main():
     args = ap.parse_args()
 
     rng = random.Random(args.seed)
-    checked = skipped = disagreements = unknown = 0
+    checked = skipped = disagreements = 0
     for _ in range(args.trials):
         p = random_poly(rng, args.max_degree)
         rho = root_oracle(p)
@@ -110,17 +187,15 @@ def main():
             skipped += 1
             continue
         verdict = jury_stable(p)
-        if verdict.status is Status.UNKNOWN:
-            unknown += 1
-            continue
         checked += 1
         if verdict.is_stable != (rho < 1.0):
             disagreements += 1
             print(f"disagreement: rho={rho!r} verdict={verdict}")
             print(f"  coeffs: {[str(c) for c in p.coeffs]}")
     print(f"checked {checked}, skipped {skipped} near-unit-circle, "
-          f"{unknown} singular tables, {disagreements} disagreements")
+          f"{disagreements} disagreements")
     disagreements += segment_agreement(rng, args.exclusion)
+    disagreements += lead_agreement(rng)
     return 1 if disagreements else 0
 
 

@@ -11,11 +11,11 @@ from .benchmark import BenchmarkSpec, parse_benchmark, parse_controller
 from .cegis import (Limits, SynthesisResult, cegis_one_stage, cegis_two_stage,
                     synthesize_candidate, verify_precision, verify_uncertainty)
 from .discretize import ContinuousTF, zoh_discretize
-from .errors import (ArithmeticOverflow, CounterexampleExtractionFailed,
-                     DcsynthError, DeadlineExceeded, DegenerateCharPoly,
-                     DegenerateLoop, DivisionByZero, DivisorContainsZero,
-                     EvaluationSingularity, ImproperTransferFunction,
-                     NoCandidate, NonpositiveSampleTime, Overflow, ParseError,
+from .errors import (ArithmeticOverflow, DcsynthError, DeadlineExceeded,
+                     DegenerateCharPoly, DegenerateLoop, DivisionByZero,
+                     DivisorContainsZero, EvaluationSingularity,
+                     ImproperTransferFunction, NoCandidate,
+                     NonpositiveSampleTime, Overflow, ParseError,
                      ValidationError)
 from .fixedpoint import (FixedPointFormat, FixedPointValue, quantize_nearest,
                          quantize_poly, quantize_truncate)

@@ -20,8 +20,7 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import (CounterexampleExtractionFailed, DeadlineExceeded,
-                     DegenerateCharPoly, NoCandidate)
+from .errors import DeadlineExceeded, DegenerateCharPoly, NoCandidate
 from .fixedpoint import FixedPointFormat, FixedPointValue
 from .intervals import (IntervalPoly, family_grid_box,
                         family_to_interval_poly, ipoly_add, ipoly_mul)
@@ -61,6 +60,14 @@ class SynthesisResult:
     transcript: list = field(default_factory=list)
 
 
+def _check_orders(orders):
+    """Raises ValueError unless 0 <= numerator order <= denominator order:
+    the engines certify only causal controllers."""
+    if not 0 <= orders[0] <= orders[1]:
+        raise ValueError(f"controller orders {tuple(orders)} must satisfy "
+                         "0 <= numerator order <= denominator order")
+
+
 def _zero_controller(fmt: FixedPointFormat, orders) -> Controller:
     z = FixedPointValue(0, fmt)
     return Controller([z] * (orders[0] + 1), [z] * (orders[1] + 1))
@@ -79,11 +86,7 @@ def concrete_verdict(candidate: Controller, plant: TransferFunction) -> JuryVerd
         s = char_poly(candidate, plant)
     except DegenerateCharPoly:
         return JuryVerdict(Status.UNSTABLE, None, -_BIG_PENALTY)
-    v = jury_stable(s)
-    if v.status is Status.UNKNOWN:
-        # Singular table: conservatively unstable for synthesis purposes.
-        return JuryVerdict(Status.UNSTABLE, v.violated, min(v.margin, Fraction(0)))
-    return v
+    return jury_stable(s)
 
 
 def _check_deadline(deadline):
@@ -190,6 +193,8 @@ def _grid_search(n_coeffs, fmt, seed, budget, evaluate, num_len,
             for raws, (accepted, _) in zip(chunk, batch(chunk)):
                 if accepted:
                     return raws
+        raise NoCandidate(f"no controller on the {fmt} grid stabilizes the "
+                          "inputs")
     raise NoCandidate(f"search budget of {budget} evaluations exhausted")
 
 
@@ -386,14 +391,13 @@ def verify_uncertainty(candidate: Controller, family: PlantFamily,
     """First (fast) verification stage over the representable-plant box.
     Returns a certified unstable grid plant (a vertex, the grid point just
     past an unstable edge's first root, or one beside a zero of the lead of
-    S on an edge), else None: the box is stable, or that edge point is not,
-    and the precision stage, whose box contains the edge, rejects.  Raises
-    CounterexampleExtractionFailed when the lead of S changes sign or
-    vanishes over the box and no grid plant beside its zeros is unstable,
-    and DeadlineExceeded past the `deadline` (a time.perf_counter() value)."""
+    S on an edge), else None: the box is stable, or no such grid point is
+    unstable, and the precision stage, whose box contains the grid box,
+    rejects.  Raises DeadlineExceeded past the `deadline` (a
+    time.perf_counter() value)."""
     num_iv, den_iv = family_grid_box(family)
-    _, evidence, cause = _box_verdict(candidate, num_iv, den_iv, deadline,
-                                      family.plant_format)
+    _, evidence = _box_verdict(candidate, num_iv, den_iv, deadline,
+                               family.plant_format)
     if isinstance(evidence, TransferFunction):
         return evidence
     for lo, hi, positions in evidence:
@@ -405,28 +409,29 @@ def verify_uncertainty(candidate: Controller, family: PlantFamily,
             if (plant is not None
                     and not concrete_verdict(candidate, plant).is_stable):
                 return plant
-    if cause is not None:
-        raise CounterexampleExtractionFailed(cause)
     return None
 
 
 def _box_verdict(candidate, num_iv, den_iv, deadline, grid=None):
-    """Verdict of the closed loop over a box of plants, its evidence, and
-    the cause of an Unknown verdict (else None).  The evidence is an
-    unstable vertex plant or a list of failing edges, each (low corner, high
-    corner, positions): the positions t in [0, 1] of the plant-`grid` points
-    on the edge worth trying, the one at or just past the first root of an
-    unstable edge, or the two either side of a zero of the lead of S.
-    Without a grid, only the ends are grid points.
+    """Stable or Unstable verdict of the closed loop over a box of plants,
+    and its evidence: an unstable vertex plant or a list of failing edges,
+    each (low corner, high corner, positions): the positions t in [0, 1] of
+    the plant-`grid` points on the edge worth trying, the one at or just
+    past the first root of an unstable edge, or the two either side of a
+    zero of the lead of S.  Without a grid, only the ends are grid points.
     A Stable or Unstable interval Jury verdict stands; else exact Jury
-    decides each vertex, then the segment test each edge: S is affine in
-    the plant, so a box over which its degree is constant is stable iff
-    every edge is (Edge Theorem, Bartlett, Hollot & Lin 1988).  An
-    edge-proven Stable reports the least vertex margin."""
+    decides each vertex.  If the vertex leads of S do not share one strict
+    sign, the lead vanishes somewhere in the box and the verdict is
+    Unstable ("lead"): the members beside its zero have a root near
+    infinity, or S vanishes there (a vertex with no plant, its denominator
+    zero, counts as a zero lead).  Else S is affine in the plant and of
+    constant degree, so the box is stable iff every edge is (Edge Theorem,
+    Bartlett, Hollot & Lin 1988), and the segment test decides each edge.
+    An edge-proven Stable reports the least vertex margin."""
     verdict = jury_stable_interval(_interval_char_poly(candidate, num_iv,
                                                        den_iv))
     if verdict.status is Status.STABLE:
-        return verdict, [], None
+        return verdict, []
     cn = [v.value for v in candidate.num]
     cd = [v.value for v in candidate.den]
     corners = list(_box_vertices(num_iv, den_iv))
@@ -440,7 +445,7 @@ def _box_verdict(candidate, num_iv, den_iv, deadline, grid=None):
         v = concrete_verdict(candidate, plant)
         if v.status is Status.UNSTABLE:
             return (verdict if verdict.status is Status.UNSTABLE else v,
-                    plant, None)
+                    plant)
         margin = v.margin if margin is None else min(margin, v.margin)
         polys.append(closed_loop_coeffs(cn, num_c, cd, den_c, Fraction(0)))
 
@@ -455,12 +460,9 @@ def _box_verdict(candidate, num_iv, den_iv, deadline, grid=None):
     # vertex keeps it off zero, and the degree of S constant, over the box.
     top = min(next(i for i, c in enumerate(p) if c) for p in polys if p)
     leads = [None if p is None else p[top] for p in polys]
-    signs = ["0" if x is None or x == 0 else "+-"[x < 0] for x in leads]
     edges = [(lo, lo | 1 << bit) for bit in range(len(polys).bit_length() - 1)
              for lo in range(len(polys)) if not lo >> bit & 1]
-    if len(set(signs)) > 1:
-        counts = ", ".join(f"{signs.count(s)} {s}" for s in "+0-"
-                           if s in signs)
+    if len({0 if not x else 1 if x > 0 else -1 for x in leads}) > 1:
         failing = []
         for lo, hi in edges:
             a, b = leads[lo], leads[hi]
@@ -470,9 +472,7 @@ def _box_verdict(candidate, num_iv, den_iv, deadline, grid=None):
                     Fraction(k, n) for k in (math.ceil(t * n) - 1,
                                              math.floor(t * n) + 1)
                     if 0 <= k <= n]))
-        return verdict, failing, (
-            "leading coefficient of S changes sign or vanishes over the box "
-            f"(vertex signs: {counts})")
+        return JuryVerdict(Status.UNSTABLE, "lead", Fraction(0)), failing
     for lo, hi in edges:
         _check_deadline(deadline)
         chain = segment_chain(polys[lo][top:], polys[hi][top:])
@@ -480,8 +480,8 @@ def _box_verdict(candidate, num_iv, den_iv, deadline, grid=None):
             n = grid_steps(lo, hi)
             return (JuryVerdict(Status.UNSTABLE, "edge", Fraction(0)),
                     [(corners[lo], corners[hi],
-                      [Fraction(_first_root_step(chain, n), n)])], None)
-    return JuryVerdict(Status.STABLE, None, margin), [], None
+                      [Fraction(_first_root_step(chain, n), n)])])
+    return JuryVerdict(Status.STABLE, None, margin), []
 
 
 def _first_root_step(chain, n):
@@ -526,6 +526,7 @@ def cegis_two_stage(family: PlantFamily, controller_format: FixedPointFormat,
     """Fig-4-style loop: synthesize -> uncertainty check -> precision check,
     escalating the plant precision (and dropping stale counterexamples)
     whenever the sound stage rejects."""
+    _check_orders(orders)
     limits = limits or Limits()
     start = time.perf_counter()
     deadline = start + limits.timeout_s
@@ -572,30 +573,29 @@ def cegis_two_stage(family: PlantFamily, controller_format: FixedPointFormat,
                                    "iteration": iteration,
                                    "plant_format": str(plant_format)})
                 return result(None, verdict)
-            next_fmt = FixedPointFormat(
-                plant_format.integer_bits + PRECISION_STEP[0],
-                plant_format.fraction_bits + PRECISION_STEP[1])
+            # Compared before it is built: past the cap, the next format
+            # may exceed what FixedPointFormat admits.
+            bits = (plant_format.integer_bits + PRECISION_STEP[0],
+                    plant_format.fraction_bits + PRECISION_STEP[1])
             transcript.append({"phase": "increase-precision",
                                "iteration": iteration,
-                               "plant_format": str(next_fmt)})
-            if (next_fmt.integer_bits > limits.max_precision.integer_bits
-                    or next_fmt.fraction_bits
-                    > limits.max_precision.fraction_bits):
+                               "plant_format": "<%d,%d>" % bits})
+            if (bits[0] > limits.max_precision.integer_bits
+                    or bits[1] > limits.max_precision.fraction_bits):
                 return result("precision-limit")
-            plant_format = next_fmt
+            plant_format = FixedPointFormat(*bits)
             inputs.clear()  # stale: they were found at lower precision
     except DeadlineExceeded:
         return result("timeout")
     except NoCandidate:
         return result("no-candidate")
-    except CounterexampleExtractionFailed:
-        return result("counterexample-extraction-failed")
 
 
 def cegis_one_stage(family: PlantFamily, controller_format: FixedPointFormat,
                     orders, seed: int, limits: Limits | None = None) -> SynthesisResult:
     """Sound single-stage engine: search directly against the interval Jury
     test over the fully inflated family; no counterexample set."""
+    _check_orders(orders)
     limits = limits or Limits()
     start = time.perf_counter()
     deadline = start + limits.timeout_s

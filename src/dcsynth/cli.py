@@ -13,8 +13,8 @@ import sys
 from fractions import Fraction
 
 from .benchmark import BenchmarkSpec, parse_benchmark, parse_controller
-from .cegis import (Limits, cegis_one_stage, cegis_two_stage,
-                    describe_controller, verify_precision)
+from .cegis import (DEFAULT_PLANT_FORMAT, Limits, cegis_one_stage,
+                    cegis_two_stage, describe_controller, verify_precision)
 from .errors import DcsynthError, ParseError, ValidationError
 from .fixedpoint import FixedPointFormat, quantize_poly
 from .simulate import NoiseModel, frequency_margins, step_response
@@ -106,7 +106,9 @@ def run_verify(spec: BenchmarkSpec, controller_coeffs, rounding: str,
                               "coefficient of the padded denominator")
     s = char_poly(controller, spec.plant)
     verdict = jury_stable(s)
-    sound = verify_precision(controller, spec.family)
+    # Without a plant_format line, the engines' default plant grid.
+    sound = verify_precision(controller, spec.family.with_format(
+        spec.family.plant_format or DEFAULT_PLANT_FORMAT))
     gm, pm = frequency_margins(controller, spec.plant,
                                spec.sample_time or Fraction(1))
     report = {
@@ -185,10 +187,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth = sub.add_parser("synth", help="synthesize a controller")
     common(p_synth)
     p_synth.add_argument("--engine", choices=("two", "one"), default="two")
-    p_synth.add_argument("--max-iters", type=int, default=64)
+    defaults = Limits()
+    p_synth.add_argument("--max-iters", type=int,
+                         default=defaults.max_iterations)
     p_synth.add_argument("--max-precision", type=_parse_format,
-                         default=FixedPointFormat(32, 32), metavar="I,F")
-    p_synth.add_argument("--timeout", type=float, default=600.0,
+                         default=defaults.max_precision, metavar="I,F")
+    p_synth.add_argument("--timeout", type=float, default=defaults.timeout_s,
                          metavar="SECS")
 
     p_verify = sub.add_parser("verify", help="verify a given controller")

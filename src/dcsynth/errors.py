@@ -45,12 +45,6 @@ class EvaluationSingularity(DcsynthError):
     """A pole sits on the frequency-response evaluation grid."""
 
 
-class CounterexampleExtractionFailed(DcsynthError):
-    """The box verdict is Unknown: the leading coefficient of the closed-loop
-    polynomial S changes sign or vanishes over the plant box, so its degree
-    is not constant there, and no grid plant beside its zeros is unstable."""
-
-
 class DeadlineExceeded(DcsynthError):
     """The synthesis deadline passed; raised by the candidate search and by
     both verification stages, and reported by the engines as `timeout`."""

@@ -70,7 +70,9 @@ def jury_conditions(c, may_be_zero):
 
 
 def jury_stable(s: Poly) -> JuryVerdict:
-    """Three-valued Jury verdict for an exact polynomial."""
+    """Jury verdict for an exact polynomial, Stable or Unstable: the table
+    is never singular, as its first pivot is the positive leading
+    coefficient and each later one an R4 value already required > 0."""
     s = s.normalize()
     c = list(s.coeffs)
     if all(x == 0 for x in c):
@@ -81,11 +83,7 @@ def jury_stable(s: Poly) -> JuryVerdict:
     if c[0] < 0:
         c = [-x for x in c]
     margin = None
-    # An exact pivot may be zero only when it is zero (falsy).
     for label, value in jury_conditions(c, operator.not_):
-        if value is None:
-            # Singular table: zero pivot, verdict undecidable here.
-            return JuryVerdict(Status.UNKNOWN, "R4", min(margin, Fraction(0)))
         if margin is None or value < margin:
             margin = value
         if value <= 0:

@@ -2,7 +2,9 @@
 and the failure taxonomy."""
 
 import itertools
+import pathlib
 import random
+import sys
 import time
 from fractions import Fraction
 
@@ -13,14 +15,16 @@ from dcsynth.cegis import (DEFAULT_PLANT_FORMAT, Limits, cegis_one_stage,
                            cegis_two_stage, concrete_verdict,
                            synthesize_candidate, verify_precision,
                            verify_uncertainty)
-from dcsynth.errors import (CounterexampleExtractionFailed, DeadlineExceeded,
-                            NoCandidate)
+from dcsynth.errors import DeadlineExceeded, NoCandidate
 from dcsynth.fixedpoint import FixedPointFormat, quantize_poly
 from dcsynth.intervals import family_grid_box, family_to_interval_poly
-from dcsynth.stability import (Status, jury_stable, jury_stable_interval,
-                               root_oracle)
+from dcsynth.stability import (JuryVerdict, Status, jury_stable,
+                               jury_stable_interval, root_oracle)
 from dcsynth.transfer import Controller, PlantFamily, TransferFunction, char_poly
 from test_stability import random_stable_poly
+
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "scripts"))
+from jury_oracle_agreement import lead_family, unstable_beside_lead_zero  # noqa: E402
 
 F416 = FixedPointFormat(4, 16)
 CRUISE = TransferFunction([Fraction("0.0264")], [1, Fraction("-0.9998")])
@@ -66,6 +70,19 @@ def test_exhaustive_sweep_after_spent_budget():
     hopeless = TransferFunction([0], [1, Fraction(-3, 2)])
     with pytest.raises(NoCandidate):
         synthesize_candidate([hopeless], fmt, (0, 0), seed=1, budget=1)
+
+
+def test_completed_sweep_reports_no_controller_on_grid():
+    # The sweep of the <1,1> grid ends the search: its failure is a proof
+    # that no controller there stabilizes the inputs, not a spent budget.
+    hopeless = TransferFunction([0], [1, Fraction(-3, 2)])
+    with pytest.raises(NoCandidate, match=r"^no controller on the <1,1> "
+                                          r"grid stabilizes the inputs$"):
+        synthesize_candidate([hopeless], FixedPointFormat(1, 1), (0, 0),
+                             seed=1, budget=1)
+    # A grid too large to sweep: the budget ran out.
+    with pytest.raises(NoCandidate, match="budget of 200 evaluations"):
+        synthesize_candidate([hopeless], F416, (2, 2), seed=1, budget=200)
 
 
 def test_search_past_deadline_raises_deadline_exceeded():
@@ -341,20 +358,25 @@ def test_unstable_edge_between_stable_vertices_gives_grid_witness():
     assert verdict.status is Status.UNSTABLE and verdict.violated == "edge"
 
 
-def test_vanishing_leading_coefficient_is_the_one_unknown():
+def test_vanishing_leading_coefficient_is_unstable():
     # The denominator's leading coefficient ranges over [-1, 3], so the
     # leading coefficient of S = Cd*Gd + Cn*Gn = a·z + 1/256 changes sign
     # over the box.  On the coarse plant grid (step 1/4) every plant has
-    # its root at -1/(256a), inside the unit disc, so there is no witness.
+    # its root at -1/(256a), inside the unit disc, so there is no witness;
+    # but the members beside a = 0 have a root near infinity.
     plant = TransferFunction([Fraction(1, 4)], [1, 0])
     fam = PlantFamily(plant, delta_den=[2, 0],
                       plant_format=FixedPointFormat(4, 2))
     c = make_controller([Fraction(1, 64)], [1])
-    with pytest.raises(CounterexampleExtractionFailed,
-                       match=r"leading coefficient of S changes sign .*"
-                             r"vertex signs: 1 \+, 1 -"):
-        verify_uncertainty(c, fam)
-    assert verify_precision(c, fam).status is Status.UNKNOWN
+    assert verify_uncertainty(c, fam) is None
+    verdict = verify_precision(c, fam)
+    assert verdict.status is Status.UNSTABLE and verdict.violated == "lead"
+    # Every candidate's S has the lead Cd·a, so the engine raises the plant
+    # precision until the cap, and stops there without raising.
+    result = cegis_two_stage(fam, F416, (0, 0), seed=1)
+    assert result.reason == "precision-limit"
+    assert result.plant_format == FixedPointFormat(32, 30)
+    assert result.iterations == 16
 
 
 def test_lead_sign_change_gives_grid_witness():
@@ -370,7 +392,7 @@ def test_lead_sign_change_gives_grid_witness():
     assert concrete_verdict(c, cex).status is Status.UNSTABLE
     num_iv, den_iv = family_grid_box(fam)
     assert cex.num.coeffs[0] == num_iv.coeffs[0].lo
-    assert verify_precision(c, fam).status is Status.UNKNOWN
+    assert verify_precision(c, fam).status is Status.UNSTABLE
     # A vertex lead of zero: a in [0, 2]; the zero is at the low end.
     fam = PlantFamily(TransferFunction([1], [1, Fraction(1, 4)]),
                       delta_den=[1, 0], plant_format=DEFAULT_PLANT_FORMAT)
@@ -466,6 +488,27 @@ def test_box_verdict_soundness_fuzz():
     assert min(counts.values()) >= 10, counts
 
 
+def test_lead_verdicts_have_unstable_members():
+    # Differential check of the "lead" verdict (also a section of
+    # scripts/jury_oracle_agreement.py, over more families): S loses degree
+    # on its failing edges, so on at least one of them the members beside
+    # the zero of its lead are unstable, by exact Jury and the root oracle.
+    rng = random.Random(2026)
+    leads = 0
+    for _ in range(60):
+        fam, c = lead_family(rng)
+        verdict = verify_precision(c, fam)
+        if verdict.violated != "lead":
+            continue
+        leads += 1
+        assert verdict.status is Status.UNSTABLE
+        _, edges = cegis_mod._box_verdict(c, *family_to_interval_poly(fam),
+                                          None)
+        assert any(unstable_beside_lead_zero(c, lo, hi)
+                   for lo, hi, _ in edges), (fam, c)
+    assert leads >= 20, leads
+
+
 def test_uncertainty_stage_honours_deadline(monkeypatch):
     fam, c = _subdivision_case()
     for stage in (verify_uncertainty, verify_precision):
@@ -546,6 +589,27 @@ def test_two_stage_precision_limit(monkeypatch):
         limits=Limits(max_precision=FixedPointFormat(16, 24)))
     assert not result.success
     assert result.reason == "precision-limit"
+
+
+def test_escalation_past_64_bits_reports_precision_limit(monkeypatch):
+    # <30,30> escalates to 68 bits, more than a format holds: the engine
+    # compares the bits with the cap before it builds the format.
+    monkeypatch.setattr(cegis_mod, "verify_precision", lambda *args: (
+        JuryVerdict(Status.UNSTABLE, "lead", Fraction(0))))
+    fam = cruise_family().with_format(FixedPointFormat(30, 30))
+    result = cegis_two_stage(fam, F416, (2, 2), seed=1234)
+    assert result.reason == "precision-limit"
+    assert result.plant_format == FixedPointFormat(30, 30)
+    assert result.transcript[-1] == {"phase": "increase-precision",
+                                     "iteration": result.iterations,
+                                     "plant_format": "<34,34>"}
+
+
+@pytest.mark.parametrize("engine", [cegis_two_stage, cegis_one_stage])
+@pytest.mark.parametrize("orders", [(2, 1), (-1, 0)])
+def test_engines_reject_noncausal_orders(engine, orders):
+    with pytest.raises(ValueError, match="numerator order <= denominator"):
+        engine(cruise_family(), F416, orders, seed=1)
 
 
 def test_two_stage_iteration_limit():

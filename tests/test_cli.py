@@ -11,7 +11,8 @@ from fractions import Fraction
 
 import pytest
 
-from dcsynth.cli import main
+from dcsynth.cegis import Limits
+from dcsynth.cli import build_parser, main
 from dcsynth.fixedpoint import FixedPointFormat, quantize_truncate
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -105,6 +106,26 @@ def test_verify_unstable_controller():
     assert report["outcome"] == "Unstable"
     assert report["jury"]["violated"] == "R4"
     assert report["nominal_max_root_modulus"] > 1.0
+
+
+def test_verify_applies_default_plant_grid(tmp_path):
+    # Without its plant_format line, the family verdict covers the family
+    # inflated to the engines' default plant grid, which is the line's.
+    text = pathlib.Path(CRUISE).read_text()
+    bench = tmp_path / "cruise.bench"
+    bench.write_text(text.replace("plant_format = 16,24\n", ""))
+    assert bench.read_text() != text
+    verdicts = [json.loads(run(["verify", path, "--controller", STABLE_CTL,
+                                "--report", "json"])[1])["interval_jury"]
+                for path in (CRUISE, str(bench))]
+    assert verdicts[0] == verdicts[1]
+
+
+def test_synth_flag_defaults_are_the_engine_limits():
+    args = build_parser().parse_args(["synth", CRUISE])
+    limits = Limits()
+    assert (args.max_iters, args.max_precision, args.timeout) == (
+        limits.max_iterations, limits.max_precision, limits.timeout_s)
 
 
 def test_verify_zero_controller_matches_plant_stability(tmp_path):
