@@ -11,7 +11,10 @@ working tree's `src/`, runs:
   seeds 1-5, comparing exit code, report and any `--trace-out` CSV;
 - in-process two-stage synthesis (`Limits(timeout_s=60)`, no timing) on
   cruise, cruise_gain_uncertain, cruise_uncertain and dc_motor_uncertain,
-  seeds 0-5, comparing the reports.
+  seeds 0-5, comparing the reports;
+- `zoh_discretize` on 200 seeded continuous plants within Nyquist (degree
+  1-5, poles of real part in [-5, 1], sample times 0.01-2, |p*T| <= pi),
+  comparing the snapped coefficients.
 
 Both trees read the working tree's benchmark files.  Prints each
 difference and exits 1 on any, else 0.
@@ -20,11 +23,14 @@ difference and exits 1 on any, else 0.
 import argparse
 import io
 import json
+import math
 import os
+import random
 import subprocess
 import sys
 import tarfile
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -45,6 +51,20 @@ print(json.dumps({f"{b} {s}": run_synthesis(parse_benchmark(b), "two", s,
                                             Limits(timeout_s=60), False)
                   for b in benches for s in seeds}, sort_keys=True))
 """
+ZOH_PLANTS = 200
+# Reads [[num, den, T], ...] as strings on stdin; prints each discretized
+# plant's [num, den] as strings.
+ZOH_CHILD = """
+import json, sys
+from fractions import Fraction
+from dcsynth.discretize import ContinuousTF, zoh_discretize
+out = []
+for num, den, t in json.load(sys.stdin):
+    g = zoh_discretize(ContinuousTF([Fraction(c) for c in num],
+                                    [Fraction(c) for c in den], Fraction(t)))
+    out.append([[str(c) for c in p.coeffs] for p in (g.num, g.den)])
+print(json.dumps(out))
+"""
 
 
 def cli_rows():
@@ -62,8 +82,8 @@ def extract_src(rev, dest):
     return dest / "src"
 
 
-def run(src, argv):
-    return subprocess.run([sys.executable, *argv], cwd=ROOT,
+def run(src, argv, stdin=None):
+    return subprocess.run([sys.executable, *argv], cwd=ROOT, input=stdin,
                           env=dict(os.environ, PYTHONPATH=str(src)),
                           capture_output=True, text=True, timeout=600)
 
@@ -93,6 +113,42 @@ def two_stage_reports(src):
             for k, v in json.loads(proc.stdout).items()}
 
 
+def zoh_plants():
+    """ZOH_PLANTS seeded proper continuous plants with |p*T| <= pi for
+    every pole p, as [num, den, T] strings."""
+    rng = random.Random(0)
+    plants = []
+    while len(plants) < ZOH_PLANTS:
+        degree = rng.randint(1, 5)
+        poles = []
+        while len(poles) < degree:
+            re = rng.uniform(-5, 1)
+            if degree - len(poles) >= 2 and rng.random() < 0.5:
+                im = rng.uniform(0.1, 5)
+                poles += [complex(re, im), complex(re, -im)]
+            else:
+                poles.append(complex(re))
+        t = Fraction(rng.randint(1, 200), 100)
+        if max(map(abs, poles)) * t > math.pi:
+            continue
+        den = [1]
+        for p in poles:
+            den = [a - p * b for a, b in zip(den + [0], [0] + den)]
+        num = [rng.uniform(-2, 2) for _ in range(rng.randint(1, degree + 1))]
+        plants.append([[str(Fraction(c).limit_denominator(10 ** 6))
+                        for c in num],
+                       [str(Fraction(c.real).limit_denominator(10 ** 6))
+                        for c in den], str(t)])
+    return plants
+
+
+def zoh_coefficients(src, plants):
+    proc = run(src, ["-c", ZOH_CHILD], json.dumps(plants))
+    if proc.returncode != 0:
+        sys.exit(f"ZOH child failed on {src}:\n{proc.stderr[-2000:]}")
+    return json.loads(proc.stdout)
+
+
 def first_difference(a, b):
     a, b = (a or "").splitlines(), (b or "").splitlines()
     for i, (x, y) in enumerate(zip(a, b)):
@@ -114,6 +170,9 @@ def main():
         cli = {name: cli_outputs(src, rows, tmp / "trace.csv")
                for name, src in trees.items()}
         two = {name: two_stage_reports(src) for name, src in trees.items()}
+        plants = zoh_plants()
+        zoh = {name: zoh_coefficients(src, plants)
+               for name, src in trees.items()}
     old, new = (cli[name] for name in trees)
     for key in old:
         for part, a, b in zip(("exit code", "report", "CSV"), old[key],
@@ -129,8 +188,14 @@ def main():
             differences += 1
             print(f"two-stage {key}: report differs, "
                   f"{first_difference(old[key], new[key])}")
-    print(f"{len(rows) * len(CLI_SEEDS)} cli calls and {len(old)} two-stage "
-          f"runs compared against {rev}: {differences} differences")
+    old, new = (zoh[name] for name in trees)
+    for plant, a, b in zip(plants, old, new):
+        if a != b:
+            differences += 1
+            print(f"zoh {plant}: {a} != {b}")
+    print(f"{len(rows) * len(CLI_SEEDS)} cli calls, {len(two[rev])} two-stage "
+          f"runs and {len(plants)} ZOH plants compared against {rev}: "
+          f"{differences} differences")
     return 1 if differences else 0
 
 

@@ -13,7 +13,7 @@ from fractions import Fraction
 from .discretize import ContinuousTF, zoh_discretize
 from .errors import ParseError, ValidationError
 from .fixedpoint import FixedPointFormat
-from .transfer import PlantFamily, TransferFunction
+from .transfer import PlantFamily, Poly, TransferFunction
 
 _REQUIRED_KEYS = ("name", "domain", "num", "den",
                   "controller_format", "controller_orders")
@@ -96,8 +96,13 @@ def parse_benchmark(path) -> BenchmarkSpec:
     if domain not in ("s", "z"):
         raise ValidationError(f"domain must be 's' or 'z', got {domain!r}")
 
-    num = _fraction_list(entries["num"], linenos["num"])
-    den = _fraction_list(entries["den"], linenos["den"])
+    num = Poly(_fraction_list(entries["num"], linenos["num"])).normalize()
+    den = Poly(_fraction_list(entries["den"], linenos["den"])).normalize()
+    if den.is_zero():
+        raise ValidationError("plant denominator is identically zero")
+    if not num.is_zero() and num.degree > den.degree:
+        raise ValidationError(f"plant numerator degree {num.degree} > "
+                              f"denominator degree {den.degree} (improper)")
 
     sample_time = None
     if "sample_time" in entries:
@@ -109,10 +114,7 @@ def parse_benchmark(path) -> BenchmarkSpec:
             raise ValidationError("s-domain plants require sample_time")
         plant = zoh_discretize(ContinuousTF(num, den, sample_time))
     else:
-        try:
-            plant = TransferFunction(num, den)
-        except ValueError as exc:
-            raise ValidationError(str(exc)) from None
+        plant = TransferFunction(num, den)
 
     def deltas(key, expected):
         if key not in entries:

@@ -2,9 +2,10 @@
 
 The loop is the fully digital unity-negative-feedback arrangement: the
 controller runs in its own fixed-point format (truncating arithmetic, wide
-accumulator range), the plant runs in high-precision real arithmetic, and
-quantization noise enters as nu1 at the plant output (ADC side) and nu2 at
-the controller output (DAC side), each bounded by half a quantization step.
+accumulator range), the plant runs in exact rationals with each output
+rounded to the fixed dyadic grid of multiples of 2^-200, and quantization
+noise enters as nu1 at the plant output (ADC side) and nu2 at the
+controller output (DAC side), each bounded by half a quantization step.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .transfer import Controller, Poly, TransferFunction, poly_add, poly_mul
 
 SIGNAL_INTEGER_BITS = 40
 DIVERGENCE_FACTOR = 10 ** 6
-_PLANT_DPS = 50
+_PLANT_GRID = 1 << 200  # plant outputs are multiples of 1/_PLANT_GRID
 
 NOISE_MODES = ("zero", "worst-case-bound", "seeded-uniform")
 
@@ -165,15 +166,14 @@ def step_response(controller, plant: TransferFunction, T, steps: int,
     is the controller's fraction bit count (wide range, same resolution), so
     coefficient arithmetic truncates exactly as deployed code would while
     signal headroom failures still surface as ArithmeticOverflow.  The plant
-    path runs in high-precision real arithmetic.
+    path runs in exact rationals, each new output rounded to the nearest
+    multiple of 2^-200.
 
     With `stop_on_divergence` the loop ends early once |y| exceeds the
     divergence threshold; the trace is then shorter than `steps` (an unstable
     loop eventually overflows even the wide signal format, so this is how a
     divergent trace is inspected rather than raised out of).
     """
-    import mpmath as mp
-
     if steps < 1:
         raise ValueError("steps must be >= 1")
     noise = noise or NoiseModel.zero()
@@ -188,48 +188,42 @@ def step_response(controller, plant: TransferFunction, T, steps: int,
     bq = [_to_sig(c, sig_fmt) for c in b]
     aq = [_to_sig(c, sig_fmt) for c in a]
 
-    gn_, gd_ = plant.num, plant.den
-    n_g = max(len(gn_.coeffs), len(gd_.coeffs))
+    n_g = max(len(plant.num.coeffs), len(plant.den.coeffs))
+    gn = _pad_front(plant.num.coeffs, n_g)
+    gd = _pad_front(plant.den.coeffs, n_g)
     nu1 = _noise_stream(noise, seed * 2 + 1)
     nu2 = _noise_stream(noise, seed * 2 + 2)
     reference = Fraction(reference)
 
-    with mp.workdps(_PLANT_DPS):
-        gn = [mp.mpf(c.numerator) / mp.mpf(c.denominator)
-              for c in _pad_front(gn_.coeffs, n_g)]
-        gd = [mp.mpf(c.numerator) / mp.mpf(c.denominator)
-              for c in _pad_front(gd_.coeffs, n_g)]
-        e_hist = [FixedPointValue(0, sig_fmt)] * n_c
-        u_hist = [FixedPointValue(0, sig_fmt)] * n_c
-        uin_hist = [mp.mpf(0)] * n_g
-        y_hist = [mp.mpf(0)] * n_g
-        trace = SimulationTrace(sample_time=Fraction(T))
-        for k in range(steps):
-            y = y_hist[0]
-            y_fr = _mpf_to_fraction(y)
-            e_pre = reference - y_fr
-            e_meas = e_pre + nu1(noise.q1, e_pre)
-            try:
-                e_q = quantize_truncate(e_meas, sig_fmt)
-                u_q = (FixedPointValue(0, sig_fmt) if controller_is_zero
-                       else _controller_step(bq, aq, e_q, e_hist, u_hist,
-                                             sig_fmt))
-            except Overflow as exc:
-                raise ArithmeticOverflow(k, str(exc)) from exc
-            e_hist = [e_q] + e_hist[:-1]
-            u_hist = [u_q] + u_hist[:-1]
-            u_out = u_q.value + nu2(noise.q2, u_q.value)
-            u_in = mp.mpf(u_out.numerator) / mp.mpf(u_out.denominator)
-            y_next = _plant_step(gn, gd, u_in, uin_hist, y_hist)
-            uin_hist = [u_in] + uin_hist[:-1]
-            y_hist = [y_next] + y_hist[:-1]
-            trace.r.append(reference)
-            trace.e.append(e_q)
-            trace.u.append(u_q)
-            trace.y.append(y_fr)
-            if (stop_on_divergence
-                    and abs(y_fr) > DIVERGENCE_FACTOR * abs(reference)):
-                break
+    e_hist = [FixedPointValue(0, sig_fmt)] * n_c
+    u_hist = [FixedPointValue(0, sig_fmt)] * n_c
+    uin_hist = [Fraction(0)] * n_g
+    y_hist = [Fraction(0)] * n_g
+    trace = SimulationTrace(sample_time=Fraction(T))
+    for k in range(steps):
+        y = y_hist[0]
+        e_pre = reference - y
+        e_meas = e_pre + nu1(noise.q1, e_pre)
+        try:
+            e_q = quantize_truncate(e_meas, sig_fmt)
+            u_q = (FixedPointValue(0, sig_fmt) if controller_is_zero
+                   else _controller_step(bq, aq, e_q, e_hist, u_hist,
+                                         sig_fmt))
+        except Overflow as exc:
+            raise ArithmeticOverflow(k, str(exc)) from exc
+        e_hist = [e_q] + e_hist[:-1]
+        u_hist = [u_q] + u_hist[:-1]
+        u_in = u_q.value + nu2(noise.q2, u_q.value)
+        y_next = _plant_step(gn, gd, u_in, uin_hist, y_hist)
+        uin_hist = [u_in] + uin_hist[:-1]
+        y_hist = [y_next] + y_hist[:-1]
+        trace.r.append(reference)
+        trace.e.append(e_q)
+        trace.u.append(u_q)
+        trace.y.append(y)
+        if (stop_on_divergence
+                and abs(y) > DIVERGENCE_FACTOR * abs(reference)):
+            break
     return trace
 
 
@@ -255,24 +249,12 @@ def _controller_step(bq, aq, e_q, e_hist, u_hist, fmt):
 
 
 def _plant_step(gn, gd, u_in, uin_hist, y_hist):
-    import mpmath as mp
-
+    """Next plant output: the exact difference-equation value, rounded to
+    the nearest multiple of 1/_PLANT_GRID."""
     us = [u_in] + uin_hist[:len(gn) - 1]
-    acc = mp.mpf(0)
-    for coeff, sig in zip(gn, us):
-        acc += coeff * sig
-    for j in range(1, len(gd)):
-        acc -= gd[j] * y_hist[j - 1]
-    return acc / gd[0]
-
-
-def _mpf_to_fraction(x) -> Fraction:
-    import mpmath as mp
-
-    sign, man, exp, _ = mp.mpf(x)._mpf_
-    if man == 0:
-        return Fraction(0)
-    return Fraction(-man if sign else man) * Fraction(2) ** exp
+    acc = sum(c * v for c, v in zip(gn, us))
+    acc -= sum(c * v for c, v in zip(gd[1:], y_hist))
+    return Fraction(round(acc / gd[0] * _PLANT_GRID), _PLANT_GRID)
 
 
 def _loop_response(controller, plant, omegas, T):

@@ -16,7 +16,7 @@ from dcsynth.cegis import (DEFAULT_PLANT_FORMAT, Limits, cegis_one_stage,
                            synthesize_candidate, verify_precision,
                            verify_uncertainty)
 from dcsynth.errors import DeadlineExceeded, NoCandidate
-from dcsynth.fixedpoint import FixedPointFormat, quantize_poly
+from dcsynth.fixedpoint import FixedPointFormat, FixedPointValue, quantize_poly
 from dcsynth.intervals import family_grid_box, family_to_interval_poly
 from dcsynth.stability import (JuryVerdict, Status, jury_stable,
                                jury_stable_interval, root_oracle)
@@ -398,11 +398,18 @@ def test_lead_sign_change_gives_grid_witness():
                       delta_den=[1, 0], plant_format=DEFAULT_PLANT_FORMAT)
     cex = verify_uncertainty(make_controller([0], [1]), fam)
     assert cex.den.coeffs == (DEFAULT_PLANT_FORMAT.step, Fraction(1, 4))
-    # The two-stage engine turns the witness into a counterexample.
+    # The two-stage engine turns the witness into a counterexample: a plant
+    # of the box that the iteration-1 candidate leaves unstable.
     result = cegis_two_stage(fam, F416, (0, 0), seed=1,
                              limits=Limits(max_iterations=3))
-    assert result.reason != "counterexample-extraction-failed"
-    assert result.transcript[1]["phase"] == "counterexample"
+    first, cex = result.transcript[:2]
+    assert cex["phase"] == "counterexample" and cex["iteration"] == 1
+    candidate = Controller(
+        [FixedPointValue(r, F416) for r in first["candidate"]["num_raw"]],
+        [FixedPointValue(r, F416) for r in first["candidate"]["den_raw"]])
+    plant = TransferFunction([Fraction(c) for c in cex["plant"]["num"]],
+                             [Fraction(c) for c in cex["plant"]["den"]])
+    assert concrete_verdict(candidate, plant).status is Status.UNSTABLE
 
 
 def _fuzz_family(rng, fmt, near_edge_case):

@@ -189,6 +189,27 @@ def test_synth_rejects_noncausal_orders(tmp_path, capsys):
     assert "not causal" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("domain,num,den,verb", [
+    ("z", "1, 0, 0", "1, 0.5", "synth"),
+    ("z", "1, 0, 0", "1, 0.5", "verify"),
+    ("s", "1, 0, 0", "1, 0.5", "synth"),
+    ("s", "1", "0, 0", "synth"),
+], ids=["z-improper-synth", "z-improper-verify-trace", "s-improper",
+        "s-zero-den"])
+def test_invalid_plant_exit_code(tmp_path, capsys, domain, num, den, verb):
+    # Both domains reject an improper plant and an all-zero denominator.
+    bench = tmp_path / "plant.bench"
+    bench.write_text(f"name = p\ndomain = {domain}\nnum = {num}\n"
+                     f"den = {den}\nsample_time = 0.2\n"
+                     "controller_format = 4,16\ncontroller_orders = 2,2\n")
+    argv = [verb, str(bench)]
+    if verb == "verify":
+        argv += ["--controller", STABLE_CTL,
+                 "--trace-out", str(tmp_path / "trace.csv")]
+    assert main(argv) == 2
+    assert "plant" in capsys.readouterr().err
+
+
 def test_text_report_mirrors_json_fields():
     _, text = run(["synth", CRUISE, "--seed", "1234", "--no-timing"])
     _, js = run(["synth", CRUISE, "--seed", "1234", "--report", "json",
@@ -251,3 +272,17 @@ def test_cli_import_loads_neither_numpy_nor_mpmath():
 def test_cli_runs_without_numpy(argv):
     loaded = imported_modules("-m", "dcsynth", *argv, "--report", "json")
     assert "dcsynth" in loaded and "numpy" not in loaded
+
+
+@pytest.mark.parametrize("argv", [
+    ["synth", "{fixtures}/dc_motor.bench", "--engine", "one"],
+    ["synth", "{fixtures}/dc_motor_uncertain.bench"],
+    ["verify", CRUISE, "--controller", STABLE_CTL,
+     "--trace-out", "{tmp}/trace.csv"],
+], ids=["dc-motor-one", "dc-motor-uncertain-two", "verify-trace"])
+def test_cli_runs_without_mpmath(tmp_path, argv):
+    # ZOH discretization and the step response are plain Python.
+    argv = [a.format(fixtures=ROOT / "perfbench" / "fixtures", tmp=tmp_path)
+            for a in argv]
+    loaded = imported_modules("-m", "dcsynth", *argv, "--report", "json")
+    assert "dcsynth" in loaded and "mpmath" not in loaded

@@ -5,11 +5,14 @@ import random
 import warnings
 from fractions import Fraction
 
+import mpmath as mp
 import numpy as np
 import pytest
 
-from dcsynth.discretize import ContinuousTF, zoh_discretize
+from dcsynth.discretize import ContinuousTF, _snap_rational, zoh_discretize
 from dcsynth.errors import ImproperTransferFunction, NonpositiveSampleTime
+from dcsynth.stability import root_oracle
+from dcsynth.transfer import TransferFunction
 
 
 def test_continuous_tf_validation():
@@ -105,3 +108,78 @@ def test_nyquist_warning():
 def test_coefficients_are_exact_rationals():
     g = zoh_discretize(ContinuousTF([1], [1, 0], Fraction(1, 5)))
     assert all(isinstance(c, Fraction) for c in g.num.coeffs + g.den.coeffs)
+
+
+def mpmath_zoh_discretize(g, dps=60):
+    """zoh_discretize as it was: the same route in mpmath at `dps` digits
+    (mp.expm for the exponential), each coefficient then snapped from the
+    exact value of its mpf."""
+    def exact(x):
+        sign, man, exp, _ = mp.mpf(x)._mpf_
+        return Fraction(-man if sign else man) * Fraction(2) ** exp
+
+    with mp.workdps(dps):
+        den = [mp.mpf(c.numerator) / mp.mpf(c.denominator)
+               for c in g.den.coeffs]
+        num = [mp.mpf(c.numerator) / mp.mpf(c.denominator)
+               for c in g.num.coeffs]
+        den, num = [c / den[0] for c in den], [c / den[0] for c in num]
+        n = len(den) - 1
+        num = [mp.mpf(0)] * (n + 1 - len(num)) + num
+        d = num[0]
+        if n == 0:
+            return TransferFunction([_snap_rational(exact(d))], [1])
+        aug = mp.zeros(n + 1, n + 1)
+        for i in range(n - 1):
+            aug[i, i + 1] = 1
+        for j in range(n):
+            aug[n - 1, j] = -den[n - j]
+        aug[n - 1, n] = 1
+        t = g.sample_time
+        md = mp.expm(aug * (mp.mpf(t.numerator) / mp.mpf(t.denominator)))
+        ad = mp.matrix([[md[i, j] for j in range(n)] for i in range(n)])
+        bd = mp.matrix([[md[i, n]] for i in range(n)])
+        c = mp.matrix([[num[n - j] - d * den[n - j] for j in range(n)]])
+        # Faddeev-LeVerrier.
+        den_d, mk, full_num = [mp.mpf(1)], mp.eye(n), [d]
+        for k in range(1, n + 1):
+            full_num.append((c * mk * bd)[0, 0])
+            am = ad * mk
+            den_d.append(-mp.fsum(am[i, i] for i in range(n)) / k)
+            mk = am + den_d[-1] * mp.eye(n)
+        full_num = [x + d * y for x, y in zip(full_num, [0] + den_d[1:])]
+        return TransferFunction([_snap_rational(exact(x)) for x in full_num],
+                                [_snap_rational(exact(x)) for x in den_d])
+
+
+def random_continuous_plant(rng, max_degree=5):
+    """A seeded proper plant of degree 1..max_degree with poles of real part
+    in [-5, 1], and a sample time in [0.01, 2]."""
+    degree = rng.randint(1, max_degree)
+    poles = []
+    while len(poles) < degree:
+        re = rng.uniform(-5, 1)
+        if degree - len(poles) >= 2 and rng.random() < 0.5:
+            im = rng.uniform(0.1, 5)
+            poles += [complex(re, im), complex(re, -im)]
+        else:
+            poles.append(complex(re, 0))
+    to_frac = lambda x: Fraction(x).limit_denominator(10 ** 6)
+    den = [to_frac(c) for c in np.real(np.poly(poles))]
+    num = [to_frac(rng.uniform(-2, 2))
+           for _ in range(rng.randint(1, degree + 1))]
+    t = Fraction(rng.randint(1, 200), 100)
+    return ContinuousTF(num, den, t)
+
+
+def test_grid_exponential_matches_mpmath_within_nyquist():
+    # Differential check against the 60-digit mpmath route: identical
+    # snapped coefficients on every seeded plant with |p*T| <= pi.
+    rng = random.Random(2024)
+    checked = 0
+    while checked < 300:
+        g = random_continuous_plant(rng)
+        if root_oracle(g.den) * float(g.sample_time) > math.pi:
+            continue
+        assert zoh_discretize(g) == mpmath_zoh_discretize(g), g
+        checked += 1

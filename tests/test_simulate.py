@@ -1,20 +1,25 @@
 """Closed-loop simulation, noise injection, margins, and sensitivities."""
 
+import functools
 import io
 import math
 import random
 from fractions import Fraction
 
+import mpmath as mp
 import numpy as np
 import pytest
 
+import dcsynth.simulate as simulate
 from dcsynth.errors import (ArithmeticOverflow, DegenerateLoop,
                             EvaluationSingularity)
 from dcsynth.fixedpoint import FixedPointFormat, quantize_poly
-from dcsynth.simulate import (NoiseModel, _controller_polys, _wrap_margin,
-                              frequency_margins, sensitivity_functions,
-                              step_response, write_margins)
-from dcsynth.transfer import Controller, TransferFunction, poly_add
+from dcsynth.simulate import (NOISE_MODES, NoiseModel, _controller_polys,
+                              _wrap_margin, frequency_margins,
+                              sensitivity_functions, step_response,
+                              write_margins)
+from dcsynth.stability import root_oracle
+from dcsynth.transfer import Controller, Poly, TransferFunction, poly_add
 
 F416 = FixedPointFormat(4, 16)
 T = Fraction(1, 5)
@@ -95,6 +100,67 @@ def test_csv_export_round_trips_controller_signals():
         assert Fraction(fields[3]) * scale == trace.e[k].raw
         assert Fraction(fields[4]) * scale == trace.u[k].raw
         assert float(fields[5]) == float(trace.y[k])
+
+
+@functools.lru_cache(maxsize=1024)
+def _mpf50(x: Fraction):
+    """x rounded to a 50-digit mpf, as the old plant path converted it."""
+    with mp.workdps(50):
+        return mp.mpf(x.numerator) / mp.mpf(x.denominator)
+
+
+def mpmath_plant_step(gn, gd, u_in, uin_hist, y_hist):
+    """_plant_step as it was: the difference equation in mpmath at 50
+    digits, on coefficients and inputs rounded to 50 digits.  It returns
+    the exact value of its mpf, which converts back to the same mpf."""
+    with mp.workdps(50):
+        us = [u_in] + uin_hist[:len(gn) - 1]
+        acc = mp.mpf(0)
+        for coeff, sig in zip(gn, us):
+            acc += _mpf50(coeff) * _mpf50(sig)
+        for j in range(1, len(gd)):
+            acc -= _mpf50(gd[j]) * _mpf50(y_hist[j - 1])
+        sign, man, exp, _ = (acc / _mpf50(gd[0]))._mpf_
+        return Fraction(-man if sign else man) * Fraction(2) ** exp
+
+
+def test_plant_path_matches_mpmath(monkeypatch):
+    # Differential check against the 50-digit mpmath plant path on seeded
+    # loops around open-loop-stable plants, in all three noise modes: the
+    # same controller signals, plant outputs to a float, and stop step.
+    # (Around an unstable plant the 50 digits drift away from the exact
+    # output, which the 2^-200 grid follows further.)
+    rng = random.Random(11)
+
+    def coeffs(count, scale):
+        return [Fraction(rng.randint(-scale, scale), 1000)
+                for _ in range(count)]
+
+    loops = stopped = 0
+    while loops < 120:
+        gd = [1] + coeffs(rng.randint(1, 3), 1500)
+        if root_oracle(Poly(gd)) >= 1:
+            continue
+        plant = TransferFunction(coeffs(rng.randint(1, len(gd)), 500), gd)
+        order = rng.randint(0, 2)
+        ctl = make_controller(coeffs(order + 1, 3000),
+                              [1] + coeffs(order, 1000))
+        noise = NoiseModel(Q, Q, NOISE_MODES[loops % 3])
+        runs = []
+        for plant_step in (simulate._plant_step, mpmath_plant_step):
+            monkeypatch.setattr(simulate, "_plant_step", plant_step)
+            try:
+                trace = step_response(ctl, plant, T, 150, noise, seed=loops,
+                                      stop_on_divergence=True)
+            except ArithmeticOverflow as exc:
+                runs.append(exc.step)
+                continue
+            runs.append(([v.raw for v in trace.e], [v.raw for v in trace.u],
+                         [float(y) for y in trace.y], len(trace)))
+        assert runs[0] == runs[1], (plant, ctl, noise)
+        stopped += not isinstance(runs[0], tuple) or runs[0][-1] < 150
+        loops += 1
+    assert stopped >= 20
 
 
 def test_static_gain_margins():
