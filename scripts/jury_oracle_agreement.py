@@ -4,10 +4,12 @@ on random polynomials, and report the disagreement margin histogram near the
 unit circle (where the exact test and the float oracle legitimately split).
 Then cross-check the segment test (the edge step of the box verdict) against
 a root sweep of each segment, on random segments between stable ends.
-Last, cross-check the box verdict's "lead" label (the leading coefficient
+Then cross-check the box verdict's "lead" label (the leading coefficient
 of the closed-loop polynomial vanishes over the box) on random families
 whose denominator lead ranges through zero: each such box must hold a
 member that exact Jury and the root oracle both find unstable.
+Last, cross-check the exact-crossing frequency margins on random loops
+against the 50-digit mpmath crossings of the test suite.
 """
 
 import argparse
@@ -20,18 +22,23 @@ from fractions import Fraction
 
 import numpy as np
 
-sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "tests"))
 
 from dcsynth import (Controller, FixedPointFormat, PlantFamily, Poly,
                      TransferFunction, char_poly, family_to_interval_poly,
                      jury_stable, quantize_poly, root_oracle, verify_precision)
 from dcsynth.cegis import _box_verdict
 from dcsynth.stability import has_root, segment_chain
+from dcsynth.simulate import frequency_margins
 from dcsynth.transfer import closed_loop_coeffs
+from test_simulate import mpmath_margins, seeded_loops
 
 SEGMENTS = 2000
 SWEEP_POINTS = 4001
 LEAD_FAMILIES = 1000
+MARGIN_LOOPS = 500
 
 
 def random_poly(rng, max_degree):
@@ -168,6 +175,25 @@ def lead_agreement(rng):
     return missing
 
 
+def margin_agreement(rng):
+    """MARGIN_LOOPS random loops (`seeded_loops`): both margins of
+    `frequency_margins` against `mpmath_margins`, infinite together and
+    otherwise within a relative 1e-9."""
+    disagreements = finite = 0
+    for controller, plant in seeded_loops(rng, MARGIN_LOOPS):
+        got = frequency_margins(controller, plant, 1)
+        expected = mpmath_margins(controller, plant)
+        for x, y in zip(got, expected):
+            finite += math.isfinite(y)
+            if not (x == y or abs(x - y) <= 1e-9 * abs(y)):
+                disagreements += 1
+                print(f"margin disagreement: {x!r} against {y!r} for "
+                      f"{controller} {plant}")
+    print(f"margins: {MARGIN_LOOPS} loops, {finite} finite margins, "
+          f"{disagreements} disagreements")
+    return disagreements
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--trials", type=int, default=20000)
@@ -196,6 +222,7 @@ def main():
           f"{disagreements} disagreements")
     disagreements += segment_agreement(rng, args.exclusion)
     disagreements += lead_agreement(rng)
+    disagreements += margin_agreement(rng)
     return 1 if disagreements else 0
 
 

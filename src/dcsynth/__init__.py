@@ -13,9 +13,8 @@ from .cegis import (Limits, SynthesisResult, cegis_one_stage, cegis_two_stage,
 from .discretize import ContinuousTF, zoh_discretize
 from .errors import (ArithmeticOverflow, DcsynthError, DeadlineExceeded,
                      DegenerateCharPoly, DegenerateLoop, DivisionByZero,
-                     DivisorContainsZero, EvaluationSingularity,
-                     ImproperTransferFunction, NoCandidate,
-                     NonpositiveSampleTime, Overflow, ParseError,
+                     DivisorContainsZero, ImproperTransferFunction,
+                     NoCandidate, NonpositiveSampleTime, Overflow, ParseError,
                      ValidationError)
 from .fixedpoint import (FixedPointFormat, FixedPointValue, quantize_nearest,
                          quantize_poly, quantize_truncate)

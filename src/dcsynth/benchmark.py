@@ -31,7 +31,6 @@ class BenchmarkSpec:
     family: PlantFamily
     controller_format: FixedPointFormat
     controller_orders: tuple
-    plant_format: FixedPointFormat | None
 
 
 def _parse_lines(path):
@@ -128,12 +127,12 @@ def parse_benchmark(path) -> BenchmarkSpec:
             raise ValidationError(f"{key} entries must be nonnegative")
         return ds
 
-    plant_format = (_format(entries["plant_format"], linenos["plant_format"])
-                    if "plant_format" in entries else None)
     family = PlantFamily(plant,
                          delta_num=deltas("delta_num", plant.num.degree + 1),
                          delta_den=deltas("delta_den", plant.den.degree + 1),
-                         plant_format=plant_format)
+                         plant_format=(_format(entries["plant_format"],
+                                               linenos["plant_format"])
+                                       if "plant_format" in entries else None))
 
     orders = _int_pair(entries["controller_orders"],
                        linenos["controller_orders"])
@@ -152,7 +151,6 @@ def parse_benchmark(path) -> BenchmarkSpec:
         controller_format=_format(entries["controller_format"],
                                   linenos["controller_format"]),
         controller_orders=orders,
-        plant_format=plant_format,
     )
 
 

@@ -211,6 +211,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "verify" and args.steps < 1:
         parser.error("--steps must be at least 1")
+    if args.command == "synth" and not (args.max_iters >= 1
+                                        and args.timeout > 0):  # not NaN
+        parser.error("--max-iters must be at least 1, --timeout positive")
     try:
         spec = parse_benchmark(args.file)
         if args.command == "synth":

@@ -41,10 +41,6 @@ class DegenerateLoop(DcsynthError):
     """1 + G*C is identically zero; the closed loop is not well defined."""
 
 
-class EvaluationSingularity(DcsynthError):
-    """A pole sits on the frequency-response evaluation grid."""
-
-
 class DeadlineExceeded(DcsynthError):
     """The synthesis deadline passed; raised by the candidate search and by
     both verification stages, and reported by the engines as `timeout`."""

@@ -10,17 +10,17 @@ controller output (DAC side), each bounded by half a quantization step.
 
 from __future__ import annotations
 
-import cmath
 import csv
 import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import (ArithmeticOverflow, DegenerateLoop,
-                     EvaluationSingularity, Overflow)
+from .errors import ArithmeticOverflow, DegenerateLoop, Overflow
 from .fixedpoint import FixedPointFormat, FixedPointValue, quantize_truncate
-from .transfer import Controller, Poly, TransferFunction, poly_add, poly_mul
+from .stability import bilinear, positive_roots, sturm_chain
+from .transfer import (Controller, Poly, TransferFunction, convolve,
+                       poly_add, poly_divmod, poly_mul)
 
 SIGNAL_INTEGER_BITS = 40
 DIVERGENCE_FACTOR = 10 ** 6
@@ -61,11 +61,11 @@ class NoiseModel:
 
 @dataclass
 class SimulationTrace:
-    """Time-indexed (r, e, u, y) samples; e and u live on the controller
-    signal grid (FixedPointValue), r and y are exact rationals."""
+    """Time-indexed (e, u, y) samples of the response to the unit step
+    r = 1; e and u live on the controller signal grid (FixedPointValue), y
+    is exact rationals."""
 
     sample_time: Fraction
-    r: list = field(default_factory=list)
     e: list = field(default_factory=list)
     u: list = field(default_factory=list)
     y: list = field(default_factory=list)
@@ -76,15 +76,12 @@ class SimulationTrace:
     def max_abs_output(self) -> Fraction:
         return max((abs(v) for v in self.y), default=Fraction(0))
 
-    def diverged(self, reference_level=Fraction(1)) -> bool:
-        return self.max_abs_output() > DIVERGENCE_FACTOR * abs(reference_level)
+    def diverged(self) -> bool:
+        return self.max_abs_output() > DIVERGENCE_FACTOR
 
-    def divergence_step(self, reference_level=Fraction(1)):
-        bound = DIVERGENCE_FACTOR * abs(reference_level)
-        for k, v in enumerate(self.y):
-            if abs(v) > bound:
-                return k
-        return None
+    def divergence_step(self):
+        return next((k for k, v in enumerate(self.y)
+                     if abs(v) > DIVERGENCE_FACTOR), None)
 
     def write_csv(self, fp):
         writer = csv.writer(fp, lineterminator="\n")
@@ -93,7 +90,7 @@ class SimulationTrace:
         for k in range(len(self.y)):
             # e and u are controller-path signals: bit-exact decimals.
             # y is the real-valued plant output: shortest float round-trip.
-            writer.writerow([k, _decimal(t), _decimal(self.r[k]),
+            writer.writerow([k, _decimal(t), "1",
                              self.e[k].decimal_str(), self.u[k].decimal_str(),
                              repr(float(self.y[k]))])
             t += self.sample_time
@@ -158,9 +155,8 @@ def _noise_stream(noise: NoiseModel, seed):
 
 def step_response(controller, plant: TransferFunction, T, steps: int,
                   noise: NoiseModel | None = None, seed: int = 0,
-                  reference=Fraction(1),
                   stop_on_divergence: bool = False) -> SimulationTrace:
-    """Unity-negative-feedback step response.
+    """Unity-negative-feedback response to a unit step.
 
     The controller path runs on the fixed-point signal grid <40, F> where F
     is the controller's fraction bit count (wide range, same resolution), so
@@ -170,9 +166,9 @@ def step_response(controller, plant: TransferFunction, T, steps: int,
     multiple of 2^-200.
 
     With `stop_on_divergence` the loop ends early once |y| exceeds the
-    divergence threshold; the trace is then shorter than `steps` (an unstable
-    loop eventually overflows even the wide signal format, so this is how a
-    divergent trace is inspected rather than raised out of).
+    threshold `diverged()` reads; the trace is then shorter than `steps` (an
+    unstable loop eventually overflows even the wide signal format, so this
+    is how a divergent trace is inspected rather than raised out of).
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
@@ -193,7 +189,6 @@ def step_response(controller, plant: TransferFunction, T, steps: int,
     gd = _pad_front(plant.den.coeffs, n_g)
     nu1 = _noise_stream(noise, seed * 2 + 1)
     nu2 = _noise_stream(noise, seed * 2 + 2)
-    reference = Fraction(reference)
 
     e_hist = [FixedPointValue(0, sig_fmt)] * n_c
     u_hist = [FixedPointValue(0, sig_fmt)] * n_c
@@ -202,7 +197,7 @@ def step_response(controller, plant: TransferFunction, T, steps: int,
     trace = SimulationTrace(sample_time=Fraction(T))
     for k in range(steps):
         y = y_hist[0]
-        e_pre = reference - y
+        e_pre = 1 - y
         e_meas = e_pre + nu1(noise.q1, e_pre)
         try:
             e_q = quantize_truncate(e_meas, sig_fmt)
@@ -217,12 +212,10 @@ def step_response(controller, plant: TransferFunction, T, steps: int,
         y_next = _plant_step(gn, gd, u_in, uin_hist, y_hist)
         uin_hist = [u_in] + uin_hist[:-1]
         y_hist = [y_next] + y_hist[:-1]
-        trace.r.append(reference)
         trace.e.append(e_q)
         trace.u.append(u_q)
         trace.y.append(y)
-        if (stop_on_divergence
-                and abs(y) > DIVERGENCE_FACTOR * abs(reference)):
+        if stop_on_divergence and abs(y) > DIVERGENCE_FACTOR:
             break
     return trace
 
@@ -257,103 +250,52 @@ def _plant_step(gn, gd, u_in, uin_hist, y_hist):
     return Fraction(round(acc / gd[0] * _PLANT_GRID), _PLANT_GRID)
 
 
-def _loop_response(controller, plant, omegas, T):
-    """C*G at z = exp(j*w*T) for each w in `omegas`, each polynomial by
-    Horner's rule over the whole grid at once."""
+def frequency_margins(controller, plant: TransferFunction, T):
+    """(gain margin dB, phase margin degrees) of the open loop L = C*G in
+    lowest terms, read at its exact crossings of z = e^(j*w*T), 0 < w*T < pi
+    (roots in u = cot(w*T/2) > 0 of exact polynomials, so T changes nothing)
+    and at z = -1 unless L has a pole there; a zero or pole is no crossing.
+    math.inf: no candidate.  |L| = 1 on the whole circle: phase at z = 1."""
     cn, cd, _ = _controller_polys(controller)
-    t = float(T)
-    zs = [cmath.exp(1j * (w * t)) for w in omegas]
-
-    def horner(p):
-        # From 0j, the first step gives complex(c0) at every z.
-        y = [complex(p.coeffs[0])] * len(zs)
-        for c in p.coeffs[1:]:
-            c = float(c)
-            y = [v * z + c for v, z in zip(y, zs)]
-        return y
-
-    den = [x * y for x, y in zip(horner(cd), horner(plant.den))]
-    if 0 in den or not all(map(cmath.isfinite, den)):
-        raise EvaluationSingularity("loop pole on the evaluation grid")
-    return [x * y / d
-            for x, y, d in zip(horner(cn), horner(plant.num), den)]
-
-
-def _unwrap(phase):
-    """Phase with every jump of pi or more between neighbours replaced by
-    its equivalent in [-pi, pi] (the rule of numpy.unwrap, same operations
-    in the same order)."""
-    out = phase[:1]
-    correction = 0.0
-    for p0, p1 in zip(phase, phase[1:]):
-        jump = p1 - p0
-        if abs(jump) >= math.pi:
-            reduced = (jump + math.pi) % (2 * math.pi) - math.pi
-            if reduced == -math.pi and jump > 0:
-                reduced = math.pi
-            correction += reduced - jump
-        out.append(p1 + correction)
-    return out
-
-
-def frequency_margins(controller, plant: TransferFunction, T,
-                      points: int = 20000):
-    """(gain margin dB, phase margin degrees) of the open loop C*G.
-
-    Standard crossover definitions on a log grid of `points` frequencies in
-    (0, pi/T).  The Nyquist point z = -1 always counts as a gain-margin
-    candidate; math.inf is returned for a margin with no crossover.
-    """
-    t = float(T)
-    w_max = math.pi / t
-    hi = math.log10(w_max)
-    lo = hi - 6
-    step = (hi - lo) / points
-    omegas = [10.0 ** (lo + i * step) for i in range(1, points)]
-    try:
-        resp = _loop_response(controller, plant, omegas, T)
-    except EvaluationSingularity:
-        omegas = [w * (1 + 1e-9) for w in omegas]
-        resp = _loop_response(controller, plant, omegas, T)
-
-    mag = [abs(r) for r in resp]
-    phase = _unwrap([cmath.phase(r) for r in resp])
-
+    num, den = poly_mul(cn, plant.num), poly_mul(cd, plant.den)
+    if den.is_zero():
+        raise DegenerateLoop("the loop denominator is identically zero")
+    common = Poly(sturm_chain(num, den)[-1])
+    num, den = (poly_divmod(p, common)[0].normalize() for p in (num, den))
+    n = max(num.degree, den.degree)
+    en, ed = (bilinear([0] * (n - p.degree) + list(p.coeffs))
+              for p in (num, den))
+    # L = N*conj(D)/|D|^2, and |L| = 1 where Re((N - D)*conj(N + D)) = 0.
+    cross_re, cross_im = _times_conj(en, ed)
+    magnitude = _times_conj([a - b for a, b in zip(en, ed)],
+                            [a + b for a, b in zip(en, ed)])[0]
     gm_candidates = []
-    # Interior -180 degree crossings (phase through an odd multiple of pi).
-    shifted = [(p + math.pi) / (2 * math.pi) for p in phase]
-    wraps = [math.floor(p) for p in shifted]
-    for i in _changes(wraps):
-        # Linear interpolation of |L| at the crossing.
-        p0, p1 = shifted[i], shifted[i + 1]
-        target = max(wraps[i], wraps[i + 1])
-        if p1 == p0:
-            continue
-        frac = (target - p0) / (p1 - p0)
-        m = mag[i] + frac * (mag[i + 1] - mag[i])
-        if m > 0:
-            gm_candidates.append(-20 * math.log10(m))
-    m_nyq = abs(_loop_response(controller, plant, [w_max], T)[0])
-    if m_nyq > 0:
-        gm_candidates.append(-20 * math.log10(m_nyq))
-    gain_margin = min(gm_candidates) if gm_candidates else math.inf
-
-    pm_candidates = []
-    above = [m >= 1.0 for m in mag]
-    for i in _changes(above):
-        m0, m1 = mag[i], mag[i + 1]
-        frac = (1.0 - m0) / (m1 - m0) if m1 != m0 else 0.5
-        ph = phase[i] + frac * (phase[i + 1] - phase[i])
-        pm_candidates.append(_wrap_margin(math.degrees(ph) + 180.0))
-    if all(above) and abs(mag[0] - 1.0) < 1e-12:
-        pm_candidates.append(_wrap_margin(math.degrees(phase[0]) + 180.0))
-    phase_margin = min(pm_candidates) if pm_candidates else math.inf
-    return gain_margin, phase_margin
+    if not cross_im.is_zero():
+        # Im L without the roots it shares with Re L: L's zeros and poles.
+        real_at = cross_im
+        while len(common := sturm_chain(real_at, cross_re)[-1]) > 1:
+            real_at = poly_divmod(real_at, Poly(common))[0]
+        den_square = _times_conj(ed, ed)[0]
+        gm_candidates = [-20 * math.log10(-cross_re(u) / den_square(u))
+                         for u in positive_roots(real_at) if cross_re(u) < 0]
+    if num(-1) and den(-1):
+        gm_candidates.append(-20 * math.log10(abs(num(-1) / den(-1))))
+    phases = ([0.0 if num(1) / den(1) > 0 else math.pi] if magnitude.is_zero()
+              else [math.atan2(cross_im(u), cross_re(u))
+                    for u in positive_roots(magnitude)])
+    return (min(gm_candidates, default=math.inf),
+            min((_wrap_margin(math.degrees(ph) + 180.0) for ph in phases),
+                default=math.inf))
 
 
-def _changes(values):
-    """Indices i with values[i] != values[i + 1]."""
-    return [i for i, (u, v) in enumerate(zip(values, values[1:])) if u != v]
+def _times_conj(x, y) -> tuple:
+    """(Re, Im) in u of X(s)*Y(-s) = X*conj(Y) at s = -j*u, where z is
+    e^(j*theta), u = cot(theta/2), for X, Y of coefficients x, y."""
+    p = convolve(x, [c * (-1) ** i for i, c in enumerate(y[::-1])][::-1],
+                 0)[::-1]
+    # (-j)^k is 1, -j, -1, j for k = 0, 1, 2, 3 (mod 4).
+    return tuple(Poly([c * f[k % 4] for k, c in enumerate(p)][::-1])
+                 for f in ((1, 0, -1, 0), (0, -1, 0, 1)))
 
 
 def _wrap_margin(deg: float) -> float:

@@ -27,7 +27,7 @@ from fractions import Fraction
 
 from .errors import DegenerateCharPoly
 from .intervals import IntervalPoly, RationalInterval
-from .transfer import Poly, add_aligned, convolve, poly_roots
+from .transfer import Poly, add_aligned, convolve, poly_divmod, poly_roots
 
 
 class Status(enum.Enum):
@@ -137,9 +137,7 @@ def segment_chain(p0, p1) -> list:
     """
     n = len(p0) - 1
     scale = math.lcm(*(Fraction(c).denominator for c in list(p0) + list(p1)))
-    basis, binomials = _segment_bases(n)
-    q0, q1 = ([sum(int(a * scale) * b[i] for a, b in zip(p, basis))
-               for i in range(n + 1)] for p in (p0, p1))
+    q0, q1 = (bilinear([int(a * scale) for a in p]) for p in (p0, p1))
     values = []
     for t in range(max(n, 1)):
         q = [x + t * (y - x) for x, y in zip(q0, q1)]
@@ -147,16 +145,18 @@ def segment_chain(p0, p1) -> list:
                              for j in range(n - 1)] for i in range(n - 1)]))
     # Newton's forward differences at t = 0, 1, ...: Δ = Σ diff_j·C(t, j).
     delta = [0]
-    for binomial in binomials:
+    for binomial in _segment_bases(n)[1]:
         delta = add_aligned(delta, [values[0] * c for c in binomial], 0)
         values = [b - a for a, b in zip(values, values[1:])]
-    a = Poly(delta).normalize()
-    b = Poly([c * (a.degree - i) for i, c in enumerate(a.coeffs[:-1])] or [0])
-    chain = [a]
-    while not b.is_zero():
-        chain.append(b)
-        a, b = b, _negated_remainder(a, b)
-    return chain
+    return sturm_chain(Poly(delta))
+
+
+def bilinear(coeffs) -> list:
+    """Coefficients of (s-1)^n·p((s+1)/(s-1)) for p with the n+1 given ones,
+    both descending, leading zeros allowed (s = jw maps to |z| = 1)."""
+    basis = _segment_bases(len(coeffs) - 1)[0]
+    return [sum(a * b[i] for a, b in zip(coeffs, basis))
+            for i in range(len(coeffs))]
 
 
 @functools.cache
@@ -178,22 +178,74 @@ def _segment_bases(n) -> tuple:
     return basis, tuple(binomials)
 
 
+def sturm_chain(a: Poly, b: Poly | None = None) -> list:
+    """a, b (by default a': a's Sturm chain), then each negated remainder of
+    the two before it while nonzero, as integer coefficient lists of the same
+    signs (positive multiples); the last is a multiple of gcd(a, b)."""
+    a = _primitive(a.coeffs)
+    b = _primitive(b.coeffs if b is not None else
+                   [c * (len(a) - 1 - i) for i, c in enumerate(a[:-1])] or [0])
+    chain = [a]
+    while any(b):
+        chain.append(b)
+        a, b = b, _primitive([-x for x in
+                              poly_divmod(Poly(a), Poly(b))[1].coeffs])
+    return chain
+
+
+def _primitive(coeffs) -> list:
+    """Coefficients, without leading zeros, times a positive integerizer."""
+    c = Poly(coeffs).normalize().coeffs
+    scale = Fraction(math.lcm(*(x.denominator for x in c)),
+                     math.gcd(*(x.numerator for x in c)) or 1)
+    return [int(x * scale) for x in c]
+
+
 def has_root(chain, lo, hi) -> bool:
     """Whether chain[0] has a real root in [lo, hi] (Sturm's theorem)."""
-    return chain[0](lo) == 0 or _sign_changes(chain, lo) > _sign_changes(chain, hi)
+    return (_sign_at(chain[0], lo) == 0
+            or _sign_changes(chain, lo) > _sign_changes(chain, hi))
 
 
 def _sign_changes(chain, x) -> int:
-    signs = [v > 0 for v in (p(x) for p in chain) if v != 0]
+    signs = [s for s in (_sign_at(p, x) for p in chain) if s]
     return sum(u != v for u, v in zip(signs, signs[1:]))
 
 
-def _negated_remainder(a: Poly, b: Poly) -> Poly:
-    r, d = list(a.coeffs), b.coeffs
-    while len(r) >= len(d):
-        f = r[0] / d[0]
-        r = [x - f * y for x, y in zip(r[1:], d[1:])] + r[len(d):]
-    return Poly([-x for x in r] or [0]).normalize()
+def _sign_at(c, x) -> int:
+    """Exact sign of the integer polynomial c at the rational or float x."""
+    num, den = x.as_integer_ratio()
+    acc = 0
+    for i, coeff in enumerate(c):
+        acc = acc * num + coeff * den ** i
+    return (acc > 0) - (acc < 0)
+
+
+def positive_roots(p: Poly) -> list:
+    """The distinct real roots of p in (0, inf), ascending, each as the float
+    at or just above it: isolated by Sturm counts of p's square-free part on
+    halvings of (0, 2^k], refined by bisection on its exact sign in floats."""
+    if p.is_zero():
+        raise ValueError("the zero polynomial vanishes everywhere")
+    chain = sturm_chain(poly_divmod(p, Poly(sturm_chain(p)[-1]))[0])
+    # Cauchy's bound: every root has modulus below 1 + max|c_i / c_0|.
+    bound = max(map(abs, chain[0])) // abs(chain[0][0]) + 2
+    pending = [(Fraction(0), Fraction(2 ** bound.bit_length()))]
+    roots = []
+    while pending:
+        lo, hi = pending.pop()
+        # Roots in (lo, hi]: square-free, the chain never vanishes whole.
+        count = _sign_changes(chain, lo) - _sign_changes(chain, hi)
+        if count > 1:
+            pending += [((lo + hi) / 2, hi), (lo, (lo + hi) / 2)]
+        elif count:
+            lo, hi = float(lo), float(hi)
+            side = _sign_at(chain[0], hi)  # never at lo, an open end
+            while lo < (mid := (lo + hi) / 2) < hi:
+                lo, hi = ((lo, mid) if _sign_at(chain[0], mid) in (0, side)
+                          else (mid, hi))
+            roots.append(hi)
+    return roots
 
 
 def _det(m) -> int:

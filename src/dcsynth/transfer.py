@@ -138,6 +138,15 @@ def poly_mul(a: Poly, b: Poly) -> Poly:
     return Poly(convolve(a.coeffs, b.coeffs, Fraction(0)))
 
 
+def poly_divmod(a: Poly, b: Poly) -> tuple:
+    """Quotient and normalized remainder of a by b (nonzero lead)."""
+    q, r, d = [], list(a.coeffs), b.coeffs
+    while len(r) >= len(d):
+        q.append(r[0] / d[0])
+        r = [x - q[-1] * y for x, y in zip(r[1:], d[1:])] + r[len(d):]
+    return Poly(q or [0]), Poly(r or [0]).normalize()
+
+
 @dataclass(frozen=True)
 class TransferFunction:
     """Rational transfer function num/den in z (descending coefficients)."""

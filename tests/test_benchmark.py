@@ -27,7 +27,7 @@ def test_parse_bundled_cruise():
     assert spec.sample_time == Fraction(1, 5)
     assert spec.controller_format == FixedPointFormat(4, 16)
     assert spec.controller_orders == (2, 2)
-    assert spec.plant_format == FixedPointFormat(16, 24)
+    assert spec.family.plant_format == FixedPointFormat(16, 24)
     assert spec.family.is_point()
 
 

@@ -79,12 +79,14 @@ def test_synth_trace_emission(tmp_path):
 
 
 def test_synth_failure_exit_code():
-    code, out = run(["synth", CRUISE, "--max-iters", "0", "--report", "json",
+    # Seed 0 needs a second iteration (one counterexample) on cruise.
+    code, out = run(["synth", CRUISE, "--max-iters", "1", "--report", "json",
                      "--no-timing"])
     assert code == 1
     report = json.loads(out)
     assert report["outcome"] == "Failure"
     assert report["reason"] == "iteration-limit"
+    assert report["iterations"] == 1
 
 
 def test_verify_stable_controller():
@@ -169,6 +171,17 @@ def test_verify_steps_must_be_positive(tmp_path):
         main(["verify", CRUISE, "--controller", STABLE_CTL, "--steps", "0",
               "--trace-out", str(tmp_path / "trace.csv")])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--timeout", "nan"), ("--timeout", "0"), ("--timeout", "-1"),
+    ("--max-iters", "0"), ("--max-iters", "-1")])
+def test_synth_limits_must_be_positive(capsys, flag, value):
+    # A NaN deadline never passes: every comparison with it is false.
+    with pytest.raises(SystemExit) as exc:
+        main(["synth", CRUISE, flag, value])
+    assert exc.value.code == 2
+    assert flag in capsys.readouterr().err
 
 
 def test_parse_error_exit_code(tmp_path, capsys):

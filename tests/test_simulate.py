@@ -7,19 +7,18 @@ import random
 from fractions import Fraction
 
 import mpmath as mp
-import numpy as np
 import pytest
 
 import dcsynth.simulate as simulate
-from dcsynth.errors import (ArithmeticOverflow, DegenerateLoop,
-                            EvaluationSingularity)
+from dcsynth.errors import ArithmeticOverflow, DegenerateLoop
 from dcsynth.fixedpoint import FixedPointFormat, quantize_poly
 from dcsynth.simulate import (NOISE_MODES, NoiseModel, _controller_polys,
                               _wrap_margin, frequency_margins,
                               sensitivity_functions, step_response,
                               write_margins)
 from dcsynth.stability import root_oracle
-from dcsynth.transfer import Controller, Poly, TransferFunction, poly_add
+from dcsynth.transfer import (Controller, Poly, TransferFunction, poly_add,
+                              poly_mul)
 
 F416 = FixedPointFormat(4, 16)
 T = Fraction(1, 5)
@@ -58,8 +57,8 @@ def test_unstable_quantized_controller_diverges():
     trace = step_response(UNSTABLE_CTL, CRUISE, T, 500,
                           stop_on_divergence=True)
     assert trace.diverged()
-    assert trace.divergence_step() is not None
-    assert trace.divergence_step() < 500
+    # The loop stops at the first sample past the threshold diverged() reads.
+    assert trace.divergence_step() == len(trace) - 1 < 499
 
 
 def test_unstable_loop_eventually_overflows_controller_path():
@@ -181,87 +180,177 @@ def test_margins_of_cruise_loop():
     assert gm_bad < 0
 
 
-def numpy_loop_response(controller, plant, omegas, T):
+def _mpf(x):
+    return mp.mpf(Fraction(x).numerator) / Fraction(x).denominator
+
+
+def mpmath_crossings(controller, plant):
+    """L = N/D at every crossing of 0 < arg z < pi, in 50 digits, as
+    (kind, arg z, L) with kind "gain" (|L| = 1) or "phase" (L < 0): the
+    unit-circle roots, by mpmath.polyroots, of z^m·(N(z)N(1/z) - D(z)D(1/z))
+    and of z^m·(N(z)D(1/z) - D(z)N(1/z)), m = max(deg N, deg D); a root
+    of the second where N or D vanishes is dropped."""
     cn, cd, _ = _controller_polys(controller)
-    z = np.exp(1j * omegas * float(T))
-    num = (np.polyval([float(c) for c in cn.coeffs], z)
-           * np.polyval([float(c) for c in plant.num.coeffs], z))
-    den = (np.polyval([float(c) for c in cd.coeffs], z)
-           * np.polyval([float(c) for c in plant.den.coeffs], z))
-    if np.any(den == 0) or not np.all(np.isfinite(den)):
-        raise EvaluationSingularity("loop pole on the evaluation grid")
-    return num / den
+    num = poly_mul(cn, plant.num).normalize()
+    den = poly_mul(cd, plant.den).normalize()
+    m = max(num.degree, den.degree)
+
+    def times_reversed(a, b):
+        # z^m·a(z)·b(1/z): b reversed, shifted up to the common degree m.
+        return poly_mul(poly_mul(a, Poly(b.coeffs[::-1])),
+                        Poly([1] + [0] * (m - b.degree)))
+
+    out = []
+    with mp.workdps(50):
+        for kind, p, q in (("gain", times_reversed(num, num),
+                            times_reversed(den, den)),
+                           ("phase", times_reversed(num, den),
+                            times_reversed(den, num))):
+            diff = list(poly_add(p, Poly([-c for c in q.coeffs])).coeffs)
+            while diff and diff[0] == 0:
+                diff.pop(0)
+            if len(diff) < 2:
+                continue
+            for z in mp.polyroots([_mpf(c) for c in diff], maxsteps=400,
+                                  extraprec=400):
+                theta = mp.arg(z)
+                if (abs(abs(z) - 1) > mp.mpf(10) ** -20
+                        or not 10 ** -30 < theta < mp.pi - 10 ** -30):
+                    continue
+                z = mp.expj(theta)
+                n_z = mp.polyval([_mpf(c) for c in num.coeffs], z)
+                d_z = mp.polyval([_mpf(c) for c in den.coeffs], z)
+                if kind == "phase" and (abs(n_z) < 10 ** -30
+                                        or abs(d_z) < 10 ** -30
+                                        or (n_z / d_z).real >= 0):
+                    continue
+                out.append((kind, theta, n_z / d_z))
+    return out
 
 
-def numpy_frequency_margins(controller, plant, T, points=20000):
-    """frequency_margins as it was, in numpy arrays."""
-    w_max = math.pi / float(T)
-    omegas = np.logspace(math.log10(w_max) - 6, math.log10(w_max), points,
-                         endpoint=False)[1:]
-    try:
-        resp = numpy_loop_response(controller, plant, omegas, T)
-    except EvaluationSingularity:
-        omegas = omegas * (1 + 1e-9)
-        resp = numpy_loop_response(controller, plant, omegas, T)
-    mag = np.abs(resp)
-    phase = np.unwrap(np.angle(resp))
-    gm_candidates = []
-    shifted = (phase + math.pi) / (2 * math.pi)
-    wraps = np.floor(shifted)
-    for i in np.nonzero(np.diff(wraps) != 0)[0]:
-        p0, p1 = shifted[i], shifted[i + 1]
-        target = max(wraps[i], wraps[i + 1])
-        if p1 == p0:
-            continue
-        frac = (target - p0) / (p1 - p0)
-        m = mag[i] + frac * (mag[i + 1] - mag[i])
-        if m > 0:
-            gm_candidates.append(-20 * math.log10(m))
-    m_nyq = abs(numpy_loop_response(controller, plant, np.array([w_max]),
-                                    T)[0])
-    if m_nyq > 0:
-        gm_candidates.append(-20 * math.log10(m_nyq))
-    pm_candidates = []
-    above = mag >= 1.0
-    for i in np.nonzero(np.diff(above))[0]:
-        m0, m1 = mag[i], mag[i + 1]
-        frac = (1.0 - m0) / (m1 - m0) if m1 != m0 else 0.5
-        ph = phase[i] + frac * (phase[i + 1] - phase[i])
-        pm_candidates.append(_wrap_margin(math.degrees(ph) + 180.0))
-    if np.all(above) and abs(mag[0] - 1.0) < 1e-12:
-        pm_candidates.append(_wrap_margin(math.degrees(phase[0]) + 180.0))
-    return (float(min(gm_candidates)) if gm_candidates else math.inf,
-            float(min(pm_candidates)) if pm_candidates else math.inf)
+def mpmath_margins(controller, plant):
+    """(gain margin dB, phase margin degrees) from `mpmath_crossings` and
+    the Nyquist point z = -1, unless it is a pole."""
+    crossings = mpmath_crossings(controller, plant)
+    cn, cd, _ = _controller_polys(controller)
+    nyquist = [poly_mul(a, b)(-1) for a, b in ((cn, plant.num),
+                                               (cd, plant.den))]
+    gains = [abs(loop) for kind, _, loop in crossings if kind == "phase"]
+    if all(nyquist):
+        gains.append(abs(_mpf(nyquist[0] / nyquist[1])))
+    phases = [_wrap_margin(float(mp.degrees(mp.arg(loop))) + 180.0)
+              for kind, _, loop in crossings if kind == "gain"]
+    return (min((float(-20 * mp.log10(g)) for g in gains), default=math.inf),
+            min(phases, default=math.inf))
 
 
-def test_margins_match_numpy_reference():
-    # The two cruise loops and 52 seeded random loops of controller and
-    # plant orders up to 2 and 3.  The grid, Horner order, unwrap rule and
-    # interpolation are numpy's; its vectorised exp, power and complex
-    # division may round differently in the last bit.
-    rng = random.Random(41)
-
+def seeded_loops(rng, count):
+    """`count` random loops of controller orders up to 2 and plant orders
+    up to 3, coefficients on the 1/1000 grid in [-2, 2]."""
     def poly(degree):
         return [Fraction(rng.randint(-2000, 2000), 1000)
                 for _ in range(degree + 1)]
 
-    loops = [(STABLE_CTL, CRUISE, T), (UNSTABLE_CTL, CRUISE, T)]
-    while len(loops) < 54:
+    loops = []
+    while len(loops) < count:
         cn, cd = poly(rng.randint(0, 2)), poly(rng.randint(0, 2))
         gn, gd = poly(rng.randint(0, 2)), poly(rng.randint(1, 3))
         if cd[0] and gd[0]:
-            loops.append((TransferFunction(cn, cd), TransferFunction(gn, gd),
-                          Fraction(rng.randint(1, 100), 100)))
+            loops.append((TransferFunction(cn, cd), TransferFunction(gn, gd)))
+            rng.randint(1, 100)  # a sample time, which changes no margin
+    return loops
+
+
+ONE = TransferFunction([1], [1])
+# Crossings next to both ends of the circle: |1/2000/(z - 1)| = 1 at
+# theta near 1/2000, |1/2000/(z + 1)| = 1 at theta near pi - 1/2000.
+NEAR_ENDS = [(TransferFunction([Fraction(1, 2000)], [1, -1]), ONE),
+             (TransferFunction([Fraction(1, 2000)], [1, 1]), ONE),
+             (TransferFunction([Fraction(3, 2000)], [1, Fraction(-9, 10)]),
+              TransferFunction([1, Fraction(1, 2)], [1, -2, 1]))]
+# Tangencies.  |(z - 2)(z + 1/2)|^2 = 25/4 - 4cos^2(theta), so |L| below
+# touches 1 at theta = pi/2 only.  L = -(1/2)·(1 + cos(theta)/2
+# + j·sin(theta)·(cos(theta) - 1/2)^2) has Im L touching 0 at theta = pi/3,
+# where |L| = 5/8 exceeds its |L| = 1/4 at z = -1; in z, the numerator
+# below over z^3.
+TANGENT_MAGNITUDE = (TransferFunction([Fraction(2, 5), Fraction(-3, 5),
+                                       Fraction(-2, 5)], [1, 0, 0]), ONE)
+TANGENT_PHASE = (TransferFunction(
+    [-Fraction(x, 16) for x in (1, -2, 4, 8, 0, 2, -1)], [1, 0, 0, 0]), ONE)
+
+
+def test_margins_match_mpmath_crossings():
+    # The two cruise loops, 52 seeded loops, crossings next to both ends of
+    # the circle, and a tangency of |L| and of Im L.
+    loops = ([(STABLE_CTL, CRUISE), (UNSTABLE_CTL, CRUISE)]
+             + seeded_loops(random.Random(41), 52) + NEAR_ENDS
+             + [TANGENT_MAGNITUDE, TANGENT_PHASE])
     finite = 0
-    for controller, plant, t in loops:
-        got = frequency_margins(controller, plant, t)
-        expected = numpy_frequency_margins(controller, plant, t)
+    for controller, plant in loops:
+        got = frequency_margins(controller, plant, T)
+        expected = mpmath_margins(controller, plant)
         for x, y in zip(got, expected):
-            assert round(x, 6) == round(y, 6), (controller, plant, t)
+            assert round(x, 6) == round(y, 6), (controller, plant)
             if math.isfinite(y):
                 finite += 1
                 assert x == pytest.approx(y, rel=1e-9, abs=0)
     assert finite >= 80
+    thetas = [theta for loop in NEAR_ENDS
+              for _, theta, _ in mpmath_crossings(*loop)]
+    assert min(thetas) < 1e-3 and max(thetas) > math.pi - 1e-3
+
+
+def test_tangent_crossings():
+    tangents = [(kind, float(theta)) for loop in (TANGENT_MAGNITUDE,
+                                                  TANGENT_PHASE)
+                for kind, theta, _ in mpmath_crossings(*loop)]
+    assert ("gain", pytest.approx(math.pi / 2)) in tangents
+    assert ("phase", pytest.approx(math.pi / 3)) in tangents
+    # L(j) = (4 + 3j)/5.
+    assert frequency_margins(*TANGENT_MAGNITUDE, T)[1] == pytest.approx(
+        math.degrees(math.atan2(3, 4)) - 180, rel=1e-12)
+    assert frequency_margins(*TANGENT_PHASE, T)[0] == pytest.approx(
+        -20 * math.log10(5 / 8), rel=1e-12)
+
+
+def test_margins_of_unit_magnitude_loops():
+    # |L| = 1 on the whole circle: the phase margin is read at z = 1.
+    assert frequency_margins(ONE, ONE, T) == (0.0, 180.0)
+    assert frequency_margins(TransferFunction([-1], [1]), ONE, T) == (0.0,
+                                                                     0.0)
+    allpass = TransferFunction([Fraction(1, 2), 1], [1, Fraction(1, 2)])
+    assert frequency_margins(allpass, ONE, T)[1] == 180.0
+
+
+def test_poles_on_the_circle_give_no_candidate():
+    # Loop poles on the circle (e^(+-j*pi/3), +-j, e^(+-2j*pi/3)) make Im L
+    # vanish without a crossing, under both signs of the controller.
+    for sign in (1, -1):
+        controller = TransferFunction([sign * Fraction(1, 2),
+                                       sign * Fraction(1, 3)],
+                                      [1, Fraction(1, 5)])
+        for plant in (TransferFunction([1, 1], [1, -1, 1]),
+                      TransferFunction([1, 0], [1, 0, 1]),
+                      TransferFunction([1], [1, 1, 1])):
+            got = frequency_margins(controller, plant, T)
+            assert got == pytest.approx(mpmath_margins(controller, plant),
+                                        rel=1e-9)
+    # L(-1) = 0 gives no candidate either; with the poles' dropped, none is
+    # left.
+    plant = TransferFunction([1, 1], [1, -1, 1])
+    assert frequency_margins(controller, plant, T)[0] == math.inf
+    # A pole at z = -1 drops the Nyquist candidate; L = 1/(2(z + 1)) is
+    # nowhere else real and negative.
+    at_nyquist = TransferFunction([Fraction(1, 2)], [1, 1])
+    assert frequency_margins(at_nyquist, ONE, T)[0] == math.inf
+
+
+def test_common_factor_on_the_circle_cancels():
+    # (z + 1)(z^2 - z + 1) over itself times 1/2: L = 1/2 after reduction.
+    common = [1, 0, 0, 1]
+    loop = TransferFunction([Fraction(x, 2) for x in common], common)
+    assert frequency_margins(loop, ONE, T) == frequency_margins(
+        TransferFunction([Fraction(1, 2)], [1]), ONE, T)
 
 
 def test_write_margins_format():
@@ -292,6 +381,9 @@ def test_sensitivity_degenerate_loop():
     g = TransferFunction([0], [1, 1])
     with pytest.raises(DegenerateLoop):
         sensitivity_functions(c, g)
+    # A zero controller denominator leaves L = C*G undefined.
+    with pytest.raises(DegenerateLoop):
+        frequency_margins(c, CRUISE, T)
 
 
 def test_worst_case_noise_pushes_harder_than_none():

@@ -13,8 +13,8 @@ from dcsynth.cegis import _float_jury_margin, _float_jury_margins
 from dcsynth.errors import DegenerateCharPoly
 from dcsynth.intervals import IntervalPoly, RationalInterval
 from dcsynth.stability import (Status, has_root, jury_conditions, jury_stable,
-                               jury_stable_interval, root_oracle,
-                               segment_chain)
+                               jury_stable_interval, positive_roots,
+                               root_oracle, segment_chain, sturm_chain)
 from dcsynth.transfer import Poly, poly_mul, poly_roots
 
 
@@ -349,3 +349,49 @@ def test_segment_test_small_cases():
     assert not has_root(segment_chain([3], [1]), 0, 1)
     # A Hurwitz minor that vanishes at an end is a root on [0, 1].
     assert has_root(segment_chain([1, 0, 1], [1, 0, 1]), 0, 1)
+
+
+def test_sturm_chain_members_are_integer_and_end_in_the_gcd():
+    # (t - 1)^2 (t + 2) against (t - 1)(t - 3/2): gcd t - 1.
+    a = poly_mul(Poly([1, -2, 1]), Poly([1, 2]))
+    chain = sturm_chain(a, Poly([1, Fraction(-5, 2), Fraction(3, 2)]))
+    assert chain[:2] == [[1, 0, -3, 2], [2, -5, 3]]
+    assert chain[-1] in ([1, -1], [-1, 1])
+    assert sturm_chain(a)[-1] in ([1, -1], [-1, 1])
+    assert sturm_chain(Poly([0, Fraction(3, 4)])) == [[1]]
+
+
+def test_positive_roots_tangency_is_reported_once():
+    # A double root at 3 (no sign change of p) and a root at -1.
+    assert positive_roots(Poly([1, -5, 3, 9])) == [3.0]
+    # A fourfold root at 1/3, which no float equals.
+    r, = positive_roots(Poly([81, -108, 54, -12, 1]))
+    assert Fraction(r) > Fraction(1, 3) > Fraction(math.nextafter(r, 0))
+    # Double roots at 2 and 4, where every member of p's own chain vanishes,
+    # and both midpoints of the search's halvings of (0, 2^k].
+    p = poly_mul(Poly([1, -4, 4]), Poly([1, -8, 16]))
+    assert positive_roots(p) == [2.0, 4.0]
+
+
+def test_positive_roots_at_a_bisection_midpoint():
+    # (t - 2)(t - 3): the search starts on (0, 2^k], k > 2, whose halvings
+    # put 2 at the end of (0, 2] and at the start of (2, 4].
+    assert positive_roots(Poly([1, -5, 6])) == [2.0, 3.0]
+    assert positive_roots(Poly([1, -2])) == [2.0]
+
+
+def test_positive_roots_are_the_floats_at_or_above_the_roots():
+    r, = positive_roots(Poly([1, 0, -2]))
+    assert Fraction(r) ** 2 > 2 > Fraction(math.nextafter(r, 0)) ** 2
+    # Roots at 0 and below are not positive; tiny and huge ones are kept.
+    roots = positive_roots(poly_mul(Poly([1, 0, 0, 1]),
+                                    Poly([10 ** 12, -1, 0])))
+    assert roots == [pytest.approx(1e-12, rel=1e-15)]
+    assert positive_roots(Poly([1, -10 ** 30])) == [1e30]
+
+
+def test_positive_roots_of_constant_and_zero_polynomials():
+    assert positive_roots(Poly([5])) == []
+    assert positive_roots(Poly([0, 0, -2])) == []
+    with pytest.raises(ValueError):
+        positive_roots(Poly([0, 0]))
