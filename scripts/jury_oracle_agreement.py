@@ -8,8 +8,12 @@ Then cross-check the box verdict's "lead" label (the leading coefficient
 of the closed-loop polynomial vanishes over the box) on random families
 whose denominator lead ranges through zero: each such box must hold a
 member that exact Jury and the root oracle both find unstable.
-Last, cross-check the exact-crossing frequency margins on random loops
+Then cross-check the exact-crossing frequency margins on random loops
 against the 50-digit mpmath crossings of the test suite.
+Last, cross-check the zero-exclusion sweep of the box verdict on random
+families whose boxes reach it: no box it proves may have an unstable edge
+(the segment test) or a sampled member with a root on or outside the unit
+circle (the root oracle).
 """
 
 import argparse
@@ -29,16 +33,20 @@ sys.path.insert(0, str(ROOT / "tests"))
 from dcsynth import (Controller, FixedPointFormat, PlantFamily, Poly,
                      TransferFunction, char_poly, family_to_interval_poly,
                      jury_stable, quantize_poly, root_oracle, verify_precision)
+import dcsynth.cegis as cegis
 from dcsynth.cegis import _box_verdict
-from dcsynth.stability import has_root, segment_chain
+from dcsynth.stability import has_root, segment_chain, zero_excluded
 from dcsynth.simulate import frequency_margins
 from dcsynth.transfer import closed_loop_coeffs
 from test_simulate import mpmath_margins, seeded_loops
+from test_stability import random_stable_poly as stable_den
 
 SEGMENTS = 2000
 SWEEP_POINTS = 4001
 LEAD_FAMILIES = 1000
 MARGIN_LOOPS = 500
+SWEEP_FAMILIES = 500
+SWEEP_MEMBERS = 100
 
 
 def random_poly(rng, max_degree):
@@ -194,6 +202,90 @@ def margin_agreement(rng):
     return disagreements
 
 
+def sweep_family(rng, orders, uncertain):
+    """A random plant family of an order in the range `orders` (nominal
+    denominator roots of modulus 0.3-0.99, rounded to 1/1000) with a number
+    of uncertain coefficients in the range `uncertain`, each of radius up
+    to 0.03, the denominator lead kept exact, and a constant-gain
+    controller."""
+    order = rng.randint(*orders)
+    den = stable_den(rng, order, 0.3)
+    num = [Fraction(rng.choice((-1, 1)) * rng.randint(1, 500), 1000)
+           for _ in range(rng.randint(1, order))]
+    nn = len(num)
+    free = [i for i in range(nn + order + 1) if i != nn]
+    chosen = rng.sample(free, min(rng.randint(*uncertain), len(free)))
+    radii = [Fraction(rng.randint(1, 300), 10000) if i in chosen else 0
+             for i in range(nn + order + 1)]
+    fmt = FixedPointFormat(4, 16)
+    return (PlantFamily(TransferFunction(num, den), delta_num=radii[:nn],
+                        delta_den=radii[nn:]),
+            Controller(quantize_poly([Fraction(rng.randint(-300, 300), 1000)],
+                                     fmt), quantize_poly([1], fmt)))
+
+
+def sweep_and_edges(c, fam):
+    """What the zero-exclusion sweep says of the family's box (that of
+    `family_to_interval_poly`; None if the box verdict does not reach the
+    sweep), and the box verdict with the edge scan deciding in its place."""
+    said = []
+
+    def refuse(centre, generators, deadline=None):
+        said.append(zero_excluded(centre, generators, deadline))
+        return False
+
+    cegis.zero_excluded = refuse
+    try:
+        verdict, _ = _box_verdict(c, *family_to_interval_poly(fam), None)
+    finally:
+        cegis.zero_excluded = zero_excluded
+    return (said or [None])[0], verdict
+
+
+def unstable_members(rng, c, fam, count):
+    """The members among `count` sampled from the family's box (that of
+    `family_to_interval_poly`) that have a root on or outside the unit
+    circle by the root oracle."""
+    num_iv, den_iv = family_to_interval_poly(fam)
+    boxes, nn = num_iv.coeffs + den_iv.coeffs, len(num_iv.coeffs)
+    members = [[b.lo + b.width * Fraction(rng.randrange(1025), 1024)
+                for b in boxes] for _ in range(count)]
+    return [m for m in members if root_oracle(
+        char_poly(c, TransferFunction(m[:nn], m[nn:]))) >= 1]
+
+
+def sweep_agreement(rng):
+    """SWEEP_FAMILIES random families, alternately `sweep_family` (order
+    3-6, 2-9 uncertain coefficients) and the test suite's fuzz families
+    (half of them around a box with one unstable edge between stable
+    vertices): each box the sweep proves must be edge-Stable and have no
+    unstable member among SWEEP_MEMBERS sampled ones."""
+    from test_cegis import _fuzz_family  # test_cegis imports this script
+
+    counts = {"proved": 0, "refused edge-Stable": 0,
+              "refused edge-Unstable": 0}
+    disagreements = 0
+    for i in range(SWEEP_FAMILIES):
+        fam, c = (sweep_family(rng, (3, 6), (2, 9)) if i % 2 else
+                  _fuzz_family(rng, FixedPointFormat(8, 12), i % 4 == 0))
+        proved, verdict = sweep_and_edges(c, fam)
+        if proved is None:
+            continue
+        if not proved:
+            counts[f"refused edge-{verdict.status.value}"] += 1
+            continue
+        counts["proved"] += 1
+        bad = unstable_members(rng, c, fam, SWEEP_MEMBERS)
+        if not verdict.is_stable or bad:
+            disagreements += 1
+            print(f"sweep disagreement: edge verdict {verdict}, "
+                  f"{len(bad)} unstable members: {fam} {c}")
+    print(f"sweep: {SWEEP_FAMILIES} families, "
+          + ", ".join(f"{n} {k}" for k, n in counts.items())
+          + f", {disagreements} disagreements")
+    return disagreements
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--trials", type=int, default=20000)
@@ -223,6 +315,7 @@ def main():
     disagreements += segment_agreement(rng, args.exclusion)
     disagreements += lead_agreement(rng)
     disagreements += margin_agreement(rng)
+    disagreements += sweep_agreement(rng)
     return 1 if disagreements else 0
 
 

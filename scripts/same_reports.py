@@ -11,16 +11,21 @@ working tree's `src/`, runs:
   seeds 1-5, comparing exit code, report and any `--trace-out` CSV;
 - in-process two-stage synthesis (`Limits(timeout_s=60)`, no timing) on
   cruise, cruise_gain_uncertain, cruise_uncertain and dc_motor_uncertain,
-  seeds 0-5, comparing the reports;
+  seeds 0-5, and on fourth_order, seeds 1, 2, 4 and 8, comparing the
+  reports (fourth_order is the one instance whose boxes reach the
+  zero-exclusion sweep; none reaches the edge scan since the search
+  starts at pole-placement controllers);
 - `zoh_discretize` on 200 seeded continuous plants within Nyquist (degree
   1-5, poles of real part in [-5, 1], sample times 0.01-2, |p*T| <= pi),
   comparing the snapped coefficients.
 
-Both trees read the working tree's benchmark files.  Prints each
-difference and exits 1 on any, else 0.
+Both trees read the working tree's benchmark files.  Prints every
+differing line of each differing report and exits 1 on any difference,
+else 0.
 """
 
 import argparse
+import difflib
 import io
 import json
 import math
@@ -35,21 +40,25 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 CLI_SEEDS = range(1, 6)
-TWO_STAGE_SEEDS = range(0, 6)
-TWO_STAGE_BENCHES = (ROOT / "benchmarks" / "cruise.bench",
-                     ROOT / "benchmarks" / "cruise_gain_uncertain.bench",
-                     ROOT / "benchmarks" / "cruise_uncertain.bench",
-                     ROOT / "perfbench" / "fixtures" / "dc_motor_uncertain.bench")
+# (benchmark files, seeds) of the two-stage runs
+TWO_STAGE_RUNS = (
+    ((ROOT / "benchmarks" / "cruise.bench",
+      ROOT / "benchmarks" / "cruise_gain_uncertain.bench",
+      ROOT / "benchmarks" / "cruise_uncertain.bench",
+      ROOT / "perfbench" / "fixtures" / "dc_motor_uncertain.bench"),
+     range(0, 6)),
+    ((ROOT / "perfbench" / "fixtures" / "fourth_order.bench",), (1, 2, 4, 8)))
 # Runs in a child process with one tree's src/ on its path: one JSON line
 # of reports, keyed "bench seed".
 TWO_STAGE_CHILD = """
 import json, sys
 from dcsynth.cegis import Limits
 from dcsynth.cli import parse_benchmark, run_synthesis
-benches, seeds = json.loads(sys.argv[1])
+runs = json.loads(sys.argv[1])
 print(json.dumps({f"{b} {s}": run_synthesis(parse_benchmark(b), "two", s,
                                             Limits(timeout_s=60), False)
-                  for b in benches for s in seeds}, sort_keys=True))
+                  for benches, seeds in runs for b in benches for s in seeds},
+                 sort_keys=True))
 """
 ZOH_PLANTS = 200
 # Reads [[num, den, T], ...] as strings on stdin; prints each discretized
@@ -74,12 +83,13 @@ def cli_rows():
     return WORKLOADS["cli"].rows
 
 
-def extract_src(rev, dest):
-    tar = subprocess.run(["git", "archive", "--format=tar", rev, "src"],
+def extract(rev, dest, *paths):
+    """Writes REV's files, only those under `paths` if any are given, to
+    dest (`git archive`)."""
+    tar = subprocess.run(["git", "archive", "--format=tar", rev, *paths],
                          cwd=ROOT, capture_output=True, check=True).stdout
     with tarfile.open(fileobj=io.BytesIO(tar)) as archive:
         archive.extractall(dest)
-    return dest / "src"
 
 
 def run(src, argv, stdin=None):
@@ -104,8 +114,8 @@ def cli_outputs(src, rows, csv):
 
 
 def two_stage_reports(src):
-    args = json.dumps([[str(b) for b in TWO_STAGE_BENCHES],
-                       list(TWO_STAGE_SEEDS)])
+    args = json.dumps([[[str(b) for b in benches], list(seeds)]
+                       for benches, seeds in TWO_STAGE_RUNS])
     proc = run(src, ["-c", TWO_STAGE_CHILD, args])
     if proc.returncode != 0:
         sys.exit(f"two-stage child failed on {src}:\n{proc.stderr[-2000:]}")
@@ -149,12 +159,12 @@ def zoh_coefficients(src, plants):
     return json.loads(proc.stdout)
 
 
-def first_difference(a, b):
-    a, b = (a or "").splitlines(), (b or "").splitlines()
-    for i, (x, y) in enumerate(zip(a, b)):
-        if x != y:
-            return f"line {i + 1}: {x!r} != {y!r}"
-    return f"{len(a)} lines != {len(b)} lines"
+def line_differences(a, b):
+    """Every differing line of two texts, as indented unified-diff lines
+    without context (REV's lines -, the working tree's +)."""
+    diff = difflib.unified_diff((a or "").splitlines(),
+                                (b or "").splitlines(), lineterm="", n=0)
+    return "".join(f"\n    {line}" for line in list(diff)[2:])
 
 
 def main():
@@ -166,7 +176,8 @@ def main():
     differences = 0
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
-        trees = {rev: extract_src(rev, tmp / "rev"), "working tree": ROOT / "src"}
+        extract(rev, tmp / "rev", "src")
+        trees = {rev: tmp / "rev" / "src", "working tree": ROOT / "src"}
         cli = {name: cli_outputs(src, rows, tmp / "trace.csv")
                for name, src in trees.items()}
         two = {name: two_stage_reports(src) for name, src in trees.items()}
@@ -180,14 +191,14 @@ def main():
             if a != b:
                 differences += 1
                 detail = (f"{a} != {b}" if part == "exit code"
-                          else first_difference(a, b))
+                          else line_differences(a, b))
                 print(f"cli {key[0]} seed {key[1]}: {part} differs, {detail}")
     old, new = (two[name] for name in trees)
     for key in old:
         if old[key] != new[key]:
             differences += 1
             print(f"two-stage {key}: report differs, "
-                  f"{first_difference(old[key], new[key])}")
+                  f"{line_differences(old[key], new[key])}")
     old, new = (zoh[name] for name in trees)
     for plant, a, b in zip(plants, old, new):
         if a != b:

@@ -3,8 +3,10 @@
 Synthesizes controllers in a finite word length format that provably
 BIBO-stabilize every plant in a coefficient-box uncertainty family, using a
 counterexample-guided loop with a fast exact stage over the plant grid and a
-sound stage over the inflated family, both by interval Jury, then vertices
-and edges (Edge Theorem).
+sound stage over the inflated family, both by interval Jury, then exact
+Jury of the box vertices, the sign of the closed loop's leading
+coefficient, a zero-exclusion sweep of the unit circle, and the box edges
+(Edge Theorem) where the sweep gives up.
 """
 
 from .benchmark import BenchmarkSpec, parse_benchmark, parse_controller

@@ -1,13 +1,17 @@
 """Synthesis orchestrator: inductive candidate search against a counterexample
 set, two-stage verification (`_box_verdict` of the grid box, then of the
-inflated box), plant-precision escalation; plus the sound one-stage engine.
+inflated box: interval Jury, exact Jury of the vertices, the sign of the
+lead of S, the zero-exclusion sweep, then the edges as the fallback),
+plant-precision escalation; plus the sound one-stage engine.
 
 The candidate search is deterministic seeded hill climbing over the <I,F>
-coefficient grid with randomized restarts, falling back to exhaustive
-enumeration when the grid is small enough to sweep.  After 16 failed
-restarts, the two-stage search runs up to 128 restarts side by side, their
-float guidance in one numpy pass per step; it returns what the
-one-at-a-time search returns.
+coefficient grid with restarts, falling back to exhaustive enumeration when
+the grid is small enough to sweep.  In the two-stage engine the restarts
+start at the origin, then at pole-placement controllers for the nominal
+plant, then at seeded random points.  After 16 failed restarts, the
+two-stage search runs up to 128 restarts side by side, their float
+guidance in one numpy pass per step; it returns what the one-at-a-time
+search returns.
 """
 
 from __future__ import annotations
@@ -20,12 +24,14 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import DeadlineExceeded, DegenerateCharPoly, NoCandidate
+from .errors import (DeadlineExceeded, DegenerateCharPoly, NoCandidate,
+                     check_deadline)
 from .fixedpoint import FixedPointFormat, FixedPointValue
 from .intervals import (IntervalPoly, family_grid_box,
                         family_to_interval_poly, ipoly_add, ipoly_mul)
 from .stability import (JuryVerdict, Status, has_root, jury_conditions,
-                        jury_stable, jury_stable_interval, segment_chain)
+                        jury_stable, jury_stable_interval, segment_chain,
+                        zero_excluded)
 from .transfer import (Controller, PlantFamily, Poly, TransferFunction,
                        char_poly, closed_loop_coeffs)
 
@@ -36,6 +42,8 @@ EXHAUSTIVE_LIMIT = 1 << 20
 SERIAL_RESTARTS = 16   # failed restarts before restarts run side by side
 SIDE_BY_SIDE = 128     # restarts climbing side by side; sweep batch size
 BATCH_MIN = 16         # fewer points than this take the scalar guidance
+PLACEMENT_RADII = (Fraction(1, 5), Fraction(2, 5))  # closed-loop pole radii
+PLACEMENT_FILL = (1, 4)  # a start's largest raw is the limit over these
 
 _BIG_PENALTY = Fraction(10 ** 6)
 
@@ -89,12 +97,6 @@ def concrete_verdict(candidate: Controller, plant: TransferFunction) -> JuryVerd
     return jury_stable(s)
 
 
-def _check_deadline(deadline):
-    """Raises DeadlineExceeded once a time.perf_counter() `deadline` passed."""
-    if deadline is not None and time.perf_counter() > deadline:
-        raise DeadlineExceeded("deadline passed")
-
-
 @dataclass
 class _Climb:
     """A restart under way: its `_climb` generator, the point it waits to
@@ -108,7 +110,7 @@ class _Climb:
 
 
 def _grid_search(n_coeffs, fmt, seed, budget, evaluate, num_len,
-                 deadline=None, evaluate_batch=None):
+                 deadline=None, evaluate_batch=None, starts=()):
     """Deterministic seeded hill climbing with restarts over raw-integer
     coordinates; returns an accepted raw vector, or raises NoCandidate, or
     DeadlineExceeded past the `deadline`.
@@ -120,20 +122,21 @@ def _grid_search(n_coeffs, fmt, seed, budget, evaluate, num_len,
     They settle in pool order, and a restart's acceptance counts only when
     every earlier one has failed and all their evaluations and its own fit
     the budget: the result and the budget accounting are those of running
-    the restarts one at a time.  The climbs never step the denominator
-    leading raw (index num_len) to zero and the sweep skips such points, but
-    the origin probe and its climb start at zero: `evaluate` must penalize
-    those points.
+    the restarts one at a time.  The first restart starts at the origin,
+    the next ones at `starts`, then at seeded random points.  The climbs
+    never step the denominator leading raw (index num_len) to zero and the
+    sweep skips such points, but the origin probe and its climb start at
+    zero: `evaluate` must penalize those points.
     """
     rng = random.Random(seed)
     limit = fmt.raw_limit
-    starts = _start_pool(rng, n_coeffs, num_len, limit, fmt.scale)
+    starts = _start_pool(rng, n_coeffs, num_len, limit, fmt.scale, starts)
     batch = evaluate_batch or (lambda points: map(evaluate, points))
     used = failed = 0  # the failed restarts' evaluations, and their count
     climbs = []  # the restarts under way, in pool order
     closed = False  # no restart past the last one in `climbs` can count
     while True:
-        _check_deadline(deadline)
+        check_deadline(deadline)
         while climbs and not climbs[0].running:
             head = climbs.pop(0)
             if head.accepted is not None and used + head.evals <= budget:
@@ -176,7 +179,7 @@ def _grid_search(n_coeffs, fmt, seed, budget, evaluate, num_len,
                         break
             if ended:
                 break
-            _check_deadline(deadline)
+            check_deadline(deadline)
 
     # Exhaustive sweep is feasible only for tiny grids; it turns a failed
     # search into a proof that no candidate exists.
@@ -186,7 +189,7 @@ def _grid_search(n_coeffs, fmt, seed, budget, evaluate, num_len,
         points = (raws for raws in itertools.product(values, repeat=n_coeffs)
                   if raws[num_len] != 0)
         while True:
-            _check_deadline(deadline)
+            check_deadline(deadline)
             chunk = list(itertools.islice(points, SIDE_BY_SIDE))
             if not chunk:
                 break
@@ -228,11 +231,12 @@ def _climb(raws, n_coeffs, num_len, limit):
     return None
 
 
-def _start_pool(rng, n_coeffs, num_len, limit, one):
+def _start_pool(rng, n_coeffs, num_len, limit, one, first=()):
     """Deterministic sequence of restart points (generator, budget-bounded)."""
-    # Probe the origin first, then seeded random restarts at varied
-    # magnitudes.
+    # Probe the origin first, then the given points, then seeded random
+    # restarts at varied magnitudes.
     yield [0] * n_coeffs
+    yield from (list(raws) for raws in first)
     while True:
         scale_bits = rng.choice((1, 2, 4))
         hi = max(2, limit // scale_bits)
@@ -242,10 +246,71 @@ def _start_pool(rng, n_coeffs, num_len, limit, one):
         yield raws
 
 
+def placement_starts(nominal: TransferFunction, fmt: FixedPointFormat,
+                     orders) -> list:
+    """Raw start points by pole placement on the `nominal` plant (Astrom &
+    Wittenmark, polynomial design).  For each radius r in PLACEMENT_RADII,
+    the Sylvester system Cn*Gn + Cd*Gd = c*(z - r)^deg S, with Cd's lead 1
+    and any free coefficient 0, is solved exactly; the solution is scaled so
+    that its largest raw is the format's limit over each PLACEMENT_FILL,
+    and rounded.  Guidance only: the search accepts a start, like any
+    point, only by the exact verdict."""
+    m = orders[0] + 1
+    n_coeffs = m + orders[1] + 1
+    units = [[int(j == i) for j in range(n_coeffs)] for i in range(n_coeffs)]
+    columns = [closed_loop_coeffs(u[:m], nominal.num.coeffs, u[m:],
+                                  nominal.den.coeffs, Fraction(0))
+               for u in units]
+    limit = fmt.raw_limit - 1
+    starts = []
+    for r in PLACEMENT_RADII:
+        target = [Fraction(1)]  # (z - r)^deg S, descending
+        for _ in range(len(columns[0]) - 1):
+            target = [a - r * b for a, b in zip(target + [0], [0] + target)]
+        rows = [[col[k] for col in columns] + [-t, 0]
+                for k, t in enumerate(target)]
+        x = _solve(rows + [units[m] + [0, 1]])
+        if x is None or x[-1] == 0:
+            continue
+        big = max(abs(v) for v in x[:-1])
+        for fill in PLACEMENT_FILL:
+            raws = [round(v * limit / (fill * big)) for v in x[:-1]]
+            if raws[m] != 0 and raws not in starts:
+                starts.append(raws)
+    return starts
+
+
+def _solve(rows):
+    """A solution, free unknowns 0, of the linear system whose augmented
+    rows (right-hand side last) are `rows`, in Fractions; None if none."""
+    rows = [[Fraction(v) for v in row] for row in rows]
+    pivots = []
+    for col in range(len(rows[0]) - 1):
+        k = next((k for k in range(len(pivots), len(rows)) if rows[k][col]),
+                 None)
+        if k is None:
+            continue
+        rows[len(pivots)], rows[k] = rows[k], rows[len(pivots)]
+        pivot = rows[len(pivots)]
+        pivot[:] = [v / pivot[col] for v in pivot]
+        for row in rows:
+            if row is not pivot and row[col]:
+                row[:] = [a - row[col] * b for a, b in zip(row, pivot)]
+        pivots.append(col)
+    if any(row[-1] for row in rows[len(pivots):]):
+        return None
+    x = [Fraction(0)] * (len(rows[0]) - 1)
+    for row, col in zip(rows, pivots):
+        x[col] = row[-1]
+    return x
+
+
 def synthesize_candidate(inputs, controller_format: FixedPointFormat, orders,
-                         seed: int, budget: int, deadline=None) -> Controller:
+                         seed: int, budget: int, deadline=None,
+                         starts=()) -> Controller:
     """Find a controller whose closed loop is exactly Jury-stable against
-    every plant in `inputs`; raises NoCandidate, or DeadlineExceeded past
+    every plant in `inputs`, its restarts after the origin's starting at
+    the raw points `starts`; raises NoCandidate, or DeadlineExceeded past
     the `deadline`."""
     if orders[0] < 0 or orders[1] < 0:
         raise ValueError("controller orders must be >= 0")
@@ -310,7 +375,8 @@ def synthesize_candidate(inputs, controller_format: FixedPointFormat, orders,
         n_coeffs, controller_format, seed, budget,
         lambda raws: confirm(raws, guidance(raws)), m, deadline=deadline,
         evaluate_batch=lambda points: map(confirm, points,
-                                          batch_guidance(points)))
+                                          batch_guidance(points)),
+        starts=starts)
     return _controller_from_raws(raws, controller_format, orders)
 
 
@@ -401,7 +467,7 @@ def verify_uncertainty(candidate: Controller, family: PlantFamily,
     if isinstance(evidence, TransferFunction):
         return evidence
     for lo, hi, positions in evidence:
-        _check_deadline(deadline)
+        check_deadline(deadline)
         for t in positions:
             num = [x + (y - x) * t for x, y in zip(lo[0], hi[0])]
             den = [x + (y - x) * t for x, y in zip(lo[1], hi[1])]
@@ -419,35 +485,60 @@ def _box_verdict(candidate, num_iv, den_iv, deadline, grid=None):
     the plant-`grid` points on the edge worth trying, the one at or just
     past the first root of an unstable edge, or the two either side of a
     zero of the lead of S.  Without a grid, only the ends are grid points.
-    A Stable or Unstable interval Jury verdict stands; else exact Jury
-    decides each vertex.  If the vertex leads of S do not share one strict
-    sign, the lead vanishes somewhere in the box and the verdict is
-    Unstable ("lead"): the members beside its zero have a root near
-    infinity, or S vanishes there (a vertex with no plant, its denominator
-    zero, counts as a zero lead).  Else S is affine in the plant and of
-    constant degree, so the box is stable iff every edge is (Edge Theorem,
-    Bartlett, Hollot & Lin 1988), and the segment test decides each edge.
-    An edge-proven Stable reports the least vertex margin."""
+    The steps, in order: a Stable or Unstable interval Jury verdict
+    stands; else exact Jury decides each vertex.  If the vertex leads of S
+    do not share one strict sign, the lead vanishes somewhere in the box
+    and the verdict is Unstable ("lead"): the members beside its zero have
+    a root near infinity, or S vanishes there (a vertex with no plant, its
+    denominator zero, counts as a zero lead).  Else S is affine in the
+    plant and of constant degree, with stable vertices: the box is stable
+    if the zero-exclusion sweep proves 0 outside its value set on the unit
+    circle, and, as the exact fallback where the sweep gives up, iff every
+    edge is (Edge Theorem, Bartlett, Hollot & Lin 1988), which the segment
+    test decides.  A Stable proven by the sweep or the edges reports the
+    least vertex margin."""
     verdict = jury_stable_interval(_interval_char_poly(candidate, num_iv,
                                                        den_iv))
     if verdict.status is Status.STABLE:
         return verdict, []
-    cn = [v.value for v in candidate.num]
-    cd = [v.value for v in candidate.den]
+    # Each S below is in integers, from the controller's raws and the plant
+    # coefficients times twice the common denominator of the box ends (so
+    # the box centre is integer too): a positive multiple of S, with the
+    # same signs, ratios and primitive Sturm chains.
+    coeffs, nn = num_iv.coeffs + den_iv.coeffs, len(num_iv.coeffs)
+    scale = 2 * math.lcm(*(x.denominator for c in coeffs
+                           for x in (c.lo, c.hi)))
+    cn = [v.raw for v in candidate.num]
+    cd = [v.raw for v in candidate.den]
+
+    def s_of(plant):
+        plant = [int(x * scale) for x in plant]
+        return closed_loop_coeffs(cn, plant[:nn], cd, plant[nn:], 0)
+
+    def vertex_verdict(s):
+        """concrete_verdict at the vertex whose s_of is s: Jury's conditions
+        are homogeneous of degree 1 in S, so only the margin is rescaled."""
+        try:
+            v = jury_stable(Poly(s))
+        except DegenerateCharPoly:
+            return JuryVerdict(Status.UNSTABLE, None, -_BIG_PENALTY)
+        return JuryVerdict(v.status, v.violated,
+                           v.margin / (candidate.format.scale * scale))
+
     corners = list(_box_vertices(num_iv, den_iv))
     polys, margin = [], None
     for num_c, den_c in corners:
-        _check_deadline(deadline)
-        plant = _make_plant(num_c, den_c)
-        if plant is None:
+        check_deadline(deadline)
+        if not any(den_c):
             polys.append(None)  # no plant here: the lead check fails below
             continue
-        v = concrete_verdict(candidate, plant)
+        s = s_of(num_c + den_c)
+        v = vertex_verdict(s)
         if v.status is Status.UNSTABLE:
             return (verdict if verdict.status is Status.UNSTABLE else v,
-                    plant)
+                    _make_plant(num_c, den_c))
         margin = v.margin if margin is None else min(margin, v.margin)
-        polys.append(closed_loop_coeffs(cn, num_c, cd, den_c, Fraction(0)))
+        polys.append(s)
 
     def grid_steps(lo, hi):  # the corners differ in one coefficient
         if grid is None:
@@ -467,14 +558,22 @@ def _box_verdict(candidate, num_iv, den_iv, deadline, grid=None):
         for lo, hi in edges:
             a, b = leads[lo], leads[hi]
             if None not in (a, b) and a != b and a * b <= 0:
-                n, t = grid_steps(lo, hi), a / (a - b)
+                n, t = grid_steps(lo, hi), Fraction(a, a - b)
                 failing.append((corners[lo], corners[hi], [
                     Fraction(k, n) for k in (math.ceil(t * n) - 1,
                                              math.floor(t * n) + 1)
                     if 0 <= k <= n]))
         return JuryVerdict(Status.UNSTABLE, "lead", Fraction(0)), failing
+    # The box as S_c + Σ λ_i·g_i, λ_i in [-1, 1]: its centre, and the
+    # half-width of each coefficient times the matching controller part.
+    generators = [s_of([c.width / 2 if k == i else 0
+                        for k, c in enumerate(coeffs)])[top:]
+                  for i, c in enumerate(coeffs) if not c.is_point()]
+    if zero_excluded(s_of([c.midpoint for c in coeffs])[top:], generators,
+                     deadline):
+        return JuryVerdict(Status.STABLE, None, margin), []
     for lo, hi in edges:
-        _check_deadline(deadline)
+        check_deadline(deadline)
         chain = segment_chain(polys[lo][top:], polys[hi][top:])
         if has_root(chain, 0, 1):
             n = grid_steps(lo, hi)
@@ -531,6 +630,7 @@ def cegis_two_stage(family: PlantFamily, controller_format: FixedPointFormat,
     start = time.perf_counter()
     deadline = start + limits.timeout_s
     plant_format = family.plant_format or DEFAULT_PLANT_FORMAT
+    starts = placement_starts(family.nominal, controller_format, orders)
     inputs = []
     candidate = None
     iteration = 0
@@ -547,14 +647,14 @@ def cegis_two_stage(family: PlantFamily, controller_format: FixedPointFormat,
 
     try:
         while True:
-            _check_deadline(deadline)
+            check_deadline(deadline)
             if iteration >= limits.max_iterations:
                 return result("iteration-limit")
             iteration += 1
             fam = family.with_format(plant_format)
             candidate = synthesize_candidate(
                 inputs, controller_format, orders, seed + iteration,
-                limits.synth_budget, deadline=deadline)
+                limits.synth_budget, deadline=deadline, starts=starts)
             transcript.append({"phase": "synthesize", "iteration": iteration,
                                "candidate": describe_controller(candidate),
                                "inputs": len(inputs)})

@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+import time
+
 
 class DcsynthError(Exception):
     """Base class for all package errors."""
@@ -62,3 +64,9 @@ class ParseError(DcsynthError):
 
 class ValidationError(DcsynthError):
     """A benchmark or controller file violates a structural invariant."""
+
+
+def check_deadline(deadline):
+    """Raises DeadlineExceeded once a time.perf_counter() `deadline` passed."""
+    if deadline is not None and time.perf_counter() > deadline:
+        raise DeadlineExceeded("deadline passed")

@@ -12,20 +12,24 @@ For S(z) = a0 z^N + ... + aN with a0 > 0 the verdict is Stable iff:
       provably disagrees with the root oracle).
 
 `jury_conditions` states these once in plain arithmetic operators, so the
-same recursion runs on Fraction, RationalInterval and float coefficients.
-`segment_chain` and `has_root` are Białas' exact segment test.
+same recursion runs on RationalInterval and float coefficients;
+`jury_stable` runs its reduction on integer rows over a denominator, with
+the values it gives on Fraction coefficients.
+`segment_chain` and `has_root` are Białas' exact segment test, and
+`zero_excluded` the zero-exclusion sweep of a box's value set.
 """
 
 from __future__ import annotations
 
+import cmath
 import enum
 import functools
+import itertools
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DegenerateCharPoly
+from .errors import DegenerateCharPoly, check_deadline
 from .intervals import IntervalPoly, RationalInterval
 from .transfer import Poly, add_aligned, convolve, poly_divmod, poly_roots
 
@@ -70,25 +74,44 @@ def jury_conditions(c, may_be_zero):
 
 
 def jury_stable(s: Poly) -> JuryVerdict:
-    """Jury verdict for an exact polynomial, Stable or Unstable: the table
-    is never singular, as its first pivot is the positive leading
+    """Jury verdict for an exact polynomial, Stable or Unstable, with the
+    label and margin `jury_conditions` gives on its Fraction coefficients,
+    computed on integers: each row is an integer row over a positive
+    denominator, reduced to row[0]·row - row[-1]·reversed(row) over the
+    denominator times row[0], less their common content.  Each condition is
+    homogeneous of degree 1 in the row, so the values are the same.  The
+    table is never singular, as its first pivot is the positive leading
     coefficient and each later one an R4 value already required > 0."""
     s = s.normalize()
-    c = list(s.coeffs)
-    if all(x == 0 for x in c):
+    if all(x == 0 for x in s.coeffs):
         raise DegenerateCharPoly("zero polynomial")
+    den = math.lcm(*(x.denominator for x in s.coeffs))
+    c = [x.numerator * (den // x.denominator) for x in s.coeffs]
     if len(c) == 1:
         # Degree zero: no roots at all.
-        return JuryVerdict(Status.STABLE, None, abs(c[0]))
+        return JuryVerdict(Status.STABLE, None, Fraction(abs(c[0]), den))
     if c[0] < 0:
         c = [-x for x in c]
+
+    def conditions():  # (label, numerator, positive denominator)
+        # R1-R3 have no division: the generator stops before R4.
+        for label, value in itertools.islice(jury_conditions(c, None), 3):
+            yield label, value, den
+        row, d = c, den
+        while len(row) > 2:
+            pivot, last = row[0], row[-1]
+            row = [pivot * x - last * y for x, y in zip(row, row[:0:-1])]
+            g = math.gcd(d * pivot, *row)
+            row, d = [x // g for x in row], d * pivot // g
+            yield "R4", row[0], d
+
     margin = None
-    for label, value in jury_conditions(c, operator.not_):
-        if margin is None or value < margin:
-            margin = value
+    for label, value, d in conditions():
+        if margin is None or value * margin[1] < margin[0] * d:
+            margin = value, d
         if value <= 0:
-            return JuryVerdict(Status.UNSTABLE, label, margin)
-    return JuryVerdict(Status.STABLE, None, margin)
+            return JuryVerdict(Status.UNSTABLE, label, Fraction(*margin))
+    return JuryVerdict(Status.STABLE, None, Fraction(*margin))
 
 
 def jury_stable_interval(s: IntervalPoly) -> JuryVerdict:
@@ -157,6 +180,101 @@ def bilinear(coeffs) -> list:
     basis = _segment_bases(len(coeffs) - 1)[0]
     return [sum(a * b[i] for a, b in zip(coeffs, basis))
             for i in range(len(coeffs))]
+
+
+_SWEEP_DEPTH = 40
+# Intervals a half of the sweep may take: the interval count grows as the
+# inverse of the least separation over a range of ω (a generator nearly
+# parallel to S_c), where the edge scan's cost stays fixed.
+_SWEEP_INTERVALS = 1024
+
+
+def zero_excluded(centre, generators, deadline=None) -> bool:
+    """Whether 0 is proven outside {S_c(z) + Σ λ_i·g_i(z) : λ ∈ [-1, 1]^k}
+    at every z on the unit circle, for S_c = `centre` and the `generators`
+    g_i, integer coefficient lists of one length.  If one member is stable
+    and the lead keeps a strict sign, every member is then stable (zero
+    exclusion, Barmish 1994).  Under z = (s+1)/(s-1), Q(jω) = R(ω) + j·I(ω) is swept
+    over ω in [0, 1] and, reversed, 1/ω in [0, 1], on dyadic intervals.
+    On each, floats pick the direction w maximizing the least Re(w̄·Q) over
+    the zonotope at the midpoint, and integers prove that least value
+    positive over the interval by Taylor expansion there, else it is
+    halved.  False at a midpoint whose float separation is not positive,
+    below depth _SWEEP_DEPTH or past _SWEEP_INTERVALS intervals in a half;
+    raises DeadlineExceeded past `deadline`."""
+    parts = []  # (R, I) of each polynomial: descending integers in ω
+    for p in [centre, *generators]:
+        q = bilinear(p)
+        n = len(q) - 1
+        units = [(-1) ** ((n - k) // 2) for k in range(n + 1)]  # j^(n-k)
+        parts.append(([0 if (n - k) % 2 else u * x
+                       for k, (u, x) in enumerate(zip(units, q))],
+                      [u * x if (n - k) % 2 else 0
+                       for k, (u, x) in enumerate(zip(units, q))]))
+    return all(_sweep(half, deadline) for half in
+               (parts, [(re[::-1], im[::-1]) for re, im in parts]))
+
+
+def _sweep(parts, deadline) -> bool:
+    """`zero_excluded` over ω in [0, 1] for the parts (R, I) of Q_c, Q_i."""
+    big = 1 << max(abs(x).bit_length() for re, im in parts for x in re + im)
+    floats = [[complex(a / big, b / big) for a, b in zip(re, im)]
+              for re, im in parts]
+    pending = [(1, 0)]  # (h, j): the interval [2j, 2j+2] / 2^h
+    for _ in range(_SWEEP_INTERVALS):
+        if not pending:
+            return True
+        check_deadline(deadline)
+        h, j = pending.pop()
+        mid = (2 * j + 1) / 2 ** h
+        values = [functools.reduce(lambda acc, c: acc * mid + c, p, 0j)
+                  for p in floats]
+        theta, separation = _best_direction(values[0], values[1:])
+        if separation <= 0:
+            return False
+        # w in integers; the bound below holds exactly for whatever w.
+        wr, wi = (round(2 ** 20 * x) for x in (math.cos(theta),
+                                               math.sin(theta)))
+        # Re(w̄·Q) of each part at ω = (2j+1+y)/2^h, times 2^(h·n), in y.
+        rows = [_taylor_shift([(wr * a + wi * b) << (h * k)
+                               for k, (a, b) in enumerate(zip(re, im))],
+                              2 * j + 1) for re, im in parts]
+        # P_0 - Σ_{k≥1}|P_k| - Σ_i Σ_k |H_ik|, positive only if P_0 is.
+        if 2 * rows[0][-1] - sum(abs(x) for row in rows for x in row) > 0:
+            continue
+        if h > _SWEEP_DEPTH:
+            return False
+        pending += [(h + 1, 2 * j), (h + 1, 2 * j + 1)]
+    return not pending
+
+
+def _best_direction(c, generators) -> tuple:
+    """The angle θ that maximizes Re(e^(-jθ)·c) - Σ|Re(e^(-jθ)·g)| over the
+    generators g, in floats, and that maximum: the best of the breakpoints
+    arg(g) ± π/2 and of each arc's optimum arg(c - Σ ±g)."""
+    def separation(theta):
+        w = cmath.exp(-1j * theta)
+        return (w * c).real - sum(abs((w * g).real) for g in generators)
+
+    breaks = sorted((cmath.phase(g) + side) % (2 * math.pi)
+                    for g in generators if g for side in (0.5 * math.pi,
+                                                          1.5 * math.pi))
+    candidates = [cmath.phase(c)] + breaks
+    for a, b in zip(breaks, breaks[1:] + breaks[:1]):
+        w = cmath.exp(-1j * (a + (b - a) % (2 * math.pi) / 2))
+        candidates.append(cmath.phase(c - sum(g if (w * g).real > 0 else -g
+                                              for g in generators)))
+    best = max(candidates, key=separation)
+    return best, separation(best)
+
+
+def _taylor_shift(a, c) -> list:
+    """Coefficients of p(x + c) for p with the descending coefficients a."""
+    a = list(a)
+    for i in range(len(a) - 1):
+        for k in range(1, len(a) - i):
+            a[k] += c * a[k - 1]
+    return a
 
 
 @functools.cache

@@ -2,6 +2,8 @@
 and the failure taxonomy."""
 
 import itertools
+import math
+import operator
 import pathlib
 import random
 import sys
@@ -11,6 +13,7 @@ from fractions import Fraction
 import pytest
 
 import dcsynth.cegis as cegis_mod
+from dcsynth.benchmark import parse_benchmark
 from dcsynth.cegis import (DEFAULT_PLANT_FORMAT, Limits, cegis_one_stage,
                            cegis_two_stage, concrete_verdict,
                            synthesize_candidate, verify_precision,
@@ -24,7 +27,9 @@ from dcsynth.transfer import Controller, PlantFamily, TransferFunction, char_pol
 from test_stability import random_stable_poly
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "scripts"))
-from jury_oracle_agreement import lead_family, unstable_beside_lead_zero  # noqa: E402
+from jury_oracle_agreement import (lead_family, sweep_and_edges,  # noqa: E402
+                                   sweep_family, unstable_beside_lead_zero,
+                                   unstable_members)
 
 F416 = FixedPointFormat(4, 16)
 CRUISE = TransferFunction([Fraction("0.0264")], [1, Fraction("-0.9998")])
@@ -195,7 +200,7 @@ def _evaluators(monkeypatch, inputs, fmt, orders):
     captured = {}
 
     def grid_search(n_coeffs, fmt, seed, budget, evaluate, num_len,
-                    deadline=None, evaluate_batch=None):
+                    deadline=None, evaluate_batch=None, starts=()):
         captured.update(evaluate=evaluate, evaluate_batch=evaluate_batch)
         return (0,) * num_len + (1,) * (n_coeffs - num_len)
 
@@ -298,7 +303,7 @@ def test_verify_uncertainty_counterexample_on_uncertain_family():
     assert concrete_verdict(bad, cex).status is Status.UNSTABLE
 
 
-def _subdivision_case():
+def _interval_unknown_case():
     """A family whose grid box the interval verdict cannot settle (R1 is
     Unknown) although every vertex is stable, and a controller for it."""
     radius = Fraction(1, 20)
@@ -312,22 +317,34 @@ def _subdivision_case():
     return fam, c
 
 
-def test_edges_prove_box_the_interval_verdict_leaves_open():
-    fam, c = _subdivision_case()
+def test_edges_prove_box_the_interval_verdict_leaves_open(monkeypatch):
+    fam, c = _interval_unknown_case()
     num_iv, den_iv = family_grid_box(fam)
     verdict = jury_stable_interval(
         cegis_mod._interval_char_poly(c, num_iv, den_iv))
     assert verdict.status is Status.UNKNOWN and verdict.violated == "R1"
     for num, den in cegis_mod._box_vertices(num_iv, den_iv):
         assert concrete_verdict(c, TransferFunction(num, den)).is_stable
-    # The vertices and then the box edges prove both boxes stable; the
-    # certificate carries the smallest vertex margin of the inflated box.
-    assert verify_uncertainty(c, fam) is None
-    sound = verify_precision(c, fam)
-    assert sound.status is Status.STABLE and sound.violated is None
+    # The vertices and then the zero-exclusion sweep prove both boxes
+    # stable, and so do the box edges where the sweep gives up; either way
+    # the certificate carries the smallest vertex margin of the inflated
+    # box.
     inflated = cegis_mod._box_vertices(*family_to_interval_poly(fam))
-    assert sound.margin == min(concrete_verdict(c, TransferFunction(n, d)).margin
-                               for n, d in inflated) > 0
+    least = min(concrete_verdict(c, TransferFunction(n, d)).margin
+                for n, d in inflated)
+    assert least > 0
+    said = []
+    for sweep in (cegis_mod.zero_excluded, lambda *args: False):
+        def spy(*args, sweep=sweep):
+            said.append(sweep(*args))
+            return said[-1]
+
+        monkeypatch.setattr(cegis_mod, "zero_excluded", spy)
+        assert verify_uncertainty(c, fam) is None
+        sound = verify_precision(c, fam)
+        assert sound.status is Status.STABLE and sound.violated is None
+        assert sound.margin == least
+    assert said == [True, True, False, False]
 
 
 def test_unstable_edge_between_stable_vertices_gives_grid_witness():
@@ -495,6 +512,126 @@ def test_box_verdict_soundness_fuzz():
     assert min(counts.values()) >= 10, counts
 
 
+def test_sweep_proves_only_stable_boxes():
+    # Differential check of the zero-exclusion sweep (also a section of
+    # scripts/jury_oracle_agreement.py, over more families), on the fuzz
+    # families and on families of order 4-6 with 4-9 uncertain
+    # coefficients: every box it proves has no edge root by the segment
+    # test and 100 sampled members inside the unit circle by the root
+    # oracle, so it refuses every box with an unstable edge.
+    rng = random.Random(2024)
+    fmt = FixedPointFormat(8, 12)
+    # Without a plant grid the box is the uncertainty box.
+    cases = [((fam.with_format(None), c), "fuzz") for fam, c in (
+        _fuzz_family(rng, fmt, i % 2 == 0) for i in range(160))]
+    cases += [(sweep_family(rng, (4, 6), (4, 9)), "order 4-6")
+              for _ in range(60)]
+    counts = {}
+    for (fam, c), kind in cases:
+        proved, verdict = sweep_and_edges(c, fam)
+        if proved is None:
+            continue
+        key = (kind, "proved" if proved else
+               f"refused edge-{verdict.status.value}")
+        counts[key] = counts.get(key, 0) + 1
+        if proved:
+            assert verdict.is_stable, (fam, c)
+            assert not unstable_members(rng, c, fam, 100), (fam, c)
+    assert counts.get(("fuzz", "proved"), 0) >= 10, counts
+    assert counts.get(("fuzz", "refused edge-Unstable"), 0) >= 10, counts
+    assert counts.get(("order 4-6", "proved"), 0) >= 5, counts
+
+
+FOURTH_ORDER = str(pathlib.Path(__file__).resolve().parents[1] / "perfbench"
+                   / "fixtures" / "fourth_order.bench")
+
+
+def test_sweep_certifies_fourth_order_without_edges(monkeypatch):
+    # The candidate that the random-restart search accepted last on
+    # fourth_order.bench with seed 8: the sweep proves the grid box and the
+    # inflated box, so no box edge is scanned, and the certificate keeps
+    # the least vertex margin.
+    spec = parse_benchmark(FOURTH_ORDER)
+    fam = spec.family.with_format(DEFAULT_PLANT_FORMAT)
+    fmt = FixedPointFormat(6, 12)
+    c = Controller(
+        [FixedPointValue(r, fmt) for r in [874, -63403, 19622, -44426, 72265]],
+        [FixedPointValue(r, fmt)
+         for r in [201908, -76808, -29447, -43915, 17775]])
+
+    def no_edges(p0, p1):
+        raise AssertionError("an edge was scanned")
+
+    monkeypatch.setattr(cegis_mod, "segment_chain", no_edges)
+    assert verify_uncertainty(c, fam) is None
+    verdict = verify_precision(c, fam)
+    assert verdict.status is Status.STABLE
+    inflated = list(cegis_mod._box_vertices(*family_to_interval_poly(fam)))
+    assert len(inflated) == 512
+    assert verdict.margin == min(
+        concrete_verdict(c, TransferFunction(n, d)).margin
+        for n, d in inflated)
+
+
+def test_solve_finds_a_solution_or_none():
+    rng = random.Random(9)
+    for _ in range(20):
+        n = rng.randint(1, 6)
+        x = [Fraction(rng.randint(-50, 50), rng.randint(1, 9))
+             for _ in range(n)]
+        a = [[Fraction(rng.randint(-9, 9)) for _ in range(n)]
+             for _ in range(n + rng.randint(0, 2))]
+        got = cegis_mod._solve([row + [sum(map(operator.mul, row, x))]
+                                for row in a])
+        assert [sum(map(operator.mul, row, got)) for row in a] == [
+            sum(map(operator.mul, row, x)) for row in a]
+        assert all(isinstance(v, Fraction) for v in got)
+    # Free unknowns are 0; a contradiction has no solution.
+    assert cegis_mod._solve([[2, 1, 3]]) == [Fraction(3, 2), 0]
+    assert cegis_mod._solve([[1, 1], [2, 3]]) is None
+
+
+def test_placement_starts_place_the_nominal_poles():
+    # Unrounded, the placement for radius r makes the nominal closed loop a
+    # multiple of (z - r)^8; rounded to <6,12>, every start still keeps
+    # fourth-order's nominal loop inside the unit circle.
+    spec = parse_benchmark(FOURTH_ORDER)
+    nominal = spec.family.nominal
+    starts = cegis_mod.placement_starts(nominal, spec.controller_format,
+                                        spec.controller_orders)
+    assert len(starts) == 4
+    for raws in starts:
+        assert max(map(abs, raws)) in (spec.controller_format.raw_limit - 1,
+                                       spec.controller_format.raw_limit // 4)
+        c = cegis_mod._controller_from_raws(raws, spec.controller_format,
+                                            spec.controller_orders)
+        assert root_oracle(char_poly(c, nominal)) < 0.7
+    fine = FixedPointFormat(8, 56)
+    for raws, r in zip(cegis_mod.placement_starts(nominal, fine, (4, 4))[::2],
+                       cegis_mod.PLACEMENT_RADII):
+        c = cegis_mod._controller_from_raws(raws, fine, (4, 4))
+        s = char_poly(c, nominal).coeffs
+        assert [float(x / s[0]) for x in s] == pytest.approx(
+            [math.comb(8, k) * float(-r) ** k for k in range(9)], abs=1e-12)
+
+
+def test_two_stage_solves_fourth_order_from_a_placement_start():
+    # The origin's climb fails against the first counterexample, and the
+    # first placement start is accepted and certified on both boxes: every
+    # seed takes two iterations.
+    spec = parse_benchmark(FOURTH_ORDER)
+    first = cegis_mod.placement_starts(spec.family.nominal,
+                                       spec.controller_format,
+                                       spec.controller_orders)[0]
+    for seed in (1, 2, 4, 8):
+        result = cegis_two_stage(spec.family, spec.controller_format,
+                                 spec.controller_orders, seed,
+                                 Limits(timeout_s=60))
+        assert result.success and result.iterations == 2
+        assert [v.raw for v in result.controller.num
+                + result.controller.den] == first
+
+
 def test_lead_verdicts_have_unstable_members():
     # Differential check of the "lead" verdict (also a section of
     # scripts/jury_oracle_agreement.py, over more families): S loses degree
@@ -517,7 +654,7 @@ def test_lead_verdicts_have_unstable_members():
 
 
 def test_uncertainty_stage_honours_deadline(monkeypatch):
-    fam, c = _subdivision_case()
+    fam, c = _interval_unknown_case()
     for stage in (verify_uncertainty, verify_precision):
         with pytest.raises(DeadlineExceeded):
             stage(c, fam, deadline=time.perf_counter() - 1)

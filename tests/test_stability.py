@@ -4,17 +4,19 @@ import cmath
 import math
 import operator
 import random
+import time
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from dcsynth.cegis import _float_jury_margin, _float_jury_margins
-from dcsynth.errors import DegenerateCharPoly
+from dcsynth.errors import DeadlineExceeded, DegenerateCharPoly
 from dcsynth.intervals import IntervalPoly, RationalInterval
 from dcsynth.stability import (Status, has_root, jury_conditions, jury_stable,
                                jury_stable_interval, positive_roots,
-                               root_oracle, segment_chain, sturm_chain)
+                               root_oracle, segment_chain, sturm_chain,
+                               zero_excluded)
 from dcsynth.transfer import Poly, poly_mul, poly_roots
 
 
@@ -107,6 +109,32 @@ def _random_stable_poly(rng, degree):
     for _ in range(degree):
         p = poly_mul(p, Poly([1, Fraction(rng.randint(-950, 950), 1000)]))
     return p
+
+
+def test_exact_verdict_is_the_fraction_recursion():
+    # jury_stable reduces integer rows over a denominator; its status, label
+    # and margin are those of jury_conditions on the Fraction coefficients.
+    rng = random.Random(13)
+    polys = [_random_poly(rng, max_degree=d) for d in (2, 6, 14)
+             for _ in range(300)]
+    polys += [Poly([Fraction(-3, 7) * c for c in
+                    _random_stable_poly(rng, degree).coeffs])
+              for degree in range(1, 15) for _ in range(20)]
+    stable = 0
+    for p in polys:
+        c = list(p.coeffs)
+        c = [-x for x in c] if c[0] < 0 else c
+        want = None
+        for label, value in jury_conditions(c, operator.not_):
+            margin = value if want is None else min(want[2], value)
+            want = (Status.UNSTABLE if value <= 0 else Status.STABLE,
+                    label if value <= 0 else None, margin)
+            if value <= 0:
+                break
+        got = jury_stable(p)
+        assert (got.status, got.violated, got.margin) == want, p.coeffs
+        stable += got.is_stable
+    assert stable > 250
 
 
 def test_float_guidance_tracks_exact_margin():
@@ -395,3 +423,43 @@ def test_positive_roots_of_constant_and_zero_polynomials():
     assert positive_roots(Poly([0, 0, -2])) == []
     with pytest.raises(ValueError):
         positive_roots(Poly([0, 0]))
+
+
+def test_zero_exclusion_sweep_small_cases():
+    # 4z - 2 + λ: the root stays in [1/4, 3/4].
+    assert zero_excluded([4, -2], [[0, 1]])
+    # Families that reach the unit circle and no further are never proven:
+    # at z = 1 (ω = ∞), z = -1 (ω = 0) and z = ±j (ω = 1, where the two
+    # halves of the sweep meet).
+    assert not zero_excluded([2, -1], [[0, 1]])
+    assert not zero_excluded([2, 1], [[0, 1]])
+    assert not zero_excluded([2, 0, 1], [[0, 0, 1]])
+    # 4z^2 + 2 + λ and its generator written as two halves.
+    assert zero_excluded([4, 0, 2], [[0, 0, 1]])
+    assert zero_excluded([8, 0, 4], [[0, 0, 1]] * 2)
+    # Every root outside for every member is excluded from the circle too:
+    # hence the box verdict's stable vertices come first.
+    assert zero_excluded([4, -8], [[0, 1]])
+    # A complex pair of modulus 0.9, moved by generators of every degree
+    # (largest root modulus 0.902 on a 41 x 41 grid of members), or by one
+    # that takes some members to modulus 1.005.
+    centre = [100, -90, 81]
+    assert zero_excluded(centre, [[2, 2, 2], [0, 5, 0]])
+    assert not zero_excluded(centre, [[0, 20, 20]])
+
+
+def test_zero_exclusion_sweep_interval_budget():
+    # (2z - 1)·(1 + λ(1 - ε)), ε = 2^-e: every member has the one root 1/2,
+    # but the value set comes within ε of 0 all around the circle, so the
+    # sweep needs about 1/ε intervals; it gives up past its budget instead.
+    for e, proven in ((6, True), (12, False)):
+        centre = [2 ** e * x for x in (2, -1)]
+        generator = [(2 ** e - 1) * x for x in (2, -1)]
+        assert zero_excluded(centre, [generator]) is proven
+
+
+def test_zero_exclusion_sweep_honours_deadline():
+    centre, generators = [4, 0, 2], [[0, 0, 1]]
+    assert zero_excluded(centre, generators, deadline=time.perf_counter() + 60)
+    with pytest.raises(DeadlineExceeded):
+        zero_excluded(centre, generators, deadline=time.perf_counter() - 1)
