@@ -22,7 +22,8 @@ with seeds 1, 4 and 8, each tree synthesizes (two-stage,
 (the same controller on both sides), median of three, with the time spent
 in exact Jury of the vertices (`concrete_verdict`, or `jury_stable` where
 the box verdict calls it directly), in the zero-exclusion sweep and in the
-edge scan (`segment_chain`, `has_root`).
+edge scan (`segment_chain`, `has_root`), and the number of exact Jury
+calls in each of the two stages.
 """
 
 import argparse
@@ -42,7 +43,8 @@ CERT_SEEDS = (1, 4, 8)
 CERT_REPEATS = 3
 # Runs in a child process from one tree's directory: one JSON line, per
 # seed the final candidate, the synthesis time and the median certification
-# times of the given candidate (raws, plant format), or of its own.
+# times and exact Jury calls per stage of the given candidate (raws, plant
+# format), or of its own.
 CERT_CHILD = """
 import json, statistics, sys, time
 sys.path.insert(0, "src")
@@ -56,12 +58,15 @@ from dcsynth.transfer import Controller
 seeds, repeats, given = json.loads(sys.argv[1])
 spent = {}
 running = []  # the timed call under way: nested ones count in it
+stage = [None]  # the key counting the exact Jury calls of the stage
 
 def timed(name, fn):
     def wrapper(*args, **kwargs):
         if running:
             return fn(*args, **kwargs)
         running.append(name)
+        if name == "vertex_jury_s":
+            spent[stage[0]] = spent.get(stage[0], 0) + 1
         t0 = time.perf_counter()
         try:
             return fn(*args, **kwargs)
@@ -101,7 +106,9 @@ for seed in seeds:
     for _ in range(repeats):
         spent.clear()
         t0 = time.perf_counter()
+        stage[0] = "uncertainty_jury_calls"
         verify_uncertainty(timed_controller, family)
+        stage[0] = "precision_jury_calls"
         verify_precision(timed_controller, family)
         runs.append(dict(spent, total_s=time.perf_counter() - t0))
     for name, fn in saved.items():
@@ -112,7 +119,8 @@ for seed in seeds:
                  "synth_s": synth_s,
                  **{key: statistics.median(r.get(key, 0.0) for r in runs)
                     for key in ("total_s", "vertex_jury_s", "sweep_s",
-                                "edge_scan_s")}}
+                                "edge_scan_s", "uncertainty_jury_calls",
+                                "precision_jury_calls")}}
 print(json.dumps(out))
 """
 
@@ -231,9 +239,13 @@ def main():
                 "times are verify_uncertainty + verify_precision of the "
                 "parent's final candidate on both sides, seconds, median "
                 f"of {CERT_REPEATS}; vertex_jury_s is exact Jury of the box "
-                "vertices (concrete_verdict and jury_stable, a call inside "
-                "the other counted once), sweep_s the zero-exclusion sweep, "
-                "edge_scan_s segment_chain and has_root",
+                "vertices and of a grid box's centre (concrete_verdict and "
+                "jury_stable, a call inside the other counted once), "
+                "sweep_s the zero-exclusion sweep, edge_scan_s "
+                "segment_chain and has_root; "
+                "uncertainty_jury_calls and precision_jury_calls count "
+                "those exact Jury calls in verify_uncertainty and in "
+                "verify_precision",
         **certification}
     args.out.write_text(json.dumps(report, indent=1) + "\n")
     return 0

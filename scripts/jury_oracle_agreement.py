@@ -13,7 +13,10 @@ against the 50-digit mpmath crossings of the test suite.
 Last, cross-check the zero-exclusion sweep of the box verdict on random
 families whose boxes reach it: no box it proves may have an unstable edge
 (the segment test) or a sampled member with a root on or outside the unit
-circle (the root oracle).
+circle (the root oracle).  On the same families, the grid box's verdict
+with the uncertainty stage's shortcut (centre, lead and sweep before any
+vertex) must match the full path's, and no box the shortcut proves may
+have a sampled member the root oracle finds unstable.
 """
 
 import argparse
@@ -31,8 +34,9 @@ sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "tests"))
 
 from dcsynth import (Controller, FixedPointFormat, PlantFamily, Poly,
-                     TransferFunction, char_poly, family_to_interval_poly,
-                     jury_stable, quantize_poly, root_oracle, verify_precision)
+                     TransferFunction, char_poly, family_grid_box,
+                     family_to_interval_poly, jury_stable, quantize_poly,
+                     root_oracle, verify_precision)
 import dcsynth.cegis as cegis
 from dcsynth.cegis import _box_verdict
 from dcsynth.stability import has_root, segment_chain, zero_excluded
@@ -242,11 +246,11 @@ def sweep_and_edges(c, fam):
     return (said or [None])[0], verdict
 
 
-def unstable_members(rng, c, fam, count):
-    """The members among `count` sampled from the family's box (that of
-    `family_to_interval_poly`) that have a root on or outside the unit
+def unstable_members(rng, c, fam, count, box=family_to_interval_poly):
+    """The members among `count` sampled from the family's `box` (by
+    default the inflated one) that have a root on or outside the unit
     circle by the root oracle."""
-    num_iv, den_iv = family_to_interval_poly(fam)
+    num_iv, den_iv = box(fam)
     boxes, nn = num_iv.coeffs + den_iv.coeffs, len(num_iv.coeffs)
     members = [[b.lo + b.width * Fraction(rng.randrange(1025), 1024)
                 for b in boxes] for _ in range(count)]
@@ -259,15 +263,29 @@ def sweep_agreement(rng):
     3-6, 2-9 uncertain coefficients) and the test suite's fuzz families
     (half of them around a box with one unstable edge between stable
     vertices): each box the sweep proves must be edge-Stable and have no
-    unstable member among SWEEP_MEMBERS sampled ones."""
+    unstable member among SWEEP_MEMBERS sampled ones.  Each grid box gets
+    the same verdict and evidence with the shortcut as by the full path,
+    and each box the shortcut proves has no unstable member among
+    SWEEP_MEMBERS sampled ones."""
     from test_cegis import _fuzz_family  # test_cegis imports this script
 
     counts = {"proved": 0, "refused edge-Stable": 0,
-              "refused edge-Unstable": 0}
+              "refused edge-Unstable": 0, "grid boxes shortcut-proved": 0}
     disagreements = 0
     for i in range(SWEEP_FAMILIES):
         fam, c = (sweep_family(rng, (3, 6), (2, 9)) if i % 2 else
                   _fuzz_family(rng, FixedPointFormat(8, 12), i % 4 == 0))
+        (short, evidence), (full, expected) = (
+            _box_verdict(c, *family_grid_box(fam), None, fam.plant_format,
+                         margin=margin) for margin in (False, True))
+        shortcut = short.is_stable and short.margin is None
+        counts["grid boxes shortcut-proved"] += shortcut
+        bad = (unstable_members(rng, c, fam, SWEEP_MEMBERS, family_grid_box)
+               if shortcut else [])
+        if short.status is not full.status or evidence != expected or bad:
+            disagreements += 1
+            print(f"grid-box shortcut disagreement: {short} against "
+                  f"{full}, {len(bad)} unstable members: {fam} {c}")
         proved, verdict = sweep_and_edges(c, fam)
         if proved is None:
             continue

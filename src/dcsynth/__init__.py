@@ -6,7 +6,9 @@ counterexample-guided loop with a fast exact stage over the plant grid and a
 sound stage over the inflated family, both by interval Jury, then exact
 Jury of the box vertices, the sign of the closed loop's leading
 coefficient, a zero-exclusion sweep of the unit circle, and the box edges
-(Edge Theorem) where the sweep gives up.
+(Edge Theorem) where the sweep gives up.  The fast stage first tries its
+box without the vertices: a stable centre, a lead of one strict sign and
+the sweep prove it.
 """
 
 from .benchmark import BenchmarkSpec, parse_benchmark, parse_controller

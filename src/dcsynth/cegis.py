@@ -1,17 +1,18 @@
 """Synthesis orchestrator: inductive candidate search against a counterexample
 set, two-stage verification (`_box_verdict` of the grid box, then of the
 inflated box: interval Jury, exact Jury of the vertices, the sign of the
-lead of S, the zero-exclusion sweep, then the edges as the fallback),
-plant-precision escalation; plus the sound one-stage engine.
+lead of S, the zero-exclusion sweep, then the edges as the fallback; the
+grid box first tries exact Jury of its centre, the lead and the sweep, with
+no vertex), plant-precision escalation; plus the sound one-stage engine.
 
 The candidate search is deterministic seeded hill climbing over the <I,F>
 coefficient grid with restarts, falling back to exhaustive enumeration when
 the grid is small enough to sweep.  In the two-stage engine the restarts
 start at the origin, then at pole-placement controllers for the nominal
-plant, then at seeded random points.  After 16 failed restarts, the
-two-stage search runs up to 128 restarts side by side, their float
-guidance in one numpy pass per step; it returns what the one-at-a-time
-search returns.
+plant, then at seeded random points.  Once the origin and every
+placement start have failed, the two-stage search runs up to 128 restarts
+side by side, their float guidance in one numpy pass per step; it returns
+what the one-at-a-time search returns.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ DEFAULT_PLANT_FORMAT = FixedPointFormat(16, 24)
 PRECISION_STEP = (4, 4)
 PRECISION_CAP = FixedPointFormat(32, 32)
 EXHAUSTIVE_LIMIT = 1 << 20
-SERIAL_RESTARTS = 16   # failed restarts before restarts run side by side
 SIDE_BY_SIDE = 128     # restarts climbing side by side; sweep batch size
 BATCH_MIN = 16         # fewer points than this take the scalar guidance
 PLACEMENT_RADII = (Fraction(1, 5), Fraction(2, 5))  # closed-loop pole radii
@@ -117,20 +117,20 @@ def _grid_search(n_coeffs, fmt, seed, budget, evaluate, num_len,
 
     evaluate(raws) -> (accepted, cost); cost 0.0 only for accepted points.
     evaluate_batch(points), if given, yields the same pairs for a list of
-    points, in order; then, after SERIAL_RESTARTS failed restarts, up to
-    SIDE_BY_SIDE restarts climb side by side, one point each per batch.
-    They settle in pool order, and a restart's acceptance counts only when
-    every earlier one has failed and all their evaluations and its own fit
-    the budget: the result and the budget accounting are those of running
-    the restarts one at a time.  The first restart starts at the origin,
-    the next ones at `starts`, then at seeded random points.  The climbs
-    never step the denominator leading raw (index num_len) to zero and the
-    sweep skips such points, but the origin probe and its climb start at
-    zero: `evaluate` must penalize those points.
+    points, in order; then, once the origin and every point of `starts`
+    have failed, up to SIDE_BY_SIDE restarts climb side by side, one point
+    each per batch.  They settle in pool order, and a restart's acceptance
+    counts only when every earlier one has failed and all their evaluations
+    and its own fit the budget: the result and the budget accounting are
+    those of running the restarts one at a time.  The first restart starts
+    at the origin, the next ones at `starts`, then at seeded random points.
+    The climbs never step the denominator leading raw (index num_len) to
+    zero and the sweep skips such points, but the origin probe and its
+    climb start at zero: `evaluate` must penalize those points.
     """
     rng = random.Random(seed)
     limit = fmt.raw_limit
-    starts = _start_pool(rng, n_coeffs, num_len, limit, fmt.scale, starts)
+    pool = _start_pool(rng, n_coeffs, num_len, limit, fmt.scale, starts)
     batch = evaluate_batch or (lambda points: map(evaluate, points))
     used = failed = 0  # the failed restarts' evaluations, and their count
     climbs = []  # the restarts under way, in pool order
@@ -152,11 +152,11 @@ def _grid_search(n_coeffs, fmt, seed, budget, evaluate, num_len,
                 del climbs[k:]
                 closed = True
                 break
-        width = (SIDE_BY_SIDE if evaluate_batch and failed >= SERIAL_RESTARTS
+        width = (SIDE_BY_SIDE if evaluate_batch and failed > len(starts)
                  else 1)
         running = [c for c in climbs if c.running]
         while len(running) < width and total < budget and not closed:
-            gen = _climb(next(starts), n_coeffs, num_len, limit)
+            gen = _climb(next(pool), n_coeffs, num_len, limit)
             climbs.append(_Climb(gen, next(gen)))
             running.append(climbs[-1])
         if not running:
@@ -459,11 +459,12 @@ def verify_uncertainty(candidate: Controller, family: PlantFamily,
     past an unstable edge's first root, or one beside a zero of the lead of
     S on an edge), else None: the box is stable, or no such grid point is
     unstable, and the precision stage, whose box contains the grid box,
-    rejects.  Raises DeadlineExceeded past the `deadline` (a
-    time.perf_counter() value)."""
+    rejects.  No margin is read here, so a box that its centre, lead and
+    sweep prove is never scanned vertex by vertex.  Raises DeadlineExceeded
+    past the `deadline` (a time.perf_counter() value)."""
     num_iv, den_iv = family_grid_box(family)
     _, evidence = _box_verdict(candidate, num_iv, den_iv, deadline,
-                               family.plant_format)
+                               family.plant_format, margin=False)
     if isinstance(evidence, TransferFunction):
         return evidence
     for lo, hi, positions in evidence:
@@ -478,25 +479,30 @@ def verify_uncertainty(candidate: Controller, family: PlantFamily,
     return None
 
 
-def _box_verdict(candidate, num_iv, den_iv, deadline, grid=None):
+def _box_verdict(candidate, num_iv, den_iv, deadline, grid=None, margin=True):
     """Stable or Unstable verdict of the closed loop over a box of plants,
     and its evidence: an unstable vertex plant or a list of failing edges,
     each (low corner, high corner, positions): the positions t in [0, 1] of
     the plant-`grid` points on the edge worth trying, the one at or just
     past the first root of an unstable edge, or the two either side of a
     zero of the lead of S.  Without a grid, only the ends are grid points.
-    The steps, in order: a Stable or Unstable interval Jury verdict
-    stands; else exact Jury decides each vertex.  If the vertex leads of S
+    The box is built once as an affine family S_c + Σ λ_i·g_i, λ in
+    [-1, 1]^k, and each vertex S is read off it.  The steps, in order: a
+    Stable or Unstable interval Jury verdict stands.  Without `margin`, an
+    Unknown box is then Stable, margin None, if the lead of S keeps one
+    strict sign (|lead of S_c| exceeds the sum of the generators' |lead|),
+    every corner has a plant, exact Jury finds S_c stable and the
+    zero-exclusion sweep proves 0 outside the value set on the unit
+    circle.  Else exact Jury decides each vertex.  If the vertex leads of S
     do not share one strict sign, the lead vanishes somewhere in the box
     and the verdict is Unstable ("lead"): the members beside its zero have
     a root near infinity, or S vanishes there (a vertex with no plant, its
     denominator zero, counts as a zero lead).  Else S is affine in the
     plant and of constant degree, with stable vertices: the box is stable
-    if the zero-exclusion sweep proves 0 outside its value set on the unit
-    circle, and, as the exact fallback where the sweep gives up, iff every
-    edge is (Edge Theorem, Bartlett, Hollot & Lin 1988), which the segment
-    test decides.  A Stable proven by the sweep or the edges reports the
-    least vertex margin."""
+    if the sweep, run at most once per box, proves it, and, as the exact
+    fallback where the sweep gives up, iff every edge is (Edge Theorem,
+    Bartlett, Hollot & Lin 1988), which the segment test decides.  A Stable
+    proven after the vertex scan reports the least vertex margin."""
     verdict = jury_stable_interval(_interval_char_poly(candidate, num_iv,
                                                        den_iv))
     if verdict.status is Status.STABLE:
@@ -516,8 +522,9 @@ def _box_verdict(candidate, num_iv, den_iv, deadline, grid=None):
         return closed_loop_coeffs(cn, plant[:nn], cd, plant[nn:], 0)
 
     def vertex_verdict(s):
-        """concrete_verdict at the vertex whose s_of is s: Jury's conditions
-        are homogeneous of degree 1 in S, so only the margin is rescaled."""
+        """concrete_verdict at the plant whose integer S is s: Jury's
+        conditions are homogeneous of degree 1 in S, so only the margin is
+        rescaled."""
         try:
             v = jury_stable(Poly(s))
         except DegenerateCharPoly:
@@ -525,20 +532,45 @@ def _box_verdict(candidate, num_iv, den_iv, deadline, grid=None):
         return JuryVerdict(v.status, v.violated,
                            v.margin / (candidate.format.scale * scale))
 
+    # The box as S_c + Σ λ_i·g_i, λ_i in [-1, 1]: its centre, and the
+    # half-width of each coefficient times the matching controller part.
+    centre = s_of([c.midpoint for c in coeffs])
+    generators = [s_of([c.width / 2 if k == i else 0
+                        for k, c in enumerate(coeffs)])
+                  for i, c in enumerate(coeffs) if not c.is_point()]
+    swept = None  # the sweep's answer, once it has run
+
+    def sweep(top):
+        return zero_excluded(centre[top:], [g[top:] for g in generators],
+                             deadline)
+
     corners = list(_box_vertices(num_iv, den_iv))
-    polys, margin = [], None
-    for num_c, den_c in corners:
+    if (not margin and verdict.status is Status.UNKNOWN
+            and all(any(den_c) for _, den_c in corners)):
+        top = next((k for k, row in enumerate(zip(centre, *generators))
+                    if any(row)), 0)
+        if (abs(centre[top]) > sum(abs(g[top]) for g in generators)
+                and vertex_verdict(centre).is_stable):
+            swept = sweep(top)
+            if swept:
+                return JuryVerdict(Status.STABLE, None, None), []
+    # Each vertex S is S_c ± g_i, in the corners' order (the low end of a
+    # coefficient is the centre less its half-width).
+    polys = [centre]
+    for g in generators:
+        polys = [[x + sign * y for x, y in zip(s, g)]
+                 for s in polys for sign in (-1, 1)]
+    least = None
+    for k, (num_c, den_c) in enumerate(corners):
         check_deadline(deadline)
         if not any(den_c):
-            polys.append(None)  # no plant here: the lead check fails below
+            polys[k] = None  # no plant here: the lead check fails below
             continue
-        s = s_of(num_c + den_c)
-        v = vertex_verdict(s)
+        v = vertex_verdict(polys[k])
         if v.status is Status.UNSTABLE:
             return (verdict if verdict.status is Status.UNSTABLE else v,
                     _make_plant(num_c, den_c))
-        margin = v.margin if margin is None else min(margin, v.margin)
-        polys.append(s)
+        least = v.margin if least is None else min(least, v.margin)
 
     def grid_steps(lo, hi):  # the corners differ in one coefficient
         if grid is None:
@@ -564,14 +596,8 @@ def _box_verdict(candidate, num_iv, den_iv, deadline, grid=None):
                                              math.floor(t * n) + 1)
                     if 0 <= k <= n]))
         return JuryVerdict(Status.UNSTABLE, "lead", Fraction(0)), failing
-    # The box as S_c + Σ λ_i·g_i, λ_i in [-1, 1]: its centre, and the
-    # half-width of each coefficient times the matching controller part.
-    generators = [s_of([c.width / 2 if k == i else 0
-                        for k, c in enumerate(coeffs)])[top:]
-                  for i, c in enumerate(coeffs) if not c.is_point()]
-    if zero_excluded(s_of([c.midpoint for c in coeffs])[top:], generators,
-                     deadline):
-        return JuryVerdict(Status.STABLE, None, margin), []
+    if swept is None and sweep(top):
+        return JuryVerdict(Status.STABLE, None, least), []
     for lo, hi in edges:
         check_deadline(deadline)
         chain = segment_chain(polys[lo][top:], polys[hi][top:])
@@ -580,7 +606,7 @@ def _box_verdict(candidate, num_iv, den_iv, deadline, grid=None):
             return (JuryVerdict(Status.UNSTABLE, "edge", Fraction(0)),
                     [(corners[lo], corners[hi],
                       [Fraction(_first_root_step(chain, n), n)])])
-    return JuryVerdict(Status.STABLE, None, margin), []
+    return JuryVerdict(Status.STABLE, None, least), []
 
 
 def _first_root_step(chain, n):

@@ -159,7 +159,8 @@ def _search_both_ways(fmt, seed, budget, evaluate, n_coeffs=4):
 def test_side_by_side_restarts_match_one_at_a_time():
     """Restarts that run side by side settle in pool order within the
     budget: the result is that of the one-at-a-time search, also when the
-    budget cuts a restart short, and when a restart past the 16th accepts.
+    budget cuts a restart short, and when a restart past the origin's, the
+    first to run side by side with no `starts`, accepts.
     Restarts are drawn ahead only to fill the window, and none once the
     budget is reached."""
     fmt = FixedPointFormat(3, 5)  # too large a grid for the sweep
@@ -169,7 +170,7 @@ def test_side_by_side_restarts_match_one_at_a_time():
         evaluate = _landscape(seed, 3000)
         (accepted, evals, drawn), _ = runs = _search_both_ways(
             fmt, seed, 20000, evaluate)
-        late += accepted is not None and drawn > cegis_mod.SERIAL_RESTARTS
+        late += accepted is not None and drawn > 1
         # One evaluation short, the accepting restart is cut before it
         # accepts; a random budget cuts some restart in the middle.
         budgets = ((evals - 1, evals, rng.randrange(1, evals)) if accepted
@@ -512,6 +513,17 @@ def test_box_verdict_soundness_fuzz():
     assert min(counts.values()) >= 10, counts
 
 
+def _sweep_cases(rng):
+    """The fuzz families, without a plant grid (so the box is the
+    uncertainty box), and families of order 4-6 with 4-9 uncertain
+    coefficients, each with its controller and its kind."""
+    fmt = FixedPointFormat(8, 12)
+    cases = [((fam.with_format(None), c), "fuzz") for fam, c in (
+        _fuzz_family(rng, fmt, i % 2 == 0) for i in range(160))]
+    return cases + [(sweep_family(rng, (4, 6), (4, 9)), "order 4-6")
+                    for _ in range(60)]
+
+
 def test_sweep_proves_only_stable_boxes():
     # Differential check of the zero-exclusion sweep (also a section of
     # scripts/jury_oracle_agreement.py, over more families), on the fuzz
@@ -520,12 +532,7 @@ def test_sweep_proves_only_stable_boxes():
     # test and 100 sampled members inside the unit circle by the root
     # oracle, so it refuses every box with an unstable edge.
     rng = random.Random(2024)
-    fmt = FixedPointFormat(8, 12)
-    # Without a plant grid the box is the uncertainty box.
-    cases = [((fam.with_format(None), c), "fuzz") for fam, c in (
-        _fuzz_family(rng, fmt, i % 2 == 0) for i in range(160))]
-    cases += [(sweep_family(rng, (4, 6), (4, 9)), "order 4-6")
-              for _ in range(60)]
+    cases = _sweep_cases(rng)
     counts = {}
     for (fam, c), kind in cases:
         proved, verdict = sweep_and_edges(c, fam)
@@ -540,6 +547,86 @@ def test_sweep_proves_only_stable_boxes():
     assert counts.get(("fuzz", "proved"), 0) >= 10, counts
     assert counts.get(("fuzz", "refused edge-Unstable"), 0) >= 10, counts
     assert counts.get(("order 4-6", "proved"), 0) >= 5, counts
+
+
+def test_grid_box_shortcut_keeps_the_uncertainty_verdict(monkeypatch):
+    # The uncertainty stage first tries the grid box by its centre, its lead
+    # and the sweep, with no vertex scan.  With the sweep refusing, the
+    # vertices, the lead and the edges decide: the stage returns the same
+    # witness, or None, either way.
+    counts = {"shortcut": 0, "witness": 0}
+    for (fam, c), _ in _sweep_cases(random.Random(2024)):
+        verdict, _ = cegis_mod._box_verdict(c, *family_grid_box(fam), None,
+                                            fam.plant_format, margin=False)
+        counts["shortcut"] += verdict.is_stable and verdict.margin is None
+        swept = repr(verify_uncertainty(c, fam))
+        counts["witness"] += swept != "None"
+        with monkeypatch.context() as mp:
+            mp.setattr(cegis_mod, "zero_excluded", lambda *args: False)
+            assert repr(verify_uncertainty(c, fam)) == swept, (fam, c)
+    assert min(counts.values()) >= 10, counts
+
+
+def test_grid_box_shortcut_needs_a_strict_lead_and_a_plant_at_every_corner():
+    # Two boxes with a stable centre whose value set keeps 0 outside on the
+    # unit circle, which the shortcut must still leave to the full path.
+    # S = (1 - n0)·z + 2 over n0 in [0, 2] has a zero lead at its centre,
+    # so every other member has its root outside the circle: the vertex
+    # plants are witnesses.
+    fam = PlantFamily(TransferFunction([1, -2], [1, 0]), delta_num=[1, 0],
+                      plant_format=FixedPointFormat(8, 8))
+    c = make_controller([-1], [1])
+    cex = verify_uncertainty(c, fam)
+    assert cex is not None
+    assert concrete_verdict(c, cex).status is Status.UNSTABLE
+    # A denominator box with a corner at zero, where there is no plant:
+    # Unstable ("lead") either way.
+    den = [Fraction(1, 25), Fraction(3, 50)]
+    fam = PlantFamily(TransferFunction([Fraction(31, 50), Fraction(2, 5)],
+                                       den), delta_den=den)
+    c = make_controller([Fraction(-3, 2), Fraction(-51, 128)],
+                        [Fraction(-115, 64), Fraction(-87, 64)])
+    for margin in (False, True):
+        verdict, _ = cegis_mod._box_verdict(c, *family_grid_box(fam), None,
+                                            margin=margin)
+        assert verdict.status is Status.UNSTABLE and verdict.violated == "lead"
+
+
+def test_vertex_polynomials_read_off_the_affine_form(monkeypatch):
+    # Every vertex S that the box verdict hands to exact Jury, read off the
+    # centre and generators as S_c ± g_i, is closed_loop_coeffs of the
+    # controller's raws and that corner's plant coefficients, both scaled
+    # to integers by twice the common denominator of the box ends.
+    rng = random.Random(7)
+    spec = parse_benchmark(FOURTH_ORDER)
+    boxes = [(family_to_interval_poly(
+        spec.family.with_format(DEFAULT_PLANT_FORMAT)),
+        cegis_mod._controller_from_raws(
+            cegis_mod.placement_starts(spec.family.nominal,
+                                       spec.controller_format,
+                                       spec.controller_orders)[0],
+            spec.controller_format, spec.controller_orders))]
+    boxes += [(family_to_interval_poly(fam), c) for fam, c in (
+        _fuzz_family(rng, FixedPointFormat(8, 12), i % 2 == 0)
+        for i in range(40))]
+    checked = 0
+    for (num_iv, den_iv), c in boxes:
+        seen = []
+        monkeypatch.setattr(cegis_mod, "jury_stable",
+                            lambda s: seen.append(s) or jury_stable(s))
+        cegis_mod._box_verdict(c, num_iv, den_iv, None)
+        coeffs = num_iv.coeffs + den_iv.coeffs
+        scale = 2 * math.lcm(*(x.denominator for b in coeffs
+                               for x in (b.lo, b.hi)))
+        nn = len(num_iv.coeffs)
+        for s, (num, den) in zip(seen, cegis_mod._box_vertices(num_iv,
+                                                               den_iv)):
+            plant = [int(x * scale) for x in num + den]
+            assert list(s.coeffs) == cegis_mod.closed_loop_coeffs(
+                [v.raw for v in c.num], plant[:nn], [v.raw for v in c.den],
+                plant[nn:], 0)
+            checked += 1
+    assert checked >= 1000
 
 
 FOURTH_ORDER = str(pathlib.Path(__file__).resolve().parents[1] / "perfbench"
@@ -571,6 +658,35 @@ def test_sweep_certifies_fourth_order_without_edges(monkeypatch):
     assert verdict.margin == min(
         concrete_verdict(c, TransferFunction(n, d)).margin
         for n, d in inflated)
+
+
+def test_grid_box_of_fourth_order_takes_one_exact_jury(monkeypatch):
+    # Seed 8's final controller at <16,24>, and the one the random-restart
+    # search accepted before the placement starts: the centre, the lead and
+    # the sweep prove the grid box, with exact Jury of S_c alone and no
+    # vertex or edge scanned.
+    spec = parse_benchmark(FOURTH_ORDER)
+    result = cegis_two_stage(spec.family, spec.controller_format,
+                             spec.controller_orders, 8, Limits(timeout_s=60))
+    assert result.success and result.plant_format == DEFAULT_PLANT_FORMAT
+    fmt = FixedPointFormat(6, 12)
+    restart = Controller(
+        [FixedPointValue(r, fmt) for r in [874, -63403, 19622, -44426, 72265]],
+        [FixedPointValue(r, fmt)
+         for r in [201908, -76808, -29447, -43915, 17775]])
+
+    def no_edges(p0, p1):
+        raise AssertionError("an edge was scanned")
+
+    calls = []
+    monkeypatch.setattr(cegis_mod, "segment_chain", no_edges)
+    monkeypatch.setattr(cegis_mod, "jury_stable",
+                        lambda s: calls.append(s) or jury_stable(s))
+    fam = spec.family.with_format(DEFAULT_PLANT_FORMAT)
+    for c in (result.controller, restart):
+        calls.clear()
+        assert verify_uncertainty(c, fam) is None
+        assert len(calls) == 1
 
 
 def test_solve_finds_a_solution_or_none():
