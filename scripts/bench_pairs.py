@@ -239,7 +239,7 @@ def main():
                 "times are verify_uncertainty + verify_precision of the "
                 "parent's final candidate on both sides, seconds, median "
                 f"of {CERT_REPEATS}; vertex_jury_s is exact Jury of the box "
-                "vertices and of a grid box's centre (concrete_verdict and "
+                "vertices and of a box's centre (concrete_verdict and "
                 "jury_stable, a call inside the other counted once), "
                 "sweep_s the zero-exclusion sweep, edge_scan_s "
                 "segment_chain and has_root; "

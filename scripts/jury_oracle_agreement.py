@@ -11,12 +11,11 @@ member that exact Jury and the root oracle both find unstable.
 Then cross-check the exact-crossing frequency margins on random loops
 against the 50-digit mpmath crossings of the test suite.
 Last, cross-check the zero-exclusion sweep of the box verdict on random
-families whose boxes reach it: no box it proves may have an unstable edge
-(the segment test) or a sampled member with a root on or outside the unit
-circle (the root oracle).  On the same families, the grid box's verdict
-with the uncertainty stage's shortcut (centre, lead and sweep before any
-vertex) must match the full path's, and no box the shortcut proves may
-have a sampled member the root oracle finds unstable.
+families, on the grid box and on the inflated box: with the sweep
+refusing, the vertices, the lead and the edges must give each box the
+same verdict and evidence, and no box the sweep proves (with no vertex
+read) may have a sampled member with a root on or outside the unit circle
+(the root oracle).
 """
 
 import argparse
@@ -228,10 +227,11 @@ def sweep_family(rng, orders, uncertain):
                                      fmt), quantize_poly([1], fmt)))
 
 
-def sweep_and_edges(c, fam):
-    """What the zero-exclusion sweep says of the family's box (that of
-    `family_to_interval_poly`; None if the box verdict does not reach the
-    sweep), and the box verdict with the edge scan deciding in its place."""
+def sweep_and_edges(c, fam, box=family_to_interval_poly, grid=None):
+    """What the zero-exclusion sweep says of the family's `box` (by default
+    the inflated one; None if the box verdict does not reach the sweep),
+    and the box verdict and evidence with the vertices, the lead and the
+    edges deciding in its place."""
     said = []
 
     def refuse(centre, generators, deadline=None):
@@ -240,7 +240,7 @@ def sweep_and_edges(c, fam):
 
     cegis.zero_excluded = refuse
     try:
-        verdict, _ = _box_verdict(c, *family_to_interval_poly(fam), None)
+        verdict = _box_verdict(c, *box(fam), None, grid)
     finally:
         cegis.zero_excluded = zero_excluded
     return (said or [None])[0], verdict
@@ -262,42 +262,35 @@ def sweep_agreement(rng):
     """SWEEP_FAMILIES random families, alternately `sweep_family` (order
     3-6, 2-9 uncertain coefficients) and the test suite's fuzz families
     (half of them around a box with one unstable edge between stable
-    vertices): each box the sweep proves must be edge-Stable and have no
-    unstable member among SWEEP_MEMBERS sampled ones.  Each grid box gets
-    the same verdict and evidence with the shortcut as by the full path,
-    and each box the shortcut proves has no unstable member among
-    SWEEP_MEMBERS sampled ones."""
+    vertices), each on its grid box and its inflated box: the box verdict
+    and evidence must be the same with the sweep refusing, and each box
+    the sweep proves must have no unstable member among SWEEP_MEMBERS
+    sampled ones."""
     from test_cegis import _fuzz_family  # test_cegis imports this script
 
-    counts = {"proved": 0, "refused edge-Stable": 0,
-              "refused edge-Unstable": 0, "grid boxes shortcut-proved": 0}
+    counts = {f"{name} boxes {kind}": 0 for name in ("grid", "inflated")
+              for kind in ("shortcut-proved", "refused edge-Stable",
+                           "refused edge-Unstable")}
     disagreements = 0
     for i in range(SWEEP_FAMILIES):
         fam, c = (sweep_family(rng, (3, 6), (2, 9)) if i % 2 else
                   _fuzz_family(rng, FixedPointFormat(8, 12), i % 4 == 0))
-        (short, evidence), (full, expected) = (
-            _box_verdict(c, *family_grid_box(fam), None, fam.plant_format,
-                         margin=margin) for margin in (False, True))
-        shortcut = short.is_stable and short.margin is None
-        counts["grid boxes shortcut-proved"] += shortcut
-        bad = (unstable_members(rng, c, fam, SWEEP_MEMBERS, family_grid_box)
-               if shortcut else [])
-        if short.status is not full.status or evidence != expected or bad:
-            disagreements += 1
-            print(f"grid-box shortcut disagreement: {short} against "
-                  f"{full}, {len(bad)} unstable members: {fam} {c}")
-        proved, verdict = sweep_and_edges(c, fam)
-        if proved is None:
-            continue
-        if not proved:
-            counts[f"refused edge-{verdict.status.value}"] += 1
-            continue
-        counts["proved"] += 1
-        bad = unstable_members(rng, c, fam, SWEEP_MEMBERS)
-        if not verdict.is_stable or bad:
-            disagreements += 1
-            print(f"sweep disagreement: edge verdict {verdict}, "
-                  f"{len(bad)} unstable members: {fam} {c}")
+        for name, box, grid in (("grid", family_grid_box, fam.plant_format),
+                                ("inflated", family_to_interval_poly, None)):
+            short, evidence = _box_verdict(c, *box(fam), None, grid)
+            proved, (full, expected) = sweep_and_edges(c, fam, box, grid)
+            if proved is not None:
+                counts[f"{name} boxes " + (
+                    "shortcut-proved" if proved
+                    else f"refused edge-{full.status.value}")] += 1
+            bad = (unstable_members(rng, c, fam, SWEEP_MEMBERS, box)
+                   if proved else [])
+            if (short.status is not full.status or evidence != expected
+                    or bool(proved) != (short.settled_by == "sweep") or bad):
+                disagreements += 1
+                print(f"{name}-box sweep disagreement: {short} against "
+                      f"{full} with the sweep refusing, {len(bad)} unstable "
+                      f"members: {fam} {c}")
     print(f"sweep: {SWEEP_FAMILIES} families, "
           + ", ".join(f"{n} {k}" for k, n in counts.items())
           + f", {disagreements} disagreements")

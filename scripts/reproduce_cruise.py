@@ -75,9 +75,11 @@ def main():
     if not result.success:
         print(f"synthesis failed: {result.reason}")
         return 1
+    cert = result.certificate
+    margin = "none" if cert.margin is None else f"{float(cert.margin):.4g}"
     print(f"converged in {result.iterations} iterations at "
-          f"{result.plant_format}, certificate margin "
-          f"{float(result.certificate.margin):.4g}")
+          f"{result.plant_format}, certificate settled by {cert.settled_by}, "
+          f"margin {margin}")
     report_controller("synthesized", result.controller, plant,
                       spec.sample_time, args.out_dir, args.steps)
     return 0

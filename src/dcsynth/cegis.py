@@ -1,9 +1,9 @@
 """Synthesis orchestrator: inductive candidate search against a counterexample
 set, two-stage verification (`_box_verdict` of the grid box, then of the
-inflated box: interval Jury, exact Jury of the vertices, the sign of the
-lead of S, the zero-exclusion sweep, then the edges as the fallback; the
-grid box first tries exact Jury of its centre, the lead and the sweep, with
-no vertex), plant-precision escalation; plus the sound one-stage engine.
+inflated box: interval Jury; then the sign of the lead of S, exact Jury of
+the box centre and the zero-exclusion sweep, with no vertex; then, where
+one of those refuses, exact Jury of the vertices, the lead and the edges),
+plant-precision escalation; plus the sound one-stage engine.
 
 The candidate search is deterministic seeded hill climbing over the <I,F>
 coefficient grid with restarts, falling back to exhaustive enumeration when
@@ -22,7 +22,7 @@ import math
 import operator
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from .errors import (DeadlineExceeded, DegenerateCharPoly, NoCandidate,
@@ -459,12 +459,11 @@ def verify_uncertainty(candidate: Controller, family: PlantFamily,
     past an unstable edge's first root, or one beside a zero of the lead of
     S on an edge), else None: the box is stable, or no such grid point is
     unstable, and the precision stage, whose box contains the grid box,
-    rejects.  No margin is read here, so a box that its centre, lead and
-    sweep prove is never scanned vertex by vertex.  Raises DeadlineExceeded
-    past the `deadline` (a time.perf_counter() value)."""
+    rejects.  Raises DeadlineExceeded past the `deadline` (a
+    time.perf_counter() value)."""
     num_iv, den_iv = family_grid_box(family)
     _, evidence = _box_verdict(candidate, num_iv, den_iv, deadline,
-                               family.plant_format, margin=False)
+                               family.plant_format)
     if isinstance(evidence, TransferFunction):
         return evidence
     for lo, hi, positions in evidence:
@@ -479,32 +478,33 @@ def verify_uncertainty(candidate: Controller, family: PlantFamily,
     return None
 
 
-def _box_verdict(candidate, num_iv, den_iv, deadline, grid=None, margin=True):
+def _box_verdict(candidate, num_iv, den_iv, deadline, grid=None):
     """Stable or Unstable verdict of the closed loop over a box of plants,
-    and its evidence: an unstable vertex plant or a list of failing edges,
-    each (low corner, high corner, positions): the positions t in [0, 1] of
-    the plant-`grid` points on the edge worth trying, the one at or just
-    past the first root of an unstable edge, or the two either side of a
-    zero of the lead of S.  Without a grid, only the ends are grid points.
-    The box is built once as an affine family S_c + Σ λ_i·g_i, λ in
-    [-1, 1]^k, and each vertex S is read off it.  The steps, in order: a
-    Stable or Unstable interval Jury verdict stands.  Without `margin`, an
-    Unknown box is then Stable, margin None, if the lead of S keeps one
-    strict sign (|lead of S_c| exceeds the sum of the generators' |lead|),
-    every corner has a plant, exact Jury finds S_c stable and the
-    zero-exclusion sweep proves 0 outside the value set on the unit
-    circle.  Else exact Jury decides each vertex.  If the vertex leads of S
-    do not share one strict sign, the lead vanishes somewhere in the box
-    and the verdict is Unstable ("lead"): the members beside its zero have
-    a root near infinity, or S vanishes there (a vertex with no plant, its
-    denominator zero, counts as a zero lead).  Else S is affine in the
-    plant and of constant degree, with stable vertices: the box is stable
-    if the sweep, run at most once per box, proves it, and, as the exact
-    fallback where the sweep gives up, iff every edge is (Edge Theorem,
-    Bartlett, Hollot & Lin 1988), which the segment test decides.  A Stable
-    proven after the vertex scan reports the least vertex margin."""
-    verdict = jury_stable_interval(_interval_char_poly(candidate, num_iv,
-                                                       den_iv))
+    `settled_by` the step that decided it, and its evidence: an unstable
+    vertex plant or a list of failing edges, each (low corner, high corner,
+    positions): the positions t in [0, 1] of the plant-`grid` points on the
+    edge worth trying, the one at or just past the first root of an
+    unstable edge, or the two either side of a zero of the lead of S.
+    Without a grid, only the ends are grid points.  The box is built once
+    as an affine family S_c + Σ λ_i·g_i, λ in [-1, 1]^k.  The steps, in
+    order: a Stable or Unstable interval Jury verdict stands ("interval").
+    An Unknown box is Stable ("sweep") if the lead of S keeps one strict
+    sign (|lead of S_c| exceeds the sum of the generators' |lead|), every
+    corner has a plant, exact Jury finds S_c stable and the zero-exclusion
+    sweep proves 0 outside the value set on the unit circle.  Else exact
+    Jury decides each vertex S, read off S_c ± g_i ("vertices").  If the
+    vertex leads of S do not share one strict sign, the lead vanishes
+    somewhere in the box and the verdict is Unstable ("lead"): the members
+    beside its zero have a root near infinity, or S vanishes there (a
+    vertex with no plant, its denominator zero, counts as a zero lead).
+    Else S is affine in the plant and of constant degree, with stable
+    vertices, and the box is stable iff every edge is ("edges"; Edge
+    Theorem, Bartlett, Hollot & Lin 1988), which the segment test decides.
+    The sweep is not run again there: it has run unless S_c is unstable,
+    and then a member between S_c and a vertex has a root on the unit
+    circle.  Only interval Jury gives a Stable box a margin."""
+    verdict = replace(jury_stable_interval(
+        _interval_char_poly(candidate, num_iv, den_iv)), settled_by="interval")
     if verdict.status is Status.STABLE:
         return verdict, []
     # Each S below is in integers, from the controller's raws and the plant
@@ -528,9 +528,11 @@ def _box_verdict(candidate, num_iv, den_iv, deadline, grid=None, margin=True):
         try:
             v = jury_stable(Poly(s))
         except DegenerateCharPoly:
-            return JuryVerdict(Status.UNSTABLE, None, -_BIG_PENALTY)
+            return JuryVerdict(Status.UNSTABLE, None, -_BIG_PENALTY,
+                               "vertices")
         return JuryVerdict(v.status, v.violated,
-                           v.margin / (candidate.format.scale * scale))
+                           v.margin / (candidate.format.scale * scale),
+                           "vertices")
 
     # The box as S_c + Σ λ_i·g_i, λ_i in [-1, 1]: its centre, and the
     # half-width of each coefficient times the matching controller part.
@@ -538,29 +540,24 @@ def _box_verdict(candidate, num_iv, den_iv, deadline, grid=None, margin=True):
     generators = [s_of([c.width / 2 if k == i else 0
                         for k, c in enumerate(coeffs)])
                   for i, c in enumerate(coeffs) if not c.is_point()]
-    swept = None  # the sweep's answer, once it has run
-
-    def sweep(top):
-        return zero_excluded(centre[top:], [g[top:] for g in generators],
-                             deadline)
-
-    corners = list(_box_vertices(num_iv, den_iv))
-    if (not margin and verdict.status is Status.UNKNOWN
-            and all(any(den_c) for _, den_c in corners)):
-        top = next((k for k, row in enumerate(zip(centre, *generators))
-                    if any(row)), 0)
-        if (abs(centre[top]) > sum(abs(g[top]) for g in generators)
-                and vertex_verdict(centre).is_stable):
-            swept = sweep(top)
-            if swept:
-                return JuryVerdict(Status.STABLE, None, None), []
+    top = next((k for k, row in enumerate(zip(centre, *generators))
+                if any(row)), 0)
+    # A corner has no plant iff every denominator coefficient has 0 at an
+    # end of its interval.
+    if (verdict.status is Status.UNKNOWN
+            and abs(centre[top]) > sum(abs(g[top]) for g in generators)
+            and not all(0 in (c.lo, c.hi) for c in den_iv.coeffs)
+            and vertex_verdict(centre).is_stable
+            and zero_excluded(centre[top:], [g[top:] for g in generators],
+                              deadline)):
+        return JuryVerdict(Status.STABLE, None, None, "sweep"), []
     # Each vertex S is S_c ± g_i, in the corners' order (the low end of a
     # coefficient is the centre less its half-width).
+    corners = list(_box_vertices(num_iv, den_iv))
     polys = [centre]
     for g in generators:
         polys = [[x + sign * y for x, y in zip(s, g)]
                  for s in polys for sign in (-1, 1)]
-    least = None
     for k, (num_c, den_c) in enumerate(corners):
         check_deadline(deadline)
         if not any(den_c):
@@ -570,7 +567,6 @@ def _box_verdict(candidate, num_iv, den_iv, deadline, grid=None, margin=True):
         if v.status is Status.UNSTABLE:
             return (verdict if verdict.status is Status.UNSTABLE else v,
                     _make_plant(num_c, den_c))
-        least = v.margin if least is None else min(least, v.margin)
 
     def grid_steps(lo, hi):  # the corners differ in one coefficient
         if grid is None:
@@ -595,18 +591,17 @@ def _box_verdict(candidate, num_iv, den_iv, deadline, grid=None, margin=True):
                     Fraction(k, n) for k in (math.ceil(t * n) - 1,
                                              math.floor(t * n) + 1)
                     if 0 <= k <= n]))
-        return JuryVerdict(Status.UNSTABLE, "lead", Fraction(0)), failing
-    if swept is None and sweep(top):
-        return JuryVerdict(Status.STABLE, None, least), []
+        return (JuryVerdict(Status.UNSTABLE, "lead", Fraction(0), "vertices"),
+                failing)
     for lo, hi in edges:
         check_deadline(deadline)
         chain = segment_chain(polys[lo][top:], polys[hi][top:])
         if has_root(chain, 0, 1):
             n = grid_steps(lo, hi)
-            return (JuryVerdict(Status.UNSTABLE, "edge", Fraction(0)),
+            return (JuryVerdict(Status.UNSTABLE, "edge", Fraction(0), "edges"),
                     [(corners[lo], corners[hi],
                       [Fraction(_first_root_step(chain, n), n)])])
-    return JuryVerdict(Status.STABLE, None, least), []
+    return JuryVerdict(Status.STABLE, None, None, "edges"), []
 
 
 def _first_root_step(chain, n):
@@ -624,8 +619,9 @@ def _first_root_step(chain, n):
 
 def verify_precision(candidate: Controller, family: PlantFamily,
                      deadline=None):
-    """Second (sound) stage: `_box_verdict` over the fully inflated family;
-    raises DeadlineExceeded past the `deadline`."""
+    """Second (sound) stage: `_box_verdict` over the fully inflated family,
+    by the same steps as the first stage's grid box; raises
+    DeadlineExceeded past the `deadline`."""
     num_iv, den_iv = family_to_interval_poly(family)
     return _box_verdict(candidate, num_iv, den_iv, deadline)[0]
 
@@ -756,7 +752,7 @@ def cegis_one_stage(family: PlantFamily, controller_format: FixedPointFormat,
     except NoCandidate:
         return result("no-candidate")
     controller = _controller_from_raws(raws, controller_format, orders)
-    verdict = jury_stable_interval(_interval_char_poly(controller, num_iv, den_iv))
+    verdict, _ = _box_verdict(controller, num_iv, den_iv, None)
     transcript.append({"phase": "one-stage-accept",
                        "candidate": describe_controller(controller),
                        "plant_format": str(fmt_p)})

@@ -28,11 +28,11 @@ FORMAT_VERSION = 1
 def _certificate_report(verdict):
     if verdict is None:
         return None
-    return {
-        "status": verdict.status.value,
-        "violated": verdict.violated,
-        "margin": str(verdict.margin),
-    }
+    report = {"status": verdict.status.value, "violated": verdict.violated,
+              "margin": None if verdict.margin is None else str(verdict.margin)}
+    if verdict.settled_by is not None:  # a box verdict
+        report["settled_by"] = verdict.settled_by
+    return report
 
 
 def _oracle_spot_check(controller: Controller, spec: BenchmarkSpec):

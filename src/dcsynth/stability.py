@@ -44,7 +44,8 @@ class Status(enum.Enum):
 class JuryVerdict:
     status: Status
     violated: str | None
-    margin: Fraction
+    margin: Fraction | None
+    settled_by: str | None = None  # the step that settled a box verdict
 
     @property
     def is_stable(self) -> bool:

@@ -1,6 +1,7 @@
 """Synthesis loop: candidate search, both verification stages, escalation,
 and the failure taxonomy."""
 
+import contextlib
 import itertools
 import math
 import operator
@@ -326,16 +327,13 @@ def test_edges_prove_box_the_interval_verdict_leaves_open(monkeypatch):
     assert verdict.status is Status.UNKNOWN and verdict.violated == "R1"
     for num, den in cegis_mod._box_vertices(num_iv, den_iv):
         assert concrete_verdict(c, TransferFunction(num, den)).is_stable
-    # The vertices and then the zero-exclusion sweep prove both boxes
-    # stable, and so do the box edges where the sweep gives up; either way
-    # the certificate carries the smallest vertex margin of the inflated
-    # box.
-    inflated = cegis_mod._box_vertices(*family_to_interval_poly(fam))
-    least = min(concrete_verdict(c, TransferFunction(n, d)).margin
-                for n, d in inflated)
-    assert least > 0
+    # The zero-exclusion sweep proves both boxes stable, and so do the box
+    # edges where the sweep gives up; either way the certificate names the
+    # step and carries no margin, as no vertex margin bounds the family's
+    # from below.
     said = []
-    for sweep in (cegis_mod.zero_excluded, lambda *args: False):
+    for sweep, step in ((cegis_mod.zero_excluded, "sweep"),
+                        (lambda *args: False, "edges")):
         def spy(*args, sweep=sweep):
             said.append(sweep(*args))
             return said[-1]
@@ -344,7 +342,7 @@ def test_edges_prove_box_the_interval_verdict_leaves_open(monkeypatch):
         assert verify_uncertainty(c, fam) is None
         sound = verify_precision(c, fam)
         assert sound.status is Status.STABLE and sound.violated is None
-        assert sound.margin == least
+        assert sound.margin is None and sound.settled_by == step
     assert said == [True, True, False, False]
 
 
@@ -535,7 +533,7 @@ def test_sweep_proves_only_stable_boxes():
     cases = _sweep_cases(rng)
     counts = {}
     for (fam, c), kind in cases:
-        proved, verdict = sweep_and_edges(c, fam)
+        proved, (verdict, _) = sweep_and_edges(c, fam)
         if proved is None:
             continue
         key = (kind, "proved" if proved else
@@ -557,8 +555,8 @@ def test_grid_box_shortcut_keeps_the_uncertainty_verdict(monkeypatch):
     counts = {"shortcut": 0, "witness": 0}
     for (fam, c), _ in _sweep_cases(random.Random(2024)):
         verdict, _ = cegis_mod._box_verdict(c, *family_grid_box(fam), None,
-                                            fam.plant_format, margin=False)
-        counts["shortcut"] += verdict.is_stable and verdict.margin is None
+                                            fam.plant_format)
+        counts["shortcut"] += verdict.settled_by == "sweep"
         swept = repr(verify_uncertainty(c, fam))
         counts["witness"] += swept != "None"
         with monkeypatch.context() as mp:
@@ -580,15 +578,14 @@ def test_grid_box_shortcut_needs_a_strict_lead_and_a_plant_at_every_corner():
     assert cex is not None
     assert concrete_verdict(c, cex).status is Status.UNSTABLE
     # A denominator box with a corner at zero, where there is no plant:
-    # Unstable ("lead") either way.
+    # Unstable ("lead"), on the grid box and the inflated box alike.
     den = [Fraction(1, 25), Fraction(3, 50)]
     fam = PlantFamily(TransferFunction([Fraction(31, 50), Fraction(2, 5)],
                                        den), delta_den=den)
     c = make_controller([Fraction(-3, 2), Fraction(-51, 128)],
                         [Fraction(-115, 64), Fraction(-87, 64)])
-    for margin in (False, True):
-        verdict, _ = cegis_mod._box_verdict(c, *family_grid_box(fam), None,
-                                            margin=margin)
+    for box in (family_grid_box(fam), family_to_interval_poly(fam)):
+        verdict, _ = cegis_mod._box_verdict(c, *box, None)
         assert verdict.status is Status.UNSTABLE and verdict.violated == "lead"
 
 
@@ -596,7 +593,18 @@ def test_vertex_polynomials_read_off_the_affine_form(monkeypatch):
     # Every vertex S that the box verdict hands to exact Jury, read off the
     # centre and generators as S_c ± g_i, is closed_loop_coeffs of the
     # controller's raws and that corner's plant coefficients, both scaled
-    # to integers by twice the common denominator of the box ends.
+    # to integers by twice the common denominator of the box ends.  With
+    # the sweep refusing, every box that interval Jury leaves open reaches
+    # the vertex scan, which the edge scan is stopped past; S_c, where
+    # exact Jury tries it first, is skipped.
+    class EdgeScan(Exception):
+        pass
+
+    def stop(p0, p1):
+        raise EdgeScan
+
+    monkeypatch.setattr(cegis_mod, "zero_excluded", lambda *args: False)
+    monkeypatch.setattr(cegis_mod, "segment_chain", stop)
     rng = random.Random(7)
     spec = parse_benchmark(FOURTH_ORDER)
     boxes = [(family_to_interval_poly(
@@ -614,17 +622,25 @@ def test_vertex_polynomials_read_off_the_affine_form(monkeypatch):
         seen = []
         monkeypatch.setattr(cegis_mod, "jury_stable",
                             lambda s: seen.append(s) or jury_stable(s))
-        cegis_mod._box_verdict(c, num_iv, den_iv, None)
+        with contextlib.suppress(EdgeScan):
+            cegis_mod._box_verdict(c, num_iv, den_iv, None)
         coeffs = num_iv.coeffs + den_iv.coeffs
         scale = 2 * math.lcm(*(x.denominator for b in coeffs
                                for x in (b.lo, b.hi)))
         nn = len(num_iv.coeffs)
-        for s, (num, den) in zip(seen, cegis_mod._box_vertices(num_iv,
-                                                               den_iv)):
-            plant = [int(x * scale) for x in num + den]
-            assert list(s.coeffs) == cegis_mod.closed_loop_coeffs(
+
+        def s_of(plant):
+            plant = [int(x * scale) for x in plant]
+            return cegis_mod.closed_loop_coeffs(
                 [v.raw for v in c.num], plant[:nn], [v.raw for v in c.den],
                 plant[nn:], 0)
+
+        if seen and list(seen[0].coeffs) == s_of([b.midpoint
+                                                  for b in coeffs]):
+            seen = seen[1:]
+        for s, (num, den) in zip(seen, cegis_mod._box_vertices(num_iv,
+                                                               den_iv)):
+            assert list(s.coeffs) == s_of(num + den)
             checked += 1
     assert checked >= 1000
 
@@ -633,60 +649,85 @@ FOURTH_ORDER = str(pathlib.Path(__file__).resolve().parents[1] / "perfbench"
                    / "fixtures" / "fourth_order.bench")
 
 
-def test_sweep_certifies_fourth_order_without_edges(monkeypatch):
-    # The candidate that the random-restart search accepted last on
-    # fourth_order.bench with seed 8: the sweep proves the grid box and the
-    # inflated box, so no box edge is scanned, and the certificate keeps
-    # the least vertex margin.
-    spec = parse_benchmark(FOURTH_ORDER)
-    fam = spec.family.with_format(DEFAULT_PLANT_FORMAT)
+def _restart_candidate():
+    """The candidate that the random-restart search accepted last on
+    fourth_order.bench with seed 8, before the placement starts."""
     fmt = FixedPointFormat(6, 12)
-    c = Controller(
+    return Controller(
         [FixedPointValue(r, fmt) for r in [874, -63403, 19622, -44426, 72265]],
         [FixedPointValue(r, fmt)
          for r in [201908, -76808, -29447, -43915, 17775]])
 
-    def no_edges(p0, p1):
-        raise AssertionError("an edge was scanned")
 
-    monkeypatch.setattr(cegis_mod, "segment_chain", no_edges)
+def _no_edges(p0, p1):
+    raise AssertionError("an edge was scanned")
+
+
+def test_sweep_certifies_fourth_order_without_edges(monkeypatch):
+    # The sweep proves the restart candidate's grid box and inflated box,
+    # so no box edge is scanned, and the certificate says so, with no
+    # margin.
+    fam = parse_benchmark(FOURTH_ORDER).family.with_format(
+        DEFAULT_PLANT_FORMAT)
+    c = _restart_candidate()
+    monkeypatch.setattr(cegis_mod, "segment_chain", _no_edges)
     assert verify_uncertainty(c, fam) is None
     verdict = verify_precision(c, fam)
-    assert verdict.status is Status.STABLE
-    inflated = list(cegis_mod._box_vertices(*family_to_interval_poly(fam)))
-    assert len(inflated) == 512
-    assert verdict.margin == min(
-        concrete_verdict(c, TransferFunction(n, d)).margin
-        for n, d in inflated)
+    assert verdict == JuryVerdict(Status.STABLE, None, None, "sweep")
 
 
-def test_grid_box_of_fourth_order_takes_one_exact_jury(monkeypatch):
-    # Seed 8's final controller at <16,24>, and the one the random-restart
-    # search accepted before the placement starts: the centre, the lead and
-    # the sweep prove the grid box, with exact Jury of S_c alone and no
-    # vertex or edge scanned.
+def _fourth_order_stage(monkeypatch, stage):
+    """What `stage` returns on fourth_order.bench at <16,24>, with the
+    number of exact Jury calls it makes, for seed 8's final controller and
+    for the restart candidate; no box edge may be scanned."""
     spec = parse_benchmark(FOURTH_ORDER)
     result = cegis_two_stage(spec.family, spec.controller_format,
                              spec.controller_orders, 8, Limits(timeout_s=60))
     assert result.success and result.plant_format == DEFAULT_PLANT_FORMAT
-    fmt = FixedPointFormat(6, 12)
-    restart = Controller(
-        [FixedPointValue(r, fmt) for r in [874, -63403, 19622, -44426, 72265]],
-        [FixedPointValue(r, fmt)
-         for r in [201908, -76808, -29447, -43915, 17775]])
-
-    def no_edges(p0, p1):
-        raise AssertionError("an edge was scanned")
-
     calls = []
-    monkeypatch.setattr(cegis_mod, "segment_chain", no_edges)
+    monkeypatch.setattr(cegis_mod, "segment_chain", _no_edges)
     monkeypatch.setattr(cegis_mod, "jury_stable",
                         lambda s: calls.append(s) or jury_stable(s))
     fam = spec.family.with_format(DEFAULT_PLANT_FORMAT)
-    for c in (result.controller, restart):
+    seen = []
+    for c in (result.controller, _restart_candidate()):
         calls.clear()
-        assert verify_uncertainty(c, fam) is None
-        assert len(calls) == 1
+        seen.append((stage(c, fam), len(calls)))
+    return seen
+
+
+def test_grid_box_of_fourth_order_takes_one_exact_jury(monkeypatch):
+    # The centre, the lead and the sweep prove the grid box, with exact
+    # Jury of S_c alone and no vertex or edge scanned.
+    assert _fourth_order_stage(monkeypatch, verify_uncertainty) == [
+        (None, 1)] * 2
+
+
+def test_inflated_box_of_fourth_order_takes_one_exact_jury(monkeypatch):
+    # Interval Jury leaves the inflated box open; the centre, the lead and
+    # the sweep prove it as they prove the grid box, with exact Jury of S_c
+    # alone where a vertex scan would take 512 calls.
+    stable = JuryVerdict(Status.STABLE, None, None, "sweep")
+    assert _fourth_order_stage(monkeypatch, verify_precision) == [
+        (stable, 1)] * 2
+
+
+def test_inflated_box_shortcut_keeps_the_precision_verdict(monkeypatch):
+    # Differential check of the precision stage on the sweep families'
+    # inflated boxes: with the sweep refusing, the vertices, the lead and
+    # the edges give the same status, and every box proven with no vertex
+    # has no unstable member among 100 sampled by the root oracle.
+    rng = random.Random(2024)
+    shortcuts = 0
+    for (fam, c), _ in _sweep_cases(rng):
+        verdict = verify_precision(c, fam)
+        with monkeypatch.context() as mp:
+            mp.setattr(cegis_mod, "zero_excluded", lambda *args: False)
+            assert verify_precision(c, fam).status is verdict.status, (fam, c)
+        if verdict.settled_by == "sweep":
+            shortcuts += 1
+            assert not unstable_members(rng, c, fam, 100), (fam, c)
+    assert shortcuts >= 10, shortcuts
 
 
 def test_solve_finds_a_solution_or_none():

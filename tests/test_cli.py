@@ -43,6 +43,18 @@ def test_synth_success_report():
     assert report["transcript"][0]["phase"] == "synthesize"
 
 
+def test_sweep_certificate_has_a_null_margin():
+    # Interval Jury leaves fourth-order's inflated box open and the sweep
+    # proves it: no sound margin is known, and the report says null.
+    code, out = run(["synth", str(ROOT / "perfbench" / "fixtures"
+                                  / "fourth_order.bench"),
+                     "--seed", "1", "--report", "json", "--no-timing"])
+    assert code == 0
+    assert json.loads(out)["certificate"] == {
+        "status": "Stable", "violated": None, "margin": None,
+        "settled_by": "sweep"}
+
+
 def test_synth_timing_field_present_by_default():
     code, out = run(["synth", CRUISE, "--seed", "1234", "--report", "json"])
     assert code == 0
@@ -96,6 +108,8 @@ def test_verify_stable_controller():
     report = json.loads(out)
     assert report["outcome"] == "Stable"
     assert report["interval_jury"]["status"] == "Stable"
+    assert report["interval_jury"]["settled_by"] == "interval"
+    assert "settled_by" not in report["jury"]  # one plant, not a box
     assert report["nominal_max_root_modulus"] < 1.0
     assert 10 < report["gain_margin_db"] < 25
 
