@@ -17,7 +17,11 @@ working tree's `src/`, runs:
   starts at pole-placement controllers);
 - `zoh_discretize` on 200 seeded continuous plants within Nyquist (degree
   1-5, poles of real part in [-5, 1], sample times 0.01-2, |p*T| <= pi),
-  comparing the snapped coefficients.
+  comparing the snapped coefficients;
+- `placement_starts` on the nominal plant of every bundled and perfbench
+  benchmark file, at its own controller orders and at orders (k, k) for
+  k = 0-4, comparing the raw start points (a start the search tries and
+  rejects never reaches a report).
 
 Both trees read the working tree's benchmark files.  Prints every
 differing line of each differing report and exits 1 on any difference,
@@ -72,6 +76,24 @@ for num, den, t in json.load(sys.stdin):
     g = zoh_discretize(ContinuousTF([Fraction(c) for c in num],
                                     [Fraction(c) for c in den], Fraction(t)))
     out.append([[str(c) for c in p.coeffs] for p in (g.num, g.den)])
+print(json.dumps(out))
+"""
+
+STARTS_ORDERS = [(k, k) for k in range(5)]
+STARTS_FILES = sorted([*(ROOT / "benchmarks").glob("*.bench"),
+                       *(ROOT / "perfbench" / "fixtures").glob("*.bench")])
+# Reads the orders as JSON in argv[1] and benchmark files in argv[2:]; prints
+# one JSON line of starts, keyed "bench orders".
+STARTS_CHILD = """
+import json, sys
+from dcsynth.benchmark import parse_benchmark
+from dcsynth.cegis import placement_starts
+out = {}
+for b in sys.argv[2:]:
+    spec = parse_benchmark(b)
+    for orders in [spec.controller_orders, *json.loads(sys.argv[1])]:
+        out[f"{b} {tuple(orders)}"] = placement_starts(
+            spec.family.nominal, spec.controller_format, orders)
 print(json.dumps(out))
 """
 
@@ -159,6 +181,14 @@ def zoh_coefficients(src, plants):
     return json.loads(proc.stdout)
 
 
+def starts(src):
+    proc = run(src, ["-c", STARTS_CHILD, json.dumps(STARTS_ORDERS),
+                     *map(str, STARTS_FILES)])
+    if proc.returncode != 0:
+        sys.exit(f"starts child failed on {src}:\n{proc.stderr[-2000:]}")
+    return json.loads(proc.stdout)
+
+
 def line_differences(a, b):
     """Every differing line of two texts, as indented unified-diff lines
     without context (REV's lines -, the working tree's +)."""
@@ -184,6 +214,7 @@ def main():
         plants = zoh_plants()
         zoh = {name: zoh_coefficients(src, plants)
                for name, src in trees.items()}
+        placed = {name: starts(src) for name, src in trees.items()}
     old, new = (cli[name] for name in trees)
     for key in old:
         for part, a, b in zip(("exit code", "report", "CSV"), old[key],
@@ -204,9 +235,14 @@ def main():
         if a != b:
             differences += 1
             print(f"zoh {plant}: {a} != {b}")
+    old, new = (placed[name] for name in trees)
+    for key in old:
+        if old[key] != new[key]:
+            differences += 1
+            print(f"placement starts {key}: {old[key]} != {new[key]}")
     print(f"{len(rows) * len(CLI_SEEDS)} cli calls, {len(two[rev])} two-stage "
-          f"runs and {len(plants)} ZOH plants compared against {rev}: "
-          f"{differences} differences")
+          f"runs, {len(plants)} ZOH plants and {len(old)} placement start "
+          f"lists compared against {rev}: {differences} differences")
     return 1 if differences else 0
 
 

@@ -34,7 +34,8 @@ class BenchmarkSpec:
 
 
 def _parse_lines(path):
-    """Yields (lineno, key, value) for every assignment line."""
+    """The file's assignments, as {key: value} and {key: line number}."""
+    entries, linenos = {}, {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -48,7 +49,10 @@ def _parse_lines(path):
             value = value.strip()
             if not key or not value:
                 raise ParseError("empty key or value", line=lineno)
-            yield lineno, key, value
+            if key in entries:
+                raise ParseError(f"duplicate key {key!r}", line=lineno)
+            entries[key], linenos[key] = value, lineno
+    return entries, linenos
 
 
 def _fraction(token: str, lineno) -> Fraction:
@@ -79,13 +83,7 @@ def _format(value: str, lineno) -> FixedPointFormat:
 
 
 def parse_benchmark(path) -> BenchmarkSpec:
-    entries = {}
-    linenos = {}
-    for lineno, key, value in _parse_lines(path):
-        if key in entries:
-            raise ParseError(f"duplicate key {key!r}", line=lineno)
-        entries[key] = value
-        linenos[key] = lineno
+    entries, linenos = _parse_lines(path)
 
     missing = [k for k in _REQUIRED_KEYS if k not in entries]
     if missing:
@@ -158,13 +156,7 @@ def parse_controller(path):
     """Controller coefficient file: `num = ...`, `den = ...`, and an optional
     `format = I,F`.  Returns (num, den, format_or_None) with exact rational
     coefficient lists."""
-    entries = {}
-    linenos = {}
-    for lineno, key, value in _parse_lines(path):
-        if key in entries:
-            raise ParseError(f"duplicate key {key!r}", line=lineno)
-        entries[key] = value
-        linenos[key] = lineno
+    entries, linenos = _parse_lines(path)
     for key in ("num", "den"):
         if key not in entries:
             raise ValidationError(f"controller file is missing {key!r}")

@@ -32,9 +32,9 @@ from .intervals import (IntervalPoly, family_grid_box,
                         family_to_interval_poly, ipoly_add, ipoly_mul)
 from .stability import (JuryVerdict, Status, has_root, jury_conditions,
                         jury_stable, jury_stable_interval, segment_chain,
-                        zero_excluded)
+                        solve, zero_excluded)
 from .transfer import (Controller, PlantFamily, Poly, TransferFunction,
-                       char_poly, closed_loop_coeffs)
+                       char_poly, closed_loop_coeffs, convolve)
 
 DEFAULT_PLANT_FORMAT = FixedPointFormat(16, 24)
 PRECISION_STEP = (4, 4)
@@ -251,25 +251,30 @@ def placement_starts(nominal: TransferFunction, fmt: FixedPointFormat,
     """Raw start points by pole placement on the `nominal` plant (Astrom &
     Wittenmark, polynomial design).  For each radius r in PLACEMENT_RADII,
     the Sylvester system Cn*Gn + Cd*Gd = c*(z - r)^deg S, with Cd's lead 1
-    and any free coefficient 0, is solved exactly; the solution is scaled so
-    that its largest raw is the format's limit over each PLACEMENT_FILL,
-    and rounded.  Guidance only: the search accepts a start, like any
-    point, only by the exact verdict."""
+    and any free coefficient 0, is solved exactly on integer rows by
+    `stability.solve`; the solution is scaled so that its largest raw is
+    the format's limit over each PLACEMENT_FILL, and rounded.  Guidance
+    only: the search accepts a start, like any point, only by the exact
+    verdict."""
     m = orders[0] + 1
     n_coeffs = m + orders[1] + 1
     units = [[int(j == i) for j in range(n_coeffs)] for i in range(n_coeffs)]
-    columns = [closed_loop_coeffs(u[:m], nominal.num.coeffs, u[m:],
-                                  nominal.den.coeffs, Fraction(0))
-               for u in units]
+    # Integer rows: the plant times its common denominator, and the target
+    # (z - r)^deg S times r's denominator^deg S.
+    num, den = nominal.num.coeffs, nominal.den.coeffs
+    scale = math.lcm(*(c.denominator for c in num + den))
+    num, den = ([c.numerator * (scale // c.denominator) for c in p]
+                for p in (num, den))
+    columns = [closed_loop_coeffs(u[:m], num, u[m:], den, 0) for u in units]
     limit = fmt.raw_limit - 1
     starts = []
     for r in PLACEMENT_RADII:
-        target = [Fraction(1)]  # (z - r)^deg S, descending
+        target = [1]
         for _ in range(len(columns[0]) - 1):
-            target = [a - r * b for a, b in zip(target + [0], [0] + target)]
+            target = convolve(target, [r.denominator, -r.numerator], 0)
         rows = [[col[k] for col in columns] + [-t, 0]
                 for k, t in enumerate(target)]
-        x = _solve(rows + [units[m] + [0, 1]])
+        x = solve(rows + [units[m] + [0, 1]])
         if x is None or x[-1] == 0:
             continue
         big = max(abs(v) for v in x[:-1])
@@ -278,31 +283,6 @@ def placement_starts(nominal: TransferFunction, fmt: FixedPointFormat,
             if raws[m] != 0 and raws not in starts:
                 starts.append(raws)
     return starts
-
-
-def _solve(rows):
-    """A solution, free unknowns 0, of the linear system whose augmented
-    rows (right-hand side last) are `rows`, in Fractions; None if none."""
-    rows = [[Fraction(v) for v in row] for row in rows]
-    pivots = []
-    for col in range(len(rows[0]) - 1):
-        k = next((k for k in range(len(pivots), len(rows)) if rows[k][col]),
-                 None)
-        if k is None:
-            continue
-        rows[len(pivots)], rows[k] = rows[k], rows[len(pivots)]
-        pivot = rows[len(pivots)]
-        pivot[:] = [v / pivot[col] for v in pivot]
-        for row in rows:
-            if row is not pivot and row[col]:
-                row[:] = [a - row[col] * b for a, b in zip(row, pivot)]
-        pivots.append(col)
-    if any(row[-1] for row in rows[len(pivots):]):
-        return None
-    x = [Fraction(0)] * (len(rows[0]) - 1)
-    for row, col in zip(rows, pivots):
-        x[col] = row[-1]
-    return x
 
 
 def synthesize_candidate(inputs, controller_format: FixedPointFormat, orders,

@@ -15,7 +15,7 @@ from fractions import Fraction
 from .benchmark import BenchmarkSpec, parse_benchmark, parse_controller
 from .cegis import (DEFAULT_PLANT_FORMAT, Limits, cegis_one_stage,
                     cegis_two_stage, describe_controller, verify_precision)
-from .errors import DcsynthError, ParseError, ValidationError
+from .errors import DcsynthError, Overflow, ParseError, ValidationError
 from .fixedpoint import FixedPointFormat, quantize_poly
 from .simulate import NoiseModel, frequency_margins, step_response
 from .stability import jury_stable, root_oracle
@@ -96,8 +96,11 @@ def run_verify(spec: BenchmarkSpec, controller_coeffs, rounding: str,
                trace_out=None, steps: int = 1000, seed: int = 0) -> dict:
     num, den, file_fmt = controller_coeffs
     fmt = file_fmt or spec.controller_format
-    controller = Controller(quantize_poly(num, fmt, rounding),
-                            quantize_poly(den, fmt, rounding))
+    try:
+        controller = Controller(quantize_poly(num, fmt, rounding),
+                                quantize_poly(den, fmt, rounding))
+    except Overflow as exc:  # a coefficient outside the format
+        raise ValidationError(str(exc)) from None
     # The controller update divides by the denominator's leading
     # coefficient, with the denominator front-padded to the numerator.
     if (len(controller.num) > len(controller.den)

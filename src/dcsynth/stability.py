@@ -17,6 +17,9 @@ same recursion runs on RationalInterval and float coefficients;
 the values it gives on Fraction coefficients.
 `segment_chain` and `has_root` are Białas' exact segment test, and
 `zero_excluded` the zero-exclusion sweep of a box's value set.
+`eliminate` is the one fraction-free elimination on integer rows, for the
+segment test's Hurwitz minors (`determinant`), its interpolation of Δ(t)
+from them and the pole-placement starts (`solve`).
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from fractions import Fraction
 
 from .errors import DegenerateCharPoly, check_deadline
 from .intervals import IntervalPoly, RationalInterval
-from .transfer import Poly, add_aligned, convolve, poly_divmod, poly_roots
+from .transfer import Poly, convolve, poly_divmod, poly_roots
 
 
 class Status(enum.Enum):
@@ -150,35 +153,35 @@ def jury_stable_interval(s: IntervalPoly) -> JuryVerdict:
 
 
 def segment_chain(p0, p1) -> list:
-    """Sturm chain of the Hurwitz minor Δ(t) of (1-t)·p0 + t·p1, for Schur-
-    stable ends of length n+1 whose leading coefficients share a strict sign.
-    Every member is stable iff Δ has no root on [0, 1] (Białas 1985): the
-    map z = (s+1)/(s-1) gives (s-1)^n·P a lead P(1) and a constant term
+    """Sturm chain of the Hurwitz minor Δ(t) (`segment_minor`) of (1-t)·p0
+    + t·p1, for Schur-stable ends of length n+1 whose leads share a strict
+    sign.  Every member is stable iff Δ has no root on [0, 1] (Białas
+    1985): z = (s+1)/(s-1) gives (s-1)^n·P a lead P(1) and a constant term
     (-1)^n·P(-1) of fixed sign, so stability is lost only where a root pair
-    crosses the imaginary axis, where Δ_{n-1} vanishes (Orlando).  Δ, of
-    degree < n, is interpolated from exact (Bareiss) integer determinants
-    at t = 0 .. n-1 of the common-denominator-scaled coefficients.
-    """
+    crosses the imaginary axis, where Δ_{n-1} vanishes (Orlando)."""
+    return sturm_chain(Poly(segment_minor(p0, p1)))
+
+
+def segment_minor(p0, p1) -> list:
+    """Coefficients of Δ(t), descending, of degree < n: one Vandermonde
+    solve on its exact values at t = 0 .. n-1, determinants of the Hurwitz
+    matrix of the common-denominator-scaled coefficients."""
     n = len(p0) - 1
     scale = math.lcm(*(Fraction(c).denominator for c in list(p0) + list(p1)))
     q0, q1 = (bilinear([int(a * scale) for a in p]) for p in (p0, p1))
-    values = []
-    for t in range(max(n, 1)):
+    points, rows = range(max(n, 1)), []
+    for t in points:
         q = [x + t * (y - x) for x, y in zip(q0, q1)]
-        values.append(_det([[q[2 * j - i + 1] if 0 <= 2 * j - i + 1 <= n else 0
-                             for j in range(n - 1)] for i in range(n - 1)]))
-    # Newton's forward differences at t = 0, 1, ...: Δ = Σ diff_j·C(t, j).
-    delta = [0]
-    for binomial in _segment_bases(n)[1]:
-        delta = add_aligned(delta, [values[0] * c for c in binomial], 0)
-        values = [b - a for a, b in zip(values, values[1:])]
-    return sturm_chain(Poly(delta))
+        rows.append([t ** k for k in reversed(points)] + [determinant(
+            [[q[2 * j - i + 1] if 0 <= 2 * j - i + 1 <= n else 0
+              for j in range(n - 1)] for i in range(n - 1)])])
+    return solve(rows)
 
 
 def bilinear(coeffs) -> list:
     """Coefficients of (s-1)^n·p((s+1)/(s-1)) for p with the n+1 given ones,
     both descending, leading zeros allowed (s = jw maps to |z| = 1)."""
-    basis = _segment_bases(len(coeffs) - 1)[0]
+    basis = _bilinear_basis(len(coeffs) - 1)
     return [sum(a * b[i] for a, b in zip(coeffs, basis))
             for i in range(len(coeffs))]
 
@@ -279,22 +282,15 @@ def _taylor_shift(a, c) -> list:
 
 
 @functools.cache
-def _segment_bases(n) -> tuple:
-    """The segment test's constants for length n+1: the integer
-    coefficients of (s+1)^(n-k)·(s-1)^k for k = 0 .. n (z^(n-k) under
-    z = (s+1)/(s-1), times (s-1)^n), and those of the binomial polynomials
-    C(t, j) for j below max(n, 1)."""
+def _bilinear_basis(n) -> tuple:
+    """The integer coefficients of (s+1)^(n-k)·(s-1)^k for k = 0 .. n:
+    z^(n-k) under z = (s+1)/(s-1), times (s-1)^n."""
     plus, minus = [[1]], [[1]]
     for _ in range(n):
         plus.append(convolve(plus[-1], [1, 1], 0))
         minus.append(convolve(minus[-1], [1, -1], 0))
-    basis = tuple(tuple(convolve(plus[n - k], minus[k], 0))
-                  for k in range(n + 1))
-    binomials = [(Fraction(1),)]
-    for j in range(1, max(n, 1)):
-        binomials.append(tuple(c / j for c in convolve(binomials[-1],
-                                                       [1, 1 - j], 0)))
-    return basis, tuple(binomials)
+    return tuple(tuple(convolve(plus[n - k], minus[k], 0))
+                 for k in range(n + 1))
 
 
 def sturm_chain(a: Poly, b: Poly | None = None) -> list:
@@ -367,22 +363,51 @@ def positive_roots(p: Poly) -> list:
     return roots
 
 
-def _det(m) -> int:
-    """Determinant of a square integer matrix by fraction-free (Bareiss)
-    elimination; every division is exact."""
-    sign, prev = 1, 1
-    for k in range(len(m) - 1):
-        if m[k][k] == 0:
-            swap = next((i for i in range(k + 1, len(m)) if m[i][k]), None)
-            if swap is None:
-                return 0
-            m[k], m[swap] = m[swap], m[k]
-            sign = -sign
-        for i in range(k + 1, len(m)):
-            for j in range(k + 1, len(m)):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-        prev = m[k][k]
-    return sign * m[-1][-1] if m else 1
+def eliminate(rows, width) -> tuple:
+    """Fraction-free Gauss-Jordan elimination (Bareiss 1968) of the integer
+    `rows`, in place, on their first `width` columns, with row swaps.  Each
+    update is (x·p - f·y) // prev for the pivot p and the one before it, so
+    every entry stays an integer minor and every division is exact.  Each
+    pivot row ends with the last pivot in its own column and 0 in the other
+    pivot columns, the later rows with 0 in all `width`.  Returns the pivot
+    columns, in row order, and the last pivot (1 if none) times the sign of
+    the row permutation: a full-rank square matrix's determinant."""
+    pivots, sign, prev = [], 1, 1
+    for col in range(width):
+        r = len(pivots)
+        k = next((k for k in range(r, len(rows)) if rows[k][col]), None)
+        if k is None:
+            continue
+        if k != r:
+            rows[r], rows[k], sign = rows[k], rows[r], -sign
+        pivot, p = rows[r], rows[r][col]
+        for row in rows:
+            if row is not pivot:
+                f = row[col]
+                row[:] = [(x * p - f * y) // prev for x, y in zip(row, pivot)]
+        pivots.append(col)
+        prev = p
+    return pivots, sign * prev
+
+
+def determinant(m) -> int:
+    """Determinant of a square integer matrix (1 if it is 0×0)."""
+    pivots, det = eliminate([list(row) for row in m], len(m))
+    return det if len(pivots) == len(m) else 0
+
+
+def solve(rows) -> list | None:
+    """A solution, in Fractions with free unknowns 0, of the linear system
+    whose augmented integer rows (right-hand side last) are `rows`; None if
+    it has none."""
+    rows = [list(row) for row in rows]
+    pivots, _ = eliminate(rows, len(rows[0]) - 1)
+    if any(row[-1] for row in rows[len(pivots):]):
+        return None
+    x = [Fraction(0)] * (len(rows[0]) - 1)
+    for row, col in zip(rows, pivots):
+        x[col] = Fraction(row[-1], row[col])
+    return x
 
 
 def root_oracle(s: Poly) -> float:

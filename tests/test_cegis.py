@@ -23,7 +23,7 @@ from dcsynth.errors import DeadlineExceeded, NoCandidate
 from dcsynth.fixedpoint import FixedPointFormat, FixedPointValue, quantize_poly
 from dcsynth.intervals import family_grid_box, family_to_interval_poly
 from dcsynth.stability import (JuryVerdict, Status, jury_stable,
-                               jury_stable_interval, root_oracle)
+                               jury_stable_interval, root_oracle, solve)
 from dcsynth.transfer import Controller, PlantFamily, TransferFunction, char_poly
 from test_stability import random_stable_poly
 
@@ -731,21 +731,34 @@ def test_inflated_box_shortcut_keeps_the_precision_verdict(monkeypatch):
 
 
 def test_solve_finds_a_solution_or_none():
+    # Consistent systems, square, over- and underdetermined and often rank-
+    # deficient, are solved exactly; a system made inconsistent has none.
     rng = random.Random(9)
-    for _ in range(20):
+    inconsistent = 0
+    for _ in range(200):
         n = rng.randint(1, 6)
         x = [Fraction(rng.randint(-50, 50), rng.randint(1, 9))
              for _ in range(n)]
-        a = [[Fraction(rng.randint(-9, 9)) for _ in range(n)]
-             for _ in range(n + rng.randint(0, 2))]
-        got = cegis_mod._solve([row + [sum(map(operator.mul, row, x))]
-                                for row in a])
+        a = [[rng.randint(-3, 3) for _ in range(n)]
+             for _ in range(rng.randint(1, n + 2))]
+        if len(a) > 2 and rng.random() < 0.5:
+            a[-1] = [2 * u - v for u, v in zip(a[0], a[1])]
+        den = math.lcm(*(v.denominator for v in x))
+        b = [int(sum(map(operator.mul, row, x)) * den) for row in a]
+        rows = [[den * v for v in row] + [y] for row, y in zip(a, b)]
+        got = solve(rows)
+        assert all(isinstance(v, Fraction) for v in got)
         assert [sum(map(operator.mul, row, got)) for row in a] == [
             sum(map(operator.mul, row, x)) for row in a]
-        assert all(isinstance(v, Fraction) for v in got)
+        # A row that repeats another with a different right-hand side.
+        k = rng.randrange(len(rows))
+        bad = solve(rows + [rows[k][:-1] + [rows[k][-1] + 1]])
+        inconsistent += bad is None
+    assert inconsistent == 200
     # Free unknowns are 0; a contradiction has no solution.
-    assert cegis_mod._solve([[2, 1, 3]]) == [Fraction(3, 2), 0]
-    assert cegis_mod._solve([[1, 1], [2, 3]]) is None
+    assert solve([[2, 1, 3]]) == [Fraction(3, 2), 0]
+    assert solve([[0, 0, 1]]) is None
+    assert solve([[1, 1], [2, 3]]) is None
 
 
 def test_placement_starts_place_the_nominal_poles():

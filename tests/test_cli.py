@@ -180,6 +180,17 @@ def test_verify_rejects_noncausal_controller(tmp_path, capsys, num, den):
     assert "not causal" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("rounding", ["truncate", "nearest"])
+def test_verify_rejects_coefficient_outside_its_format(tmp_path, capsys,
+                                                       rounding):
+    # A validation error (2), not the Unstable code (1).
+    ctl = tmp_path / "c.ctl"
+    ctl.write_text("num = 100000\nden = 1\nformat = 4,16\n")
+    assert main(["verify", CRUISE, "--controller", str(ctl),
+                 "--rounding", rounding]) == 2
+    assert "value 100000 does not fit <4,16>" in capsys.readouterr().err
+
+
 def test_verify_steps_must_be_positive(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["verify", CRUISE, "--controller", STABLE_CTL, "--steps", "0",

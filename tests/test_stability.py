@@ -13,10 +13,11 @@ import pytest
 from dcsynth.cegis import _float_jury_margin, _float_jury_margins
 from dcsynth.errors import DeadlineExceeded, DegenerateCharPoly
 from dcsynth.intervals import IntervalPoly, RationalInterval
-from dcsynth.stability import (Status, has_root, jury_conditions, jury_stable,
+from dcsynth.stability import (Status, bilinear, determinant, has_root,
+                               jury_conditions, jury_stable,
                                jury_stable_interval, positive_roots,
-                               root_oracle, segment_chain, sturm_chain,
-                               zero_excluded)
+                               root_oracle, segment_chain, segment_minor,
+                               sturm_chain, zero_excluded)
 from dcsynth.transfer import Poly, poly_mul, poly_roots
 
 
@@ -377,6 +378,66 @@ def test_segment_test_small_cases():
     assert not has_root(segment_chain([3], [1]), 0, 1)
     # A Hurwitz minor that vanishes at an end is a root on [0, 1].
     assert has_root(segment_chain([1, 0, 1], [1, 0, 1]), 0, 1)
+
+
+def fraction_det(m):
+    """Determinant by Gaussian elimination over Fractions (reference)."""
+    m = [[Fraction(x) for x in row] for row in m]
+    det = Fraction(1)
+    for k in range(len(m)):
+        pivot = next((i for i in range(k, len(m)) if m[i][k]), None)
+        if pivot is None:
+            return 0
+        if pivot != k:
+            m[k], m[pivot], det = m[pivot], m[k], -det
+        det *= m[k][k]
+        for row in m[k + 1:]:
+            f = row[k] / m[k][k]
+            row[:] = [a - f * b for a, b in zip(row, m[k])]
+    return det
+
+
+def test_determinant_matches_a_fraction_reference():
+    # Random integer matrices up to 7x7, about a third of them singular (a
+    # row that combines two others, or a zero column), and the 0x0 case.
+    rng = random.Random(17)
+    assert determinant([]) == 1
+    singular = 0
+    for _ in range(600):
+        n = rng.randint(1, 7)
+        m = [[rng.randint(-20, 20) for _ in range(n)] for _ in range(n)]
+        if n > 2 and rng.random() < 0.3:
+            a, b = rng.sample(range(n), 2)
+            i = rng.choice([i for i in range(n) if i not in (a, b)])
+            u, v = rng.randint(-3, 3), rng.randint(-3, 3)
+            m[i] = [u * x + v * y for x, y in zip(m[a], m[b])]
+        elif rng.random() < 0.15:
+            col = rng.randrange(n)
+            for row in m:
+                row[col] = 0
+        got = determinant(m)
+        assert isinstance(got, int) and got == fraction_det(m), m
+        singular += got == 0
+    assert singular >= 100
+
+
+def test_segment_minor_extrapolates_to_the_hurwitz_minor():
+    # Δ is solved for from t = 0 .. n-1; at t = n and n+1 its value is still
+    # the Hurwitz minor of the (scaled, bilinear) member there.
+    rng = random.Random(19)
+    for _ in range(200):
+        n = rng.randint(1, 7)
+        p0, p1 = ([Fraction(rng.randint(-99, 99), rng.randint(1, 12))
+                   for _ in range(n + 1)] for _ in range(2))
+        delta = Poly(segment_minor(p0, p1))
+        assert delta.degree < max(n, 1)
+        scale = math.lcm(*(c.denominator for c in p0 + p1))
+        for t in (n, n + 1):
+            q = bilinear([int(((1 - t) * a + t * b) * scale)
+                          for a, b in zip(p0, p1)])
+            hurwitz = [[q[2 * j - i + 1] if 0 <= 2 * j - i + 1 <= n else 0
+                        for j in range(n - 1)] for i in range(n - 1)]
+            assert delta(t) == determinant(hurwitz), (p0, p1, t)
 
 
 def test_sturm_chain_members_are_integer_and_end_in_the_gcd():
