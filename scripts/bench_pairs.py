@@ -4,6 +4,9 @@
     python3 scripts/bench_pairs.py REV --out FILE.json [--pairs 10]
         [--scratch DIR]
 
+DIR, made if missing, holds the scratch trees (by default the system's
+temporary directory).
+
 Every run of `perfbench/run.py --workload W --seed N --seconds S`, for each
 workload W and the run length S that `BENCHMARK.json` sets, gets a fresh
 scratch directory holding either REV's files (`git archive`) or the
@@ -187,8 +190,11 @@ def main():
     parser.add_argument("--out", required=True, type=Path)
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--scratch", type=Path, default=None,
-                        help="directory for the scratch trees")
+                        help="directory for the scratch trees, made if "
+                             "missing")
     args = parser.parse_args()
+    if args.scratch is not None:
+        args.scratch.mkdir(parents=True, exist_ok=True)
     rev = subprocess.run(["git", "rev-parse", "--short", args.rev], cwd=ROOT,
                          capture_output=True, text=True,
                          check=True).stdout.strip()

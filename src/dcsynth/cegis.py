@@ -1,22 +1,31 @@
 """Synthesis orchestrator: inductive candidate search against a counterexample
-set, two-stage verification (`_box_verdict` of the grid box, then of the
-inflated box: interval Jury; then the sign of the lead of S, exact Jury of
-the box centre and the zero-exclusion sweep, with no vertex; then, where
-one of those refuses, exact Jury of the vertices, the lead and the edges),
-plant-precision escalation; plus the sound one-stage engine.
+set, two-stage verification, plant-precision escalation; plus the sound
+one-stage engine.
+
+Each stage decides a box of plants by `_box_verdict`: interval Jury; then
+the sign of the lead of S, exact Jury of the box centre and the
+zero-exclusion sweep, with no vertex (`_box_proof`, these steps and
+interval Jury); then, where one of those refuses, exact Jury of the
+vertices, the lead and the edges.  The two-stage loop runs `_box_proof` on
+the inflated box first: the grid box lies inside it, so a proof passes
+both stages.  Else it checks the grid box, then finishes the inflated
+box's verdict from that proof attempt.
 
 The candidate search is deterministic seeded hill climbing over the <I,F>
 coefficient grid with restarts, falling back to exhaustive enumeration when
-the grid is small enough to sweep.  In the two-stage engine the restarts
-start at the origin, then at pole-placement controllers for the nominal
-plant, then at seeded random points.  Once the origin and every
-placement start have failed, the two-stage search runs up to 128 restarts
-side by side, their float guidance in one numpy pass per step; it returns
-what the one-at-a-time search returns.
+the grid is small enough to sweep.  Its budget counts climb steps, some of
+which the climb knows the answer to and does not evaluate.  In the
+two-stage engine the restarts start at the origin, then at pole-placement
+controllers for the nominal plant, placed once per run when first needed,
+then at seeded random points.  Once the origin and every placement start
+have failed, the two-stage search runs up to 128 restarts side by side,
+their float guidance in one numpy pass per step and coefficient shape of
+the plants; it returns what the one-at-a-time search returns.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -100,84 +109,97 @@ def concrete_verdict(candidate: Controller, plant: TransferFunction) -> JuryVerd
 @dataclass
 class _Climb:
     """A restart under way: its `_climb` generator, the point it waits to
-    have evaluated and its evaluations so far; once it ends, the point it
-    accepted, or None."""
+    have evaluated and its climb steps so far, that point's included; once
+    it ends, the point it accepted, or None."""
     gen: object
-    point: list
-    evals: int = 0
+    point: list | None = None
+    steps: int = 0
     running: bool = True
     accepted: tuple | None = None
 
+    def send(self, result):
+        """Sends the waiting point its (accepted, cost), or starts the climb
+        with None; returns the climb steps this adds."""
+        try:
+            self.point, steps = self.gen.send(result)
+        except StopIteration as stop:
+            self.running = False
+            self.accepted, steps = stop.value
+        self.steps += steps
+        return steps
+
 
 def _grid_search(n_coeffs, fmt, seed, budget, evaluate, num_len,
-                 deadline=None, evaluate_batch=None, starts=()):
+                 deadline=None, evaluate_batch=None, starts=lambda: ()):
     """Deterministic seeded hill climbing with restarts over raw-integer
     coordinates; returns an accepted raw vector, or raises NoCandidate, or
     DeadlineExceeded past the `deadline`.
 
     evaluate(raws) -> (accepted, cost); cost 0.0 only for accepted points.
+    The budget counts climb steps (see `_climb`): every step counts, also
+    one whose answer the climb already knows and so does not evaluate.
     evaluate_batch(points), if given, yields the same pairs for a list of
-    points, in order; then, once the origin and every point of `starts`
+    points, in order; then, once the origin and every point of `starts()`
     have failed, up to SIDE_BY_SIDE restarts climb side by side, one point
     each per batch.  They settle in pool order, and a restart's acceptance
-    counts only when every earlier one has failed and all their evaluations
-    and its own fit the budget: the result and the budget accounting are
-    those of running the restarts one at a time.  The first restart starts
-    at the origin, the next ones at `starts`, then at seeded random points.
-    The climbs never step the denominator leading raw (index num_len) to
-    zero and the sweep skips such points, but the origin probe and its
-    climb start at zero: `evaluate` must penalize those points.
+    counts only when every earlier one has failed and all their steps and
+    its own fit the budget: the result and the budget accounting are those
+    of running the restarts one at a time.  The first restart starts at
+    the origin, the next ones at the points `starts()` gives, called
+    (maybe more than once) only once the origin has failed, then at seeded
+    random points.  The climbs never step the denominator leading raw
+    (index num_len) to zero and the sweep skips such points, but the
+    origin probe and its climb start at zero: `evaluate` must penalize
+    those points.
     """
     rng = random.Random(seed)
     limit = fmt.raw_limit
     pool = _start_pool(rng, n_coeffs, num_len, limit, fmt.scale, starts)
     batch = evaluate_batch or (lambda points: map(evaluate, points))
-    used = failed = 0  # the failed restarts' evaluations, and their count
+    used = failed = 0  # the failed restarts' steps, and their count
     climbs = []  # the restarts under way, in pool order
     closed = False  # no restart past the last one in `climbs` can count
     while True:
         check_deadline(deadline)
         while climbs and not climbs[0].running:
             head = climbs.pop(0)
-            if head.accepted is not None and used + head.evals <= budget:
+            if head.accepted is not None and used + head.steps <= budget:
                 return head.accepted
-            used += head.evals
+            used += head.steps
             failed += 1
-        # From the first restart whose next evaluation would overrun the
+        # From the first restart whose waiting point would overrun the
         # budget on, none can count.
         total = used
         for k, climb in enumerate(climbs):
-            total += climb.evals
-            if climb.running and total >= budget:
+            if climb.running and total + climb.steps > budget:
                 del climbs[k:]
                 closed = True
                 break
-        width = (SIDE_BY_SIDE if evaluate_batch and failed > len(starts)
-                 else 1)
+            total += climb.steps
+        width = (SIDE_BY_SIDE if evaluate_batch and failed
+                 and failed > len(starts()) else 1)
         running = [c for c in climbs if c.running]
         while len(running) < width and total < budget and not closed:
-            gen = _climb(next(pool), n_coeffs, num_len, limit)
-            climbs.append(_Climb(gen, next(gen)))
+            climbs.append(_Climb(_climb(next(pool), n_coeffs, num_len,
+                                        limit)))
+            total += climbs[-1].send(None)
             running.append(climbs[-1])
         if not running:
             break
-        # Step the running restarts together until one ends, or until the
-        # budget could be reached.
-        for _ in range(max(1, (budget - total) // len(running))):
+        # Step the running restarts together until one ends, or until a
+        # waiting point may not fit the budget.
+        while True:
             ended = False
             for climb, result in zip(running, batch([tuple(c.point)
                                                      for c in running])):
-                climb.evals += 1
-                try:
-                    climb.point = climb.gen.send(result)
-                except StopIteration as stop:
+                total += climb.send(result)
+                if not climb.running:
                     ended = True
-                    climb.running, climb.accepted = False, stop.value
-                    if stop.value is not None:  # later ones can never count
+                    if climb.accepted is not None:  # later ones never count
                         del climbs[climbs.index(climb) + 1:]
                         closed = True
                         break
-            if ended:
+            if ended or total > budget:
                 break
             check_deadline(deadline)
 
@@ -203,14 +225,22 @@ def _grid_search(n_coeffs, fmt, seed, budget, evaluate, num_len,
 
 def _climb(raws, n_coeffs, num_len, limit):
     """One restart of the coordinate climb from `raws`: yields each point to
-    evaluate, is sent its (accepted, cost), and returns the accepted point,
-    or None once the step has shrunk below 1."""
-    accepted, cost = yield raws
+    evaluate with the climb steps it ends, is sent its (accepted, cost),
+    and returns the accepted point, or None once the step has shrunk below
+    1, with the steps taken after the last point it yielded.  A step is
+    one point: the start, or a neighbour inside the grid, tried in turn.
+    A pass that moves starts over at the same step, and its coordinates
+    after the last move were tried from the point it ended on, with
+    neither neighbour improving: until the next pass moves, their
+    neighbours count as steps but are not evaluated again."""
+    accepted, cost = yield raws, 1
     if accepted:
-        return tuple(raws)
+        return tuple(raws), 0
     step = max(1, limit >> 2)
+    known = n_coeffs  # coordinates from here on tried from `raws` at `step`
+    steps = 0  # steps since the last point yielded
     while step >= 1:
-        improved = False
+        moved = -1  # the coordinate of this pass's last move
         for i in range(n_coeffs):
             for delta in (step, -step):
                 cand = list(raws)
@@ -219,24 +249,31 @@ def _climb(raws, n_coeffs, num_len, limit):
                     continue
                 if i == num_len and cand[i] == 0:
                     continue
-                a, c = yield cand
+                steps += 1
+                if moved < 0 and i >= known:
+                    continue
+                a, c = yield cand, steps
+                steps = 0
                 if a:
-                    return tuple(cand)
+                    return tuple(cand), 0
                 if c < cost:
                     raws, cost = cand, c
-                    improved = True
+                    moved = i
                     break
-        if not improved:
+        if moved < 0:
             step >>= 1
-    return None
+            known = n_coeffs
+        else:
+            known = moved + 1
+    return None, steps
 
 
-def _start_pool(rng, n_coeffs, num_len, limit, one, first=()):
+def _start_pool(rng, n_coeffs, num_len, limit, one, first):
     """Deterministic sequence of restart points (generator, budget-bounded)."""
-    # Probe the origin first, then the given points, then seeded random
-    # restarts at varied magnitudes.
+    # Probe the origin first, then the points first() gives, then seeded
+    # random restarts at varied magnitudes.
     yield [0] * n_coeffs
-    yield from (list(raws) for raws in first)
+    yield from map(list, first())
     while True:
         scale_bits = rng.choice((1, 2, 4))
         hi = max(2, limit // scale_bits)
@@ -287,11 +324,12 @@ def placement_starts(nominal: TransferFunction, fmt: FixedPointFormat,
 
 def synthesize_candidate(inputs, controller_format: FixedPointFormat, orders,
                          seed: int, budget: int, deadline=None,
-                         starts=()) -> Controller:
+                         starts=lambda: ()) -> Controller:
     """Find a controller whose closed loop is exactly Jury-stable against
     every plant in `inputs`, its restarts after the origin's starting at
-    the raw points `starts`; raises NoCandidate, or DeadlineExceeded past
-    the `deadline`."""
+    the raw points `starts()` gives, called only once the origin's climb
+    has failed; raises NoCandidate, or DeadlineExceeded past the
+    `deadline`."""
     if orders[0] < 0 or orders[1] < 0:
         raise ValueError("controller orders must be >= 0")
     if budget <= 0:
@@ -322,8 +360,15 @@ def synthesize_candidate(inputs, controller_format: FixedPointFormat, orders,
                 cost += -margin + 1e-9
         return cost
 
+    # The plants by coefficient shape, in plant order within each shape.
+    shapes = {}
+    for k, (gn, gd) in enumerate(plant_floats):
+        shapes.setdefault((len(gn), len(gd)), []).append(k)
+
     def batch_guidance(points):
-        """guidance() of every point, bit for bit, in float64 arrays."""
+        """guidance() of every point, bit for bit, in float64 arrays: the
+        plants of one coefficient shape share one pass, on an axis of their
+        own, and their cost rows are added in plant order."""
         if len(points) < BATCH_MIN:
             return map(guidance, points)
         import numpy as np  # not loaded unless a batch pass runs
@@ -333,11 +378,20 @@ def synthesize_candidate(inputs, controller_format: FixedPointFormat, orders,
         cn = [raws[:, j] * step for j in range(m)]
         cd = [raws[:, j] * step for j in range(m, n_coeffs)]
         fallback = raws[:, m] == 0.0
-        cost = np.zeros(len(points))
-        for gn, gd in plant_floats:
+        rows = {}  # plant index -> its cost row
+        for group in shapes.values():
+            # Each coefficient as a column, one row per plant.
+            gn, gd = (np.array([plant_floats[k][side] for k in group]).T
+                      [..., None] for side in (0, 1))
+            unfollowed = np.zeros((len(group), len(points)), bool)
             margin = _float_jury_margins(
-                closed_loop_coeffs(cn, gn, cd, gd, 0.0), fallback)
-            cost += np.where(margin <= 0.0, -margin + 1e-9, 0.0)
+                closed_loop_coeffs(cn, gn, cd, gd, 0.0), unfollowed)
+            fallback |= unfollowed.any(axis=0)
+            rows.update(zip(group, np.where(margin <= 0.0, -margin + 1e-9,
+                                            0.0)))
+        cost = np.zeros(len(points))
+        for k in range(len(plant_floats)):
+            cost += rows[k]
         return [guidance(p) if f else c
                 for p, f, c in zip(points, fallback.tolist(), cost.tolist())]
 
@@ -386,10 +440,11 @@ def _float_jury_margin(c) -> float:
 
 def _float_jury_margins(c, fallback):
     """`_float_jury_margin` of many coefficient lists at once: `c` holds one
-    float64 array per coefficient, one element per list.  The operations
-    and their order are the same, so each margin is bit-identical.  Lists
-    it cannot follow (zero leading coefficient, degree 0, a zero pivot) are
-    marked in the boolean array `fallback`, their margins left undefined."""
+    float64 array per coefficient, one element per list, all of one shape
+    (plants by points, say).  The operations and their order are the same,
+    so each margin is bit-identical.  Lists it cannot follow (zero leading
+    coefficient, degree 0, a zero pivot) are marked in the boolean array
+    `fallback`, of that shape, their margins left undefined."""
     import numpy as np
 
     fallback |= c[0] == 0.0
@@ -458,35 +513,21 @@ def verify_uncertainty(candidate: Controller, family: PlantFamily,
     return None
 
 
-def _box_verdict(candidate, num_iv, den_iv, deadline, grid=None):
-    """Stable or Unstable verdict of the closed loop over a box of plants,
-    `settled_by` the step that decided it, and its evidence: an unstable
-    vertex plant or a list of failing edges, each (low corner, high corner,
-    positions): the positions t in [0, 1] of the plant-`grid` points on the
-    edge worth trying, the one at or just past the first root of an
-    unstable edge, or the two either side of a zero of the lead of S.
-    Without a grid, only the ends are grid points.  The box is built once
-    as an affine family S_c + Σ λ_i·g_i, λ in [-1, 1]^k.  The steps, in
-    order: a Stable or Unstable interval Jury verdict stands ("interval").
-    An Unknown box is Stable ("sweep") if the lead of S keeps one strict
-    sign (|lead of S_c| exceeds the sum of the generators' |lead|), every
-    corner has a plant, exact Jury finds S_c stable and the zero-exclusion
-    sweep proves 0 outside the value set on the unit circle.  Else exact
-    Jury decides each vertex S, read off S_c ± g_i ("vertices").  If the
-    vertex leads of S do not share one strict sign, the lead vanishes
-    somewhere in the box and the verdict is Unstable ("lead"): the members
-    beside its zero have a root near infinity, or S vanishes there (a
-    vertex with no plant, its denominator zero, counts as a zero lead).
-    Else S is affine in the plant and of constant degree, with stable
-    vertices, and the box is stable iff every edge is ("edges"; Edge
-    Theorem, Bartlett, Hollot & Lin 1988), which the segment test decides.
-    The sweep is not run again there: it has run unless S_c is unstable,
-    and then a member between S_c and a vertex has a root on the unit
-    circle.  Only interval Jury gives a Stable box a margin."""
+def _box_proof(candidate, num_iv, den_iv, deadline):
+    """The steps of `_box_verdict` that can prove a box of plants Stable
+    with no vertex, in order: a Stable interval Jury verdict ("interval");
+    else, where it is Unknown, a strict sign of the lead of S (|lead of
+    S_c| exceeds the sum of the generators' |lead|), a plant at every
+    corner, exact Jury finding S_c stable and the zero-exclusion sweep
+    proving 0 outside the value set on the unit circle ("sweep").  Returns
+    the Stable verdict of the step that proves the box, else interval
+    Jury's, and the box's affine form (None where interval Jury proves the
+    box): the unit that scales an integer S down to the closed loop, the
+    centre S_c and the generators g_i, each S a list of integers."""
     verdict = replace(jury_stable_interval(
         _interval_char_poly(candidate, num_iv, den_iv)), settled_by="interval")
     if verdict.status is Status.STABLE:
-        return verdict, []
+        return verdict, None
     # Each S below is in integers, from the controller's raws and the plant
     # coefficients times twice the common denominator of the box ends (so
     # the box centre is integer too): a positive multiple of S, with the
@@ -501,25 +542,13 @@ def _box_verdict(candidate, num_iv, den_iv, deadline, grid=None):
         plant = [int(x * scale) for x in plant]
         return closed_loop_coeffs(cn, plant[:nn], cd, plant[nn:], 0)
 
-    def vertex_verdict(s):
-        """concrete_verdict at the plant whose integer S is s: Jury's
-        conditions are homogeneous of degree 1 in S, so only the margin is
-        rescaled."""
-        try:
-            v = jury_stable(Poly(s))
-        except DegenerateCharPoly:
-            return JuryVerdict(Status.UNSTABLE, None, -_BIG_PENALTY,
-                               "vertices")
-        return JuryVerdict(v.status, v.violated,
-                           v.margin / (candidate.format.scale * scale),
-                           "vertices")
-
     # The box as S_c + Σ λ_i·g_i, λ_i in [-1, 1]: its centre, and the
     # half-width of each coefficient times the matching controller part.
     centre = s_of([c.midpoint for c in coeffs])
     generators = [s_of([c.width / 2 if k == i else 0
                         for k, c in enumerate(coeffs)])
                   for i, c in enumerate(coeffs) if not c.is_point()]
+    unit = candidate.format.scale * scale
     top = next((k for k, row in enumerate(zip(centre, *generators))
                 if any(row)), 0)
     # A corner has no plant iff every denominator coefficient has 0 at an
@@ -527,10 +556,51 @@ def _box_verdict(candidate, num_iv, den_iv, deadline, grid=None):
     if (verdict.status is Status.UNKNOWN
             and abs(centre[top]) > sum(abs(g[top]) for g in generators)
             and not all(0 in (c.lo, c.hi) for c in den_iv.coeffs)
-            and vertex_verdict(centre).is_stable
+            and _vertex_verdict(centre, unit).is_stable
             and zero_excluded(centre[top:], [g[top:] for g in generators],
                               deadline)):
-        return JuryVerdict(Status.STABLE, None, None, "sweep"), []
+        return (JuryVerdict(Status.STABLE, None, None, "sweep"),
+                (unit, centre, generators))
+    return verdict, (unit, centre, generators)
+
+
+def _vertex_verdict(s, unit):
+    """concrete_verdict at the plant whose closed loop is the integer S `s`
+    over `unit`: Jury's conditions are homogeneous of degree 1 in S, so
+    only the margin is rescaled."""
+    try:
+        v = jury_stable(Poly(s))
+    except DegenerateCharPoly:
+        return JuryVerdict(Status.UNSTABLE, None, -_BIG_PENALTY, "vertices")
+    return JuryVerdict(v.status, v.violated, v.margin / unit, "vertices")
+
+
+def _box_verdict(candidate, num_iv, den_iv, deadline, grid=None, proof=None):
+    """Stable or Unstable verdict of the closed loop over a box of plants,
+    `settled_by` the step that decided it, and its evidence: an unstable
+    vertex plant or a list of failing edges, each (low corner, high corner,
+    positions): the positions t in [0, 1] of the plant-`grid` points on the
+    edge worth trying, the one at or just past the first root of an
+    unstable edge, or the two either side of a zero of the lead of S.
+    Without a grid, only the ends are grid points.  The box is built once
+    as an affine family S_c + Σ λ_i·g_i, λ in [-1, 1]^k.  The steps, in
+    order: those of `_box_proof`, not run again where `proof` gives what
+    it returned on this box, whose Stable verdict stands.  Else exact Jury
+    decides each vertex S, read off S_c ± g_i ("vertices"), an Unstable
+    interval Jury verdict standing with an unstable vertex.  If the vertex leads of S do not share one strict sign,
+    the lead vanishes somewhere in the box and the verdict is Unstable
+    ("lead"): the members beside its zero have a root near infinity, or S
+    vanishes there (a vertex with no plant, its denominator zero, counts as
+    a zero lead).  Else S is affine in the plant and of constant degree,
+    with stable vertices, and the box is stable iff every edge is
+    ("edges"; Edge Theorem, Bartlett, Hollot & Lin 1988), which the segment
+    test decides.  The sweep is not run again there: it has run unless S_c
+    is unstable, and then a member between S_c and a vertex has a root on
+    the unit circle.  Only interval Jury gives a Stable box a margin."""
+    verdict, form = proof or _box_proof(candidate, num_iv, den_iv, deadline)
+    if verdict.status is Status.STABLE:
+        return verdict, []
+    unit, centre, generators = form
     # Each vertex S is S_c ± g_i, in the corners' order (the low end of a
     # coefficient is the centre less its half-width).
     corners = list(_box_vertices(num_iv, den_iv))
@@ -543,7 +613,7 @@ def _box_verdict(candidate, num_iv, den_iv, deadline, grid=None):
         if not any(den_c):
             polys[k] = None  # no plant here: the lead check fails below
             continue
-        v = vertex_verdict(polys[k])
+        v = _vertex_verdict(polys[k], unit)
         if v.status is Status.UNSTABLE:
             return (verdict if verdict.status is Status.UNSTABLE else v,
                     _make_plant(num_c, den_c))
@@ -598,12 +668,14 @@ def _first_root_step(chain, n):
 
 
 def verify_precision(candidate: Controller, family: PlantFamily,
-                     deadline=None):
+                     deadline=None, proof=None):
     """Second (sound) stage: `_box_verdict` over the fully inflated family,
-    by the same steps as the first stage's grid box; raises
+    by the same steps as the first stage's grid box, where given from
+    `proof`, what `_box_proof` returned on that box; raises
     DeadlineExceeded past the `deadline`."""
     num_iv, den_iv = family_to_interval_poly(family)
-    return _box_verdict(candidate, num_iv, den_iv, deadline)[0]
+    return _box_verdict(candidate, num_iv, den_iv, deadline,
+                        proof=proof)[0]
 
 
 def describe_controller(c: Controller | None):
@@ -632,7 +704,9 @@ def cegis_two_stage(family: PlantFamily, controller_format: FixedPointFormat,
     start = time.perf_counter()
     deadline = start + limits.timeout_s
     plant_format = family.plant_format or DEFAULT_PLANT_FORMAT
-    starts = placement_starts(family.nominal, controller_format, orders)
+    # Placed once per run, when a search first needs them.
+    starts = functools.cache(lambda: placement_starts(
+        family.nominal, controller_format, orders))
     inputs = []
     candidate = None
     iteration = 0
@@ -660,7 +734,12 @@ def cegis_two_stage(family: PlantFamily, controller_format: FixedPointFormat,
             transcript.append({"phase": "synthesize", "iteration": iteration,
                                "candidate": describe_controller(candidate),
                                "inputs": len(inputs)})
-            cex = verify_uncertainty(candidate, fam, deadline)
+            # The grid box lies inside the inflated box: where the proving
+            # steps prove the inflated box, the grid box needs no check.
+            proof = _box_proof(candidate, *family_to_interval_poly(fam),
+                               deadline)
+            cex = (None if proof[0].is_stable
+                   else verify_uncertainty(candidate, fam, deadline))
             if cex is not None:
                 inputs.append(cex)
                 transcript.append({"phase": "counterexample",
@@ -669,7 +748,7 @@ def cegis_two_stage(family: PlantFamily, controller_format: FixedPointFormat,
                 continue
             transcript.append({"phase": "uncertainty-ok",
                                "iteration": iteration})
-            verdict = verify_precision(candidate, fam, deadline)
+            verdict = verify_precision(candidate, fam, deadline, proof)
             if verdict.status is Status.STABLE:
                 transcript.append({"phase": "precision-ok",
                                    "iteration": iteration,

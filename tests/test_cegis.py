@@ -128,26 +128,72 @@ def _landscape(seed, rarity):
     return evaluate
 
 
-def _search_both_ways(fmt, seed, budget, evaluate, n_coeffs=4):
+def _reference_climb(raws, n_coeffs, num_len, limit):
+    """The coordinate climb of `cegis._climb` evaluating every step: each
+    point it yields ends one step."""
+    accepted, cost = yield raws, 1
+    if accepted:
+        return tuple(raws), 0
+    step = max(1, limit >> 2)
+    while step >= 1:
+        improved = False
+        for i in range(n_coeffs):
+            for delta in (step, -step):
+                cand = list(raws)
+                cand[i] += delta
+                if abs(cand[i]) >= limit or (i == num_len and cand[i] == 0):
+                    continue
+                a, c = yield cand, 1
+                if a:
+                    return tuple(cand), 0
+                if c < cost:
+                    raws, cost = cand, c
+                    improved = True
+                    break
+        if not improved:
+            step >>= 1
+    return None, 0
+
+
+def _counting(climb, counts):
+    """`climb`, adding every climb step it takes to counts[0]."""
+    def counted_climb(*args):
+        gen, sent = climb(*args), None
+        while True:
+            try:
+                point, steps = gen.send(sent)
+            except StopIteration as stop:
+                counts[0] += stop.value[1]
+                return stop.value
+            counts[0] += steps
+            sent = yield point, steps
+    return counted_climb
+
+
+def _search_both_ways(fmt, seed, budget, evaluate, n_coeffs=4,
+                      climb=None):
     """_grid_search one restart at a time, then with the evaluator mapped
-    over each batch of points: for each, the raws (None for NoCandidate),
-    the evaluations and the restarts drawn from the pool."""
+    over each batch of points, by `cegis._climb` or the given `climb`: for
+    each, the raws (None for NoCandidate), the climb steps, the evaluator
+    calls and the restarts drawn from the pool."""
     runs = []
     for batched in (False, True):
-        counts = [0, 0]
+        counts = [0, 0, 0]
 
         def counted(raws):
-            counts[0] += 1
+            counts[1] += 1
             return evaluate(raws)
 
         def counted_pool(*args, pool=cegis_mod._start_pool):
             for raws in pool(*args):
-                counts[1] += 1
+                counts[2] += 1
                 yield raws
 
         batch = (lambda points: map(counted, points)) if batched else None
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(cegis_mod, "_start_pool", counted_pool)
+            mp.setattr(cegis_mod, "_climb",
+                       _counting(climb or cegis_mod._climb, counts))
             try:
                 raws = cegis_mod._grid_search(n_coeffs, fmt, seed, budget,
                                               counted, 1, evaluate_batch=batch)
@@ -163,28 +209,41 @@ def test_side_by_side_restarts_match_one_at_a_time():
     budget cuts a restart short, and when a restart past the origin's, the
     first to run side by side with no `starts`, accepts.
     Restarts are drawn ahead only to fill the window, and none once the
-    budget is reached."""
+    budget is reached.  The budget counts climb steps: at every budget the
+    result is that of a reference climb that evaluates every step, whose
+    evaluator calls are the steps, and the climb evaluates fewer points
+    than it takes steps."""
     fmt = FixedPointFormat(3, 5)  # too large a grid for the sweep
     rng = random.Random(3)
     late = 0
+    steps_taken = calls_made = 0
     for seed in range(20):
         evaluate = _landscape(seed, 3000)
-        (accepted, evals, drawn), _ = runs = _search_both_ways(
+        (accepted, steps, calls, drawn), _ = runs = _search_both_ways(
             fmt, seed, 20000, evaluate)
         late += accepted is not None and drawn > 1
-        # One evaluation short, the accepting restart is cut before it
-        # accepts; a random budget cuts some restart in the middle.
-        budgets = ((evals - 1, evals, rng.randrange(1, evals)) if accepted
+        steps_taken, calls_made = steps_taken + steps, calls_made + calls
+        # One step short, the accepting restart is cut before it accepts; a
+        # random budget cuts some restart in the middle.
+        budgets = ((steps - 1, steps, rng.randrange(1, steps)) if accepted
                    else ())
         for budget in budgets:
             runs += _search_both_ways(fmt, seed, budget, evaluate)
-        expected = [accepted] + [accepted if b == evals else None
+        expected = [accepted] + [accepted if b == steps else None
                                  for b in budgets]
-        for (serial, _, drawn), (side, _, side_drawn), raws in zip(
+        for (serial, _, _, drawn), (side, _, _, side_drawn), raws in zip(
                 runs[::2], runs[1::2], expected):
             assert side == serial == raws
             assert side_drawn - drawn <= 3 * cegis_mod.SIDE_BY_SIDE
+        reference = [_search_both_ways(fmt, seed, budget, evaluate,
+                                       climb=_reference_climb)
+                     for budget in (20000,) + budgets]
+        for (serial, side), raws in zip(reference, expected):
+            assert side[0] == serial[0] == raws
+        if accepted:  # a search that accepts is cut by no budget
+            assert reference[0][0][1:3] == (steps, steps)
     assert late >= 10
+    assert calls_made < steps_taken
     # A grid small enough to sweep: the sweep answers in product order.
     tiny = FixedPointFormat(1, 1)
     found = 0
@@ -220,6 +279,28 @@ CRUISE_UNCERTAIN_CEX = [
                      [1, Fraction(-6290617, 2 ** 22)])]
 
 
+def test_climb_steps_over_neighbours_known_not_to_improve(monkeypatch):
+    # On cruise_uncertain's failing third search, a fifth of the climb's
+    # steps or so repeat a neighbour already found not to improve from the
+    # same point at the same step: those count but are not evaluated.
+    counts = [0, 0]  # climb steps, evaluated points
+    search = cegis_mod._grid_search
+
+    def grid_search(*args, evaluate_batch=None, **kw):
+        def counted(points):
+            counts[1] += len(points)
+            return evaluate_batch(points)
+        return search(*args, **kw, evaluate_batch=counted)
+
+    monkeypatch.setattr(cegis_mod, "_grid_search", grid_search)
+    monkeypatch.setattr(cegis_mod, "_climb",
+                        _counting(cegis_mod._climb, counts))
+    with pytest.raises(NoCandidate):
+        synthesize_candidate(CRUISE_UNCERTAIN_CEX, F416, (2, 2), seed=3,
+                             budget=Limits().synth_budget)
+    assert counts[1] <= 0.85 * counts[0], counts
+
+
 def _random_inputs(rng):
     order = rng.randint(1, 2)
     inputs = []
@@ -244,6 +325,12 @@ def test_batch_evaluator_matches_one_at_a_time(monkeypatch):
                FixedPointFormat(rng.choice((3, 4)), rng.choice((8, 10))),
                (rng.randint(0, 2), rng.randint(0, 2)), (4000, 2345))
               for _ in range(12)]
+    # Plants of two coefficient shapes, alternating (A, B, A): the batch
+    # passes each shape once, and adds the cost rows in plant order.
+    second = TransferFunction([Fraction(1, 2), Fraction(-3, 10)],
+                              [1, Fraction(-13, 10), Fraction(2, 5)])
+    cases.append(([CRUISE_UNCERTAIN_CEX[0], second, CRUISE_UNCERTAIN_CEX[1]],
+                  F416, (1, 2), (4000, 2345)))
     accepted = 0
     for inputs, fmt, orders, budgets in cases:
         evaluate, evaluate_batch = _evaluators(monkeypatch, inputs, fmt,
@@ -730,6 +817,34 @@ def test_inflated_box_shortcut_keeps_the_precision_verdict(monkeypatch):
     assert shortcuts >= 10, shortcuts
 
 
+def test_proven_inflated_box_settles_both_stages():
+    # The two-stage loop first tries the proving steps on the inflated box,
+    # and where they prove it records both stages as passed: the grid box
+    # lies inside the inflated box, so the uncertainty stage finds no
+    # witness, and the precision stage gives the same certificate.  The
+    # sweep families are also checked on a plant grid, where the grid box
+    # is snapped inward and the inflated box widened.
+    spec = parse_benchmark(FOURTH_ORDER)
+    fam = spec.family.with_format(DEFAULT_PLANT_FORMAT)
+    cases = [(fam, cegis_mod._controller_from_raws(
+        raws, spec.controller_format, spec.controller_orders))
+        for raws in cegis_mod.placement_starts(
+            spec.family.nominal, spec.controller_format,
+            spec.controller_orders)] + [(fam, _restart_candidate())]
+    for (fam, c), _ in _sweep_cases(random.Random(2024)):
+        cases += [(fam, c), (fam.with_format(FixedPointFormat(8, 12)), c)]
+    proven = {"interval": 0, "sweep": 0}
+    for fam, c in cases:
+        proof = cegis_mod._box_proof(c, *family_to_interval_poly(fam), None)
+        if not proof[0].is_stable:
+            continue
+        proven[proof[0].settled_by] += 1
+        assert verify_uncertainty(c, fam) is None, (fam, c)
+        assert verify_precision(c, fam) == proof[0], (fam, c)
+        assert verify_precision(c, fam, None, proof) == proof[0]
+    assert min(proven.values()) >= 10, proven
+
+
 def test_solve_finds_a_solution_or_none():
     # Consistent systems, square, over- and underdetermined and often rank-
     # deficient, are solved exactly; a system made inconsistent has none.
@@ -829,19 +944,22 @@ def test_uncertainty_stage_honours_deadline(monkeypatch):
         with pytest.raises(DeadlineExceeded):
             stage(c, fam, deadline=time.perf_counter() - 1)
     assert verify_uncertainty(c, fam, deadline=None) is None
-    # The two-stage engine hands its own deadline to both stages.
+    # The two-stage engine hands its own deadline to both stages, and to
+    # the proving steps it tries on the inflated box first.
     seen = []
 
-    def spy(real):
-        def stage(candidate, family, deadline=None):
-            seen.append((real.__name__, deadline))
-            return real(candidate, family, deadline)
+    def spy(real, at):  # `at`: the deadline's position
+        def stage(*args):
+            seen.append((real.__name__, args[at]))
+            return real(*args)
         return stage
 
-    for name in ("verify_uncertainty", "verify_precision"):
-        monkeypatch.setattr(cegis_mod, name, spy(getattr(cegis_mod, name)))
+    for name, at in (("_box_proof", 3), ("verify_uncertainty", 2),
+                     ("verify_precision", 2)):
+        monkeypatch.setattr(cegis_mod, name,
+                            spy(getattr(cegis_mod, name), at))
     assert cegis_two_stage(cruise_family(), F416, (2, 2), seed=1234).success
-    assert {name for name, _ in seen} == {"verify_uncertainty",
+    assert {name for name, _ in seen} == {"_box_proof", "verify_uncertainty",
                                           "verify_precision"}
     assert all(d is not None for _, d in seen)
 
@@ -872,12 +990,12 @@ def test_two_stage_clears_inputs_on_escalation(monkeypatch):
     real_verify = cegis_mod.verify_precision
     calls = []
 
-    def flaky(candidate, family, deadline=None):
+    def flaky(candidate, family, deadline=None, proof=None):
         calls.append(family.plant_format)
         if len(calls) == 1:
-            verdict = real_verify(candidate, family, deadline)
+            verdict = real_verify(candidate, family, deadline, proof)
             return type(verdict)(Status.UNKNOWN, "R4", Fraction(0))
-        return real_verify(candidate, family, deadline)
+        return real_verify(candidate, family, deadline, proof)
 
     monkeypatch.setattr(cegis_mod, "verify_precision", flaky)
     result = cegis_mod.cegis_two_stage(fam, F416, (2, 2), seed=1234,
@@ -893,7 +1011,7 @@ def test_two_stage_clears_inputs_on_escalation(monkeypatch):
 
 
 def test_two_stage_precision_limit(monkeypatch):
-    def never(candidate, family, deadline=None):
+    def never(candidate, family, deadline=None, proof=None):
         from dcsynth.stability import JuryVerdict
         return JuryVerdict(Status.UNKNOWN, "R4", Fraction(0))
 
