@@ -15,6 +15,10 @@ working tree's `src/`, runs:
   reports (fourth_order is the one instance whose boxes reach the
   zero-exclusion sweep; none reaches the edge scan since the search
   starts at pole-placement controllers);
+- in-process one-stage synthesis, the same way, on cruise,
+  cruise_gain_uncertain, dc_motor, dc_motor_uncertain and
+  double_integrator, seeds 0-5, and on cruise_uncertain, seeds 0-5, under
+  `synth_budget=3000`, which ends each run `no-candidate`;
 - `zoh_discretize` on 200 seeded continuous plants within Nyquist (degree
   1-5, poles of real part in [-5, 1], sample times 0.01-2, |p*T| <= pi),
   comparing the snapped coefficients;
@@ -44,25 +48,34 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 CLI_SEEDS = range(1, 6)
-# (benchmark files, seeds) of the two-stage runs
-TWO_STAGE_RUNS = (
-    ((ROOT / "benchmarks" / "cruise.bench",
-      ROOT / "benchmarks" / "cruise_gain_uncertain.bench",
-      ROOT / "benchmarks" / "cruise_uncertain.bench",
-      ROOT / "perfbench" / "fixtures" / "dc_motor_uncertain.bench"),
-     range(0, 6)),
-    ((ROOT / "perfbench" / "fixtures" / "fourth_order.bench",), (1, 2, 4, 8)))
+BENCHES, FIXTURES = ROOT / "benchmarks", ROOT / "perfbench" / "fixtures"
+# (engine, Limits fields past timeout_s=60, benchmark files, seeds) of the
+# in-process synthesis runs
+SYNTH_RUNS = (
+    ("two", {}, (BENCHES / "cruise.bench",
+                 BENCHES / "cruise_gain_uncertain.bench",
+                 BENCHES / "cruise_uncertain.bench",
+                 FIXTURES / "dc_motor_uncertain.bench"), range(0, 6)),
+    ("two", {}, (FIXTURES / "fourth_order.bench",), (1, 2, 4, 8)),
+    ("one", {}, (BENCHES / "cruise.bench",
+                 BENCHES / "cruise_gain_uncertain.bench",
+                 FIXTURES / "dc_motor.bench",
+                 FIXTURES / "dc_motor_uncertain.bench",
+                 FIXTURES / "double_integrator.bench"), range(0, 6)),
+    ("one", {"synth_budget": 3000}, (BENCHES / "cruise_uncertain.bench",),
+     range(0, 6)))
 # Runs in a child process with one tree's src/ on its path: one JSON line
-# of reports, keyed "bench seed".
-TWO_STAGE_CHILD = """
+# of reports, keyed "engine bench seed".
+SYNTH_CHILD = """
 import json, sys
 from dcsynth.cegis import Limits
 from dcsynth.cli import parse_benchmark, run_synthesis
 runs = json.loads(sys.argv[1])
-print(json.dumps({f"{b} {s}": run_synthesis(parse_benchmark(b), "two", s,
-                                            Limits(timeout_s=60), False)
-                  for benches, seeds in runs for b in benches for s in seeds},
-                 sort_keys=True))
+print(json.dumps({f"{e} {b} {s}": run_synthesis(
+                      parse_benchmark(b), e, s, Limits(timeout_s=60, **kw),
+                      False)
+                  for e, kw, benches, seeds in runs for b in benches
+                  for s in seeds}, sort_keys=True))
 """
 ZOH_PLANTS = 200
 # Reads [[num, den, T], ...] as strings on stdin; prints each discretized
@@ -135,12 +148,12 @@ def cli_outputs(src, rows, csv):
     return out
 
 
-def two_stage_reports(src):
-    args = json.dumps([[[str(b) for b in benches], list(seeds)]
-                       for benches, seeds in TWO_STAGE_RUNS])
-    proc = run(src, ["-c", TWO_STAGE_CHILD, args])
+def synth_reports(src):
+    args = json.dumps([[engine, kw, [str(b) for b in benches], list(seeds)]
+                       for engine, kw, benches, seeds in SYNTH_RUNS])
+    proc = run(src, ["-c", SYNTH_CHILD, args])
     if proc.returncode != 0:
-        sys.exit(f"two-stage child failed on {src}:\n{proc.stderr[-2000:]}")
+        sys.exit(f"synthesis child failed on {src}:\n{proc.stderr[-2000:]}")
     return {k: json.dumps(v, indent=1, sort_keys=True)
             for k, v in json.loads(proc.stdout).items()}
 
@@ -210,7 +223,7 @@ def main():
         trees = {rev: tmp / "rev" / "src", "working tree": ROOT / "src"}
         cli = {name: cli_outputs(src, rows, tmp / "trace.csv")
                for name, src in trees.items()}
-        two = {name: two_stage_reports(src) for name, src in trees.items()}
+        synth = {name: synth_reports(src) for name, src in trees.items()}
         plants = zoh_plants()
         zoh = {name: zoh_coefficients(src, plants)
                for name, src in trees.items()}
@@ -224,11 +237,11 @@ def main():
                 detail = (f"{a} != {b}" if part == "exit code"
                           else line_differences(a, b))
                 print(f"cli {key[0]} seed {key[1]}: {part} differs, {detail}")
-    old, new = (two[name] for name in trees)
+    old, new = (synth[name] for name in trees)
     for key in old:
         if old[key] != new[key]:
             differences += 1
-            print(f"two-stage {key}: report differs, "
+            print(f"synthesis {key}: report differs, "
                   f"{line_differences(old[key], new[key])}")
     old, new = (zoh[name] for name in trees)
     for plant, a, b in zip(plants, old, new):
@@ -240,9 +253,9 @@ def main():
         if old[key] != new[key]:
             differences += 1
             print(f"placement starts {key}: {old[key]} != {new[key]}")
-    print(f"{len(rows) * len(CLI_SEEDS)} cli calls, {len(two[rev])} two-stage "
-          f"runs, {len(plants)} ZOH plants and {len(old)} placement start "
-          f"lists compared against {rev}: {differences} differences")
+    print(f"{len(rows) * len(CLI_SEEDS)} cli calls, {len(synth[rev])} "
+          f"synthesis runs, {len(plants)} ZOH plants and {len(old)} placement "
+          f"start lists compared against {rev}: {differences} differences")
     return 1 if differences else 0
 
 

@@ -85,11 +85,6 @@ def _check_orders(orders):
                          "0 <= numerator order <= denominator order")
 
 
-def _zero_controller(fmt: FixedPointFormat, orders) -> Controller:
-    z = FixedPointValue(0, fmt)
-    return Controller([z] * (orders[0] + 1), [z] * (orders[1] + 1))
-
-
 def _controller_from_raws(raws, fmt: FixedPointFormat, orders) -> Controller:
     m = orders[0] + 1
     return Controller([FixedPointValue(r, fmt) for r in raws[:m]],
@@ -167,18 +162,19 @@ def _grid_search(n_coeffs, fmt, seed, budget, evaluate, num_len,
                 return head.accepted
             used += head.steps
             failed += 1
-        # From the first restart whose waiting point would overrun the
-        # budget on, none can count.
-        total = used
+        # The running restarts that can still count: from the first one
+        # whose waiting point would overrun the budget on, none can.
+        total, running = used, []
         for k, climb in enumerate(climbs):
-            if climb.running and total + climb.steps > budget:
-                del climbs[k:]
-                closed = True
-                break
+            if climb.running:
+                if total + climb.steps > budget:
+                    del climbs[k:]
+                    closed = True
+                    break
+                running.append(climb)
             total += climb.steps
         width = (SIDE_BY_SIDE if evaluate_batch and failed
                  and failed > len(starts()) else 1)
-        running = [c for c in climbs if c.running]
         while len(running) < width and total < budget and not closed:
             climbs.append(_Climb(_climb(next(pool), n_coeffs, num_len,
                                         limit)))
@@ -186,22 +182,14 @@ def _grid_search(n_coeffs, fmt, seed, budget, evaluate, num_len,
             running.append(climbs[-1])
         if not running:
             break
-        # Step the running restarts together until one ends, or until a
-        # waiting point may not fit the budget.
-        while True:
-            ended = False
-            for climb, result in zip(running, batch([tuple(c.point)
-                                                     for c in running])):
-                total += climb.send(result)
-                if not climb.running:
-                    ended = True
-                    if climb.accepted is not None:  # later ones never count
-                        del climbs[climbs.index(climb) + 1:]
-                        closed = True
-                        break
-            if ended or total > budget:
+        # Step the running restarts together, one point each.
+        for climb, result in zip(running, batch([tuple(c.point)
+                                                 for c in running])):
+            climb.send(result)
+            if climb.accepted is not None:  # later ones never count
+                del climbs[climbs.index(climb) + 1:]
+                closed = True
                 break
-            check_deadline(deadline)
 
     # Exhaustive sweep is feasible only for tiny grids; it turns a failed
     # search into a proof that no candidate exists.
@@ -326,17 +314,14 @@ def synthesize_candidate(inputs, controller_format: FixedPointFormat, orders,
                          seed: int, budget: int, deadline=None,
                          starts=lambda: ()) -> Controller:
     """Find a controller whose closed loop is exactly Jury-stable against
-    every plant in `inputs`, its restarts after the origin's starting at
-    the raw points `starts()` gives, called only once the origin's climb
-    has failed; raises NoCandidate, or DeadlineExceeded past the
-    `deadline`."""
+    every plant in `inputs` (with none, the origin, the first point tried),
+    its restarts after the origin's starting at the raw points `starts()`
+    gives, called only once the origin's climb has failed; raises
+    NoCandidate, or DeadlineExceeded past the `deadline`."""
     if orders[0] < 0 or orders[1] < 0:
         raise ValueError("controller orders must be >= 0")
     if budget <= 0:
         raise ValueError("budget must be > 0")
-    if not inputs:
-        # Vacuously accepted first probe; rejected by verification next.
-        return _zero_controller(controller_format, orders)
 
     n_coeffs = orders[0] + orders[1] + 2
     m = orders[0] + 1
@@ -468,8 +453,8 @@ def _float_jury_margins(c, fallback):
 
 def _interval_char_poly(candidate: Controller, num_iv: IntervalPoly,
                         den_iv: IntervalPoly) -> IntervalPoly:
-    cn = IntervalPoly.from_exact([v.value for v in candidate.num])
-    cd = IntervalPoly.from_exact([v.value for v in candidate.den])
+    cn = IntervalPoly([v.value for v in candidate.num])
+    cd = IntervalPoly([v.value for v in candidate.den])
     return ipoly_add(ipoly_mul(cn, num_iv), ipoly_mul(cd, den_iv))
 
 
@@ -694,6 +679,19 @@ def _describe_plant(p: TransferFunction):
             "den": [str(c) for c in p.den.coeffs]}
 
 
+def _result(start, deadline, reason, controller, plant_format, iterations,
+            transcript, certificate=None) -> SynthesisResult:
+    """The result of a run begun at `start`, failed for `reason` or
+    succeeded (None); a run that fails once its `deadline` has passed
+    reports the timeout, whichever stage noticed it first."""
+    now = time.perf_counter()
+    if reason is not None and now > deadline:
+        reason = "timeout"
+    return SynthesisResult(reason is None, controller, plant_format,
+                           iterations, now - start, reason, certificate,
+                           transcript)
+
+
 def cegis_two_stage(family: PlantFamily, controller_format: FixedPointFormat,
                     orders, seed: int, limits: Limits | None = None) -> SynthesisResult:
     """Fig-4-style loop: synthesize -> uncertainty check -> precision check,
@@ -708,24 +706,13 @@ def cegis_two_stage(family: PlantFamily, controller_format: FixedPointFormat,
     starts = functools.cache(lambda: placement_starts(
         family.nominal, controller_format, orders))
     inputs = []
-    candidate = None
+    candidate = certificate = None
     iteration = 0
     transcript = []
-
-    def result(reason, certificate=None):
-        """The run's result; a run that fails once its deadline has passed
-        reports the timeout, whichever stage noticed it first."""
-        if reason is not None and time.perf_counter() > deadline:
-            reason = "timeout"
-        return SynthesisResult(reason is None, candidate, plant_format,
-                               iteration, time.perf_counter() - start, reason,
-                               certificate, transcript)
-
+    reason = "iteration-limit"  # unless the loop ends before the limit
     try:
-        while True:
+        while iteration < limits.max_iterations:
             check_deadline(deadline)
-            if iteration >= limits.max_iterations:
-                return result("iteration-limit")
             iteration += 1
             fam = family.with_format(plant_format)
             candidate = synthesize_candidate(
@@ -753,7 +740,8 @@ def cegis_two_stage(family: PlantFamily, controller_format: FixedPointFormat,
                 transcript.append({"phase": "precision-ok",
                                    "iteration": iteration,
                                    "plant_format": str(plant_format)})
-                return result(None, verdict)
+                reason, certificate = None, verdict
+                break
             # Compared before it is built: past the cap, the next format
             # may exceed what FixedPointFormat admits.
             bits = (plant_format.integer_bits + PRECISION_STEP[0],
@@ -763,13 +751,16 @@ def cegis_two_stage(family: PlantFamily, controller_format: FixedPointFormat,
                                "plant_format": "<%d,%d>" % bits})
             if (bits[0] > limits.max_precision.integer_bits
                     or bits[1] > limits.max_precision.fraction_bits):
-                return result("precision-limit")
+                reason = "precision-limit"
+                break
             plant_format = FixedPointFormat(*bits)
             inputs.clear()  # stale: they were found at lower precision
     except DeadlineExceeded:
-        return result("timeout")
+        reason = "timeout"
     except NoCandidate:
-        return result("no-candidate")
+        reason = "no-candidate"
+    return _result(start, deadline, reason, candidate, plant_format,
+                   iteration, transcript, certificate)
 
 
 def cegis_one_stage(family: PlantFamily, controller_format: FixedPointFormat,
@@ -795,24 +786,20 @@ def cegis_one_stage(family: PlantFamily, controller_format: FixedPointFormat,
             return True, 0.0
         return False, float(-min(v.margin, Fraction(0))) + 1e-9
 
-    def result(reason, controller=None, certificate=None):
-        if reason is not None and time.perf_counter() > deadline:
-            reason = "timeout"
-        return SynthesisResult(reason is None, controller, fmt_p, 1,
-                               time.perf_counter() - start, reason,
-                               certificate, transcript)
-
+    controller = certificate = reason = None
     try:
         raws = _grid_search(n_coeffs, controller_format, seed + 1,
                             limits.synth_budget, evaluate, orders[0] + 1,
                             deadline=deadline)
     except DeadlineExceeded:
-        return result("timeout")
+        reason = "timeout"
     except NoCandidate:
-        return result("no-candidate")
-    controller = _controller_from_raws(raws, controller_format, orders)
-    verdict, _ = _box_verdict(controller, num_iv, den_iv, None)
-    transcript.append({"phase": "one-stage-accept",
-                       "candidate": describe_controller(controller),
-                       "plant_format": str(fmt_p)})
-    return result(None, controller, verdict)
+        reason = "no-candidate"
+    else:
+        controller = _controller_from_raws(raws, controller_format, orders)
+        certificate, _ = _box_verdict(controller, num_iv, den_iv, None)
+        transcript.append({"phase": "one-stage-accept",
+                           "candidate": describe_controller(controller),
+                           "plant_format": str(fmt_p)})
+    return _result(start, deadline, reason, controller, fmt_p, 1, transcript,
+                   certificate)

@@ -7,11 +7,12 @@ coefficient by one grid step (`family_to_interval_poly`).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DivisorContainsZero
-from .fixedpoint import FixedPointFormat
+from .fixedpoint import FixedPointFormat, quantize_nearest
 from .transfer import PlantFamily, add_aligned, convolve
 
 
@@ -27,10 +28,6 @@ class RationalInterval:
             raise ValueError(f"interval endpoints out of order: [{lo}, {hi}]")
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
-
-    @classmethod
-    def point(cls, x) -> "RationalInterval":
-        return cls(x, x)
 
     def contains(self, x) -> bool:
         return self.lo <= x <= self.hi
@@ -64,7 +61,7 @@ class RationalInterval:
 
     def __radd__(self, other):
         # sum() starts from the number 0.
-        return self + RationalInterval.point(other)
+        return self + RationalInterval(other)
 
     def __sub__(self, other):
         return RationalInterval(self.lo - other.hi, self.hi - other.lo)
@@ -89,7 +86,6 @@ class RationalInterval:
         """Largest grid-endpoint interval inside self, or None if no grid
         point lies inside."""
         s = fmt.scale
-        import math
         lo = Fraction(math.ceil(self.lo * s), s)
         hi = Fraction(math.floor(self.hi * s), s)
         if lo > hi:
@@ -105,7 +101,7 @@ class IntervalPoly:
 
     def __init__(self, coeffs):
         coeffs = tuple(c if isinstance(c, RationalInterval)
-                       else RationalInterval.point(c) for c in coeffs)
+                       else RationalInterval(c) for c in coeffs)
         if not coeffs:
             raise ValueError("interval polynomial needs at least one coefficient")
         object.__setattr__(self, "coeffs", coeffs)
@@ -114,12 +110,8 @@ class IntervalPoly:
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
-    @classmethod
-    def from_exact(cls, coeffs) -> "IntervalPoly":
-        return cls([RationalInterval.point(c) for c in coeffs])
 
-
-_ZERO = RationalInterval.point(0)
+_ZERO = RationalInterval(0)
 
 
 def ipoly_add(a: IntervalPoly, b: IntervalPoly) -> IntervalPoly:
@@ -153,8 +145,6 @@ def family_grid_box(family: PlantFamily):
     """Representable-plant box: the uncertainty box snapped inward onto the
     plant grid (no FWL inflation).  This is the fast stage's search space;
     empty-per-coefficient boxes collapse to the nearest grid point."""
-    from .fixedpoint import quantize_nearest
-
     fmt = family.plant_format
 
     def snap(c, d):
@@ -164,7 +154,7 @@ def family_grid_box(family: PlantFamily):
         inner = iv.snap_inward(fmt)
         if inner is None:
             g = quantize_nearest(c, fmt).value
-            return RationalInterval.point(g)
+            return RationalInterval(g)
         return inner
 
     num = IntervalPoly([snap(c, d) for c, d in

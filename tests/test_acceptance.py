@@ -110,7 +110,7 @@ def _sample_family_plants(family, count, rng):
     def pick(iv):
         inner = iv.snap_inward(fmt) if fmt else iv
         if inner is None:
-            inner = RationalInterval.point(iv.midpoint)
+            inner = RationalInterval(iv.midpoint)
         steps = int((inner.width * fmt.scale)) if fmt else 1000
         if steps <= 0:
             return inner.lo

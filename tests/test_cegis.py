@@ -45,7 +45,13 @@ def cruise_family(**kw):
 
 
 def test_empty_inputs_give_zero_controller():
-    c = synthesize_candidate([], F416, (2, 2), seed=1, budget=10)
+    # The origin answers an empty input set: its first probe is accepted,
+    # and no placement is computed for it.
+    def starts():
+        pytest.fail("starts() called for an empty input set")
+
+    c = synthesize_candidate([], F416, (2, 2), seed=1, budget=10,
+                             starts=starts)
     assert all(v.raw == 0 for v in c.num + c.den)
 
 
@@ -1064,6 +1070,21 @@ def test_deadline_inside_search_reports_timeout():
     for engine in (cegis_two_stage, cegis_one_stage):
         result = engine(fam, F416, (2, 2), seed=1,
                         limits=Limits(timeout_s=0.05))
+        assert not result.success and result.reason == "timeout", engine
+
+
+def test_failure_past_the_deadline_reports_timeout(monkeypatch):
+    # A search that fails once the deadline has passed, for whatever
+    # reason, ends the run as a timeout in both engines.
+    def grid_search(*args, deadline=None, **kw):
+        while time.perf_counter() <= deadline:
+            time.sleep(0.001)
+        raise NoCandidate("spent")
+
+    monkeypatch.setattr(cegis_mod, "_grid_search", grid_search)
+    for engine in (cegis_two_stage, cegis_one_stage):
+        result = engine(cruise_family(), F416, (2, 2), seed=1,
+                        limits=Limits(timeout_s=0.02))
         assert not result.success and result.reason == "timeout", engine
 
 

@@ -92,7 +92,7 @@ def test_containment_hypothesis(a1, a2, b1, b2, t, u):
 
 
 def test_interval_poly_ops():
-    p = IntervalPoly.from_exact([1, 2])
+    p = IntervalPoly([1, 2])
     q = IntervalPoly([RationalInterval(0, 1), 3])
     s = ipoly_add(p, q)
     assert s.degree == 1

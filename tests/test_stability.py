@@ -98,7 +98,7 @@ def test_interval_point_matches_exact():
             exact = jury_stable(p)
             if exact.status is Status.UNKNOWN:
                 continue
-            interval = jury_stable_interval(IntervalPoly.from_exact(p.coeffs))
+            interval = jury_stable_interval(IntervalPoly(p.coeffs))
             if interval.status is Status.UNKNOWN:
                 # Interval mode may be conservative but never wrong.
                 continue
