@@ -25,7 +25,13 @@ working tree's `src/`, runs:
 - `placement_starts` on the nominal plant of every bundled and perfbench
   benchmark file, at its own controller orders and at orders (k, k) for
   k = 0-4, comparing the raw start points (a start the search tries and
-  rejects never reaches a report).
+  rejects never reaches a report);
+- in-process `step_response` on seeded loops, two to each combination of
+  controller order 0-2, format <4, F> for F in 8, 12, 16, 20, noise mode
+  and DAC step q2 in 0, q, 3q (q = 2^-F, the ADC step), 200 steps, with
+  `stop_on_divergence` alternating, comparing the e and u raws, the
+  outputs y as strings and the length, or, for a loop that overflows, the
+  `ArithmeticOverflow` step and message.
 
 Both trees read the working tree's benchmark files.  Prints every
 differing line of each differing report and exits 1 on any difference,
@@ -107,6 +113,43 @@ for b in sys.argv[2:]:
     for orders in [spec.controller_orders, *json.loads(sys.argv[1])]:
         out[f"{b} {tuple(orders)}"] = placement_starts(
             spec.family.nominal, spec.controller_format, orders)
+print(json.dumps(out))
+"""
+
+STEP_ROUNDS = 2
+# Reads the rounds in argv[1]; prints one JSON list, per loop, of
+# [e raws, u raws, y strings, length] or ["overflow", step, message].
+STEP_CHILD = """
+import itertools, json, random, sys
+from fractions import Fraction
+from dcsynth.errors import ArithmeticOverflow
+from dcsynth.fixedpoint import FixedPointFormat, quantize_poly
+from dcsynth.simulate import NOISE_MODES, NoiseModel, step_response
+from dcsynth.transfer import Controller, TransferFunction
+rng = random.Random(0)
+
+def coeffs(count, scale):
+    return [Fraction(rng.randint(-scale, scale), 1000) for _ in range(count)]
+
+out = []
+for k, (_, order, f, mode, q2) in enumerate(itertools.product(
+        range(int(sys.argv[1])), range(3), (8, 12, 16, 20), NOISE_MODES,
+        (0, 1, 3))):
+    fmt, q = FixedPointFormat(4, f), Fraction(1, 2 ** f)
+    gd = [1] + coeffs(rng.randint(1, 3), 1500)
+    plant = TransferFunction(coeffs(rng.randint(1, len(gd)), 500), gd)
+    ctl = Controller(quantize_poly(coeffs(rng.randint(1, order + 1), 3000),
+                                   fmt),
+                     quantize_poly([1] + coeffs(order, 1000), fmt))
+    try:
+        trace = step_response(ctl, plant, Fraction(1, 5), 200,
+                              NoiseModel(q, q2 * q, mode), seed=k,
+                              stop_on_divergence=k % 2 == 1)
+    except ArithmeticOverflow as exc:
+        out.append(["overflow", exc.step, str(exc)])
+        continue
+    out.append([[v.raw for v in trace.e], [v.raw for v in trace.u],
+                [str(y) for y in trace.y], len(trace)])
 print(json.dumps(out))
 """
 
@@ -202,6 +245,14 @@ def starts(src):
     return json.loads(proc.stdout)
 
 
+def step_responses(src):
+    proc = run(src, ["-c", STEP_CHILD, str(STEP_ROUNDS)])
+    if proc.returncode != 0:
+        sys.exit(f"step-response child failed on {src}:\n"
+                 f"{proc.stderr[-2000:]}")
+    return json.loads(proc.stdout)
+
+
 def line_differences(a, b):
     """Every differing line of two texts, as indented unified-diff lines
     without context (REV's lines -, the working tree's +)."""
@@ -228,6 +279,7 @@ def main():
         zoh = {name: zoh_coefficients(src, plants)
                for name, src in trees.items()}
         placed = {name: starts(src) for name, src in trees.items()}
+        steps = {name: step_responses(src) for name, src in trees.items()}
     old, new = (cli[name] for name in trees)
     for key in old:
         for part, a, b in zip(("exit code", "report", "CSV"), old[key],
@@ -253,9 +305,16 @@ def main():
         if old[key] != new[key]:
             differences += 1
             print(f"placement starts {key}: {old[key]} != {new[key]}")
+    old, new = (steps[name] for name in trees)
+    for k, (a, b) in enumerate(zip(old, new)):
+        if a != b:
+            differences += 1
+            print(f"step response loop {k}: {a} != {b}")
     print(f"{len(rows) * len(CLI_SEEDS)} cli calls, {len(synth[rev])} "
-          f"synthesis runs, {len(plants)} ZOH plants and {len(old)} placement "
-          f"start lists compared against {rev}: {differences} differences")
+          f"synthesis runs, {len(plants)} ZOH plants, {len(placed[rev])} "
+          f"placement start lists and {len(old)} step responses "
+          f"({sum(r[0] == 'overflow' for r in old)} overflowing) compared "
+          f"against {rev}: {differences} differences")
     return 1 if differences else 0
 
 

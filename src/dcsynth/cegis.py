@@ -267,7 +267,7 @@ def _start_pool(rng, n_coeffs, num_len, limit, one, first):
         hi = max(2, limit // scale_bits)
         raws = [rng.randrange(-hi + 1, hi) for _ in range(n_coeffs)]
         if raws[num_len] == 0:
-            raws[num_len] = one if one < limit else 1
+            raws[num_len] = one
         yield raws
 
 

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from .errors import DivisorContainsZero
 from .fixedpoint import FixedPointFormat, quantize_nearest
-from .transfer import PlantFamily, add_aligned, convolve
+from .transfer import PlantFamily, add_aligned
 
 
 @dataclass(frozen=True)
@@ -22,8 +22,8 @@ class RationalInterval:
     hi: Fraction
 
     def __init__(self, lo, hi=None):
-        lo = Fraction(lo)
-        hi = lo if hi is None else Fraction(hi)
+        lo = lo if type(lo) is Fraction else Fraction(lo)
+        hi = lo if hi is None else hi if type(hi) is Fraction else Fraction(hi)
         if lo > hi:
             raise ValueError(f"interval endpoints out of order: [{lo}, {hi}]")
         object.__setattr__(self, "lo", lo)
@@ -111,15 +111,29 @@ class IntervalPoly:
         return len(self.coeffs) - 1
 
 
-_ZERO = RationalInterval(0)
-
-
 def ipoly_add(a: IntervalPoly, b: IntervalPoly) -> IntervalPoly:
-    return IntervalPoly(add_aligned(a.coeffs, b.coeffs, _ZERO))
+    return IntervalPoly(add_aligned(a.coeffs, b.coeffs, RationalInterval(0)))
 
 
 def ipoly_mul(a: IntervalPoly, b: IntervalPoly) -> IntervalPoly:
-    return IntervalPoly(convolve(a.coeffs, b.coeffs, _ZERO))
+    """The interval product, on integer endpoints over each factor's least
+    common denominator: the same enclosure, one Fraction per endpoint."""
+    (na, da), (nb, db) = map(_over_lcm, (a, b))
+    out = [[0, 0] for _ in range(len(na) + len(nb) - 1)]
+    for i, x in enumerate(na):
+        for j, y in enumerate(nb, i):
+            p = [u * v for u in x for v in y]
+            out[j][0] += min(p)
+            out[j][1] += max(p)
+    return IntervalPoly([RationalInterval(*(Fraction(v, da * db) for v in c))
+                         for c in out])
+
+
+def _over_lcm(p: IntervalPoly):
+    # p's endpoint numerators over their least common denominator d, and d.
+    d = math.lcm(*(x.denominator for c in p.coeffs for x in (c.lo, c.hi)))
+    return [[x.numerator * (d // x.denominator) for x in (c.lo, c.hi)]
+            for c in p.coeffs], d
 
 
 def _coeff_interval(c: Fraction, delta: Fraction,

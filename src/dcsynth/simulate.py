@@ -1,11 +1,12 @@
 """Closed-loop simulation and frequency-domain margins.
 
 The loop is the fully digital unity-negative-feedback arrangement: the
-controller runs in its own fixed-point format (truncating arithmetic, wide
-accumulator range), the plant runs in exact rationals with each output
-rounded to the fixed dyadic grid of multiples of 2^-200, and quantization
-noise enters as nu1 at the plant output (ADC side) and nu2 at the
-controller output (DAC side), each bounded by half a quantization step.
+fixed-point `Controller` runs on its own raws, on a signal grid with its
+fraction bits and a wide integer range (truncating arithmetic), the plant
+runs in exact rationals with each output rounded to the fixed dyadic grid
+of multiples of 2^-200, and quantization noise enters as nu1 at the plant
+output (ADC side) and nu2 at the controller output (DAC side), each
+bounded by half a quantization step.
 """
 
 from __future__ import annotations
@@ -17,7 +18,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import ArithmeticOverflow, DegenerateLoop, Overflow
-from .fixedpoint import FixedPointFormat, FixedPointValue, quantize_truncate
+from .fixedpoint import (MAX_TOTAL_BITS, FixedPointFormat, FixedPointValue,
+                         quantize_truncate)
 from .stability import bilinear, positive_roots, sturm_chain
 from .transfer import (Controller, Poly, TransferFunction, convolve,
                        poly_add, poly_divmod, poly_mul)
@@ -25,6 +27,7 @@ from .transfer import (Controller, Poly, TransferFunction, convolve,
 SIGNAL_INTEGER_BITS = 40
 DIVERGENCE_FACTOR = 10 ** 6
 _PLANT_GRID = 1 << 200  # plant outputs are multiples of 1/_PLANT_GRID
+_DECIMAL_DIGITS = 20  # fractional digits of a non-terminating CSV time
 
 NOISE_MODES = ("zero", "worst-case-bound", "seeded-uniform")
 
@@ -96,9 +99,9 @@ class SimulationTrace:
             t += self.sample_time
 
 
-def _decimal(x: Fraction, digits: int = 20) -> str:
+def _decimal(x: Fraction) -> str:
     """Decimal rendering; exact when the denominator is 2^a 5^b, otherwise
-    rounded to `digits` fractional digits."""
+    rounded to _DECIMAL_DIGITS fractional digits."""
     x = Fraction(x)
     den = x.denominator
     twos = fives = 0
@@ -114,10 +117,10 @@ def _decimal(x: Fraction, digits: int = 20) -> str:
         s = str(scaled).rjust(k + 1, "0")
         sign = "-" if x < 0 else ""
         return f"{sign}{s[:-k]}.{s[-k:]}" if k else f"{sign}{s}"
-    scaled = round(x * 10 ** digits)
-    s = str(abs(scaled)).rjust(digits + 1, "0")
+    scaled = round(x * 10 ** _DECIMAL_DIGITS)
+    s = str(abs(scaled)).rjust(_DECIMAL_DIGITS + 1, "0")
     sign = "-" if scaled < 0 else ""
-    return f"{sign}{s[:-digits]}.{s[-digits:]}"
+    return f"{sign}{s[:-_DECIMAL_DIGITS]}.{s[-_DECIMAL_DIGITS:]}"
 
 
 def _controller_polys(controller):
@@ -132,38 +135,31 @@ def _pad_front(coeffs, n):
     return [Fraction(0)] * (n - len(coeffs)) + list(coeffs)
 
 
-def _noise_stream(noise: NoiseModel, seed):
-    """Returns nu(step, q, reference_signal) -> Fraction for one channel."""
-    if noise.mode == "zero":
-        return lambda q, ref: Fraction(0)
-    if noise.mode == "worst-case-bound":
+def _noise_stream(mode: str, q: Fraction, seed):
+    """Returns nu(reference_signal) -> Fraction for one channel of step q."""
+    if mode == "zero":
+        return lambda ref: Fraction(0)
+    if mode == "worst-case-bound":
         # Adversarial: the contribution to the downstream signal has the same
         # sign as that signal, pushing it away from zero.
-        def worst(q, ref):
-            if ref == 0:
-                return q / 2
-            return (q if ref > 0 else -q) / 2
-        return worst
+        return lambda ref: (-q if ref < 0 else q) / 2
     rng = random.Random(seed)
-
-    def uniform(q, ref):
-        if q == 0:
-            return Fraction(0)
-        return Fraction(rng.uniform(float(-q) / 2, float(q) / 2))
-    return uniform
+    return lambda ref: Fraction(rng.uniform(float(-q) / 2, float(q) / 2))
 
 
-def step_response(controller, plant: TransferFunction, T, steps: int,
-                  noise: NoiseModel | None = None, seed: int = 0,
+def step_response(controller: Controller, plant: TransferFunction, T,
+                  steps: int, noise: NoiseModel | None = None, seed: int = 0,
                   stop_on_divergence: bool = False) -> SimulationTrace:
-    """Unity-negative-feedback response to a unit step.
+    """Unity-negative-feedback response of a fixed-point controller to a
+    unit step.
 
-    The controller path runs on the fixed-point signal grid <40, F> where F
-    is the controller's fraction bit count (wide range, same resolution), so
-    coefficient arithmetic truncates exactly as deployed code would while
-    signal headroom failures still surface as ArithmeticOverflow.  The plant
-    path runs in exact rationals, each new output rounded to the nearest
-    multiple of 2^-200.
+    The controller path runs on the signal grid <min(40, 64 - F), F>, where
+    F is the controller's fraction bit count: its raws go onto the grid as
+    they are, and every operation truncates exactly as deployed code would,
+    while signal headroom failures still surface as ArithmeticOverflow.
+    For F <= 24 that grid is <40, F>; past it, the widest format with F
+    fraction bits.  The plant path runs in exact rationals, each new output
+    rounded to the nearest multiple of 2^-200.
 
     With `stop_on_divergence` the loop ends early once |y| exceeds the
     threshold `diverged()` reads; the trace is then shorter than `steps` (an
@@ -173,42 +169,35 @@ def step_response(controller, plant: TransferFunction, T, steps: int,
     if steps < 1:
         raise ValueError("steps must be >= 1")
     noise = noise or NoiseModel.zero()
-    cn, cd, cfmt = _controller_polys(controller)
+    f = controller.format.fraction_bits
     sig_fmt = FixedPointFormat(
-        SIGNAL_INTEGER_BITS,
-        cfmt.fraction_bits if cfmt is not None else 16)
-    n_c = max(len(cn.coeffs), len(cd.coeffs))
-    b = _pad_front(cn.coeffs, n_c)
-    a = _pad_front(cd.coeffs, n_c)
-    controller_is_zero = all(c == 0 for c in b)
-    bq = [_to_sig(c, sig_fmt) for c in b]
-    aq = [_to_sig(c, sig_fmt) for c in a]
+        min(SIGNAL_INTEGER_BITS, MAX_TOTAL_BITS - f), f)
+    zero = FixedPointValue(0, sig_fmt)
+    n_c = max(len(controller.num), len(controller.den))
+    b, a = ([zero] * (n_c - len(p))
+            + [FixedPointValue(v.raw, sig_fmt) for v in p]
+            for p in (controller.num, controller.den))
+    controller_is_zero = all(v.raw == 0 for v in controller.num)
 
     n_g = max(len(plant.num.coeffs), len(plant.den.coeffs))
     gn = _pad_front(plant.num.coeffs, n_g)
     gd = _pad_front(plant.den.coeffs, n_g)
-    nu1 = _noise_stream(noise, seed * 2 + 1)
-    nu2 = _noise_stream(noise, seed * 2 + 2)
+    nu1 = _noise_stream(noise.mode, noise.q1, seed * 2 + 1)
+    nu2 = _noise_stream(noise.mode, noise.q2, seed * 2 + 2)
 
-    e_hist = [FixedPointValue(0, sig_fmt)] * n_c
-    u_hist = [FixedPointValue(0, sig_fmt)] * n_c
     uin_hist = [Fraction(0)] * n_g
     y_hist = [Fraction(0)] * n_g
     trace = SimulationTrace(sample_time=Fraction(T))
     for k in range(steps):
         y = y_hist[0]
         e_pre = 1 - y
-        e_meas = e_pre + nu1(noise.q1, e_pre)
         try:
-            e_q = quantize_truncate(e_meas, sig_fmt)
-            u_q = (FixedPointValue(0, sig_fmt) if controller_is_zero
-                   else _controller_step(bq, aq, e_q, e_hist, u_hist,
-                                         sig_fmt))
+            e_q = quantize_truncate(e_pre + nu1(e_pre), sig_fmt)
+            u_q = (zero if controller_is_zero
+                   else _controller_step(b, a, e_q, trace))
         except Overflow as exc:
             raise ArithmeticOverflow(k, str(exc)) from exc
-        e_hist = [e_q] + e_hist[:-1]
-        u_hist = [u_q] + u_hist[:-1]
-        u_in = u_q.value + nu2(noise.q2, u_q.value)
+        u_in = u_q.value + nu2(u_q.value)
         y_next = _plant_step(gn, gd, u_in, uin_hist, y_hist)
         uin_hist = [u_in] + uin_hist[:-1]
         y_hist = [y_next] + y_hist[:-1]
@@ -220,25 +209,17 @@ def step_response(controller, plant: TransferFunction, T, steps: int,
     return trace
 
 
-def _to_sig(c: Fraction, fmt: FixedPointFormat) -> FixedPointValue:
-    raw = c * fmt.scale
-    if raw.denominator != 1:
-        # Plain-transfer-function controllers may carry off-grid decimals;
-        # snap to the nearest grid value (fixed-point controllers are exact).
-        raw = round(raw)
-    return FixedPointValue(int(raw), fmt)
-
-
-def _controller_step(bq, aq, e_q, e_hist, u_hist, fmt):
+def _controller_step(b, a, e_q, trace):
     """Direct-form-I update a0*u[k] = sum b_j e[k-j] - sum_{j>=1} a_j u[k-j],
-    every operation truncating on the signal grid."""
-    acc = FixedPointValue(0, fmt)
-    es = [e_q] + e_hist[:len(bq) - 1]
-    for coeff, sig in zip(bq, es):
+    every operation truncating on the signal grid.  The past e and u are
+    the trace's, latest first; a term older than the trace is a zero
+    product and is skipped."""
+    acc = FixedPointValue(0, e_q.format)
+    for coeff, sig in zip(b, [e_q, *trace.e[:-len(b):-1]]):
         acc = acc + coeff * sig
-    for j in range(1, len(aq)):
-        acc = acc - aq[j] * u_hist[j - 1]
-    return acc / aq[0]
+    for coeff, sig in zip(a[1:], trace.u[:-len(a):-1]):
+        acc = acc - coeff * sig
+    return acc / a[0]
 
 
 def _plant_step(gn, gd, u_in, uin_hist, y_hist):

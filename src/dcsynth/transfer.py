@@ -13,6 +13,10 @@ from fractions import Fraction
 from .errors import DegenerateCharPoly
 from .fixedpoint import FixedPointFormat
 
+# Root distance and modulus slack of a near cancellation on or outside the
+# unit circle.
+CANCELLATION_TOL = 1e-6
+
 
 def _frac_tuple(coeffs):
     return tuple(Fraction(c) for c in coeffs)
@@ -241,10 +245,9 @@ def char_poly(controller: Controller, plant: TransferFunction) -> Poly:
 
 
 def cancellation_on_or_outside_unit_circle(controller: Controller,
-                                           plant: TransferFunction,
-                                           tol: float = 1e-6) -> bool:
+                                           plant: TransferFunction) -> bool:
     """True iff the loop product C*G has a near-common numerator/denominator
-    root pair with both moduli >= 1 - tol."""
+    root pair with both moduli >= 1 - CANCELLATION_TOL."""
     ctf = controller.as_transfer()
     loop_num = poly_mul(ctf.num, plant.num).normalize()
     loop_den = poly_mul(ctf.den, plant.den).normalize()
@@ -254,7 +257,8 @@ def cancellation_on_or_outside_unit_circle(controller: Controller,
     poles = poly_roots(loop_den.coeffs)
     for zr in zeros:
         for pr in poles:
-            if (abs(zr - pr) < tol
-                    and abs(zr) >= 1 - tol and abs(pr) >= 1 - tol):
+            if (abs(zr - pr) < CANCELLATION_TOL
+                    and abs(zr) >= 1 - CANCELLATION_TOL
+                    and abs(pr) >= 1 - CANCELLATION_TOL):
                 return True
     return False

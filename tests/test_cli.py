@@ -13,7 +13,8 @@ import pytest
 
 from dcsynth.cegis import Limits
 from dcsynth.cli import build_parser, main
-from dcsynth.fixedpoint import FixedPointFormat, quantize_truncate
+from dcsynth.fixedpoint import (FixedPointFormat, FixedPointValue,
+                                quantize_truncate)
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 BENCH_DIR = ROOT / "benchmarks"
@@ -165,6 +166,32 @@ def test_verify_trace_emission(tmp_path):
     lines = trace.read_text().splitlines()
     assert lines[0] == "k,t,r,e,u,y"
     assert len(lines) == 101
+
+
+def test_trace_out_past_24_fraction_bits(tmp_path):
+    # At controller_format = 4,32 the signal grid is <32,32>: each e and u
+    # decimal reparses to a raw on that grid and renders back unchanged.
+    bench = tmp_path / "cruise_4_32.bench"
+    bench.write_text(pathlib.Path(CRUISE).read_text().replace(
+        "controller_format = 4,16", "controller_format = 4,32"))
+    ctl = tmp_path / "stable.ctl"  # no format line: the benchmark's <4,32>
+    ctl.write_text("".join(line for line in open(STABLE_CTL)
+                           if not line.startswith("format")))
+    grid = FixedPointFormat(32, 32)
+    for argv in (["synth", str(bench), "--seed", "1234", "--no-timing"],
+                 ["verify", str(bench), "--controller", str(ctl),
+                  "--steps", "100"]):
+        trace = tmp_path / f"{argv[0]}.csv"
+        code, out = run([*argv, "--trace-out", str(trace), "--report",
+                         "json"])
+        assert code == 0
+        assert json.loads(out)["trace"]["path"] == str(trace)
+        rows = [line.split(",") for line in trace.read_text().splitlines()]
+        assert rows[0] == ["k", "t", "r", "e", "u", "y"] and len(rows) > 1
+        for row in rows[1:]:
+            for text in row[3:5]:
+                raw = int(Fraction(text) * grid.scale)
+                assert FixedPointValue(raw, grid).decimal_str() == text
 
 
 @pytest.mark.parametrize("num,den", [

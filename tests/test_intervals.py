@@ -12,7 +12,7 @@ from dcsynth.fixedpoint import FixedPointFormat
 from dcsynth.intervals import (IntervalPoly, RationalInterval,
                                family_grid_box, family_to_interval_poly,
                                ipoly_add, ipoly_mul)
-from dcsynth.transfer import PlantFamily, TransferFunction
+from dcsynth.transfer import PlantFamily, TransferFunction, convolve
 
 F1624 = FixedPointFormat(16, 24)
 
@@ -102,6 +102,23 @@ def test_interval_poly_ops():
     # (z + 2)([0,1]z + 3) = [0,1]z^2 + [3,5]z + 6
     assert prod.coeffs[1].lo == 3 and prod.coeffs[1].hi == 5
     assert prod.coeffs[2].is_point() and prod.coeffs[2].lo == 6
+
+
+def test_ipoly_mul_equals_the_interval_convolution():
+    # The integer product over common denominators gives exactly the
+    # endpoints of the coefficientwise interval arithmetic.
+    rng = random.Random(5)
+
+    def iv():
+        a, b = (Fraction(rng.randint(-50, 50), rng.choice([1, 3, 7, 64, 1000]))
+                for _ in range(2))
+        return RationalInterval(min(a, b), max(a, b))
+
+    for _ in range(200):
+        p = IntervalPoly([iv() for _ in range(rng.randint(1, 4))])
+        q = IntervalPoly([iv() for _ in range(rng.randint(1, 4))])
+        assert ipoly_mul(p, q) == IntervalPoly(
+            convolve(p.coeffs, q.coeffs, RationalInterval(0)))
 
 
 def _cruise_family(fmt):

@@ -101,6 +101,18 @@ def test_csv_export_round_trips_controller_signals():
         assert float(fields[5]) == float(trace.y[k])
 
 
+@pytest.mark.parametrize("fmt,grid", [
+    (F416, (40, 16)), (FixedPointFormat(4, 24), (40, 24)),
+    (FixedPointFormat(4, 25), (39, 25)), (FixedPointFormat(1, 63), (1, 63))])
+def test_signal_grid_keeps_the_controller_fraction_bits(fmt, grid):
+    # <40, F>, or the widest format with F fraction bits past F = 24.
+    ctl = make_controller(["0.25"], ["1"], fmt)
+    trace = step_response(ctl, CRUISE, T, 20)
+    assert {v.format for v in trace.e + trace.u} == {FixedPointFormat(*grid)}
+    assert trace.u[0].value == Fraction(1, 4)
+    assert not trace.diverged()
+
+
 @functools.lru_cache(maxsize=1024)
 def _mpf50(x: Fraction):
     """x rounded to a 50-digit mpf, as the old plant path converted it."""
