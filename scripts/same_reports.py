@@ -31,7 +31,13 @@ working tree's `src/`, runs:
   and DAC step q2 in 0, q, 3q (q = 2^-F, the ADC step), 200 steps, with
   `stop_on_divergence` alternating, comparing the e and u raws, the
   outputs y as strings and the length, or, for a loop that overflows, the
-  `ArithmeticOverflow` step and message.
+  `ArithmeticOverflow` step and message;
+- the box verdict (`cegis._box_verdict`) on seeded random families, a
+  third each around a box with one unstable edge between stable
+  vertices, with a denominator lead through zero, and generic (order 1-4,
+  1-4 uncertain coefficients), on the grid box with its <8,12> grid and
+  on the inflated box, each with the zero-exclusion sweep and with it
+  refusing, comparing the verdict and evidence.
 
 Both trees read the working tree's benchmark files.  Prints every
 differing line of each differing report and exits 1 on any difference,
@@ -49,6 +55,7 @@ import subprocess
 import sys
 import tarfile
 import tempfile
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -153,6 +160,76 @@ for k, (_, order, f, mode, q2) in enumerate(itertools.product(
 print(json.dumps(out))
 """
 
+BOX_FAMILIES = 300
+# Reads the family count in argv[1]; prints one JSON list of [settled_by,
+# verdict, evidence] reprs, four per family.
+BOX_CHILD = """
+import json, random, sys
+from fractions import Fraction
+import dcsynth.cegis as cegis
+from dcsynth.fixedpoint import FixedPointFormat, quantize_poly
+from dcsynth.intervals import family_grid_box, family_to_interval_poly
+from dcsynth.transfer import Controller, PlantFamily, TransferFunction
+rng = random.Random(0)
+fmt, grid = FixedPointFormat(4, 16), FixedPointFormat(8, 12)
+
+def coeffs(count, scale):
+    return [Fraction(rng.randint(-scale, scale), 1000) for _ in range(count)]
+
+def jitter(*xs):
+    return [Fraction(x) + Fraction(rng.randint(-20, 20), 1000) for x in xs]
+
+def family(k):
+    if k % 3 == 0:  # one long edge leaving the stability region
+        num = jitter("1/2", "-41/64", "1/4")
+        den = [1] + jitter("-73/64", "31/32", "-13/64")
+        radii = [0] * 7
+        radii[4] = Fraction(rng.randint(300, 600), 1000)
+        radii[rng.choice((0, 1, 2, 3, 5, 6))] = Fraction(rng.randint(0, 20),
+                                                         1000)
+        c = jitter("-11/64", "-1/2", "21/32"), [1] + jitter("-5/4", "9/16")
+    elif k % 3 == 1:  # a denominator lead through zero
+        order = rng.randint(1, 3)
+        den = [1] + coeffs(order, 300)
+        num = [Fraction(rng.choice((-1, 1)) * rng.randint(1, 500), 1000)
+               for _ in range(rng.randint(1, order + 1))]
+        radii = [Fraction(rng.randint(1, 50), 1000) if rng.random() < 0.3
+                 else 0 for _ in range(len(num) + order + 1)]
+        radii[len(num)] = Fraction(rng.choice((1000, rng.randint(1100, 2500))),
+                                   1000)
+        m = rng.randint(0, 2)
+        c = coeffs(m + 1, 200), [1] + coeffs(m, 200)
+    else:  # real denominator roots in [-1, 1]
+        order = rng.randint(1, 4)
+        den, num = [1], coeffs(rng.randint(1, order + 1), 500)
+        for _ in range(order):
+            root = rng.uniform(-1, 1)
+            den = [a - root * b for a, b in zip(den + [0], [0] + den)]
+        den = [Fraction(round(x * 1000), 1000) for x in den]
+        radii = [0] * (len(num) + order + 1)
+        for i in rng.sample(range(len(radii)),
+                            rng.randint(1, min(4, len(radii)))):
+            radii[i] = Fraction(rng.randint(1, 1500 if i == len(num) else 150),
+                                1000)
+        m = rng.randint(0, 2)
+        c = coeffs(m + 1, 300), [1] + coeffs(m, 300)
+    nn = len(num)
+    return (PlantFamily(TransferFunction(num, den), radii[:nn], radii[nn:],
+                        grid),
+            Controller(quantize_poly(c[0], fmt), quantize_poly(c[1], fmt)))
+
+sweep, out = cegis.zero_excluded, []
+for k in range(int(sys.argv[1])):
+    fam, c = family(k)
+    for box, g in ((family_grid_box, grid), (family_to_interval_poly, None)):
+        for refuse in (False, True):
+            cegis.zero_excluded = (lambda *args: False) if refuse else sweep
+            verdict, evidence = cegis._box_verdict(c, *box(fam), None, g)
+            out.append([verdict.settled_by, repr(verdict), repr(evidence)])
+    cegis.zero_excluded = sweep
+print(json.dumps(out))
+"""
+
 
 def cli_rows():
     os.chdir(ROOT)  # perfbench/run.py resolves benchmark paths from here
@@ -253,6 +330,14 @@ def step_responses(src):
     return json.loads(proc.stdout)
 
 
+def box_verdicts(src):
+    proc = run(src, ["-c", BOX_CHILD, str(BOX_FAMILIES)])
+    if proc.returncode != 0:
+        sys.exit(f"box-verdict child failed on {src}:\n"
+                 f"{proc.stderr[-2000:]}")
+    return json.loads(proc.stdout)
+
+
 def line_differences(a, b):
     """Every differing line of two texts, as indented unified-diff lines
     without context (REV's lines -, the working tree's +)."""
@@ -280,6 +365,7 @@ def main():
                for name, src in trees.items()}
         placed = {name: starts(src) for name, src in trees.items()}
         steps = {name: step_responses(src) for name, src in trees.items()}
+        boxes = {name: box_verdicts(src) for name, src in trees.items()}
     old, new = (cli[name] for name in trees)
     for key in old:
         for part, a, b in zip(("exit code", "report", "CSV"), old[key],
@@ -310,11 +396,19 @@ def main():
         if a != b:
             differences += 1
             print(f"step response loop {k}: {a} != {b}")
+    overflowing = sum(r[0] == "overflow" for r in old)
+    old, new = (boxes[name] for name in trees)
+    for k, (a, b) in enumerate(zip(old, new)):
+        if a != b:
+            differences += 1
+            print(f"box verdict {k} (family {k // 4}): {a} != {b}")
+    settled = Counter(a[0] for a in old)
     print(f"{len(rows) * len(CLI_SEEDS)} cli calls, {len(synth[rev])} "
           f"synthesis runs, {len(plants)} ZOH plants, {len(placed[rev])} "
-          f"placement start lists and {len(old)} step responses "
-          f"({sum(r[0] == 'overflow' for r in old)} overflowing) compared "
-          f"against {rev}: {differences} differences")
+          f"placement start lists, {len(steps[rev])} step responses "
+          f"({overflowing} overflowing) and {len(old)} box verdicts ("
+          + ", ".join(f"{n} {k}" for k, n in sorted(settled.items()))
+          + f") compared against {rev}: {differences} differences")
     return 1 if differences else 0
 
 

@@ -6,10 +6,12 @@ Each stage decides a box of plants by `_box_verdict`: interval Jury; then
 the sign of the lead of S, exact Jury of the box centre and the
 zero-exclusion sweep, with no vertex (`_box_proof`, these steps and
 interval Jury); then, where one of those refuses, exact Jury of the
-vertices, the lead and the edges.  The two-stage loop runs `_box_proof` on
-the inflated box first: the grid box lies inside it, so a proof passes
-both stages.  Else it checks the grid box, then finishes the inflated
-box's verdict from that proof attempt.
+vertices, the lead and the edges, all on the box ends as integers over one
+denominator (`integerize`).  The two-stage loop runs `_box_proof` on the
+inflated box first: the grid box lies inside it, so a proof passes both
+stages.  Else it checks the grid box, then finishes the inflated box's
+verdict from that proof attempt.  The one-stage engine's certificate is
+the interval Jury verdict that accepted its controller.
 
 The candidate search is deterministic seeded hill climbing over the <I,F>
 coefficient grid with restarts, falling back to exhaustive enumeration when
@@ -43,7 +45,7 @@ from .stability import (JuryVerdict, Status, has_root, jury_conditions,
                         jury_stable, jury_stable_interval, segment_chain,
                         solve, zero_excluded)
 from .transfer import (Controller, PlantFamily, Poly, TransferFunction,
-                       char_poly, closed_loop_coeffs, convolve)
+                       char_poly, closed_loop_coeffs, convolve, integerize)
 
 DEFAULT_PLANT_FORMAT = FixedPointFormat(16, 24)
 PRECISION_STEP = (4, 4)
@@ -286,10 +288,9 @@ def placement_starts(nominal: TransferFunction, fmt: FixedPointFormat,
     units = [[int(j == i) for j in range(n_coeffs)] for i in range(n_coeffs)]
     # Integer rows: the plant times its common denominator, and the target
     # (z - r)^deg S times r's denominator^deg S.
-    num, den = nominal.num.coeffs, nominal.den.coeffs
-    scale = math.lcm(*(c.denominator for c in num + den))
-    num, den = ([c.numerator * (scale // c.denominator) for c in p]
-                for p in (num, den))
+    nn = len(nominal.num.coeffs)
+    plant, _ = integerize(nominal.num.coeffs + nominal.den.coeffs)
+    num, den = plant[:nn], plant[nn:]
     columns = [closed_loop_coeffs(u[:m], num, u[m:], den, 0) for u in units]
     limit = fmt.raw_limit - 1
     starts = []
@@ -458,14 +459,6 @@ def _interval_char_poly(candidate: Controller, num_iv: IntervalPoly,
     return ipoly_add(ipoly_mul(cn, num_iv), ipoly_mul(cd, den_iv))
 
 
-def _box_vertices(num_iv, den_iv):
-    axes = [(c.lo, c.hi) if not c.is_point() else (c.lo,)
-            for c in num_iv.coeffs + den_iv.coeffs]
-    nn = len(num_iv.coeffs)
-    for combo in itertools.product(*axes):
-        yield combo[:nn], combo[nn:]
-
-
 def _make_plant(num_coeffs, den_coeffs) -> TransferFunction | None:
     if all(c == 0 for c in den_coeffs):
         return None
@@ -489,9 +482,8 @@ def verify_uncertainty(candidate: Controller, family: PlantFamily,
     for lo, hi, positions in evidence:
         check_deadline(deadline)
         for t in positions:
-            num = [x + (y - x) * t for x, y in zip(lo[0], hi[0])]
-            den = [x + (y - x) * t for x, y in zip(lo[1], hi[1])]
-            plant = _make_plant(num, den)
+            plant = _make_plant(*([x + (y - x) * t for x, y in zip(a, b)]
+                                  for a, b in zip(lo, hi)))
             if (plant is not None
                     and not concrete_verdict(candidate, plant).is_stable):
                 return plant
@@ -508,45 +500,44 @@ def _box_proof(candidate, num_iv, den_iv, deadline):
     the Stable verdict of the step that proves the box, else interval
     Jury's, and the box's affine form (None where interval Jury proves the
     box): the unit that scales an integer S down to the closed loop, the
-    centre S_c and the generators g_i, each S a list of integers."""
+    centre S_c and the generators g_i, each S a list of integers, the box
+    ends as integer (lo, hi) pairs over their least denominator d, and d."""
     verdict = replace(jury_stable_interval(
-        _interval_char_poly(candidate, num_iv, den_iv)), settled_by="interval")
+        _interval_char_poly(candidate, num_iv, den_iv), deadline),
+        settled_by="interval")
     if verdict.status is Status.STABLE:
         return verdict, None
     # Each S below is in integers, from the controller's raws and the plant
-    # coefficients times twice the common denominator of the box ends (so
-    # the box centre is integer too): a positive multiple of S, with the
-    # same signs, ratios and primitive Sturm chains.
-    coeffs, nn = num_iv.coeffs + den_iv.coeffs, len(num_iv.coeffs)
-    scale = 2 * math.lcm(*(x.denominator for c in coeffs
-                           for x in (c.lo, c.hi)))
-    cn = [v.raw for v in candidate.num]
-    cd = [v.raw for v in candidate.den]
+    # coefficients times 2d (so the box centre is integer too): a positive
+    # multiple of S, with the same signs, ratios and primitive Sturm chains.
+    nn = len(num_iv.coeffs)
+    ends, d = integerize([x for c in num_iv.coeffs + den_iv.coeffs
+                          for x in (c.lo, c.hi)])
+    ends = list(zip(ends[::2], ends[1::2]))
+    cn, cd = ([v.raw for v in p] for p in (candidate.num, candidate.den))
 
     def s_of(plant):
-        plant = [int(x * scale) for x in plant]
         return closed_loop_coeffs(cn, plant[:nn], cd, plant[nn:], 0)
 
-    # The box as S_c + Σ λ_i·g_i, λ_i in [-1, 1]: its centre, and the
-    # half-width of each coefficient times the matching controller part.
-    centre = s_of([c.midpoint for c in coeffs])
-    generators = [s_of([c.width / 2 if k == i else 0
-                        for k, c in enumerate(coeffs)])
-                  for i, c in enumerate(coeffs) if not c.is_point()]
-    unit = candidate.format.scale * scale
+    # The box as S_c + Σ λ_i·g_i, λ_i in [-1, 1]: its centre, lo + hi over
+    # 2d, and the half-width of each coefficient, hi - lo over 2d, times the
+    # matching controller part.
+    centre = s_of([lo + hi for lo, hi in ends])
+    generators = [s_of([hi - lo if k == i else 0 for k in range(len(ends))])
+                  for i, (lo, hi) in enumerate(ends) if lo != hi]
+    form = candidate.format.scale * 2 * d, centre, generators, ends, d
     top = next((k for k, row in enumerate(zip(centre, *generators))
                 if any(row)), 0)
     # A corner has no plant iff every denominator coefficient has 0 at an
     # end of its interval.
     if (verdict.status is Status.UNKNOWN
             and abs(centre[top]) > sum(abs(g[top]) for g in generators)
-            and not all(0 in (c.lo, c.hi) for c in den_iv.coeffs)
-            and _vertex_verdict(centre, unit).is_stable
+            and not all(0 in e for e in ends[nn:])
+            and _vertex_verdict(centre, form[0]).is_stable
             and zero_excluded(centre[top:], [g[top:] for g in generators],
                               deadline)):
-        return (JuryVerdict(Status.STABLE, None, None, "sweep"),
-                (unit, centre, generators))
-    return verdict, (unit, centre, generators)
+        return JuryVerdict(Status.STABLE, None, None, "sweep"), form
+    return verdict, form
 
 
 def _vertex_verdict(s, unit):
@@ -569,46 +560,54 @@ def _box_verdict(candidate, num_iv, den_iv, deadline, grid=None, proof=None):
     unstable edge, or the two either side of a zero of the lead of S.
     Without a grid, only the ends are grid points.  The box is built once
     as an affine family S_c + Σ λ_i·g_i, λ in [-1, 1]^k.  The steps, in
-    order: those of `_box_proof`, not run again where `proof` gives what
-    it returned on this box, whose Stable verdict stands.  Else exact Jury
+    order: those of `_box_proof`, not run again where `proof` gives what it
+    returned on this box, whose Stable verdict stands.  Else exact Jury
     decides each vertex S, read off S_c ± g_i ("vertices"), an Unstable
-    interval Jury verdict standing with an unstable vertex.  If the vertex leads of S do not share one strict sign,
+    interval Jury verdict standing with an unstable vertex; the bits of k
+    pick vertex k's signs and its corner plant, built in Fractions only for
+    the evidence.  If the vertex leads of S do not share one strict sign,
     the lead vanishes somewhere in the box and the verdict is Unstable
     ("lead"): the members beside its zero have a root near infinity, or S
     vanishes there (a vertex with no plant, its denominator zero, counts as
     a zero lead).  Else S is affine in the plant and of constant degree,
-    with stable vertices, and the box is stable iff every edge is
-    ("edges"; Edge Theorem, Bartlett, Hollot & Lin 1988), which the segment
-    test decides.  The sweep is not run again there: it has run unless S_c
-    is unstable, and then a member between S_c and a vertex has a root on
-    the unit circle.  Only interval Jury gives a Stable box a margin."""
+    with stable vertices, and the box is stable iff every edge is ("edges";
+    Edge Theorem, Bartlett, Hollot & Lin 1988), which the segment test
+    decides.  The sweep is not run again there: it has run unless S_c is
+    unstable, and then a member between S_c and a vertex has a root on the
+    unit circle.  Only interval Jury gives a Stable box a margin."""
     verdict, form = proof or _box_proof(candidate, num_iv, den_iv, deadline)
     if verdict.status is Status.STABLE:
         return verdict, []
-    unit, centre, generators = form
-    # Each vertex S is S_c ± g_i, in the corners' order (the low end of a
-    # coefficient is the centre less its half-width).
-    corners = list(_box_vertices(num_iv, den_iv))
+    unit, centre, generators, ends, d = form
+    nn = len(num_iv.coeffs)
+    # Bit i of k from the top picks g_i's sign and its coefficient's end at
+    # vertex k (a point coefficient's ends agree).
     polys = [centre]
     for g in generators:
         polys = [[x + sign * y for x, y in zip(s, g)]
                  for s in polys for sign in (-1, 1)]
-    for k, (num_c, den_c) in enumerate(corners):
+    bits = [sum(lo != hi for lo, hi in ends[j + 1:]) for j in range(len(ends))]
+
+    def corner(k):  # vertex k's plant coefficients, integers over d
+        return [e[k >> bit & 1] for e, bit in zip(ends, bits)]
+
+    def plant(k):  # vertex k's (numerator, denominator), for the evidence
+        c = tuple(Fraction(x, d) for x in corner(k))
+        return c[:nn], c[nn:]
+
+    for k in range(len(polys)):
         check_deadline(deadline)
-        if not any(den_c):
+        if not any(corner(k)[nn:]):
             polys[k] = None  # no plant here: the lead check fails below
             continue
         v = _vertex_verdict(polys[k], unit)
         if v.status is Status.UNSTABLE:
             return (verdict if verdict.status is Status.UNSTABLE else v,
-                    _make_plant(num_c, den_c))
+                    _make_plant(*plant(k)))
 
     def grid_steps(lo, hi):  # the corners differ in one coefficient
-        if grid is None:
-            return 1
-        width = max(y - x for a, b in zip(corners[lo], corners[hi])
-                    for x, y in zip(a, b))
-        return int(width / grid.step)
+        width = max(map(operator.sub, corner(hi), corner(lo)))
+        return 1 if grid is None else width * grid.scale // d
 
     # The leading coefficient of S is affine too: one strict sign at every
     # vertex keeps it off zero, and the degree of S constant, over the box.
@@ -622,7 +621,7 @@ def _box_verdict(candidate, num_iv, den_iv, deadline, grid=None, proof=None):
             a, b = leads[lo], leads[hi]
             if None not in (a, b) and a != b and a * b <= 0:
                 n, t = grid_steps(lo, hi), Fraction(a, a - b)
-                failing.append((corners[lo], corners[hi], [
+                failing.append((plant(lo), plant(hi), [
                     Fraction(k, n) for k in (math.ceil(t * n) - 1,
                                              math.floor(t * n) + 1)
                     if 0 <= k <= n]))
@@ -634,7 +633,7 @@ def _box_verdict(candidate, num_iv, den_iv, deadline, grid=None, proof=None):
         if has_root(chain, 0, 1):
             n = grid_steps(lo, hi)
             return (JuryVerdict(Status.UNSTABLE, "edge", Fraction(0), "edges"),
-                    [(corners[lo], corners[hi],
+                    [(plant(lo), plant(hi),
                       [Fraction(_first_root_step(chain, n), n)])])
     return JuryVerdict(Status.STABLE, None, None, "edges"), []
 
@@ -776,13 +775,16 @@ def cegis_one_stage(family: PlantFamily, controller_format: FixedPointFormat,
     num_iv, den_iv = family_to_interval_poly(fam)
     transcript = []
     n_coeffs = orders[0] + orders[1] + 2
+    proofs = {}  # the raws interval Jury accepted -> its verdict
 
     def evaluate(raws):
         if raws[orders[0] + 1] == 0:
             return False, float(_BIG_PENALTY)
         cand = _controller_from_raws(raws, controller_format, orders)
-        v = jury_stable_interval(_interval_char_poly(cand, num_iv, den_iv))
+        v = jury_stable_interval(_interval_char_poly(cand, num_iv, den_iv),
+                                 deadline)
         if v.status is Status.STABLE:
+            proofs[tuple(raws)] = replace(v, settled_by="interval")
             return True, 0.0
         return False, float(-min(v.margin, Fraction(0))) + 1e-9
 
@@ -797,7 +799,7 @@ def cegis_one_stage(family: PlantFamily, controller_format: FixedPointFormat,
         reason = "no-candidate"
     else:
         controller = _controller_from_raws(raws, controller_format, orders)
-        certificate, _ = _box_verdict(controller, num_iv, den_iv, None)
+        certificate = proofs[tuple(raws)]
         transcript.append({"phase": "one-stage-accept",
                            "candidate": describe_controller(controller),
                            "plant_format": str(fmt_p)})

@@ -156,10 +156,9 @@ def emit_report(report: dict, style: str, out=None):
     out = out or sys.stdout
     if style == "json":
         json.dump(report, out, indent=2, default=str)
-        out.write("\n")
     else:
         out.write(_render_text(report))
-        out.write("\n")
+    out.write("\n")
 
 
 def _parse_format(text: str) -> FixedPointFormat:

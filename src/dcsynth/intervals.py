@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from .errors import DivisorContainsZero
 from .fixedpoint import FixedPointFormat, quantize_nearest
-from .transfer import PlantFamily, add_aligned
+from .transfer import PlantFamily, add_aligned, integerize
 
 
 @dataclass(frozen=True)
@@ -34,9 +34,6 @@ class RationalInterval:
 
     def contains_zero(self) -> bool:
         return self.lo <= 0 <= self.hi
-
-    def is_point(self) -> bool:
-        return self.lo == self.hi
 
     @property
     def width(self) -> Fraction:
@@ -118,7 +115,9 @@ def ipoly_add(a: IntervalPoly, b: IntervalPoly) -> IntervalPoly:
 def ipoly_mul(a: IntervalPoly, b: IntervalPoly) -> IntervalPoly:
     """The interval product, on integer endpoints over each factor's least
     common denominator: the same enclosure, one Fraction per endpoint."""
-    (na, da), (nb, db) = map(_over_lcm, (a, b))
+    (na, da), (nb, db) = (integerize([x for c in p.coeffs
+                                      for x in (c.lo, c.hi)]) for p in (a, b))
+    na, nb = (list(zip(n[::2], n[1::2])) for n in (na, nb))  # (lo, hi)s
     out = [[0, 0] for _ in range(len(na) + len(nb) - 1)]
     for i, x in enumerate(na):
         for j, y in enumerate(nb, i):
@@ -127,13 +126,6 @@ def ipoly_mul(a: IntervalPoly, b: IntervalPoly) -> IntervalPoly:
             out[j][1] += max(p)
     return IntervalPoly([RationalInterval(*(Fraction(v, da * db) for v in c))
                          for c in out])
-
-
-def _over_lcm(p: IntervalPoly):
-    # p's endpoint numerators over their least common denominator d, and d.
-    d = math.lcm(*(x.denominator for c in p.coeffs for x in (c.lo, c.hi)))
-    return [[x.numerator * (d // x.denominator) for x in (c.lo, c.hi)]
-            for c in p.coeffs], d
 
 
 def _coeff_interval(c: Fraction, delta: Fraction,

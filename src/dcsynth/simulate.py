@@ -153,13 +153,13 @@ def step_response(controller: Controller, plant: TransferFunction, T,
     """Unity-negative-feedback response of a fixed-point controller to a
     unit step.
 
-    The controller path runs on the signal grid <min(40, 64 - F), F>, where
-    F is the controller's fraction bit count: its raws go onto the grid as
-    they are, and every operation truncates exactly as deployed code would,
+    The controller path runs on the signal grid <max(min(40, 64 - F), I),
+    F> for the controller format <I, F>: its raws go onto the grid as they
+    are, and every operation truncates exactly as deployed code would,
     while signal headroom failures still surface as ArithmeticOverflow.
-    For F <= 24 that grid is <40, F>; past it, the widest format with F
-    fraction bits.  The plant path runs in exact rationals, each new output
-    rounded to the nearest multiple of 2^-200.
+    For F <= 24 that grid is <max(40, I), F>; past it, the widest format
+    with F fraction bits, as I + F <= 64.  The plant path runs in exact
+    rationals, each new output rounded to the nearest multiple of 2^-200.
 
     With `stop_on_divergence` the loop ends early once |y| exceeds the
     threshold `diverged()` reads; the trace is then shorter than `steps` (an
@@ -169,9 +169,9 @@ def step_response(controller: Controller, plant: TransferFunction, T,
     if steps < 1:
         raise ValueError("steps must be >= 1")
     noise = noise or NoiseModel.zero()
-    f = controller.format.fraction_bits
+    i, f = controller.format.integer_bits, controller.format.fraction_bits
     sig_fmt = FixedPointFormat(
-        min(SIGNAL_INTEGER_BITS, MAX_TOTAL_BITS - f), f)
+        max(min(SIGNAL_INTEGER_BITS, MAX_TOTAL_BITS - f), i), f)
     zero = FixedPointValue(0, sig_fmt)
     n_c = max(len(controller.num), len(controller.den))
     b, a = ([zero] * (n_c - len(p))

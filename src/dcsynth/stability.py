@@ -33,8 +33,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DegenerateCharPoly, check_deadline
-from .intervals import IntervalPoly, RationalInterval
-from .transfer import Poly, convolve, poly_divmod, poly_roots
+from .intervals import IntervalPoly
+from .transfer import Poly, convolve, integerize, poly_divmod, poly_roots
 
 
 class Status(enum.Enum):
@@ -89,8 +89,7 @@ def jury_stable(s: Poly) -> JuryVerdict:
     s = s.normalize()
     if all(x == 0 for x in s.coeffs):
         raise DegenerateCharPoly("zero polynomial")
-    den = math.lcm(*(x.denominator for x in s.coeffs))
-    c = [x.numerator * (den // x.denominator) for x in s.coeffs]
+    c, den = integerize(s.coeffs)
     if len(c) == 1:
         # Degree zero: no roots at all.
         return JuryVerdict(Status.STABLE, None, Fraction(abs(c[0]), den))
@@ -118,27 +117,29 @@ def jury_stable(s: Poly) -> JuryVerdict:
     return JuryVerdict(Status.STABLE, None, Fraction(*margin))
 
 
-def jury_stable_interval(s: IntervalPoly) -> JuryVerdict:
+def jury_stable_interval(s: IntervalPoly, deadline=None) -> JuryVerdict:
     """Jury verdict holding for an entire interval polynomial family.
 
     Stable: every condition strictly positive over the whole family.
     Unstable: some condition nonpositive for every member.
     Unknown otherwise (including a leading or pivot interval through zero).
+    Raises DeadlineExceeded past `deadline`, checked before each reduction.
     """
-    civ = list(s.coeffs)
-    lead = civ[0]
+
+    def may_be_zero(pivot):
+        check_deadline(deadline)
+        return pivot.contains_zero()
+
+    lead = s.coeffs[0]
     if lead.contains_zero():
         return JuryVerdict(Status.UNKNOWN, None, min(Fraction(0), lead.lo))
-    if lead.hi < 0:
-        civ = [-c for c in civ]
+    civ = [-c for c in s.coeffs] if lead.hi < 0 else list(s.coeffs)
     if len(civ) == 1:
         return JuryVerdict(Status.STABLE, None, civ[0].lo)
-    incomplete = False
-    margin = None
-    first_violated = None
-    for label, iv in jury_conditions(civ, RationalInterval.contains_zero):
+    margin = first_violated = None
+    for label, iv in jury_conditions(civ, may_be_zero):
         if iv is None:
-            incomplete = True
+            first_violated = first_violated or "R4"
             break
         if margin is None or iv.lo < margin:
             margin = iv.lo
@@ -146,8 +147,8 @@ def jury_stable_interval(s: IntervalPoly) -> JuryVerdict:
             return JuryVerdict(Status.UNSTABLE, label, margin)
         if iv.lo <= 0 and first_violated is None:
             first_violated = label
-    if incomplete or first_violated is not None:
-        return JuryVerdict(Status.UNKNOWN, first_violated or "R4",
+    if first_violated is not None:
+        return JuryVerdict(Status.UNKNOWN, first_violated,
                            min(margin, Fraction(0)))
     return JuryVerdict(Status.STABLE, None, margin)
 
@@ -167,8 +168,8 @@ def segment_minor(p0, p1) -> list:
     solve on its exact values at t = 0 .. n-1, determinants of the Hurwitz
     matrix of the common-denominator-scaled coefficients."""
     n = len(p0) - 1
-    scale = math.lcm(*(Fraction(c).denominator for c in list(p0) + list(p1)))
-    q0, q1 = (bilinear([int(a * scale) for a in p]) for p in (p0, p1))
+    ints, _ = integerize([*p0, *p1])
+    q0, q1 = bilinear(ints[:n + 1]), bilinear(ints[n + 1:])
     points, rows = range(max(n, 1)), []
     for t in points:
         q = [x + t * (y - x) for x, y in zip(q0, q1)]
@@ -310,10 +311,9 @@ def sturm_chain(a: Poly, b: Poly | None = None) -> list:
 
 def _primitive(coeffs) -> list:
     """Coefficients, without leading zeros, times a positive integerizer."""
-    c = Poly(coeffs).normalize().coeffs
-    scale = Fraction(math.lcm(*(x.denominator for x in c)),
-                     math.gcd(*(x.numerator for x in c)) or 1)
-    return [int(x * scale) for x in c]
+    c, _ = integerize(Poly(coeffs).normalize().coeffs)
+    g = math.gcd(*c) or 1
+    return [x // g for x in c]
 
 
 def has_root(chain, lo, hi) -> bool:

@@ -22,6 +22,12 @@ def _frac_tuple(coeffs):
     return tuple(Fraction(c) for c in coeffs)
 
 
+def integerize(xs) -> tuple:
+    """The n_i and the least d > 0 with x_i = n_i / d (ints or Fractions)."""
+    d = math.lcm(*(x.denominator for x in xs))
+    return [x.numerator * (d // x.denominator) for x in xs], d
+
+
 @dataclass(frozen=True)
 class Poly:
     """Real polynomial, coefficients in descending powers of z."""

@@ -9,6 +9,7 @@ import pathlib
 import random
 import sys
 import time
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -42,6 +43,16 @@ def make_controller(num, den, fmt=F416):
 
 def cruise_family(**kw):
     return PlantFamily(CRUISE, plant_format=DEFAULT_PLANT_FORMAT, **kw)
+
+
+def box_vertices(num_iv, den_iv):
+    """Every corner of a plant box as (numerator, denominator) tuples, in
+    the order the box verdict scans its vertices: a reference enumeration."""
+    axes = [(c.lo, c.hi) if c.lo != c.hi else (c.lo,)
+            for c in num_iv.coeffs + den_iv.coeffs]
+    nn = len(num_iv.coeffs)
+    for combo in itertools.product(*axes):
+        yield combo[:nn], combo[nn:]
 
 
 def test_empty_inputs_give_zero_controller():
@@ -418,7 +429,7 @@ def test_edges_prove_box_the_interval_verdict_leaves_open(monkeypatch):
     verdict = jury_stable_interval(
         cegis_mod._interval_char_poly(c, num_iv, den_iv))
     assert verdict.status is Status.UNKNOWN and verdict.violated == "R1"
-    for num, den in cegis_mod._box_vertices(num_iv, den_iv):
+    for num, den in box_vertices(num_iv, den_iv):
         assert concrete_verdict(c, TransferFunction(num, den)).is_stable
     # The zero-exclusion sweep proves both boxes stable, and so do the box
     # edges where the sweep gives up; either way the certificate names the
@@ -451,7 +462,7 @@ def test_unstable_edge_between_stable_vertices_gives_grid_witness():
                         [1, Fraction(-5, 4), Fraction(9, 16)])
     assert concrete_verdict(c, plant).status is Status.UNSTABLE
     num_iv, den_iv = family_grid_box(fam)
-    for num, den in cegis_mod._box_vertices(num_iv, den_iv):
+    for num, den in box_vertices(num_iv, den_iv):
         assert concrete_verdict(c, TransferFunction(num, den)).is_stable
     cex = verify_uncertainty(c, fam)
     assert cex is not None
@@ -569,7 +580,7 @@ def test_box_verdict_soundness_fuzz():
         fam, c = _fuzz_family(rng, fmt, i % 2 == 0)
         # Without a plant grid the verified box is the uncertainty box.
         num_iv, den_iv = family_to_interval_poly(fam.with_format(None))
-        corners = [n + d for n, d in cegis_mod._box_vertices(num_iv, den_iv)]
+        corners = [n + d for n, d in box_vertices(num_iv, den_iv)]
         nn = len(num_iv.coeffs)
 
         def stable(m):
@@ -731,8 +742,7 @@ def test_vertex_polynomials_read_off_the_affine_form(monkeypatch):
         if seen and list(seen[0].coeffs) == s_of([b.midpoint
                                                   for b in coeffs]):
             seen = seen[1:]
-        for s, (num, den) in zip(seen, cegis_mod._box_vertices(num_iv,
-                                                               den_iv)):
+        for s, (num, den) in zip(seen, box_vertices(num_iv, den_iv)):
             assert list(s.coeffs) == s_of(num + den)
             checked += 1
     assert checked >= 1000
@@ -1096,6 +1106,35 @@ def test_one_stage_success_and_zero_budget_timeout():
     timed_out = cegis_one_stage(cruise_family(), F416, (2, 2), seed=1234,
                                 limits=Limits(timeout_s=0.0))
     assert not timed_out.success and timed_out.reason == "timeout"
+
+
+def test_one_stage_decides_its_certificate_once(monkeypatch):
+    # Interval Jury runs once per point the search evaluates with a nonzero
+    # denominator lead, under the run's deadline, and the verdict that
+    # accepted the controller is its certificate.
+    points, calls = [], []
+    search, interval_jury = cegis_mod._grid_search, jury_stable_interval
+
+    def counted_search(n_coeffs, fmt, seed, budget, evaluate, num_len, **kw):
+        def counted(raws):
+            if raws[num_len] != 0:
+                points.append(raws)
+            return evaluate(raws)
+        return search(n_coeffs, fmt, seed, budget, counted, num_len, **kw)
+
+    def spy(*args):
+        calls.append(args)
+        return interval_jury(*args)
+
+    monkeypatch.setattr(cegis_mod, "_grid_search", counted_search)
+    monkeypatch.setattr(cegis_mod, "jury_stable_interval", spy)
+    fam = cruise_family(delta_num=[Fraction("0.0132")],
+                        delta_den=[0, Fraction("0.05")])
+    result = cegis_one_stage(fam, F416, (2, 2), seed=7)
+    assert result.success and len(calls) == len(points) > 1
+    assert all(len(args) == 2 and args[1] is not None for args in calls)
+    assert result.certificate == replace(interval_jury(calls[-1][0]),
+                                         settled_by="interval")
 
 
 def test_one_stage_certificate_covers_whole_family():

@@ -194,6 +194,31 @@ def test_trace_out_past_24_fraction_bits(tmp_path):
                 assert FixedPointValue(raw, grid).decimal_str() == text
 
 
+def test_trace_out_past_40_integer_bits(tmp_path):
+    # At controller_format = 48,8 the coefficients 2^41 and 2^43 (a gain of
+    # 1/4) do not fit <40,8>: the signal grid takes the controller's 48
+    # integer bits, and each e and u decimal is a raw on it.
+    bench = tmp_path / "cruise_48_8.bench"
+    bench.write_text(pathlib.Path(CRUISE).read_text().replace(
+        "controller_format = 4,16", "controller_format = 48,8"))
+    ctl = tmp_path / "wide.ctl"
+    ctl.write_text(f"num = {2 ** 41}\nden = {2 ** 43}\n")
+    trace = tmp_path / "verify.csv"
+    code, out = run(["verify", str(bench), "--controller", str(ctl),
+                     "--steps", "100", "--trace-out", str(trace),
+                     "--report", "json"])
+    assert code == 0
+    assert json.loads(out)["trace"] == {"path": str(trace), "steps": 100,
+                                        "diverged": False}
+    grid = FixedPointFormat(48, 8)
+    rows = [line.split(",") for line in trace.read_text().splitlines()]
+    assert rows[1][3:5] == ["1.00000000", "0.25000000"]
+    for row in rows[1:]:
+        for text in row[3:5]:
+            raw = int(Fraction(text) * grid.scale)
+            assert FixedPointValue(raw, grid).decimal_str() == text
+
+
 @pytest.mark.parametrize("num,den", [
     ("0.5, 0.25", "0, 1"),   # C(z) = (0.5z + 0.25) / 1
     ("1", "0"),

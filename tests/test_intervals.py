@@ -21,7 +21,7 @@ def test_constructor_orders_endpoints():
     with pytest.raises(ValueError):
         RationalInterval(1, 0)
     iv = RationalInterval(Fraction(1, 3))
-    assert iv.is_point() and iv.lo == Fraction(1, 3)
+    assert iv.lo == iv.hi == Fraction(1, 3)
 
 
 def test_basic_predicates():
@@ -101,7 +101,7 @@ def test_interval_poly_ops():
     assert prod.degree == 2
     # (z + 2)([0,1]z + 3) = [0,1]z^2 + [3,5]z + 6
     assert prod.coeffs[1].lo == 3 and prod.coeffs[1].hi == 5
-    assert prod.coeffs[2].is_point() and prod.coeffs[2].lo == 6
+    assert prod.coeffs[2].lo == prod.coeffs[2].hi == 6
 
 
 def test_ipoly_mul_equals_the_interval_convolution():
@@ -153,5 +153,5 @@ def test_family_grid_box_point_collapse():
     fam = _cruise_family(F1624)
     point_fam = PlantFamily(fam.nominal, plant_format=F1624)
     num, _ = family_grid_box(point_fam)
-    assert num.coeffs[0].is_point()
+    assert num.coeffs[0].lo == num.coeffs[0].hi
     assert abs(num.coeffs[0].lo - Fraction("0.0264")) <= F1624.step / 2

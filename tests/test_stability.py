@@ -226,6 +226,20 @@ def test_interval_unknown_cases():
     assert jury_stable_interval(s2).status is Status.UNKNOWN
 
 
+def test_interval_jury_honours_deadline():
+    # The deadline is checked before each table reduction, after R1-R3: a
+    # degree-1 family, which has none, is decided past it.
+    s = IntervalPoly([RationalInterval(1), RationalInterval(Fraction(-1, 5)),
+                      RationalInterval(0, Fraction(1, 10)),
+                      RationalInterval(Fraction(1, 10))])
+    assert jury_stable_interval(s, time.perf_counter() + 60).is_stable
+    with pytest.raises(DeadlineExceeded):
+        jury_stable_interval(s, deadline=time.perf_counter() - 1)
+    line = IntervalPoly([RationalInterval(1),
+                         RationalInterval(Fraction(-1, 5))])
+    assert jury_stable_interval(line, time.perf_counter() - 1).is_stable
+
+
 def test_interval_soundness_sample():
     """Interval-Stable implies every sampled member is oracle-stable."""
     rng = random.Random(9)

@@ -1,6 +1,7 @@
 """Polynomials, transfer functions, and the closed-loop characteristic
 polynomial."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -11,7 +12,7 @@ from dcsynth.errors import DegenerateCharPoly
 from dcsynth.fixedpoint import FixedPointFormat, quantize_poly
 from dcsynth.transfer import (Controller, PlantFamily, Poly, TransferFunction,
                               cancellation_on_or_outside_unit_circle,
-                              char_poly, poly_add, poly_mul)
+                              char_poly, integerize, poly_add, poly_mul)
 
 F416 = FixedPointFormat(4, 16)
 
@@ -102,3 +103,12 @@ def test_poly_mul_evaluation_homomorphism(ca, cb):
     z = Fraction(3, 2)
     assert poly_mul(a, b)(z) == a(z) * b(z)
     assert poly_add(a, b)(z) == a(z) + b(z)
+
+
+@given(st.lists(st.one_of(st.integers(-10 ** 6, 10 ** 6), st.fractions(),
+                          st.just(0), st.just(Fraction(0))), max_size=8))
+def test_integerize_gives_integers_over_the_least_denominator(xs):
+    ints, d = integerize(xs)
+    assert all(type(n) is int for n in ints) and type(d) is int and d > 0
+    assert [Fraction(n, d) for n in ints] == xs
+    assert d == math.lcm(*(Fraction(x).denominator for x in xs))
