@@ -23,6 +23,11 @@ then at seeded random points.  Once the origin and every placement start
 have failed, the two-stage search runs up to 128 restarts side by side,
 their float guidance in one numpy pass per step and coefficient shape of
 the plants; it returns what the one-at-a-time search returns.
+
+Before each search, the two-stage loop runs a sign test on the newest
+counterexample (`_sign_obstructed`): where it proves that no controller
+the search can accept stabilizes it together with an earlier one, the run
+ends `no-candidate` in place of a search that could only fail.
 """
 
 from __future__ import annotations
@@ -42,10 +47,11 @@ from .fixedpoint import FixedPointFormat, FixedPointValue
 from .intervals import (IntervalPoly, family_grid_box,
                         family_to_interval_poly, ipoly_add, ipoly_mul)
 from .stability import (JuryVerdict, Status, has_root, jury_conditions,
-                        jury_stable, jury_stable_interval, segment_chain,
-                        solve, zero_excluded)
+                        jury_stable, jury_stable_interval, root_bound,
+                        segment_chain, solve, tarski_query, zero_excluded)
 from .transfer import (Controller, PlantFamily, Poly, TransferFunction,
-                       char_poly, closed_loop_coeffs, convolve, integerize)
+                       char_poly, closed_loop_coeffs, convolve, integerize,
+                       poly_mul)
 
 DEFAULT_PLANT_FORMAT = FixedPointFormat(16, 24)
 PRECISION_STEP = (4, 4)
@@ -400,6 +406,37 @@ def synthesize_candidate(inputs, controller_format: FixedPointFormat, orders,
     return _controller_from_raws(raws, controller_format, orders)
 
 
+def _sign_obstructed(inputs) -> bool:
+    """Whether no controller the search can accept stabilizes the last plant
+    N/D in `inputs` together with the first N_1/D there (itself, if it is
+    that first), for deg N, deg N_1 < deg D; False where deg N >= deg D.
+    Such a controller has orders m <= n and a nonzero
+    denominator lead, so for plants N_i/D with deg N_i < deg D every closed
+    loop S_i = Cn·N_i + Cd·D has degree n + deg D and lead lead(Cd)·lead(D).
+    A stable S_i has no root x with |x| >= 1, so at each real root x of D
+    there it has the sign that degree and lead give, whatever i is, and
+    S_i(x) = Cn(x)·N_i(x): N_1(x)·N(x) must be positive (parity
+    interlacing, Youla, Bongiorno & Lu 1974).  Decided exactly: at x = 1,
+    and by Tarski queries on (-B, -1] and (1, B] for a root bound B of D,
+    of q = N_1·N against those of 1, the root counts.
+    Checking each new plant against the first one keeps every pair in
+    check, as each then shares the first one's nonzero signs."""
+    num, den = inputs[-1].num, inputs[-1].den
+    if num.degree >= den.degree:
+        return False
+    first = next(p for p in inputs
+                 if p.den == den and p.num.degree < den.degree)
+    bound = root_bound(den)
+    ends = (-bound, -1, 1, bound)
+    roots = tarski_query(den, Poly([1]), ends)
+    if roots[0] == roots[2] == 0 and den(1) != 0:
+        return False
+    q = poly_mul(first.num, num)
+    signs = tarski_query(den, q, ends)
+    return (signs[0] < roots[0] or signs[2] < roots[2]
+            or den(1) == 0 and q(1) <= 0)
+
+
 def _float_jury_margin(c) -> float:
     """Min slack of the stability conditions in float arithmetic (search
     guidance only; never a verdict)."""
@@ -695,7 +732,10 @@ def cegis_two_stage(family: PlantFamily, controller_format: FixedPointFormat,
                     orders, seed: int, limits: Limits | None = None) -> SynthesisResult:
     """Fig-4-style loop: synthesize -> uncertainty check -> precision check,
     escalating the plant precision (and dropping stale counterexamples)
-    whenever the sound stage rejects."""
+    whenever the sound stage rejects.  An iteration whose counterexamples
+    fail the sign test (`_sign_obstructed`) raises NoCandidate in place of
+    its search, so the iteration count and the transcript are those of a
+    search that failed."""
     _check_orders(orders)
     limits = limits or Limits()
     start = time.perf_counter()
@@ -714,6 +754,10 @@ def cegis_two_stage(family: PlantFamily, controller_format: FixedPointFormat,
             check_deadline(deadline)
             iteration += 1
             fam = family.with_format(plant_format)
+            # inputs[-1], if any, is new: the last iteration found it.
+            if inputs and _sign_obstructed(inputs):
+                raise NoCandidate("no controller stabilizes counterexample "
+                                  f"{len(inputs)} with an earlier one")
             candidate = synthesize_candidate(
                 inputs, controller_format, orders, seed + iteration,
                 limits.synth_budget, deadline=deadline, starts=starts)

@@ -49,7 +49,9 @@ class DeadlineExceeded(DcsynthError):
 
 
 class NoCandidate(DcsynthError):
-    """Candidate search exhausted its budget without a feasible controller."""
+    """No candidate controller: the search spent its budget, or swept the
+    whole controller grid, or two counterexamples were proven
+    unstabilizable together (the two-stage engine's sign test)."""
 
 
 class ParseError(DcsynthError):

@@ -15,8 +15,9 @@ For S(z) = a0 z^N + ... + aN with a0 > 0 the verdict is Stable iff:
 same recursion runs on RationalInterval and float coefficients;
 `jury_stable` runs its reduction on integer rows over a denominator, with
 the values it gives on Fraction coefficients.
-`segment_chain` and `has_root` are Białas' exact segment test, and
-`zero_excluded` the zero-exclusion sweep of a box's value set.
+`segment_chain` and `has_root` are Białas' exact segment test,
+`zero_excluded` the zero-exclusion sweep of a box's value set, and
+`tarski_query` the signs of one polynomial at the real roots of another.
 `eliminate` is the one fraction-free elimination on integer rows, for the
 segment test's Hurwitz minors (`determinant`), its interpolation of Δ(t)
 from them and the pole-placement starts (`solve`).
@@ -34,7 +35,8 @@ from fractions import Fraction
 
 from .errors import DegenerateCharPoly, check_deadline
 from .intervals import IntervalPoly
-from .transfer import Poly, convolve, integerize, poly_divmod, poly_roots
+from .transfer import (Poly, convolve, integerize, poly_divmod, poly_mul,
+                       poly_roots)
 
 
 class Status(enum.Enum):
@@ -304,14 +306,26 @@ def sturm_chain(a: Poly, b: Poly | None = None) -> list:
     chain = [a]
     while any(b):
         chain.append(b)
-        a, b = b, _primitive([-x for x in
-                              poly_divmod(Poly(a), Poly(b))[1].coeffs])
+        a, b = b, _primitive([-x for x in _remainder(a, b)])
     return chain
 
 
+def _remainder(a, b) -> list:
+    """A positive multiple of the remainder of a by b, integer coefficient
+    lists, b's lead nonzero: each step scales the rest by |lead of b|."""
+    scale, sign = abs(b[0]), 1 if b[0] > 0 else -1
+    while len(a) >= len(b):
+        f = sign * a[0]
+        a = ([scale * x - f * y for x, y in zip(a[1:], b[1:])]
+             + [scale * x for x in a[len(b):]])
+    return a or [0]
+
+
 def _primitive(coeffs) -> list:
-    """Coefficients, without leading zeros, times a positive integerizer."""
-    c, _ = integerize(Poly(coeffs).normalize().coeffs)
+    """Coefficients (ints or Fractions), without leading zeros but the
+    last, times a positive integerizer."""
+    c, _ = integerize(coeffs)
+    c = c[next((i for i, x in enumerate(c) if x), len(c) - 1):]
     g = math.gcd(*c) or 1
     return [x // g for x in c]
 
@@ -336,15 +350,47 @@ def _sign_at(c, x) -> int:
     return (acc > 0) - (acc < 0)
 
 
+def _square_free(p: Poly) -> Poly:
+    """p over gcd(p, p'): p's distinct roots, each simple."""
+    return poly_divmod(p, Poly(sturm_chain(p)[-1]))[0]
+
+
+def root_bound(p: Poly) -> int:
+    """An integer above the modulus of every root of the nonzero p (Cauchy:
+    1 + max|c_i / c_0|)."""
+    c = _primitive(p.coeffs)
+    return max(map(abs, c)) // abs(c[0]) + 2
+
+
+def tarski_query(p: Poly, q: Poly, ends) -> list:
+    """Σ sign q(x) over the distinct real roots x of the nonzero p in each
+    interval (lo, hi] of consecutive `ends`, ascending rationals.  By
+    Sylvester's theorem (Basu, Pollack & Roy, *Algorithms in Real Algebraic
+    Geometry*, §2.2) it is the sign changes of sturm_chain(p, p'·q) at lo
+    less those at hi, where neither is a root of p: so it runs on p's
+    square-free part with its roots at the ends divided out, each counted
+    by the sign of q there in the interval it closes."""
+    p, at_ends = _square_free(p), []
+    for x in ends:
+        root = p(x) == 0
+        if root:
+            p = poly_divmod(p, Poly([1, -x]))[0]
+        at_ends.append(root and (q(x) > 0) - (q(x) < 0))
+    n = p.degree
+    dp = Poly([c * (n - i) for i, c in enumerate(p.coeffs[:-1])] or [0])
+    chain = sturm_chain(p, poly_mul(dp, q))
+    changes = [_sign_changes(chain, x) for x in ends]
+    return [a - b + c for a, b, c in zip(changes, changes[1:], at_ends[1:])]
+
+
 def positive_roots(p: Poly) -> list:
     """The distinct real roots of p in (0, inf), ascending, each as the float
     at or just above it: isolated by Sturm counts of p's square-free part on
     halvings of (0, 2^k], refined by bisection on its exact sign in floats."""
     if p.is_zero():
         raise ValueError("the zero polynomial vanishes everywhere")
-    chain = sturm_chain(poly_divmod(p, Poly(sturm_chain(p)[-1]))[0])
-    # Cauchy's bound: every root has modulus below 1 + max|c_i / c_0|.
-    bound = max(map(abs, chain[0])) // abs(chain[0][0]) + 2
+    chain = sturm_chain(_square_free(p))
+    bound = root_bound(Poly(chain[0]))
     pending = [(Fraction(0), Fraction(2 ** bound.bit_length()))]
     roots = []
     while pending:

@@ -25,7 +25,8 @@ from dcsynth.fixedpoint import FixedPointFormat, FixedPointValue, quantize_poly
 from dcsynth.intervals import family_grid_box, family_to_interval_poly
 from dcsynth.stability import (JuryVerdict, Status, jury_stable,
                                jury_stable_interval, root_oracle, solve)
-from dcsynth.transfer import Controller, PlantFamily, TransferFunction, char_poly
+from dcsynth.transfer import (Controller, PlantFamily, TransferFunction,
+                              char_poly, convolve)
 from test_stability import random_stable_poly
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "scripts"))
@@ -122,16 +123,33 @@ def test_den_lead_penalty_keeps_controllers_causal():
         assert c.den[0].raw != 0, seed
 
 
+# N/D with D = N·(z - 1/2) and N = z^2 - 9/4 z + 11/8, whose complex roots
+# of modulus about 1.17 are roots of every closed loop Cn·N + Cd·D: no
+# controller stabilizes it, but D has no real root on or outside the unit
+# circle, so the sign test cannot tell, and a search runs to its end.  Its
+# coefficients are dyadic, so the plant grid keeps the shared factor.
+SHARED_UNSTABLE_FACTOR = TransferFunction(
+    [1, Fraction(-9, 4), Fraction(11, 8)],
+    [1, Fraction(-11, 4), Fraction(5, 2), Fraction(-11, 16)])
+
+
 def test_exhaustive_sweep_honours_deadline():
     # The <2,2> grid of a (1,1) controller is small enough to sweep (about
-    # 9e5 points), and no controller stabilizes the zero-gain plant: past the
-    # deadline the sweep must stop, not run on for seconds.
-    hopeless = PlantFamily(TransferFunction([0], [1, Fraction(-3, 2)]))
+    # 9e5 points, over a second), and no controller stabilizes the plant:
+    # past the deadline the sweep must stop, not run on for seconds.  A
+    # one-step budget starts the second search's sweep at once.
+    hopeless = PlantFamily(SHARED_UNSTABLE_FACTOR)
     start = time.perf_counter()
     result = cegis_two_stage(hopeless, FixedPointFormat(2, 2), (1, 1), 1,
-                             Limits(timeout_s=0.05))
+                             Limits(timeout_s=0.05, synth_budget=1))
     assert result.reason == "timeout"
     assert time.perf_counter() - start < 1.0
+    # A zero-gain plant with an unstable pole fails the sign test on its
+    # first counterexample: no second search runs.
+    hopeless = PlantFamily(TransferFunction([0], [1, Fraction(-3, 2)]))
+    result = cegis_two_stage(hopeless, FixedPointFormat(2, 2), (1, 1), 1,
+                             Limits(timeout_s=0.05))
+    assert (result.reason, result.iterations) == ("no-candidate", 2)
 
 
 def _landscape(seed, rarity):
@@ -288,12 +306,106 @@ def _evaluators(monkeypatch, inputs, fmt, orders):
     return captured["evaluate"], captured["evaluate_batch"]
 
 
-# Counterexamples of cruise_uncertain's failing third search.
+# The first two counterexamples of every cruise_uncertain two-stage run: no
+# controller stabilizes both (see the sign test below), so a search against
+# them must fail.
 CRUISE_UNCERTAIN_CEX = [
     TransferFunction([Fraction(-7945689, 2 ** 24)],
                      [1, Fraction(-6290617, 2 ** 22)]),
     TransferFunction([Fraction(4415763, 2 ** 23)],
                      [1, Fraction(-6290617, 2 ** 22)])]
+
+
+def obstructed(*plants):
+    """Whether the sign test finds that no controller stabilizes the last
+    of the `plants` with the earlier ones."""
+    return cegis_mod._sign_obstructed([TransferFunction(*p) for p in plants])
+
+
+def test_sign_test_on_cruise_uncertain_counterexamples():
+    # -0.4736/(z - 1.4998) and 0.5264/(z - 1.4998): at the shared pole, S_i
+    # = Cn·N_i, whose two signs cannot both be the sign of the lead.
+    a, b = ((p.num, p.den) for p in CRUISE_UNCERTAIN_CEX)
+    assert obstructed(a, b) and obstructed(b, a)
+    assert not obstructed(a) and not obstructed(b)
+    # Same sign at the pole: one controller may stabilize both.
+    assert not obstructed(b, ([Fraction(3, 10)], b[1]))
+    # The test compares plants with the same denominator only.
+    assert not obstructed(b, (a[0], [1, Fraction(-3, 2)]))
+
+
+def test_sign_test_on_a_plant_with_no_gain_at_an_unstable_pole():
+    assert obstructed(([0], [1, Fraction(-3, 2)]))
+    assert obstructed(([1, -1], [1, 0, -4]), ([1, -2], [1, 0, -4]))
+    assert not obstructed(([1, -1], [1, 0, -4]))
+
+
+def test_sign_test_at_irrational_poles():
+    # z^2 - 3z + 1 has roots about 2.618 and 0.382: only the first counts.
+    den = [1, -3, 1]
+    assert not obstructed(([1], den), ([1, -1], den))  # differ at 0.382
+    assert obstructed(([1], den), ([1, -3], den))  # differ at 2.618
+    # The last plant is compared with the first.
+    assert obstructed(([1], den), ([1, -1], den), ([1, -3], den))
+    assert not obstructed(([1], den), ([1, -1], den), ([2], den))
+
+
+def test_sign_test_at_poles_on_the_unit_circle():
+    for pole in (1, -1):
+        den = [1, -pole]
+        assert obstructed(([1], den), ([-1], den))
+        assert not obstructed(([1], den), ([2], den))
+        assert obstructed(([0], den))
+    # Poles at 1 and 2: the signs may differ at either.
+    den = [1, -3, 2]
+    assert obstructed(([1], den), ([-1, Fraction(3, 2)], den))  # at 2
+    assert obstructed(([1], den), ([1, Fraction(-3, 2)], den))  # at 1
+    assert not obstructed(([1], den), ([1, Fraction(-1, 2)], den))
+    # Poles at -1 and -2.
+    den = [1, 3, 2]
+    assert obstructed(([1], den), ([1, Fraction(3, 2)], den))  # at -2
+    assert not obstructed(([1], den), ([-1, Fraction(-1, 2)], den))
+
+
+def test_sign_test_skips_plants_that_are_not_strictly_proper():
+    # With deg N = deg D, Cn·N may set the lead or degree of S: no claim.
+    den = [1, Fraction(-3, 2)]
+    assert not obstructed(([1, 0], den), ([-1, 0], den))
+    assert not obstructed(([1], den), ([-1, 0], den))
+    assert not obstructed(([1, 0], den), ([-1], den))
+    # A strictly proper plant is compared with the first strictly proper
+    # one with its denominator.
+    assert obstructed(([1, 0], den), ([1], den), ([-1], den))
+
+
+def test_sign_test_never_flags_pairs_a_static_gain_stabilizes():
+    # Seeded pairs N_i/D with D monic, of real poles on or outside the unit
+    # circle among others, and k·N_i + D a stable S_i, so that the static
+    # gain k stabilizes both, as exact Jury of both loops shows.
+    rng = random.Random(31)
+    one = FixedPointValue(1 << 16, F416)
+    for _ in range(150):
+        order = rng.randint(1, 4)
+        poles = [Fraction(rng.choice((-1, 1)) * rng.randint(8, 20), 8)]
+        poles += [Fraction(rng.randint(-20, 20), 8)
+                  for _ in range(order - 1)]
+        den = [Fraction(1)]
+        for r in poles:
+            den = convolve(den, [1, -r], Fraction(0))
+        raw = rng.choice((-1, 1)) * rng.randint(1 << 10, 7 << 16)
+        gain = FixedPointValue(raw, F416)
+        plants = []
+        for _ in range(2):
+            s = random_stable_poly(rng, order, min_modulus=0.1, scale=64)
+            plants.append(TransferFunction(
+                [(x - y) / gain.value for x, y in zip(s[1:], den[1:])], den))
+        controller = Controller([gain], [one])
+        if not all(jury_stable(char_poly(controller, p)).is_stable
+                   for p in plants):
+            continue  # rounding moved a root of s out
+        assert plants[0].num.degree < order
+        assert not cegis_mod._sign_obstructed(plants), plants
+        assert not cegis_mod._sign_obstructed(plants[::-1]), plants
 
 
 def test_climb_steps_over_neighbours_known_not_to_improve(monkeypatch):
@@ -1075,12 +1187,19 @@ def test_two_stage_timeout():
 def test_deadline_inside_search_reports_timeout():
     # Unstabilizable family: the deadline passes inside the candidate
     # search, and both engines name it the same way.
-    fam = cruise_family(delta_num=[Fraction(1, 2)],
-                        delta_den=[0, Fraction(1, 2)])
+    fam = PlantFamily(SHARED_UNSTABLE_FACTOR,
+                      plant_format=DEFAULT_PLANT_FORMAT)
     for engine in (cegis_two_stage, cegis_one_stage):
         result = engine(fam, F416, (2, 2), seed=1,
                         limits=Limits(timeout_s=0.05))
         assert not result.success and result.reason == "timeout", engine
+    # cruise_uncertain's family: its first two counterexamples fail the
+    # sign test, so the two-stage run ends before its third search.
+    fam = cruise_family(delta_num=[Fraction(1, 2)],
+                        delta_den=[0, Fraction(1, 2)])
+    result = cegis_two_stage(fam, F416, (2, 2), seed=1,
+                             limits=Limits(timeout_s=0.05))
+    assert (result.reason, result.iterations) == ("no-candidate", 3)
 
 
 def test_failure_past_the_deadline_reports_timeout(monkeypatch):
@@ -1163,11 +1282,24 @@ def test_determinism_same_seed_same_controller():
     assert a.transcript == b.transcript
 
 
-def test_failure_on_unstabilizable_family():
+def test_failure_on_unstabilizable_family(monkeypatch):
+    # The second counterexample fails the sign test against the first: the
+    # third iteration ends the run in place of its search.
+    searches = []
+    search = cegis_mod.synthesize_candidate
+
+    def counted(*args, **kw):
+        searches.append(args[0][:])
+        return search(*args, **kw)
+
+    monkeypatch.setattr(cegis_mod, "synthesize_candidate", counted)
     fam = cruise_family(delta_num=[Fraction(1, 2)],
                         delta_den=[0, Fraction(1, 2)])
     result = cegis_two_stage(fam, F416, (2, 2), seed=1,
                              limits=Limits(max_iterations=4,
                                            synth_budget=3000))
     assert not result.success
-    assert result.reason in ("no-candidate", "iteration-limit", "timeout")
+    assert (result.reason, result.iterations) == ("no-candidate", 3)
+    assert [len(inputs) for inputs in searches] == [0, 1]
+    assert [e["phase"] for e in result.transcript] == [
+        "synthesize", "counterexample"] * 2

@@ -16,8 +16,9 @@ from dcsynth.intervals import IntervalPoly, RationalInterval
 from dcsynth.stability import (Status, bilinear, determinant, has_root,
                                jury_conditions, jury_stable,
                                jury_stable_interval, positive_roots,
-                               root_oracle, segment_chain, segment_minor,
-                               sturm_chain, zero_excluded)
+                               root_bound, root_oracle, segment_chain,
+                               segment_minor, sturm_chain, tarski_query,
+                               zero_excluded)
 from dcsynth.transfer import Poly, poly_mul, poly_roots
 
 
@@ -498,6 +499,60 @@ def test_positive_roots_of_constant_and_zero_polynomials():
     assert positive_roots(Poly([0, 0, -2])) == []
     with pytest.raises(ValueError):
         positive_roots(Poly([0, 0]))
+
+
+def test_tarski_query_small_cases():
+    # z^2 - 3z + 1: roots (3 ± √5)/2, about 2.618 and 0.382.
+    p = Poly([1, -3, 1])
+    bound = root_bound(p)
+    assert bound > 2.62
+    assert tarski_query(p, Poly([1]), (-bound, bound)) == [2]
+    assert tarski_query(p, Poly([1, -1]), (-bound, 1, bound)) == [-1, 1]
+    assert tarski_query(p, Poly([1, -3]), (-bound, bound)) == [-2]
+    assert tarski_query(p, Poly([0]), (-bound, bound)) == [0]
+    # (z - 1)^2 (z - 2): a root at an end counts in the interval it closes,
+    # by the sign of q there, 0 where q vanishes.
+    p = poly_mul(Poly([1, -2, 1]), Poly([1, -2]))
+    assert tarski_query(p, Poly([1]), (0, 1, 2, 5)) == [1, 1, 0]
+    assert tarski_query(p, Poly([-1]), (0, 2)) == [-2]
+    assert tarski_query(p, Poly([1, -1]), (0, 1, 2)) == [0, 1]
+    # Constants have no roots, and one end gives no interval.
+    assert tarski_query(Poly([3]), Poly([1]), (-5, 5)) == [0]
+    assert tarski_query(p, Poly([1]), (1,)) == []
+
+
+def test_tarski_query_matches_the_signs_at_known_roots():
+    # Seeded products of rational roots, some repeated, and of a quadratic
+    # with no real root, against q's exact signs there; the interval ends
+    # fall on roots about half of the time.
+    rng = random.Random(23)
+    for _ in range(300):
+        roots = [Fraction(rng.randint(-12, 12), rng.choice((1, 2, 4, 3)))
+                 for _ in range(rng.randint(0, 5))]
+        p = Poly([rng.choice((-3, 1, 2))])
+        for r in roots:
+            p = poly_mul(p, Poly([1, -r]) if rng.random() < 0.8
+                         else Poly([1, -2 * r, r * r]))
+        if rng.random() < 0.3:
+            p = poly_mul(p, Poly([1, rng.randint(-2, 2), 5]))
+        q = Poly([Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+                  for _ in range(rng.randint(1, 4))])
+        ends = sorted(set(rng.sample(roots, min(len(roots), 3))
+                          if rng.random() < 0.5 else
+                          [Fraction(rng.randint(-30, 30), 7)
+                           for _ in range(3)]))
+        expected = [sum((q(r) > 0) - (q(r) < 0) for r in set(roots)
+                        if lo < r <= hi) for lo, hi in zip(ends, ends[1:])]
+        assert tarski_query(p, q, ends) == expected, (p, q, ends)
+
+
+def test_root_bound_exceeds_every_root():
+    rng = random.Random(29)
+    for _ in range(100):
+        p = Poly([rng.randint(-50, 50) or 1
+                  for _ in range(rng.randint(1, 7))])
+        if p.degree:
+            assert max(abs(r) for r in poly_roots(p.coeffs)) < root_bound(p)
 
 
 def test_zero_exclusion_sweep_small_cases():
