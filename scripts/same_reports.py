@@ -37,7 +37,15 @@ working tree's `src/`, runs:
   vertices, with a denominator lead through zero, and generic (order 1-4,
   1-4 uncertain coefficients), on the grid box with its <8,12> grid and
   on the inflated box, each with the zero-exclusion sweep and with it
-  refusing, comparing the verdict and evidence.
+  refusing, comparing the verdict and evidence;
+- the candidate search (`synthesize_candidate`, no placement starts) on
+  cruise_uncertain's first two counterexamples at budgets 1, 50, 2000,
+  9876 and 12000, seeds 1, 3, 14 and 801681276; on a plant whose unstable
+  factor every closed loop shares at <4,12> orders (2, 2) and <6,12>
+  orders (3, 3), budget 3000; and on seeded random order-1 and order-2
+  input sets at budgets 4000, 2345 and 17, two or three plants each, or
+  one on the third of them whose grids are small enough to sweep;
+  comparing the raws found or the `NoCandidate` message.
 
 Both trees read the working tree's benchmark files.  Prints every
 differing line of each differing report and exits 1 on any difference,
@@ -230,6 +238,63 @@ for k in range(int(sys.argv[1])):
 print(json.dumps(out))
 """
 
+SEARCH_SETS = 18
+SEARCH_BUDGETS = (4000, 2345, 17)
+# Sweepable (format bits, orders): at most 50625 grid points.
+SWEEPABLE = (((1, 1), (1, 1)), ((1, 1), (1, 2)), ((1, 2), (0, 1)),
+             ((2, 1), (1, 1)))
+# Reads [[plants, format bits, orders, seed, budget], ...] on stdin, each
+# plant [num, den] as strings; prints one JSON list of the raws found or
+# the NoCandidate message.
+SEARCH_CHILD = """
+import json, sys
+from fractions import Fraction
+from dcsynth.cegis import synthesize_candidate
+from dcsynth.errors import NoCandidate
+from dcsynth.fixedpoint import FixedPointFormat
+from dcsynth.transfer import TransferFunction
+out = []
+for plants, bits, orders, seed, budget in json.load(sys.stdin):
+    inputs = [TransferFunction(*([Fraction(c) for c in p] for p in plant))
+              for plant in plants]
+    try:
+        c = synthesize_candidate(inputs, FixedPointFormat(*bits), orders,
+                                 seed, budget)
+        out.append([v.raw for v in c.num + c.den])
+    except NoCandidate as exc:
+        out.append(str(exc))
+print(json.dumps(out))
+"""
+
+
+def search_cases():
+    """The searches to compare, as SEARCH_CHILD reads them."""
+    den = ["1", "-6290617/4194304"]
+    cex = [[["-7945689/16777216"], den], [["4415763/8388608"], den]]
+    cases = [[cex, (4, 16), (2, 2), seed, budget]
+             for budget in (1, 50, 2000, 9876, 12000)
+             for seed in (1, 3, 14, 801681276)]
+    # N/D with D = N·(z - 1/2): N's roots, of modulus about 1.17, are roots
+    # of every closed loop.
+    shared = [[["1", "-9/4", "11/8"], ["1", "-11/4", "5/2", "-11/16"]]]
+    cases += [[shared, bits, orders, 1, 3000]
+              for bits, orders in (((4, 12), (2, 2)), ((6, 12), (3, 3)))]
+    rng = random.Random(0)
+    for k in range(SEARCH_SETS):
+        # One plant on a sweepable grid, where more are rarely stabilized.
+        order, sweep = rng.randint(1, 2), k % 3 == 0
+        plants = [[[str(Fraction(rng.randint(-1000, 1000), 1000))
+                    for _ in range(rng.randint(1, order + 1))],
+                   ["1"] + [str(Fraction(rng.randint(-2500, 2500), 1000))
+                            for _ in range(order)]]
+                  for _ in range(1 if sweep else rng.randint(2, 3))]
+        bits, orders = (rng.choice(SWEEPABLE) if sweep else
+                        ((rng.choice((3, 4)), rng.choice((8, 10))),
+                         (rng.randint(0, 2), rng.randint(0, 2))))
+        cases += [[plants, bits, orders, 14, budget]
+                  for budget in SEARCH_BUDGETS]
+    return cases
+
 
 def cli_rows():
     os.chdir(ROOT)  # perfbench/run.py resolves benchmark paths from here
@@ -338,6 +403,13 @@ def box_verdicts(src):
     return json.loads(proc.stdout)
 
 
+def searches(src, cases):
+    proc = run(src, ["-c", SEARCH_CHILD], json.dumps(cases))
+    if proc.returncode != 0:
+        sys.exit(f"search child failed on {src}:\n{proc.stderr[-2000:]}")
+    return json.loads(proc.stdout)
+
+
 def line_differences(a, b):
     """Every differing line of two texts, as indented unified-diff lines
     without context (REV's lines -, the working tree's +)."""
@@ -366,6 +438,8 @@ def main():
         placed = {name: starts(src) for name, src in trees.items()}
         steps = {name: step_responses(src) for name, src in trees.items()}
         boxes = {name: box_verdicts(src) for name, src in trees.items()}
+        cases = search_cases()
+        found = {name: searches(src, cases) for name, src in trees.items()}
     old, new = (cli[name] for name in trees)
     for key in old:
         for part, a, b in zip(("exit code", "report", "CSV"), old[key],
@@ -402,13 +476,20 @@ def main():
         if a != b:
             differences += 1
             print(f"box verdict {k} (family {k // 4}): {a} != {b}")
-    settled = Counter(a[0] for a in old)
+    settled, verdicts = Counter(a[0] for a in old), len(old)
+    old, new = (found[name] for name in trees)
+    for case, a, b in zip(cases, old, new):
+        if a != b:
+            differences += 1
+            print(f"search {case[1:]} on {case[0]}: {a} != {b}")
+    accepted = sum(isinstance(a, list) for a in old)
     print(f"{len(rows) * len(CLI_SEEDS)} cli calls, {len(synth[rev])} "
           f"synthesis runs, {len(plants)} ZOH plants, {len(placed[rev])} "
           f"placement start lists, {len(steps[rev])} step responses "
-          f"({overflowing} overflowing) and {len(old)} box verdicts ("
+          f"({overflowing} overflowing), {verdicts} box verdicts ("
           + ", ".join(f"{n} {k}" for k, n in sorted(settled.items()))
-          + f") compared against {rev}: {differences} differences")
+          + f") and {len(cases)} searches ({accepted} accepting) compared "
+          f"against {rev}: {differences} differences")
     return 1 if differences else 0
 
 

@@ -14,15 +14,13 @@ verdict from that proof attempt.  The one-stage engine's certificate is
 the interval Jury verdict that accepted its controller.
 
 The candidate search is deterministic seeded hill climbing over the <I,F>
-coefficient grid with restarts, falling back to exhaustive enumeration when
-the grid is small enough to sweep.  Its budget counts climb steps, some of
-which the climb knows the answer to and does not evaluate.  In the
-two-stage engine the restarts start at the origin, then at pole-placement
+coefficient grid with restarts, run one at a time, falling back to
+exhaustive enumeration when the grid is small enough to sweep.  Its budget
+counts climb steps, some of which the climb knows the answer to and does
+not evaluate; no restart evaluates a point past it.  In the two-stage
+engine the restarts start at the origin, then at pole-placement
 controllers for the nominal plant, placed once per run when first needed,
-then at seeded random points.  Once the origin and every placement start
-have failed, the two-stage search runs up to 128 restarts side by side,
-their float guidance in one numpy pass per step and coefficient shape of
-the plants; it returns what the one-at-a-time search returns.
+then at seeded random points.
 
 Before each search, the two-stage loop runs a sign test on the newest
 counterexample (`_sign_obstructed`): where it proves that no controller
@@ -57,8 +55,6 @@ DEFAULT_PLANT_FORMAT = FixedPointFormat(16, 24)
 PRECISION_STEP = (4, 4)
 PRECISION_CAP = FixedPointFormat(32, 32)
 EXHAUSTIVE_LIMIT = 1 << 20
-SIDE_BY_SIDE = 128     # restarts climbing side by side; sweep batch size
-BATCH_MIN = 16         # fewer points than this take the scalar guidance
 PLACEMENT_RADII = (Fraction(1, 5), Fraction(2, 5))  # closed-loop pole radii
 PLACEMENT_FILL = (1, 4)  # a start's largest raw is the limit over these
 
@@ -109,110 +105,53 @@ def concrete_verdict(candidate: Controller, plant: TransferFunction) -> JuryVerd
     return jury_stable(s)
 
 
-@dataclass
-class _Climb:
-    """A restart under way: its `_climb` generator, the point it waits to
-    have evaluated and its climb steps so far, that point's included; once
-    it ends, the point it accepted, or None."""
-    gen: object
-    point: list | None = None
-    steps: int = 0
-    running: bool = True
-    accepted: tuple | None = None
-
-    def send(self, result):
-        """Sends the waiting point its (accepted, cost), or starts the climb
-        with None; returns the climb steps this adds."""
-        try:
-            self.point, steps = self.gen.send(result)
-        except StopIteration as stop:
-            self.running = False
-            self.accepted, steps = stop.value
-        self.steps += steps
-        return steps
-
-
 def _grid_search(n_coeffs, fmt, seed, budget, evaluate, num_len,
-                 deadline=None, evaluate_batch=None, starts=lambda: ()):
+                 deadline=None, starts=lambda: ()):
     """Deterministic seeded hill climbing with restarts over raw-integer
     coordinates; returns an accepted raw vector, or raises NoCandidate, or
     DeadlineExceeded past the `deadline`.
 
-    evaluate(raws) -> (accepted, cost); cost 0.0 only for accepted points.
-    The budget counts climb steps (see `_climb`): every step counts, also
-    one whose answer the climb already knows and so does not evaluate.
-    evaluate_batch(points), if given, yields the same pairs for a list of
-    points, in order; then, once the origin and every point of `starts()`
-    have failed, up to SIDE_BY_SIDE restarts climb side by side, one point
-    each per batch.  They settle in pool order, and a restart's acceptance
-    counts only when every earlier one has failed and all their steps and
-    its own fit the budget: the result and the budget accounting are those
-    of running the restarts one at a time.  The first restart starts at
-    the origin, the next ones at the points `starts()` gives, called
-    (maybe more than once) only once the origin has failed, then at seeded
-    random points.  The climbs never step the denominator leading raw
-    (index num_len) to zero and the sweep skips such points, but the
-    origin probe and its climb start at zero: `evaluate` must penalize
-    those points.
+    evaluate(raws) -> (accepted, cost) for a tuple of raws; cost 0.0 only
+    for accepted points.  The restarts run one at a time.  The budget
+    counts climb steps (see `_climb`): every step counts, also one whose
+    answer the climb already knows and so does not evaluate, and a point is
+    evaluated only while the steps up to it fit the budget.  The first
+    restart starts at the origin, the next ones at the points `starts()`
+    gives, called only once the origin has failed, then at seeded random
+    points.  Once the budget is spent, only the exhaustive sweep of a grid
+    of at most EXHAUSTIVE_LIMIT points runs, in product order.  The climbs
+    never step the denominator leading raw (index num_len) to zero and the
+    sweep skips such points, but the origin probe and its climb start at
+    zero: `evaluate` must penalize those points.
     """
-    rng = random.Random(seed)
     limit = fmt.raw_limit
-    pool = _start_pool(rng, n_coeffs, num_len, limit, fmt.scale, starts)
-    batch = evaluate_batch or (lambda points: map(evaluate, points))
-    used = failed = 0  # the failed restarts' steps, and their count
-    climbs = []  # the restarts under way, in pool order
-    closed = False  # no restart past the last one in `climbs` can count
-    while True:
-        check_deadline(deadline)
-        while climbs and not climbs[0].running:
-            head = climbs.pop(0)
-            if head.accepted is not None and used + head.steps <= budget:
-                return head.accepted
-            used += head.steps
-            failed += 1
-        # The running restarts that can still count: from the first one
-        # whose waiting point would overrun the budget on, none can.
-        total, running = used, []
-        for k, climb in enumerate(climbs):
-            if climb.running:
-                if total + climb.steps > budget:
-                    del climbs[k:]
-                    closed = True
+    pool = _start_pool(random.Random(seed), n_coeffs, num_len, limit,
+                       fmt.scale, starts)
+    used = 0  # climb steps taken
+    while used < budget:
+        climb, result = _climb(next(pool), n_coeffs, num_len, limit), None
+        try:
+            while True:
+                point, steps = climb.send(result)
+                used += steps
+                if used > budget:
                     break
-                running.append(climb)
-            total += climb.steps
-        width = (SIDE_BY_SIDE if evaluate_batch and failed
-                 and failed > len(starts()) else 1)
-        while len(running) < width and total < budget and not closed:
-            climbs.append(_Climb(_climb(next(pool), n_coeffs, num_len,
-                                        limit)))
-            total += climbs[-1].send(None)
-            running.append(climbs[-1])
-        if not running:
-            break
-        # Step the running restarts together, one point each.
-        for climb, result in zip(running, batch([tuple(c.point)
-                                                 for c in running])):
-            climb.send(result)
-            if climb.accepted is not None:  # later ones never count
-                del climbs[climbs.index(climb) + 1:]
-                closed = True
-                break
+                check_deadline(deadline)
+                result = evaluate(tuple(point))
+        except StopIteration as stop:
+            accepted, steps = stop.value
+            if accepted is not None:
+                return accepted
+            used += steps
 
     # Exhaustive sweep is feasible only for tiny grids; it turns a failed
     # search into a proof that no candidate exists.
-    span = 2 * limit - 1
-    if span ** n_coeffs <= EXHAUSTIVE_LIMIT:
-        values = range(-limit + 1, limit)
-        points = (raws for raws in itertools.product(values, repeat=n_coeffs)
-                  if raws[num_len] != 0)
-        while True:
-            check_deadline(deadline)
-            chunk = list(itertools.islice(points, SIDE_BY_SIDE))
-            if not chunk:
-                break
-            for raws, (accepted, _) in zip(chunk, batch(chunk)):
-                if accepted:
+    if (2 * limit - 1) ** n_coeffs <= EXHAUSTIVE_LIMIT:
+        for raws in itertools.product(range(-limit + 1, limit),
+                                      repeat=n_coeffs):
+            if raws[num_len] != 0:
+                check_deadline(deadline)
+                if evaluate(raws)[0]:
                     return raws
         raise NoCandidate(f"no controller on the {fmt} grid stabilizes the "
                           "inputs")
@@ -321,10 +260,13 @@ def synthesize_candidate(inputs, controller_format: FixedPointFormat, orders,
                          seed: int, budget: int, deadline=None,
                          starts=lambda: ()) -> Controller:
     """Find a controller whose closed loop is exactly Jury-stable against
-    every plant in `inputs` (with none, the origin, the first point tried),
-    its restarts after the origin's starting at the raw points `starts()`
-    gives, called only once the origin's climb has failed; raises
-    NoCandidate, or DeadlineExceeded past the `deadline`."""
+    every plant in `inputs` (with none, the origin, the first point tried)
+    by `_grid_search`'s restarts, one at a time within `budget` climb
+    steps; those after the origin's start at the raw points `starts()`
+    gives, called only once the origin's climb has failed.  Float Jury
+    margins of the closed loops guide each point, and only their exact
+    verdicts accept it.  Raises NoCandidate, or DeadlineExceeded past the
+    `deadline`."""
     if orders[0] < 0 or orders[1] < 0:
         raise ValueError("controller orders must be >= 0")
     if budget <= 0:
@@ -352,42 +294,8 @@ def synthesize_candidate(inputs, controller_format: FixedPointFormat, orders,
                 cost += -margin + 1e-9
         return cost
 
-    # The plants by coefficient shape, in plant order within each shape.
-    shapes = {}
-    for k, (gn, gd) in enumerate(plant_floats):
-        shapes.setdefault((len(gn), len(gd)), []).append(k)
-
-    def batch_guidance(points):
-        """guidance() of every point, bit for bit, in float64 arrays: the
-        plants of one coefficient shape share one pass, on an axis of their
-        own, and their cost rows are added in plant order."""
-        if len(points) < BATCH_MIN:
-            return map(guidance, points)
-        import numpy as np  # not loaded unless a batch pass runs
-
-        raws = np.fromiter(itertools.chain.from_iterable(points), float,
-                           len(points) * n_coeffs).reshape(-1, n_coeffs)
-        cn = [raws[:, j] * step for j in range(m)]
-        cd = [raws[:, j] * step for j in range(m, n_coeffs)]
-        fallback = raws[:, m] == 0.0
-        rows = {}  # plant index -> its cost row
-        for group in shapes.values():
-            # Each coefficient as a column, one row per plant.
-            gn, gd = (np.array([plant_floats[k][side] for k in group]).T
-                      [..., None] for side in (0, 1))
-            unfollowed = np.zeros((len(group), len(points)), bool)
-            margin = _float_jury_margins(
-                closed_loop_coeffs(cn, gn, cd, gd, 0.0), unfollowed)
-            fallback |= unfollowed.any(axis=0)
-            rows.update(zip(group, np.where(margin <= 0.0, -margin + 1e-9,
-                                            0.0)))
-        cost = np.zeros(len(points))
-        for k in range(len(plant_floats)):
-            cost += rows[k]
-        return [guidance(p) if f else c
-                for p, f, c in zip(points, fallback.tolist(), cost.tolist())]
-
-    def confirm(raws, cost):
+    def evaluate(raws):
+        cost = guidance(raws)
         if cost > 0.0:
             return False, cost
         cand = _controller_from_raws(raws, controller_format, orders)
@@ -397,12 +305,8 @@ def synthesize_candidate(inputs, controller_format: FixedPointFormat, orders,
                 return False, float(-v.margin) + 1e-9
         return True, 0.0
 
-    raws = _grid_search(
-        n_coeffs, controller_format, seed, budget,
-        lambda raws: confirm(raws, guidance(raws)), m, deadline=deadline,
-        evaluate_batch=lambda points: map(confirm, points,
-                                          batch_guidance(points)),
-        starts=starts)
+    raws = _grid_search(n_coeffs, controller_format, seed, budget, evaluate,
+                        m, deadline=deadline, starts=starts)
     return _controller_from_raws(raws, controller_format, orders)
 
 
@@ -458,34 +362,6 @@ def _float_jury_margin(c) -> float:
             return min(margin, 0.0)
         if value < margin:
             margin = value
-    return margin
-
-
-def _float_jury_margins(c, fallback):
-    """`_float_jury_margin` of many coefficient lists at once: `c` holds one
-    float64 array per coefficient, one element per list, all of one shape
-    (plants by points, say).  The operations and their order are the same,
-    so each margin is bit-identical.  Lists it cannot follow (zero leading
-    coefficient, degree 0, a zero pivot) are marked in the boolean array
-    `fallback`, of that shape, their margins left undefined."""
-    import numpy as np
-
-    fallback |= c[0] == 0.0
-    if len(c) == 1:
-        fallback[:] = True
-        return c[0]
-    negative = c[0] < 0
-    c = [np.where(negative, -x, x) for x in c]
-
-    def zero_pivot(pivot):
-        fallback[pivot == 0.0] = True
-        return False
-
-    with np.errstate(all="ignore"):  # zero pivots: those lists fall back
-        conditions = jury_conditions(c, zero_pivot)
-        _, margin = next(conditions)
-        for _, value in conditions:
-            margin = np.where(value < margin, value, margin)
     return margin
 
 

@@ -135,7 +135,7 @@ SHARED_UNSTABLE_FACTOR = TransferFunction(
 
 def test_exhaustive_sweep_honours_deadline():
     # The <2,2> grid of a (1,1) controller is small enough to sweep (about
-    # 9e5 points, over a second), and no controller stabilizes the plant:
+    # 9e5 points, about ten seconds), and no controller stabilizes the plant:
     # past the deadline the sweep must stop, not run on for seconds.  A
     # one-step budget starts the second search's sweep at once.
     hopeless = PlantFamily(SHARED_UNSTABLE_FACTOR)
@@ -205,105 +205,99 @@ def _counting(climb, counts):
     return counted_climb
 
 
-def _search_both_ways(fmt, seed, budget, evaluate, n_coeffs=4,
-                      climb=None):
-    """_grid_search one restart at a time, then with the evaluator mapped
-    over each batch of points, by `cegis._climb` or the given `climb`: for
-    each, the raws (None for NoCandidate), the climb steps, the evaluator
-    calls and the restarts drawn from the pool."""
-    runs = []
-    for batched in (False, True):
-        counts = [0, 0, 0]
+def _search(fmt, seed, budget, evaluate, n_coeffs=4, climb=None):
+    """_grid_search by `cegis._climb` or the given `climb`: the raws (None
+    for NoCandidate), the climb steps, the evaluator calls and the restarts
+    drawn from the pool."""
+    counts = [0, 0, 0]
 
-        def counted(raws):
-            counts[1] += 1
-            return evaluate(raws)
+    def counted(raws):
+        counts[1] += 1
+        return evaluate(raws)
 
-        def counted_pool(*args, pool=cegis_mod._start_pool):
-            for raws in pool(*args):
-                counts[2] += 1
-                yield raws
+    def counted_pool(*args, pool=cegis_mod._start_pool):
+        for raws in pool(*args):
+            counts[2] += 1
+            yield raws
 
-        batch = (lambda points: map(counted, points)) if batched else None
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(cegis_mod, "_start_pool", counted_pool)
-            mp.setattr(cegis_mod, "_climb",
-                       _counting(climb or cegis_mod._climb, counts))
-            try:
-                raws = cegis_mod._grid_search(n_coeffs, fmt, seed, budget,
-                                              counted, 1, evaluate_batch=batch)
-            except NoCandidate:
-                raws = None
-        runs.append((raws, *counts))
-    return runs
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cegis_mod, "_start_pool", counted_pool)
+        mp.setattr(cegis_mod, "_climb",
+                   _counting(climb or cegis_mod._climb, counts))
+        try:
+            raws = cegis_mod._grid_search(n_coeffs, fmt, seed, budget,
+                                          counted, 1)
+        except NoCandidate:
+            raws = None
+    return (raws, *counts)
 
 
-def test_side_by_side_restarts_match_one_at_a_time():
-    """Restarts that run side by side settle in pool order within the
-    budget: the result is that of the one-at-a-time search, also when the
-    budget cuts a restart short, and when a restart past the origin's, the
-    first to run side by side with no `starts`, accepts.
-    Restarts are drawn ahead only to fill the window, and none once the
-    budget is reached.  The budget counts climb steps: at every budget the
-    result is that of a reference climb that evaluates every step, whose
-    evaluator calls are the steps, and the climb evaluates fewer points
-    than it takes steps."""
+def test_restarts_run_one_at_a_time_within_the_budget():
+    """The restarts run one at a time within the budget, also when it cuts
+    a restart short, and when a restart past the origin's accepts.  The
+    budget counts climb steps: at every budget the result is that of a
+    reference climb that evaluates every step, whose evaluator calls are
+    the steps, and the climb evaluates fewer points than it takes steps.
+    Once the budget is spent, the sweep of a tiny grid answers in product
+    order."""
     fmt = FixedPointFormat(3, 5)  # too large a grid for the sweep
     rng = random.Random(3)
     late = 0
     steps_taken = calls_made = 0
     for seed in range(20):
         evaluate = _landscape(seed, 3000)
-        (accepted, steps, calls, drawn), _ = runs = _search_both_ways(
-            fmt, seed, 20000, evaluate)
+        accepted, steps, calls, drawn = _search(fmt, seed, 20000, evaluate)
         late += accepted is not None and drawn > 1
         steps_taken, calls_made = steps_taken + steps, calls_made + calls
         # One step short, the accepting restart is cut before it accepts; a
         # random budget cuts some restart in the middle.
         budgets = ((steps - 1, steps, rng.randrange(1, steps)) if accepted
                    else ())
-        for budget in budgets:
-            runs += _search_both_ways(fmt, seed, budget, evaluate)
         expected = [accepted] + [accepted if b == steps else None
                                  for b in budgets]
-        for (serial, _, _, drawn), (side, _, _, side_drawn), raws in zip(
-                runs[::2], runs[1::2], expected):
-            assert side == serial == raws
-            assert side_drawn - drawn <= 3 * cegis_mod.SIDE_BY_SIDE
-        reference = [_search_both_ways(fmt, seed, budget, evaluate,
-                                       climb=_reference_climb)
+        reference = [_search(fmt, seed, budget, evaluate,
+                             climb=_reference_climb)
                      for budget in (20000,) + budgets]
-        for (serial, side), raws in zip(reference, expected):
-            assert side[0] == serial[0] == raws
+        for budget, ref, raws in zip((20000,) + budgets, reference,
+                                     expected):
+            serial = _search(fmt, seed, budget, evaluate)
+            assert serial[0] == ref[0] == raws
+            assert serial[2] <= budget and ref[2] <= budget
         if accepted:  # a search that accepts is cut by no budget
-            assert reference[0][0][1:3] == (steps, steps)
+            assert reference[0][1:3] == (steps, steps)
     assert late >= 10
     assert calls_made < steps_taken
-    # A grid small enough to sweep: the sweep answers in product order.
+    # A grid small enough to sweep: what the climbs do not find within the
+    # budget, the sweep finds at the first accepted point in product order.
     tiny = FixedPointFormat(1, 1)
-    found = 0
+    values = range(-tiny.raw_limit + 1, tiny.raw_limit)
+    found = swept = 0
     for seed in range(20):
-        serial, side = _search_both_ways(tiny, seed, seed + 1,
-                                         _landscape(seed, 40), n_coeffs=3)
-        assert side[0] == serial[0]
-        found += serial[0] is not None
-    assert found >= 10
+        evaluate = _landscape(seed, 40)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cegis_mod, "EXHAUSTIVE_LIMIT", 0)
+            climbed = _search(tiny, seed, seed + 1, evaluate, n_coeffs=3)[0]
+        first = next((p for p in itertools.product(values, repeat=3)
+                      if p[1] != 0 and evaluate(p)[0]), None)
+        raws = _search(tiny, seed, seed + 1, evaluate, n_coeffs=3)[0]
+        assert raws == (first if climbed is None else climbed)
+        found += raws is not None
+        swept += climbed is None and raws is not None
+    assert found >= 10 and swept >= 10
 
 
-def _evaluators(monkeypatch, inputs, fmt, orders):
-    """The evaluate and evaluate_batch that synthesize_candidate hands to
-    the search for `inputs`."""
-    captured = {}
+def _count_evaluations(monkeypatch, counts):
+    """Adds every call of the evaluator that synthesize_candidate hands to
+    `_grid_search` to counts[1]."""
+    search = cegis_mod._grid_search
 
-    def grid_search(n_coeffs, fmt, seed, budget, evaluate, num_len,
-                    deadline=None, evaluate_batch=None, starts=()):
-        captured.update(evaluate=evaluate, evaluate_batch=evaluate_batch)
-        return (0,) * num_len + (1,) * (n_coeffs - num_len)
+    def grid_search(n_coeffs, fmt, seed, budget, evaluate, *args, **kw):
+        def counted(raws):
+            counts[1] += 1
+            return evaluate(raws)
+        return search(n_coeffs, fmt, seed, budget, counted, *args, **kw)
 
     monkeypatch.setattr(cegis_mod, "_grid_search", grid_search)
-    synthesize_candidate(inputs, fmt, orders, seed=1, budget=1)
-    monkeypatch.undo()
-    return captured["evaluate"], captured["evaluate_batch"]
 
 
 # The first two counterexamples of every cruise_uncertain two-stage run: no
@@ -413,85 +407,28 @@ def test_climb_steps_over_neighbours_known_not_to_improve(monkeypatch):
     # steps or so repeat a neighbour already found not to improve from the
     # same point at the same step: those count but are not evaluated.
     counts = [0, 0]  # climb steps, evaluated points
-    search = cegis_mod._grid_search
-
-    def grid_search(*args, evaluate_batch=None, **kw):
-        def counted(points):
-            counts[1] += len(points)
-            return evaluate_batch(points)
-        return search(*args, **kw, evaluate_batch=counted)
-
-    monkeypatch.setattr(cegis_mod, "_grid_search", grid_search)
+    _count_evaluations(monkeypatch, counts)
     monkeypatch.setattr(cegis_mod, "_climb",
                         _counting(cegis_mod._climb, counts))
     with pytest.raises(NoCandidate):
         synthesize_candidate(CRUISE_UNCERTAIN_CEX, F416, (2, 2), seed=3,
                              budget=Limits().synth_budget)
-    assert counts[1] <= 0.85 * counts[0], counts
+    assert 0 < counts[1] <= 0.85 * counts[0], counts
 
 
-def _random_inputs(rng):
-    order = rng.randint(1, 2)
-    inputs = []
-    for _ in range(rng.randint(2, 3)):
-        den = [1] + [Fraction(rng.randint(-2500, 2500), 1000)
-                     for _ in range(order)]
-        num = [Fraction(rng.randint(-1000, 1000), 1000)
-               for _ in range(rng.randint(1, order + 1))]
-        inputs.append(TransferFunction(num, den))
-    return inputs
-
-
-def test_batch_evaluator_matches_one_at_a_time(monkeypatch):
-    """synthesize_candidate's batch evaluator gives every point the
-    one-at-a-time evaluator's (accepted, cost), bit for bit, and the search
-    returns the same raws with and without it."""
-    rng = random.Random(5)
-    # Budgets past 16 failed restarts, and budgets that cut one short; the
-    # grids are too large for the sweep.
-    cases = [(CRUISE_UNCERTAIN_CEX, F416, (2, 2), (12000, 9876))]
-    cases += [(_random_inputs(rng),
-               FixedPointFormat(rng.choice((3, 4)), rng.choice((8, 10))),
-               (rng.randint(0, 2), rng.randint(0, 2)), (4000, 2345))
-              for _ in range(12)]
-    # Plants of two coefficient shapes, alternating (A, B, A): the batch
-    # passes each shape once, and adds the cost rows in plant order.
-    second = TransferFunction([Fraction(1, 2), Fraction(-3, 10)],
-                              [1, Fraction(-13, 10), Fraction(2, 5)])
-    cases.append(([CRUISE_UNCERTAIN_CEX[0], second, CRUISE_UNCERTAIN_CEX[1]],
-                  F416, (1, 2), (4000, 2345)))
-    accepted = 0
-    for inputs, fmt, orders, budgets in cases:
-        evaluate, evaluate_batch = _evaluators(monkeypatch, inputs, fmt,
-                                               orders)
-        n_coeffs, m = orders[0] + orders[1] + 2, orders[0] + 1
-        limit = fmt.raw_limit
-        points = [tuple(rng.randrange(-limit + 1, limit) >> rng.randrange(8)
-                        for _ in range(n_coeffs)) for _ in range(200)]
-        points[::7] = [p[:m] + (0,) + p[m + 1:] for p in points[::7]]
-        for size in (1, 15, 16, 200):
-            batched = list(evaluate_batch(points[:size]))
-            assert batched == [evaluate(p) for p in points[:size]]
-        accepted += sum(a for a, _ in batched)
-
-        search = cegis_mod._grid_search
-        results = []
-        for batched_search in (False, True):
-            def grid_search(*args, evaluate_batch=None, **kw):
-                return search(*args, **kw, evaluate_batch=(
-                    evaluate_batch if batched_search else None))
-
-            monkeypatch.setattr(cegis_mod, "_grid_search", grid_search)
-            for budget in budgets:
-                try:
-                    c = synthesize_candidate(inputs, fmt, orders, seed=14,
-                                             budget=budget)
-                    results.append([v.raw for v in c.num + c.den])
-                except NoCandidate:
-                    results.append(None)
-            monkeypatch.undo()
-        assert results[:2] == results[2:]
-    assert accepted > 0
+def test_no_restart_evaluates_past_the_budget(monkeypatch):
+    """A failing search evaluates at most its budget of points: no restart
+    evaluates past it.  Only the exhaustive sweep of a tiny grid runs after
+    the budget, as before, and six coefficients at <4,16> are far too many
+    for it."""
+    counts = [0, 0]
+    _count_evaluations(monkeypatch, counts)
+    for seed in (1, 2, 3, 801681276):
+        counts[1] = 0
+        with pytest.raises(NoCandidate, match="budget of 2000 evaluations"):
+            synthesize_candidate(CRUISE_UNCERTAIN_CEX, F416, (2, 2), seed,
+                                 budget=2000)
+        assert 1000 < counts[1] <= 2000, (seed, counts)
 
 
 def test_verify_uncertainty_accepts_stabilizing_controller():

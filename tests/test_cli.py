@@ -354,13 +354,35 @@ def test_cli_import_loads_neither_numpy_nor_mpmath():
     assert not loaded & {"numpy", "mpmath"}
 
 
+# A failing candidate search of many restarts, against cruise_uncertain's
+# first two counterexamples (test_cegis.py's CRUISE_UNCERTAIN_CEX).
+FAILING_SEARCH = """
+import sys
+from fractions import Fraction
+from dcsynth.cegis import synthesize_candidate
+from dcsynth.errors import NoCandidate
+from dcsynth.fixedpoint import FixedPointFormat
+from dcsynth.transfer import TransferFunction
+den = [1, Fraction(-6290617, 2 ** 22)]
+inputs = [TransferFunction([Fraction(-7945689, 2 ** 24)], den),
+          TransferFunction([Fraction(4415763, 2 ** 23)], den)]
+try:
+    synthesize_candidate(inputs, FixedPointFormat(4, 16), (2, 2), 1, 2000)
+except NoCandidate:
+    pass
+assert "numpy" not in sys.modules
+"""
+
+
 @pytest.mark.parametrize("argv", [
-    ["synth", CRUISE, "--engine", "two"],
-    ["synth", CRUISE, "--engine", "one"],
-    ["verify", CRUISE, "--controller", STABLE_CTL],
-], ids=["synth-two", "synth-one", "verify"])
+    ["-m", "dcsynth", "synth", CRUISE, "--engine", "two", "--report", "json"],
+    ["-m", "dcsynth", "synth", CRUISE, "--engine", "one", "--report", "json"],
+    ["-m", "dcsynth", "verify", CRUISE, "--controller", STABLE_CTL,
+     "--report", "json"],
+    ["-c", FAILING_SEARCH],
+], ids=["synth-two", "synth-one", "verify", "search-budget-2000"])
 def test_cli_runs_without_numpy(argv):
-    loaded = imported_modules("-m", "dcsynth", *argv, "--report", "json")
+    loaded = imported_modules(*argv)
     assert "dcsynth" in loaded and "numpy" not in loaded
 
 
