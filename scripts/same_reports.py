@@ -37,7 +37,13 @@ working tree's `src/`, runs:
   vertices, with a denominator lead through zero, and generic (order 1-4,
   1-4 uncertain coefficients), on the grid box with its <8,12> grid and
   on the inflated box, each with the zero-exclusion sweep and with it
-  refusing, comparing the verdict and evidence;
+  refusing, comparing the verdict and evidence; then the same on six
+  seeded order-5 families with 11 or 12 uncertain coefficients, under a
+  static gain, alternately with a denominator lead through zero (the
+  verdict ends in the lead step, after every vertex) and with S(1) about
+  -1/5 where the first numerator coefficient is high (it ends at an
+  unstable vertex, most of them past the first half of the scan); none
+  reaches the edge scan, whose cost grows as 2^k on both trees;
 - the candidate search (`synthesize_candidate`, no placement starts) on
   cruise_uncertain's first two counterexamples at budgets 1, 50, 2000,
   9876 and 12000, seeds 1, 3, 14 and 801681276; on a plant whose unstable
@@ -169,8 +175,9 @@ print(json.dumps(out))
 """
 
 BOX_FAMILIES = 300
-# Reads the family count in argv[1]; prints one JSON list of [settled_by,
-# verdict, evidence] reprs, four per family.
+BIG_BOX_FAMILIES = 6
+# Reads the family counts in argv[1] and argv[2] (big boxes); prints one
+# JSON list of [settled_by, verdict, evidence] reprs, four per family.
 BOX_CHILD = """
 import json, random, sys
 from fractions import Fraction
@@ -226,9 +233,29 @@ def family(k):
                         grid),
             Controller(quantize_poly(c[0], fmt), quantize_poly(c[1], fmt)))
 
+big = random.Random(1)
+
+def big_family(k):
+    den, num = [1], [Fraction(big.randint(-500, 500), 1000)
+                     for _ in range(big.randint(5, 6))]
+    for _ in range(5):
+        root = Fraction(big.randint(-700, 700), 1000)
+        den = [a - root * b for a, b in zip(den + [0], [0] + den)]
+    radii = [Fraction(big.randint(2, 20), 1000) for _ in range(len(num) + 6)]
+    c0 = Fraction(-big.randint(50, 300), 1000)
+    if k % 2:  # a denominator lead through zero
+        radii[len(num)] = 2
+    else:  # S(1) = c0·N(1) + D(1) about -1/5 where num[0] is high
+        radii[0] = abs((c0 * sum(num) + sum(den) + Fraction(1, 5)) / c0)
+    nn = len(num)
+    return (PlantFamily(TransferFunction(num, den), radii[:nn], radii[nn:],
+                        grid),
+            Controller(quantize_poly([c0], fmt), quantize_poly([1], fmt)))
+
 sweep, out = cegis.zero_excluded, []
-for k in range(int(sys.argv[1])):
-    fam, c = family(k)
+families = [family(k) for k in range(int(sys.argv[1]))]
+families += [big_family(k) for k in range(int(sys.argv[2]))]
+for fam, c in families:
     for box, g in ((family_grid_box, grid), (family_to_interval_poly, None)):
         for refuse in (False, True):
             cegis.zero_excluded = (lambda *args: False) if refuse else sweep
@@ -396,7 +423,8 @@ def step_responses(src):
 
 
 def box_verdicts(src):
-    proc = run(src, ["-c", BOX_CHILD, str(BOX_FAMILIES)])
+    proc = run(src, ["-c", BOX_CHILD, str(BOX_FAMILIES),
+                     str(BIG_BOX_FAMILIES)])
     if proc.returncode != 0:
         sys.exit(f"box-verdict child failed on {src}:\n"
                  f"{proc.stderr[-2000:]}")

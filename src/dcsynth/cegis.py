@@ -2,16 +2,16 @@
 set, two-stage verification, plant-precision escalation; plus the sound
 one-stage engine.
 
-Each stage decides a box of plants by `_box_verdict`: interval Jury; then
-the sign of the lead of S, exact Jury of the box centre and the
-zero-exclusion sweep, with no vertex (`_box_proof`, these steps and
-interval Jury); then, where one of those refuses, exact Jury of the
-vertices, the lead and the edges, all on the box ends as integers over one
-denominator (`integerize`).  The two-stage loop runs `_box_proof` on the
-inflated box first: the grid box lies inside it, so a proof passes both
-stages.  Else it checks the grid box, then finishes the inflated box's
-verdict from that proof attempt.  The one-stage engine's certificate is
-the interval Jury verdict that accepted its controller.
+Each stage decides a box of plants by `_box_verdict`: interval Jury; then the
+sign of the lead of S, exact Jury of the box centre and the zero-exclusion
+sweep, with no vertex (`_box_proof`, these steps and interval Jury); then,
+where one of those refuses, exact Jury of the vertices, the lead (where its
+sign test failed) or the edges, walked one at a time with none kept, all on
+the box ends as integers over one denominator (`integerize`).  The two-stage
+loop runs `_box_proof` on the inflated box first: the grid box lies inside it,
+so a proof passes both stages.  Else it checks the grid box, then finishes the
+inflated box's verdict from that proof attempt.  The one-stage engine's
+certificate is the interval Jury verdict that accepted its controller.
 
 The candidate search is deterministic seeded hill climbing over the <I,F>
 coefficient grid with restarts, run one at a time, falling back to
@@ -404,17 +404,17 @@ def verify_uncertainty(candidate: Controller, family: PlantFamily,
 
 
 def _box_proof(candidate, num_iv, den_iv, deadline):
-    """The steps of `_box_verdict` that can prove a box of plants Stable
-    with no vertex, in order: a Stable interval Jury verdict ("interval");
-    else, where it is Unknown, a strict sign of the lead of S (|lead of
-    S_c| exceeds the sum of the generators' |lead|), a plant at every
-    corner, exact Jury finding S_c stable and the zero-exclusion sweep
-    proving 0 outside the value set on the unit circle ("sweep").  Returns
-    the Stable verdict of the step that proves the box, else interval
-    Jury's, and the box's affine form (None where interval Jury proves the
-    box): the unit that scales an integer S down to the closed loop, the
-    centre S_c and the generators g_i, each S a list of integers, the box
-    ends as integer (lo, hi) pairs over their least denominator d, and d."""
+    """The steps of `_box_verdict` that can prove a box of plants Stable with
+    no vertex, in order: a Stable interval Jury verdict ("interval"); else,
+    where it is Unknown, the lead test (a strict sign of the lead of S,
+    |lead of S_c| > Σ |lead of g_i|, and a plant at each corner), exact Jury
+    finding S_c stable and the zero-exclusion sweep proving 0 outside the
+    value set on the unit circle ("sweep").  Returns the Stable verdict of
+    the step that proves the box, else interval Jury's, and the box's affine
+    form (None where interval Jury proves the box): the unit that scales an
+    integer S to the closed loop, the centre S_c and the generators g_i, each
+    S a list of integers, the box ends as integer (lo, hi) pairs over their
+    least denominator d, d, the lead's index `top` and the test's outcome."""
     verdict = replace(jury_stable_interval(
         _interval_char_poly(candidate, num_iv, den_iv), deadline),
         settled_by="interval")
@@ -438,15 +438,18 @@ def _box_proof(candidate, num_iv, den_iv, deadline):
     centre = s_of([lo + hi for lo, hi in ends])
     generators = [s_of([hi - lo if k == i else 0 for k in range(len(ends))])
                   for i, (lo, hi) in enumerate(ends) if lo != hi]
-    form = candidate.format.scale * 2 * d, centre, generators, ends, d
     top = next((k for k, row in enumerate(zip(centre, *generators))
                 if any(row)), 0)
+    # The leading coefficient of S is affine too: one strict sign at every
+    # vertex keeps it off zero, and the degree of S constant, over the box.
     # A corner has no plant iff every denominator coefficient has 0 at an
     # end of its interval.
-    if (verdict.status is Status.UNKNOWN
-            and abs(centre[top]) > sum(abs(g[top]) for g in generators)
-            and not all(0 in e for e in ends[nn:])
-            and _vertex_verdict(centre, form[0]).is_stable
+    steady = (abs(centre[top]) > sum(abs(g[top]) for g in generators)
+              and not all(0 in e for e in ends[nn:]))
+    unit = candidate.format.scale * 2 * d
+    form = unit, centre, generators, ends, d, top, steady
+    if (verdict.status is Status.UNKNOWN and steady
+            and _vertex_verdict(centre, unit).is_stable
             and zero_excluded(centre[top:], [g[top:] for g in generators],
                               deadline)):
         return JuryVerdict(Status.STABLE, None, None, "sweep"), form
@@ -475,30 +478,27 @@ def _box_verdict(candidate, num_iv, den_iv, deadline, grid=None, proof=None):
     as an affine family S_c + Σ λ_i·g_i, λ in [-1, 1]^k.  The steps, in
     order: those of `_box_proof`, not run again where `proof` gives what it
     returned on this box, whose Stable verdict stands.  Else exact Jury
-    decides each vertex S, read off S_c ± g_i ("vertices"), an Unstable
-    interval Jury verdict standing with an unstable vertex; the bits of k
-    pick vertex k's signs and its corner plant, built in Fractions only for
-    the evidence.  If the vertex leads of S do not share one strict sign,
-    the lead vanishes somewhere in the box and the verdict is Unstable
-    ("lead"): the members beside its zero have a root near infinity, or S
-    vanishes there (a vertex with no plant, its denominator zero, counts as
-    a zero lead).  Else S is affine in the plant and of constant degree,
-    with stable vertices, and the box is stable iff every edge is ("edges";
-    Edge Theorem, Bartlett, Hollot & Lin 1988), which the segment test
-    decides.  The sweep is not run again there: it has run unless S_c is
-    unstable, and then a member between S_c and a vertex has a root on the
-    unit circle.  Only interval Jury gives a Stable box a margin."""
+    decides each vertex S ("vertices"), an Unstable interval Jury verdict
+    standing with an unstable vertex; the bits of k pick vertex k's signs
+    and its corner plant, built in Fractions only for the evidence.  Where
+    `_box_proof`'s lead test failed, the lead vanishes in the box and the
+    verdict is Unstable ("lead"): the members beside its zero have a root
+    near infinity, or S vanishes there (a vertex with no plant).  Else S
+    is affine in the plant and of constant degree, with stable vertices,
+    and the box is stable iff every edge is ("edges"; Edge Theorem,
+    Bartlett, Hollot & Lin 1988), which the segment test decides.  The
+    sweep is not run again there: it has run unless S_c is unstable, and
+    then a member between S_c and a vertex has a root on the unit circle.
+    Only interval Jury gives a Stable box a margin.  Nothing is listed:
+    the steps walk the vertices in order of k and the edges by bit, then
+    by low end, each S read off its parent, checking the deadline at each."""
     verdict, form = proof or _box_proof(candidate, num_iv, den_iv, deadline)
     if verdict.status is Status.STABLE:
         return verdict, []
-    unit, centre, generators, ends, d = form
+    unit, centre, generators, ends, d, top, steady = form
     nn = len(num_iv.coeffs)
     # Bit i of k from the top picks g_i's sign and its coefficient's end at
     # vertex k (a point coefficient's ends agree).
-    polys = [centre]
-    for g in generators:
-        polys = [[x + sign * y for x, y in zip(s, g)]
-                 for s in polys for sign in (-1, 1)]
     bits = [sum(lo != hi for lo, hi in ends[j + 1:]) for j in range(len(ends))]
 
     def corner(k):  # vertex k's plant coefficients, integers over d
@@ -508,47 +508,47 @@ def _box_verdict(candidate, num_iv, den_iv, deadline, grid=None, proof=None):
         c = tuple(Fraction(x, d) for x in corner(k))
         return c[:nn], c[nn:]
 
-    for k in range(len(polys)):
-        check_deadline(deadline)
-        if not any(corner(k)[nn:]):
-            polys[k] = None  # no plant here: the lead check fails below
-            continue
-        v = _vertex_verdict(polys[k], unit)
+    def walk(low=-1, s=centre, gs=generators, k=0):
+        # Each vertex (k, S) with a plant, k rising with bit `low` clear, and
+        # a deadline check; s is S_c with all but the last len(gs) g_i signed.
+        if not gs:
+            check_deadline(deadline)
+            if any(corner(k)[nn:]):
+                yield k, s
+            return
+        for sign in (-1,) if len(gs) == low + 1 else (-1, 1):
+            yield from walk(low, [x + sign * y for x, y in zip(s, gs[0])],
+                            gs[1:], 2 * k + (sign > 0))
+
+    for k, s in walk():  # a vertex with no plant fails the lead test
+        v = _vertex_verdict(s, unit)
         if v.status is Status.UNSTABLE:
             return (verdict if verdict.status is Status.UNSTABLE else v,
                     _make_plant(*plant(k)))
-
-    def grid_steps(lo, hi):  # the corners differ in one coefficient
-        width = max(map(operator.sub, corner(hi), corner(lo)))
-        return 1 if grid is None else width * grid.scale // d
-
-    # The leading coefficient of S is affine too: one strict sign at every
-    # vertex keeps it off zero, and the degree of S constant, over the box.
-    top = min(next(i for i, c in enumerate(p) if c) for p in polys if p)
-    leads = [None if p is None else p[top] for p in polys]
-    edges = [(lo, lo | 1 << bit) for bit in range(len(polys).bit_length() - 1)
-             for lo in range(len(polys)) if not lo >> bit & 1]
-    if len({0 if not x else 1 if x > 0 else -1 for x in leads}) > 1:
-        failing = []
-        for lo, hi in edges:
-            a, b = leads[lo], leads[hi]
-            if None not in (a, b) and a != b and a * b <= 0:
-                n, t = grid_steps(lo, hi), Fraction(a, a - b)
+    if all(0 in e for e in ends[nn:]):  # read leads only where a plant is
+        top = min(next(i for i, x in enumerate(s) if x) for _, s in walk())
+    # Edge `bit`'s corners differ in one coefficient, by n grid steps.  The
+    # edge step reads S from its lead on, the lead step the lead alone.
+    cut = slice(top, None if steady else top + 1)
+    failing, widths = [], [hi - lo for lo, hi in ends if lo != hi]
+    for bit in range(len(generators)):
+        n = 1 if grid is None else widths[~bit] * grid.scale // d
+        for lo, s in walk(bit, centre[cut], [g[cut] for g in generators]):
+            t = [x + 2 * y for x, y in zip(s, generators[~bit][cut])]
+            hi, a, b = lo | 1 << bit, s[0], t[0]
+            if steady and has_root(chain := segment_chain(s, t), 0, 1):
+                at = Fraction(_first_root_step(chain, n), n)
+                return (JuryVerdict(Status.UNSTABLE, "edge", Fraction(0),
+                                    "edges"), [(plant(lo), plant(hi), [at])])
+            if not steady and a != b and a * b <= 0 and any(corner(hi)[nn:]):
+                z = Fraction(a, a - b)
                 failing.append((plant(lo), plant(hi), [
-                    Fraction(k, n) for k in (math.ceil(t * n) - 1,
-                                             math.floor(t * n) + 1)
-                    if 0 <= k <= n]))
-        return (JuryVerdict(Status.UNSTABLE, "lead", Fraction(0), "vertices"),
-                failing)
-    for lo, hi in edges:
-        check_deadline(deadline)
-        chain = segment_chain(polys[lo][top:], polys[hi][top:])
-        if has_root(chain, 0, 1):
-            n = grid_steps(lo, hi)
-            return (JuryVerdict(Status.UNSTABLE, "edge", Fraction(0), "edges"),
-                    [(plant(lo), plant(hi),
-                      [Fraction(_first_root_step(chain, n), n)])])
-    return JuryVerdict(Status.STABLE, None, None, "edges"), []
+                    Fraction(j, n) for j in (math.ceil(z * n) - 1,
+                                             math.floor(z * n) + 1)
+                    if 0 <= j <= n]))
+    return (JuryVerdict(Status.STABLE, None, None, "edges") if steady else
+            JuryVerdict(Status.UNSTABLE, "lead", Fraction(0), "vertices"),
+            failing)
 
 
 def _first_root_step(chain, n):

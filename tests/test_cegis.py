@@ -9,6 +9,7 @@ import pathlib
 import random
 import sys
 import time
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 
@@ -797,6 +798,57 @@ def test_vertex_polynomials_read_off_the_affine_form(monkeypatch):
     assert checked >= 1000
 
 
+def test_box_verdict_reads_each_vertex_as_it_reaches_it():
+    # An order-8 plant with one pole at 1.05 and every coefficient
+    # uncertain but the monic lead: 2^16 vertices on the grid box, 2^17 on
+    # the inflated box, and the zero controller leaves vertex 0 unstable.
+    # Both stages stop there, holding no list of vertices, well inside a
+    # deadline that a build of every vertex first overran.
+    rng = random.Random(8)
+    den = num = [1]
+    for pole in [Fraction(105, 100)] + [
+            Fraction(rng.randint(-80, 80), 100) for _ in range(7)]:
+        den = convolve(den, [1, -pole], 0)
+    for zero in (Fraction(rng.randint(-50, 50), 100) for _ in range(7)):
+        num = convolve(num, [1, -zero], 0)
+    fam = PlantFamily(TransferFunction([x / 100 for x in num], den),
+                      delta_num=[Fraction(1, 1000)] * 8,
+                      delta_den=[0] + [Fraction(2, 1000)] * 8,
+                      plant_format=DEFAULT_PLANT_FORMAT)
+    c = make_controller([0] * 9, [1] + [0] * 8, FixedPointFormat(6, 12))
+    num_iv, den_iv = family_grid_box(fam)
+    assert sum(b.lo != b.hi for b in num_iv.coeffs + den_iv.coeffs) == 16
+    for stage in (verify_uncertainty, verify_precision):
+        tracemalloc.start()
+        try:
+            found = stage(c, fam, deadline=time.perf_counter() + 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 << 20, (stage.__name__, peak)
+        if stage is verify_uncertainty:
+            assert found == TransferFunction(
+                [b.lo for b in num_iv.coeffs], [b.lo for b in den_iv.coeffs])
+        else:
+            assert found.status is Status.UNSTABLE
+
+
+def test_lead_step_reads_the_lead_off_the_vertices_with_a_plant():
+    # S = (a - 2)·z - n1 over a in [0, 2], n1 in [-1, 1]: the corners at
+    # a = 0 have no plant, and every other corner has a zero first
+    # coefficient.  The lead is the next coefficient, -n1, whose zero the
+    # one failing edge between the plant corners straddles.
+    fam = PlantFamily(TransferFunction([2, 0], [1, 0]), delta_num=[0, 1],
+                      delta_den=[1, 0], plant_format=FixedPointFormat(8, 8))
+    c = make_controller([-1], [1])
+    verdict, failing = cegis_mod._box_verdict(
+        c, *family_grid_box(fam), None, fam.plant_format)
+    assert verdict == JuryVerdict(Status.UNSTABLE, "lead", Fraction(0),
+                                  "vertices")
+    assert failing == [(((2, -1), (2, 0)), ((2, 1), (2, 0)),
+                        [Fraction(255, 512), Fraction(257, 512)])]
+
+
 FOURTH_ORDER = str(pathlib.Path(__file__).resolve().parents[1] / "perfbench"
                    / "fixtures" / "fourth_order.bench")
 
@@ -1027,6 +1079,20 @@ def test_uncertainty_stage_honours_deadline(monkeypatch):
     assert {name for name, _ in seen} == {"_box_proof", "verify_uncertainty",
                                           "verify_precision"}
     assert all(d is not None for _, d in seen)
+
+
+def test_lead_step_checks_the_deadline_at_every_edge(monkeypatch):
+    # The inflated box of a family whose denominator lead runs through
+    # zero: three uncertain coefficients, eight stable vertices, then the
+    # lead step over all twelve edges, each after a deadline check.
+    fam = PlantFamily(TransferFunction([Fraction(1, 4)], [1, 0]),
+                      delta_den=[2, 0], plant_format=FixedPointFormat(4, 2))
+    c = make_controller([Fraction(1, 64)], [1])
+    checks = []
+    monkeypatch.setattr(cegis_mod, "check_deadline", checks.append)
+    verdict = verify_precision(c, fam, deadline=time.perf_counter() + 60)
+    assert verdict.violated == "lead"
+    assert len(checks) == 8 + 12
 
 
 def test_verify_precision_verdicts():
