@@ -51,7 +51,10 @@ working tree's `src/`, runs:
   orders (3, 3), budget 3000; and on seeded random order-1 and order-2
   input sets at budgets 4000, 2345 and 17, two or three plants each, or
   one on the third of them whose grids are small enough to sweep;
-  comparing the raws found or the `NoCandidate` message.
+  comparing the raws found or the `NoCandidate` message;
+- the cancellation screen (`cancellation_on_or_outside_unit_circle`) on
+  3000 seeded loops whose open-loop numerator and denominator share a
+  planted factor (`screen_loops`), comparing its value.
 
 Both trees read the working tree's benchmark files.  Prints every
 differing line of each differing report and exits 1 on any difference,
@@ -293,6 +296,23 @@ for plants, bits, orders, seed, budget in json.load(sys.stdin):
 print(json.dumps(out))
 """
 
+SCREEN_LOOPS = 3000
+# Reads [[Cn, Cd, Gn, Gd], ...] as strings on stdin, the controller on the
+# <4,8> grid; prints one JSON list of the cancellation screen's values.
+SCREEN_CHILD = """
+import json, sys
+from fractions import Fraction
+from dcsynth import (Controller, FixedPointFormat, TransferFunction,
+                     cancellation_on_or_outside_unit_circle, quantize_poly)
+fmt, out = FixedPointFormat(4, 8), []
+for cn, cd, gn, gd in json.load(sys.stdin):
+    c = Controller(*(quantize_poly([Fraction(x) for x in p], fmt)
+                     for p in (cn, cd)))
+    g = TransferFunction([Fraction(x) for x in gn], [Fraction(x) for x in gd])
+    out.append(cancellation_on_or_outside_unit_circle(c, g))
+print(json.dumps(out))
+"""
+
 
 def search_cases():
     """The searches to compare, as SEARCH_CHILD reads them."""
@@ -321,6 +341,52 @@ def search_cases():
         cases += [[plants, bits, orders, 14, budget]
                   for budget in SEARCH_BUDGETS]
     return cases
+
+
+def screen_loops(count):
+    """`count` seeded loops [Cn, Cd, Gn, Gd], coefficient lists with the
+    controller's on the <4,8> grid, each with a factor F^m planted in one
+    of Cn and Gn and F^m' in one of Cd and Gd (m, m' = 1 or 2): F has a
+    real root or a complex pair, inside, on or outside the unit circle.
+    Every other root is a real multiple of 1/4 in [-2, 2], not F's root,
+    and no polynomial repeats one."""
+    rng = random.Random(0)
+    quarters = [Fraction(k, 4) for k in range(-8, 9)]
+    squares = ((Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)),
+               (Fraction(1),), (Fraction(5, 4), Fraction(3, 2), 2, 3))
+
+    def mul(a, b):
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b, i):
+                out[j] += x * y
+        return out
+
+    loops = []
+    while len(loops) < count:
+        region = rng.randrange(3)  # inside, on, outside
+        if rng.random() < 0.5:
+            root = rng.choice([x for x in quarters
+                               if (abs(x) > 1) - (abs(x) < 1) == region - 1])
+            f = [1, -root]
+        else:  # z^2 + b z + c, b^2 < 4c: roots of modulus sqrt(c)
+            root, c = None, rng.choice(squares[region])
+            f = [1, rng.choice([b for b in quarters if b * b < 4 * c]), c]
+        loop = []
+        for k in range(4):
+            gains = ((1, -1, Fraction(1, 2), 2) if k < 2
+                     else [x for x in quarters if x])
+            p = [rng.choice(gains)]
+            for x in rng.sample([x for x in quarters if x != root],
+                                rng.randint(0, 1 if k < 2 else 2)):
+                p = mul(p, [1, -x])
+            loop.append(p)
+        for k in (rng.choice((0, 2)), rng.choice((1, 3))):
+            for _ in range(rng.randint(1, 2)):
+                loop[k] = mul(loop[k], f)
+        if all(abs(x) < 16 for x in loop[0] + loop[1]):
+            loops.append([[str(Fraction(x)) for x in p] for p in loop])
+    return loops
 
 
 def cli_rows():
@@ -438,6 +504,13 @@ def searches(src, cases):
     return json.loads(proc.stdout)
 
 
+def screen_values(src, loops):
+    proc = run(src, ["-c", SCREEN_CHILD], json.dumps(loops))
+    if proc.returncode != 0:
+        sys.exit(f"screen child failed on {src}:\n{proc.stderr[-2000:]}")
+    return json.loads(proc.stdout)
+
+
 def line_differences(a, b):
     """Every differing line of two texts, as indented unified-diff lines
     without context (REV's lines -, the working tree's +)."""
@@ -468,6 +541,9 @@ def main():
         boxes = {name: box_verdicts(src) for name, src in trees.items()}
         cases = search_cases()
         found = {name: searches(src, cases) for name, src in trees.items()}
+        loops = screen_loops(SCREEN_LOOPS)
+        screened = {name: screen_values(src, loops)
+                    for name, src in trees.items()}
     old, new = (cli[name] for name in trees)
     for key in old:
         for part, a, b in zip(("exit code", "report", "CSV"), old[key],
@@ -511,13 +587,19 @@ def main():
             differences += 1
             print(f"search {case[1:]} on {case[0]}: {a} != {b}")
     accepted = sum(isinstance(a, list) for a in old)
+    old, new = (screened[name] for name in trees)
+    for loop, a, b in zip(loops, old, new):
+        if a != b:
+            differences += 1
+            print(f"cancellation screen on {loop}: {a} != {b}")
     print(f"{len(rows) * len(CLI_SEEDS)} cli calls, {len(synth[rev])} "
           f"synthesis runs, {len(plants)} ZOH plants, {len(placed[rev])} "
           f"placement start lists, {len(steps[rev])} step responses "
           f"({overflowing} overflowing), {verdicts} box verdicts ("
           + ", ".join(f"{n} {k}" for k, n in sorted(settled.items()))
-          + f") and {len(cases)} searches ({accepted} accepting) compared "
-          f"against {rev}: {differences} differences")
+          + f"), {len(cases)} searches ({accepted} accepting) "
+          f"and {len(loops)} cancellation screens ({sum(old)} flagged) "
+          f"compared against {rev}: {differences} differences")
     return 1 if differences else 0
 
 

@@ -23,12 +23,13 @@ from .fixedpoint import (FixedPointFormat, FixedPointValue, quantize_nearest,
                          quantize_poly, quantize_truncate)
 from .intervals import (IntervalPoly, RationalInterval, family_grid_box,
                         family_to_interval_poly, ipoly_add, ipoly_mul)
-from .simulate import (NoiseModel, SimulationTrace, frequency_margins,
-                       sensitivity_functions, step_response, write_margins)
+from .simulate import (NoiseModel, SimulationTrace,
+                       cancellation_on_or_outside_unit_circle,
+                       frequency_margins, sensitivity_functions,
+                       step_response, write_margins)
 from .stability import (JuryVerdict, Status, jury_stable, jury_stable_interval,
                         root_oracle)
 from .transfer import (Controller, PlantFamily, Poly, TransferFunction,
-                       cancellation_on_or_outside_unit_circle, char_poly,
-                       poly_add, poly_mul)
+                       char_poly, poly_add, poly_mul)
 
 __version__ = "0.1.0"

@@ -129,20 +129,11 @@ def _grid_search(n_coeffs, fmt, seed, budget, evaluate, num_len,
                        fmt.scale, starts)
     used = 0  # climb steps taken
     while used < budget:
-        climb, result = _climb(next(pool), n_coeffs, num_len, limit), None
-        try:
-            while True:
-                point, steps = climb.send(result)
-                used += steps
-                if used > budget:
-                    break
-                check_deadline(deadline)
-                result = evaluate(tuple(point))
-        except StopIteration as stop:
-            accepted, steps = stop.value
-            if accepted is not None:
-                return accepted
-            used += steps
+        accepted, steps = _climb(next(pool), n_coeffs, num_len, limit,
+                                 evaluate, budget - used, deadline)
+        if accepted is not None:
+            return accepted
+        used += steps
 
     # Exhaustive sweep is feasible only for tiny grids; it turns a failed
     # search into a proof that no candidate exists.
@@ -158,22 +149,24 @@ def _grid_search(n_coeffs, fmt, seed, budget, evaluate, num_len,
     raise NoCandidate(f"search budget of {budget} evaluations exhausted")
 
 
-def _climb(raws, n_coeffs, num_len, limit):
-    """One restart of the coordinate climb from `raws`: yields each point to
-    evaluate with the climb steps it ends, is sent its (accepted, cost),
-    and returns the accepted point, or None once the step has shrunk below
-    1, with the steps taken after the last point it yielded.  A step is
-    one point: the start, or a neighbour inside the grid, tried in turn.
-    A pass that moves starts over at the same step, and its coordinates
-    after the last move were tried from the point it ended on, with
-    neither neighbour improving: until the next pass moves, their
-    neighbours count as steps but are not evaluated again."""
-    accepted, cost = yield raws, 1
+def _climb(raws, n_coeffs, num_len, limit, evaluate, room, deadline):
+    """One restart of the coordinate climb from `raws`, `room` >= 1 steps
+    at most: evaluates each point while the steps up to it fit the room,
+    checking the deadline before each, and returns the accepted point, or
+    None once the step has shrunk below 1 or the room is spent, with the
+    steps taken.  A step is one point: the start, or a neighbour inside
+    the grid, tried in turn.  A pass that moves starts over at the same
+    step, and its coordinates after the last move were tried from the
+    point it ended on, with neither neighbour improving: until the next
+    pass moves, their neighbours count as steps but are not evaluated
+    again."""
+    check_deadline(deadline)
+    accepted, cost = evaluate(tuple(raws))
     if accepted:
-        return tuple(raws), 0
+        return tuple(raws), 1
     step = max(1, limit >> 2)
     known = n_coeffs  # coordinates from here on tried from `raws` at `step`
-    steps = 0  # steps since the last point yielded
+    steps = 1
     while step >= 1:
         moved = -1  # the coordinate of this pass's last move
         for i in range(n_coeffs):
@@ -187,10 +180,12 @@ def _climb(raws, n_coeffs, num_len, limit):
                 steps += 1
                 if moved < 0 and i >= known:
                     continue
-                a, c = yield cand, steps
-                steps = 0
+                if steps > room:
+                    return None, steps
+                check_deadline(deadline)
+                a, c = evaluate(tuple(cand))
                 if a:
-                    return tuple(cand), 0
+                    return tuple(cand), steps
                 if c < cost:
                     raws, cost = cand, c
                     moved = i

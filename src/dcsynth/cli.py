@@ -17,10 +17,10 @@ from .cegis import (DEFAULT_PLANT_FORMAT, Limits, cegis_one_stage,
                     cegis_two_stage, describe_controller, verify_precision)
 from .errors import DcsynthError, Overflow, ParseError, ValidationError
 from .fixedpoint import FixedPointFormat, quantize_poly
-from .simulate import NoiseModel, frequency_margins, step_response
+from .simulate import (NoiseModel, cancellation_on_or_outside_unit_circle,
+                       frequency_margins, step_response)
 from .stability import jury_stable, root_oracle
-from .transfer import (Controller, TransferFunction,
-                       cancellation_on_or_outside_unit_circle, char_poly)
+from .transfer import Controller, TransferFunction, char_poly
 
 FORMAT_VERSION = 1
 

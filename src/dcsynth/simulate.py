@@ -1,4 +1,5 @@
-"""Closed-loop simulation and frequency-domain margins.
+"""Closed-loop simulation, frequency-domain margins and the cancellation
+screen, the last two on the open loop's exact common factor.
 
 The loop is the fully digital unity-negative-feedback arrangement: the
 fixed-point `Controller` runs on its own raws, on a signal grid with its
@@ -20,7 +21,7 @@ from fractions import Fraction
 from .errors import ArithmeticOverflow, DegenerateLoop, Overflow
 from .fixedpoint import (MAX_TOTAL_BITS, FixedPointFormat, FixedPointValue,
                          quantize_truncate)
-from .stability import bilinear, positive_roots, sturm_chain
+from .stability import bilinear, jury_stable, positive_roots, sturm_chain
 from .transfer import (Controller, Poly, TransferFunction, convolve,
                        poly_add, poly_divmod, poly_mul)
 
@@ -66,7 +67,7 @@ class NoiseModel:
 class SimulationTrace:
     """Time-indexed (e, u, y) samples of the response to the unit step
     r = 1; e and u live on the controller signal grid (FixedPointValue), y
-    is exact rationals."""
+    is exact rationals; a last y may lack e and u (`step_response`)."""
 
     sample_time: Fraction
     e: list = field(default_factory=list)
@@ -91,10 +92,11 @@ class SimulationTrace:
         writer.writerow(["k", "t", "r", "e", "u", "y"])
         t = Fraction(0)
         for k in range(len(self.y)):
-            # e and u are controller-path signals: bit-exact decimals.
-            # y is the real-valued plant output: shortest float round-trip.
-            writer.writerow([k, _decimal(t), "1",
-                             self.e[k].decimal_str(), self.u[k].decimal_str(),
+            # e, u: controller-path signals, bit-exact decimals (empty in a
+            # last row without them); y: plant output, shortest float repr.
+            e, u = (s[k].decimal_str() if k < len(s) else ""
+                    for s in (self.e, self.u))
+            writer.writerow([k, _decimal(t), "1", e, u,
                              repr(float(self.y[k]))])
             t += self.sample_time
 
@@ -162,7 +164,8 @@ def step_response(controller: Controller, plant: TransferFunction, T,
     rationals, each new output rounded to the nearest multiple of 2^-200.
 
     With `stop_on_divergence` the loop ends early once |y| exceeds the
-    threshold `diverged()` reads; the trace is then shorter than `steps` (an
+    threshold `diverged()` reads, in a y without e and u if the step's
+    controller path overflows; the trace is then shorter than `steps` (an
     unstable loop eventually overflows even the wide signal format, so this
     is how a divergent trace is inspected rather than raised out of).
     """
@@ -196,6 +199,9 @@ def step_response(controller: Controller, plant: TransferFunction, T,
             u_q = (zero if controller_is_zero
                    else _controller_step(b, a, e_q, trace))
         except Overflow as exc:
+            if stop_on_divergence and abs(y) > DIVERGENCE_FACTOR:
+                trace.y.append(y)
+                break
             raise ArithmeticOverflow(k, str(exc)) from exc
         u_in = u_q.value + nu2(u_q.value)
         y_next = _plant_step(gn, gd, u_in, uin_hist, y_hist)
@@ -231,17 +237,35 @@ def _plant_step(gn, gd, u_in, uin_hist, y_hist):
     return Fraction(round(acc / gd[0] * _PLANT_GRID), _PLANT_GRID)
 
 
+def _open_loop(controller, plant: TransferFunction) -> tuple:
+    """The open loop's numerator Cn*Gn, its denominator Cd*Gd and their
+    common factor: the last term of their Sturm remainder sequence (Basu,
+    Pollack & Roy, *Algorithms in Real Algebraic Geometry*), a multiple of
+    their gcd."""
+    cn, cd, _ = _controller_polys(controller)
+    num, den = poly_mul(cn, plant.num), poly_mul(cd, plant.den)
+    return num, den, Poly(sturm_chain(num, den)[-1])
+
+
+def cancellation_on_or_outside_unit_circle(controller,
+                                           plant: TransferFunction) -> bool:
+    """True iff Cn*Gn and Cd*Gd share a root on or outside the unit circle,
+    a mode that C*G hides: their common factor is not constant and exact
+    Jury does not find it stable.  False where either is zero."""
+    num, den, common = _open_loop(controller, plant)
+    return (not (num.is_zero() or den.is_zero()) and common.degree >= 1
+            and not jury_stable(common).is_stable)
+
+
 def frequency_margins(controller, plant: TransferFunction, T):
     """(gain margin dB, phase margin degrees) of the open loop L = C*G in
     lowest terms, read at its exact crossings of z = e^(j*w*T), 0 < w*T < pi
     (roots in u = cot(w*T/2) > 0 of exact polynomials, so T changes nothing)
     and at z = -1 unless L has a pole there; a zero or pole is no crossing.
     math.inf: no candidate.  |L| = 1 on the whole circle: phase at z = 1."""
-    cn, cd, _ = _controller_polys(controller)
-    num, den = poly_mul(cn, plant.num), poly_mul(cd, plant.den)
+    num, den, common = _open_loop(controller, plant)
     if den.is_zero():
         raise DegenerateLoop("the loop denominator is identically zero")
-    common = Poly(sturm_chain(num, den)[-1])
     num, den = (poly_divmod(p, common)[0].normalize() for p in (num, den))
     n = max(num.degree, den.degree)
     en, ed = (bilinear([0] * (n - p.degree) + list(p.coeffs))

@@ -1,6 +1,8 @@
 """Polynomials and rational transfer functions in z, with exact coefficients.
 
 Coefficients are stored in descending powers of z (index 0 = highest power).
+The one float function, `poly_roots`, serves the root oracle
+(`stability.root_oracle`).
 """
 
 from __future__ import annotations
@@ -12,10 +14,6 @@ from fractions import Fraction
 
 from .errors import DegenerateCharPoly
 from .fixedpoint import FixedPointFormat
-
-# Root distance and modulus slack of a near cancellation on or outside the
-# unit circle.
-CANCELLATION_TOL = 1e-6
 
 
 def _frac_tuple(coeffs):
@@ -232,14 +230,10 @@ class Controller:
     def format(self) -> FixedPointFormat:
         return self.num[0].format
 
-    def as_transfer(self) -> TransferFunction:
-        return TransferFunction([v.value for v in self.num],
-                                [v.value for v in self.den])
-
 
 def char_poly(controller: Controller, plant: TransferFunction) -> Poly:
     """Exact closed-loop characteristic polynomial S = Cn*Gn + Cd*Gd."""
-    # Built from raw coefficient values, not as_transfer(): the all-zero
+    # From raw coefficient values, not a TransferFunction: the all-zero
     # candidate must reach the degeneracy check below, not fail earlier.
     s = Poly(closed_loop_coeffs([v.value for v in controller.num],
                                 plant.num.coeffs,
@@ -248,23 +242,3 @@ def char_poly(controller: Controller, plant: TransferFunction) -> Poly:
     if s.is_zero():
         raise DegenerateCharPoly("characteristic polynomial is identically zero")
     return s
-
-
-def cancellation_on_or_outside_unit_circle(controller: Controller,
-                                           plant: TransferFunction) -> bool:
-    """True iff the loop product C*G has a near-common numerator/denominator
-    root pair with both moduli >= 1 - CANCELLATION_TOL."""
-    ctf = controller.as_transfer()
-    loop_num = poly_mul(ctf.num, plant.num).normalize()
-    loop_den = poly_mul(ctf.den, plant.den).normalize()
-    if loop_num.degree < 1 or loop_den.degree < 1:
-        return False
-    zeros = poly_roots(loop_num.coeffs)
-    poles = poly_roots(loop_den.coeffs)
-    for zr in zeros:
-        for pr in poles:
-            if (abs(zr - pr) < CANCELLATION_TOL
-                    and abs(zr) >= 1 - CANCELLATION_TOL
-                    and abs(pr) >= 1 - CANCELLATION_TOL):
-                return True
-    return False

@@ -164,13 +164,14 @@ def _landscape(seed, rarity):
     return evaluate
 
 
-def _reference_climb(raws, n_coeffs, num_len, limit):
+def _reference_climb(raws, n_coeffs, num_len, limit, evaluate, room,
+                     deadline):
     """The coordinate climb of `cegis._climb` evaluating every step: each
-    point it yields ends one step."""
-    accepted, cost = yield raws, 1
+    point it evaluates is one step."""
+    accepted, cost = evaluate(tuple(raws))
     if accepted:
-        return tuple(raws), 0
-    step = max(1, limit >> 2)
+        return tuple(raws), 1
+    step, steps = max(1, limit >> 2), 1
     while step >= 1:
         improved = False
         for i in range(n_coeffs):
@@ -179,30 +180,27 @@ def _reference_climb(raws, n_coeffs, num_len, limit):
                 cand[i] += delta
                 if abs(cand[i]) >= limit or (i == num_len and cand[i] == 0):
                     continue
-                a, c = yield cand, 1
+                steps += 1
+                if steps > room:
+                    return None, steps
+                a, c = evaluate(tuple(cand))
                 if a:
-                    return tuple(cand), 0
+                    return tuple(cand), steps
                 if c < cost:
                     raws, cost = cand, c
                     improved = True
                     break
         if not improved:
             step >>= 1
-    return None, 0
+    return None, steps
 
 
 def _counting(climb, counts):
     """`climb`, adding every climb step it takes to counts[0]."""
     def counted_climb(*args):
-        gen, sent = climb(*args), None
-        while True:
-            try:
-                point, steps = gen.send(sent)
-            except StopIteration as stop:
-                counts[0] += stop.value[1]
-                return stop.value
-            counts[0] += steps
-            sent = yield point, steps
+        accepted, steps = climb(*args)
+        counts[0] += steps
+        return accepted, steps
     return counted_climb
 
 

@@ -168,6 +168,25 @@ def test_verify_trace_emission(tmp_path):
     assert len(lines) == 101
 
 
+def test_verify_trace_ends_at_an_overflow_past_divergence(tmp_path,
+                                                          capsys):
+    # u = 2^41·e leaves <48,8> at step 2, whose y, about 5.8e10, is past
+    # the divergence threshold: the trace ends there, and the report is
+    # written, not an overflow error.
+    ctl, trace = tmp_path / "c.ctl", tmp_path / "trace.csv"
+    ctl.write_text("num = 2199023255552\nden = 1\nformat = 48,8\n")
+    assert main(["verify", CRUISE, "--controller", str(ctl), "--trace-out",
+                 str(trace), "--report", "json"]) == 1
+    out, err = capsys.readouterr()
+    assert err == ""
+    report = json.loads(out)
+    assert report["outcome"] == "Unstable"
+    assert report["trace"] == {"path": str(trace), "steps": 3,
+                               "diverged": True}
+    k, _, _, e, u, y = trace.read_text().splitlines()[-1].split(",")
+    assert (k, e, u) == ("2", "", "") and float(y) > 10 ** 6
+
+
 def test_trace_out_past_24_fraction_bits(tmp_path):
     # At controller_format = 4,32 the signal grid is <32,32>: each e and u
     # decimal reparses to a raw on that grid and renders back unchanged.

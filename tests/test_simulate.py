@@ -3,7 +3,9 @@
 import functools
 import io
 import math
+import pathlib
 import random
+import sys
 from fractions import Fraction
 
 import mpmath as mp
@@ -13,12 +15,16 @@ import dcsynth.simulate as simulate
 from dcsynth.errors import ArithmeticOverflow, DegenerateLoop
 from dcsynth.fixedpoint import FixedPointFormat, quantize_poly
 from dcsynth.simulate import (NOISE_MODES, NoiseModel, _controller_polys,
-                              _wrap_margin, frequency_margins,
-                              sensitivity_functions, step_response,
-                              write_margins)
+                              _wrap_margin,
+                              cancellation_on_or_outside_unit_circle,
+                              frequency_margins, sensitivity_functions,
+                              step_response, write_margins)
 from dcsynth.stability import root_oracle
 from dcsynth.transfer import (Controller, Poly, TransferFunction, poly_add,
-                              poly_mul)
+                              poly_mul, poly_roots)
+
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "scripts"))
+from same_reports import screen_loops  # noqa: E402
 
 F416 = FixedPointFormat(4, 16)
 T = Fraction(1, 5)
@@ -65,6 +71,30 @@ def test_unstable_loop_eventually_overflows_controller_path():
     with pytest.raises(ArithmeticOverflow) as exc:
         step_response(UNSTABLE_CTL, CRUISE, T, 1000)
     assert 0 < exc.value.step < 1000
+
+
+def test_overflow_past_divergence_ends_the_trace():
+    # u_2 = 2^41·e_2 leaves the <48,8> signal grid at the step whose y_2,
+    # about 5.8e10, is past the divergence threshold: y_2 ends the trace,
+    # with no e or u.
+    big = make_controller([2 ** 41], [1], FixedPointFormat(48, 8))
+    trace = step_response(big, CRUISE, T, 10, stop_on_divergence=True)
+    assert (len(trace), len(trace.e), len(trace.u)) == (3, 2, 2)
+    assert trace.divergence_step() == 2
+    buf = io.StringIO()
+    trace.write_csv(buf)
+    assert buf.getvalue().splitlines()[-1].split(",")[:5] == [
+        "2", "0.4", "1", "", ""]
+    with pytest.raises(ArithmeticOverflow) as exc:
+        step_response(big, CRUISE, T, 10)
+    assert exc.value.step == 2
+    # u doubles each step while y stays tiny: an overflow before divergence
+    # raises also when the trace stops on divergence.
+    doubling = make_controller([1], [1, -2])
+    with pytest.raises(ArithmeticOverflow):
+        step_response(doubling, TransferFunction([Fraction(1, 2 ** 100)],
+                                                 [1, 0]),
+                      T, 100, stop_on_divergence=True)
 
 
 def test_stable_controller_settles():
@@ -363,6 +393,65 @@ def test_common_factor_on_the_circle_cancels():
     loop = TransferFunction([Fraction(x, 2) for x in common], common)
     assert frequency_margins(loop, ONE, T) == frequency_margins(
         TransferFunction([Fraction(1, 2)], [1]), ONE, T)
+
+
+def _float_screen(controller, plant, tol=1e-6):
+    """The float cancellation screen the exact one replaced, a reference:
+    whether a root of Cn*Gn and a root of Cd*Gd (`poly_roots`) lie within
+    `tol` of each other, both of modulus at least 1 - tol."""
+    cn, cd, _ = _controller_polys(controller)
+    num = poly_mul(cn, plant.num).normalize()
+    den = poly_mul(cd, plant.den).normalize()
+    if num.degree < 1 or den.degree < 1:
+        return False
+    return any(abs(z - p) < tol and abs(z) >= 1 - tol and abs(p) >= 1 - tol
+               for z in poly_roots(num.coeffs)
+               for p in poly_roots(den.coeffs))
+
+
+def test_cancellation_screen_matches_the_float_screen():
+    # Loops with a planted common factor, a real root or a complex pair
+    # inside, on or outside the unit circle, simple or repeated: the float
+    # screen's pairs within 1e-6 are the exact common factor's roots.
+    fmt, flagged = FixedPointFormat(4, 8), 0
+    for cn, cd, gn, gd in screen_loops(2000):
+        c = Controller(*(quantize_poly([Fraction(x) for x in p], fmt)
+                         for p in (cn, cd)))
+        g = TransferFunction([Fraction(x) for x in gn],
+                             [Fraction(x) for x in gd])
+        exact = cancellation_on_or_outside_unit_circle(c, g)
+        assert exact == _float_screen(c, g), (cn, cd, gn, gd)
+        flagged += exact
+    assert 1000 < flagged < 1900
+
+
+SIX_FIFTHS = [1, Fraction(-6, 5), 1]  # a complex pair on the unit circle
+
+
+@pytest.mark.parametrize("controller,plant,hidden", [
+    # A controller zero on a plant pole at z = 1, at z = -1, and inside.
+    (make_controller([1, -1], [1, 0]), TransferFunction([1], [1, -1]), True),
+    (make_controller([1, 1], [1, Fraction(-1, 2)]),
+     TransferFunction([1], [1, 1]), True),
+    (make_controller([1, Fraction(-1, 2)], [1, 0]),
+     TransferFunction([1], [1, Fraction(-1, 2)]), False),
+    # A plant not in lowest terms: z^2 - (6/5)z + 1 over itself.
+    (make_controller([1], [1]),
+     TransferFunction(SIX_FIFTHS, poly_mul(Poly(SIX_FIFTHS),
+                                           Poly([1, Fraction(1, 2)])).coeffs),
+     True),
+    # A repeated root at 2: (z - 2)^2 in the controller and the plant.
+    (make_controller([1, -4, 4], [1, 0, 0]),
+     TransferFunction([1], [1, -4, 4]), True),
+    # A zero controller numerator shares every root of Cd*Gd: no hidden
+    # mode.
+    (make_controller([0], [1]), TransferFunction([1], [1, -2]), False),
+    # Distinct roots 1e-7 apart share no factor.
+    (make_controller([1], [1]),
+     TransferFunction([1, -2], [1, -2 - Fraction(1, 10 ** 7)]), False),
+])
+def test_cancellation_screen_exact_cases(controller, plant, hidden):
+    assert cancellation_on_or_outside_unit_circle(controller, plant) is hidden
 
 
 def test_write_margins_format():
