@@ -9,15 +9,13 @@ and writes step-response traces plus margin files into --out-dir.
 import argparse
 import pathlib
 import sys
-from fractions import Fraction
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
-from dcsynth import (Controller, FixedPointFormat, Limits, NoiseModel,
-                     TransferFunction, cegis_two_stage, char_poly,
+from dcsynth import (Controller, Limits, cegis_two_stage, char_poly,
                      frequency_margins, jury_stable, parse_benchmark,
                      parse_controller, quantize_poly, root_oracle,
-                     step_response, write_margins)
+                     step_response)
 
 BENCH_DIR = pathlib.Path(__file__).resolve().parents[1] / "benchmarks"
 
@@ -32,11 +30,11 @@ def report_controller(tag, controller, plant, sample_time, out_dir, steps):
     print(f"[{tag}] gain margin: {gm:.2f} dB, phase margin: "
           f"{'inf' if pm == float('inf') else f'{pm:.2f} deg'}")
     with open(out_dir / f"{tag}_margins.txt", "w") as fh:
-        write_margins(fh, gm, pm)
-    q = controller.format.step
+        for key, x in (("gain_margin_db", gm), ("phase_margin_deg", pm)):
+            text = "inf" if x == float("inf") else f"{x:.6f}"
+            fh.write(f"{key} = {text}\n")
     trace = step_response(controller, plant, sample_time, steps,
-                          NoiseModel.worst_case(q, q), seed=0,
-                          stop_on_divergence=True)
+                          controller.format.step)
     with open(out_dir / f"{tag}_trace.csv", "w") as fh:
         trace.write_csv(fh)
     if trace.diverged():

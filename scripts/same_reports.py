@@ -26,12 +26,14 @@ working tree's `src/`, runs:
   benchmark file, at its own controller orders and at orders (k, k) for
   k = 0-4, comparing the raw start points (a start the search tries and
   rejects never reaches a report);
-- in-process `step_response` on seeded loops, two to each combination of
-  controller order 0-2, format <4, F> for F in 8, 12, 16, 20, noise mode
-  and DAC step q2 in 0, q, 3q (q = 2^-F, the ADC step), 200 steps, with
-  `stop_on_divergence` alternating, comparing the e and u raws, the
-  outputs y as strings and the length, or, for a loop that overflows, the
-  `ArithmeticOverflow` step and message;
+- in-process `step_response` on seeded loops, six to each combination of
+  controller order 0-2, format <4, F> for F in 8, 12, 16, 20, and the
+  ADC/DAC step in 0, q, 3q (q = 2^-F), 200 steps, stopping at
+  divergence, each tree called through its own signature (a tree with
+  `NoiseModel` gets worst-case noise of that step at both converters),
+  comparing the e and u raws, the outputs y as strings and the length,
+  or, for a loop that overflows, the `ArithmeticOverflow` step and
+  message;
 - the box verdict (`cegis._box_verdict`) on seeded random families, a
   third each around a box with one unstable edge between stable
   vertices, with a denominator lead through zero, and generic (order 1-4,
@@ -140,25 +142,32 @@ for b in sys.argv[2:]:
 print(json.dumps(out))
 """
 
-STEP_ROUNDS = 2
+STEP_ROUNDS = 6
 # Reads the rounds in argv[1]; prints one JSON list, per loop, of
 # [e raws, u raws, y strings, length] or ["overflow", step, message].
 STEP_CHILD = """
 import itertools, json, random, sys
 from fractions import Fraction
+import dcsynth.simulate as simulate
 from dcsynth.errors import ArithmeticOverflow
 from dcsynth.fixedpoint import FixedPointFormat, quantize_poly
-from dcsynth.simulate import NOISE_MODES, NoiseModel, step_response
 from dcsynth.transfer import Controller, TransferFunction
 rng = random.Random(0)
 
 def coeffs(count, scale):
     return [Fraction(rng.randint(-scale, scale), 1000) for _ in range(count)]
 
+def respond(ctl, plant, noise):
+    if hasattr(simulate, "NoiseModel"):  # the noise-mode signature
+        return simulate.step_response(
+            ctl, plant, Fraction(1, 5), 200,
+            simulate.NoiseModel.worst_case(noise, noise),
+            stop_on_divergence=True)
+    return simulate.step_response(ctl, plant, Fraction(1, 5), 200, noise)
+
 out = []
-for k, (_, order, f, mode, q2) in enumerate(itertools.product(
-        range(int(sys.argv[1])), range(3), (8, 12, 16, 20), NOISE_MODES,
-        (0, 1, 3))):
+for _, order, f, multiple in itertools.product(
+        range(int(sys.argv[1])), range(3), (8, 12, 16, 20), (0, 1, 3)):
     fmt, q = FixedPointFormat(4, f), Fraction(1, 2 ** f)
     gd = [1] + coeffs(rng.randint(1, 3), 1500)
     plant = TransferFunction(coeffs(rng.randint(1, len(gd)), 500), gd)
@@ -166,9 +175,7 @@ for k, (_, order, f, mode, q2) in enumerate(itertools.product(
                                    fmt),
                      quantize_poly([1] + coeffs(order, 1000), fmt))
     try:
-        trace = step_response(ctl, plant, Fraction(1, 5), 200,
-                              NoiseModel(q, q2 * q, mode), seed=k,
-                              stop_on_divergence=k % 2 == 1)
+        trace = respond(ctl, plant, multiple * q)
     except ArithmeticOverflow as exc:
         out.append(["overflow", exc.step, str(exc)])
         continue

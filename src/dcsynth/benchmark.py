@@ -69,7 +69,8 @@ def _fraction_list(value: str, lineno):
 
 def _int_pair(value: str, lineno):
     parts = [t.strip() for t in value.split(",")]
-    if len(parts) != 2 or not all(p.lstrip("-").isdigit() for p in parts):
+    if len(parts) != 2 or not all(p.removeprefix("-").isdigit()
+                                  and p.isascii() for p in parts):
         raise ParseError(f"expected two integers, got {value!r}", line=lineno)
     return int(parts[0]), int(parts[1])
 

@@ -504,26 +504,27 @@ def _box_verdict(candidate, num_iv, den_iv, deadline, grid=None, proof=None):
         return c[:nn], c[nn:]
 
     def walk(low=-1, s=centre, gs=generators, k=0):
-        # Each vertex (k, S) with a plant, k rising with bit `low` clear, and
-        # a deadline check; s is S_c with all but the last len(gs) g_i signed.
+        # Each vertex (k, S), k rising with bit `low` clear, and a deadline
+        # check; s is S_c with all but the last len(gs) g_i signed.
         if not gs:
             check_deadline(deadline)
-            if any(corner(k)[nn:]):
-                yield k, s
+            yield k, s
             return
         for sign in (-1,) if len(gs) == low + 1 else (-1, 1):
             yield from walk(low, [x + sign * y for x, y in zip(s, gs[0])],
                             gs[1:], 2 * k + (sign > 0))
 
-    for k, s in walk():  # a vertex with no plant fails the lead test
+    for k, s in walk():
+        if not any(corner(k)[nn:]):  # no plant: it fails the lead test
+            continue
         v = _vertex_verdict(s, unit)
         if v.status is Status.UNSTABLE:
             return (verdict if verdict.status is Status.UNSTABLE else v,
                     _make_plant(*plant(k)))
-    if all(0 in e for e in ends[nn:]):  # read leads only where a plant is
-        top = min(next(i for i, x in enumerate(s) if x) for _, s in walk())
     # Edge `bit`'s corners differ in one coefficient, by n grid steps.  The
-    # edge step reads S from its lead on, the lead step the lead alone.
+    # edge step reads S from its lead on, the lead step the lead alone, on
+    # every edge, its ends with a plant or not (`verify_uncertainty` skips
+    # a position with none).
     cut = slice(top, None if steady else top + 1)
     failing, widths = [], [hi - lo for lo, hi in ends if lo != hi]
     for bit in range(len(generators)):
@@ -535,7 +536,7 @@ def _box_verdict(candidate, num_iv, den_iv, deadline, grid=None, proof=None):
                 at = Fraction(_first_root_step(chain, n), n)
                 return (JuryVerdict(Status.UNSTABLE, "edge", Fraction(0),
                                     "edges"), [(plant(lo), plant(hi), [at])])
-            if not steady and a != b and a * b <= 0 and any(corner(hi)[nn:]):
+            if not steady and a != b and a * b <= 0:
                 z = Fraction(a, a - b)
                 failing.append((plant(lo), plant(hi), [
                     Fraction(j, n) for j in (math.ceil(z * n) - 1,

@@ -17,7 +17,7 @@ from .cegis import (DEFAULT_PLANT_FORMAT, Limits, cegis_one_stage,
                     cegis_two_stage, describe_controller, verify_precision)
 from .errors import DcsynthError, Overflow, ParseError, ValidationError
 from .fixedpoint import FixedPointFormat, quantize_poly
-from .simulate import (NoiseModel, cancellation_on_or_outside_unit_circle,
+from .simulate import (cancellation_on_or_outside_unit_circle,
                        frequency_margins, step_response)
 from .stability import jury_stable, root_oracle
 from .transfer import Controller, TransferFunction, char_poly
@@ -78,14 +78,13 @@ def _synthesis(spec: BenchmarkSpec, engine: str, seed: int, limits: Limits,
 
 
 def _write_trace(controller: Controller, spec: BenchmarkSpec, path,
-                 steps: int, seed: int) -> dict:
-    """Write the closed-loop step response under worst-case quantization
-    noise to `path` as CSV; returns the report's `trace` block."""
-    q = controller.format.step
+                 steps: int) -> dict:
+    """Write the closed-loop step response under worst-case ADC/DAC errors
+    of the controller's step to `path` as CSV; returns the report's
+    `trace` block."""
     trace = step_response(controller, spec.plant,
                           spec.sample_time or Fraction(1), steps,
-                          NoiseModel.worst_case(q, q), seed,
-                          stop_on_divergence=True)
+                          controller.format.step)
     with open(path, "w") as fh:
         trace.write_csv(fh)
     return {"path": str(path), "steps": len(trace),
@@ -93,7 +92,7 @@ def _write_trace(controller: Controller, spec: BenchmarkSpec, path,
 
 
 def run_verify(spec: BenchmarkSpec, controller_coeffs, rounding: str,
-               trace_out=None, steps: int = 1000, seed: int = 0) -> dict:
+               trace_out=None, steps: int = 1000) -> dict:
     num, den, file_fmt = controller_coeffs
     fmt = file_fmt or spec.controller_format
     try:
@@ -130,8 +129,7 @@ def run_verify(spec: BenchmarkSpec, controller_coeffs, rounding: str,
         "phase_margin_deg": "inf" if math.isinf(pm) else round(pm, 6),
     }
     if trace_out is not None:
-        report["trace"] = _write_trace(controller, spec, trace_out, steps,
-                                       seed)
+        report["trace"] = _write_trace(controller, spec, trace_out, steps)
     return report
 
 
@@ -178,16 +176,16 @@ def build_parser() -> argparse.ArgumentParser:
                     "for uncertain discrete plants.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, seed_help):
         p.add_argument("file", help="benchmark file")
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=int, default=0, help=seed_help)
         p.add_argument("--trace-out", metavar="PATH", default=None)
         p.add_argument("--report", choices=("json", "text"), default="text")
         p.add_argument("--no-timing", action="store_true",
                        help="omit wall-clock fields (byte-identical reruns)")
 
     p_synth = sub.add_parser("synth", help="synthesize a controller")
-    common(p_synth)
+    common(p_synth, "seed of the candidate search")
     p_synth.add_argument("--engine", choices=("two", "one"), default="two")
     defaults = Limits()
     p_synth.add_argument("--max-iters", type=int,
@@ -198,7 +196,8 @@ def build_parser() -> argparse.ArgumentParser:
                          metavar="SECS")
 
     p_verify = sub.add_parser("verify", help="verify a given controller")
-    common(p_verify)
+    common(p_verify, "nothing to seed (the trace's noise is worst-case); "
+                     "accepted so synth and verify take the same flags")
     p_verify.add_argument("--controller", required=True, metavar="PATH",
                           help="controller coefficient file")
     p_verify.add_argument("--rounding", choices=("truncate", "nearest"),
@@ -226,13 +225,12 @@ def main(argv=None) -> int:
                                         not args.no_timing)
             if args.trace_out and result.success:
                 report["trace"] = _write_trace(result.controller, spec,
-                                               args.trace_out, 1000, args.seed)
+                                               args.trace_out, 1000)
             emit_report(report, args.report)
             return 0 if report["outcome"] == "Success" else 1
         controller_coeffs = parse_controller(args.controller)
         report = run_verify(spec, controller_coeffs, args.rounding,
-                            trace_out=args.trace_out, steps=args.steps,
-                            seed=args.seed)
+                            trace_out=args.trace_out, steps=args.steps)
         emit_report(report, args.report)
         return 0 if report["outcome"] == "Stable" else 1
     except (ParseError, ValidationError, OSError) as exc:

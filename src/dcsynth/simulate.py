@@ -5,16 +5,16 @@ The loop is the fully digital unity-negative-feedback arrangement: the
 fixed-point `Controller` runs on its own raws, on a signal grid with its
 fraction bits and a wide integer range (truncating arithmetic), the plant
 runs in exact rationals with each output rounded to the fixed dyadic grid
-of multiples of 2^-200, and quantization noise enters as nu1 at the plant
-output (ADC side) and nu2 at the controller output (DAC side), each
-bounded by half a quantization step.
+of multiples of 2^-200, and the ADC and DAC errors of one quantization
+step q enter at their worst: +-q/2 on the error fed to the controller and
+on its output, each with the sign of its signal, pushing it away from zero
+(q = 0: no noise).
 """
 
 from __future__ import annotations
 
 import csv
 import math
-import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -23,45 +23,12 @@ from .fixedpoint import (MAX_TOTAL_BITS, FixedPointFormat, FixedPointValue,
                          quantize_truncate)
 from .stability import bilinear, jury_stable, positive_roots, sturm_chain
 from .transfer import (Controller, Poly, TransferFunction, convolve,
-                       poly_add, poly_divmod, poly_mul)
+                       poly_divmod, poly_mul)
 
 SIGNAL_INTEGER_BITS = 40
 DIVERGENCE_FACTOR = 10 ** 6
 _PLANT_GRID = 1 << 200  # plant outputs are multiples of 1/_PLANT_GRID
 _DECIMAL_DIGITS = 20  # fractional digits of a non-terminating CSV time
-
-NOISE_MODES = ("zero", "worst-case-bound", "seeded-uniform")
-
-
-@dataclass(frozen=True)
-class NoiseModel:
-    """ADC/DAC quantization noise: |nu1| <= q1/2 at the plant output and
-    |nu2| <= q2/2 at the controller output."""
-
-    q1: Fraction
-    q2: Fraction
-    mode: str = "zero"
-
-    def __post_init__(self):
-        object.__setattr__(self, "q1", Fraction(self.q1))
-        object.__setattr__(self, "q2", Fraction(self.q2))
-        if self.q1 < 0 or self.q2 < 0:
-            raise ValueError("quantization steps must be nonnegative")
-        if self.mode not in NOISE_MODES:
-            raise ValueError(f"unknown noise mode {self.mode!r}")
-
-    @classmethod
-    def zero(cls) -> "NoiseModel":
-        return cls(Fraction(0), Fraction(0), "zero")
-
-    @classmethod
-    def worst_case(cls, q1, q2) -> "NoiseModel":
-        return cls(q1, q2, "worst-case-bound")
-
-    @classmethod
-    def seeded_uniform(cls, q1, q2) -> "NoiseModel":
-        return cls(q1, q2, "seeded-uniform")
-
 
 @dataclass
 class SimulationTrace:
@@ -128,32 +95,20 @@ def _decimal(x: Fraction) -> str:
 def _controller_polys(controller):
     if isinstance(controller, Controller):
         return (Poly([v.value for v in controller.num]),
-                Poly([v.value for v in controller.den]),
-                controller.format)
-    return controller.num, controller.den, None
+                Poly([v.value for v in controller.den]))
+    return controller.num, controller.den
 
 
 def _pad_front(coeffs, n):
     return [Fraction(0)] * (n - len(coeffs)) + list(coeffs)
 
 
-def _noise_stream(mode: str, q: Fraction, seed):
-    """Returns nu(reference_signal) -> Fraction for one channel of step q."""
-    if mode == "zero":
-        return lambda ref: Fraction(0)
-    if mode == "worst-case-bound":
-        # Adversarial: the contribution to the downstream signal has the same
-        # sign as that signal, pushing it away from zero.
-        return lambda ref: (-q if ref < 0 else q) / 2
-    rng = random.Random(seed)
-    return lambda ref: Fraction(rng.uniform(float(-q) / 2, float(q) / 2))
-
-
 def step_response(controller: Controller, plant: TransferFunction, T,
-                  steps: int, noise: NoiseModel | None = None, seed: int = 0,
-                  stop_on_divergence: bool = False) -> SimulationTrace:
+                  steps: int, noise=0) -> SimulationTrace:
     """Unity-negative-feedback response of a fixed-point controller to a
-    unit step.
+    unit step, under worst-case ADC/DAC errors of the quantization step
+    q = `noise`: q/2 with the sign of the signal, added to the error the
+    controller reads and to the output it writes.
 
     The controller path runs on the signal grid <max(min(40, 64 - F), I),
     F> for the controller format <I, F>: its raws go onto the grid as they
@@ -163,15 +118,14 @@ def step_response(controller: Controller, plant: TransferFunction, T,
     with F fraction bits, as I + F <= 64.  The plant path runs in exact
     rationals, each new output rounded to the nearest multiple of 2^-200.
 
-    With `stop_on_divergence` the loop ends early once |y| exceeds the
-    threshold `diverged()` reads, in a y without e and u if the step's
-    controller path overflows; the trace is then shorter than `steps` (an
-    unstable loop eventually overflows even the wide signal format, so this
-    is how a divergent trace is inspected rather than raised out of).
+    The loop ends early at the first |y| above the threshold `diverged()`
+    reads, in a y without e and u if that step's controller path
+    overflows; the trace is then shorter than `steps`.  An overflow before
+    divergence raises ArithmeticOverflow.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    noise = noise or NoiseModel.zero()
+    half = Fraction(noise) / 2
     i, f = controller.format.integer_bits, controller.format.fraction_bits
     sig_fmt = FixedPointFormat(
         max(min(SIGNAL_INTEGER_BITS, MAX_TOTAL_BITS - f), i), f)
@@ -185,32 +139,32 @@ def step_response(controller: Controller, plant: TransferFunction, T,
     n_g = max(len(plant.num.coeffs), len(plant.den.coeffs))
     gn = _pad_front(plant.num.coeffs, n_g)
     gd = _pad_front(plant.den.coeffs, n_g)
-    nu1 = _noise_stream(noise.mode, noise.q1, seed * 2 + 1)
-    nu2 = _noise_stream(noise.mode, noise.q2, seed * 2 + 2)
 
     uin_hist = [Fraction(0)] * n_g
     y_hist = [Fraction(0)] * n_g
     trace = SimulationTrace(sample_time=Fraction(T))
     for k in range(steps):
         y = y_hist[0]
+        diverged = abs(y) > DIVERGENCE_FACTOR
         e_pre = 1 - y
         try:
-            e_q = quantize_truncate(e_pre + nu1(e_pre), sig_fmt)
+            e_q = quantize_truncate(e_pre + (-half if e_pre < 0 else half),
+                                    sig_fmt)
             u_q = (zero if controller_is_zero
                    else _controller_step(b, a, e_q, trace))
         except Overflow as exc:
-            if stop_on_divergence and abs(y) > DIVERGENCE_FACTOR:
+            if diverged:
                 trace.y.append(y)
                 break
             raise ArithmeticOverflow(k, str(exc)) from exc
-        u_in = u_q.value + nu2(u_q.value)
+        u_in = u_q.value + (-half if u_q.value < 0 else half)
         y_next = _plant_step(gn, gd, u_in, uin_hist, y_hist)
         uin_hist = [u_in] + uin_hist[:-1]
         y_hist = [y_next] + y_hist[:-1]
         trace.e.append(e_q)
         trace.u.append(u_q)
         trace.y.append(y)
-        if stop_on_divergence and abs(y) > DIVERGENCE_FACTOR:
+        if diverged:
             break
     return trace
 
@@ -242,7 +196,7 @@ def _open_loop(controller, plant: TransferFunction) -> tuple:
     common factor: the last term of their Sturm remainder sequence (Basu,
     Pollack & Roy, *Algorithms in Real Algebraic Geometry*), a multiple of
     their gcd."""
-    cn, cd, _ = _controller_polys(controller)
+    cn, cd = _controller_polys(controller)
     num, den = poly_mul(cn, plant.num), poly_mul(cd, plant.den)
     return num, den, Poly(sturm_chain(num, den)[-1])
 
@@ -307,26 +261,3 @@ def _wrap_margin(deg: float) -> float:
     """Reduce an angle in degrees to the representative in (-180, 180]."""
     m = deg % 360.0
     return m - 360.0 if m > 180.0 else m
-
-
-def write_margins(fp, gain_margin_db, phase_margin_deg):
-    """Key=value export of the margin pair."""
-    def fmt(x):
-        return "inf" if math.isinf(x) else f"{x:.6f}"
-    fp.write(f"gain_margin_db = {fmt(gain_margin_db)}\n")
-    fp.write(f"phase_margin_deg = {fmt(phase_margin_deg)}\n")
-
-
-def sensitivity_functions(controller, plant: TransferFunction):
-    """(H1, H2, H3) = (1, G, GC) / (1 + GC), all over the shared closed-loop
-    denominator S = Cn*Gn + Cd*Gd."""
-    cn, cd, _ = _controller_polys(controller)
-    cn_gn = poly_mul(cn, plant.num)
-    cd_gd = poly_mul(cd, plant.den)
-    s = poly_add(cn_gn, cd_gd).normalize()
-    if s.is_zero():
-        raise DegenerateLoop("1 + G*C is identically zero")
-    h1 = TransferFunction(cd_gd, s)
-    h2 = TransferFunction(poly_mul(cd, plant.num), s)
-    h3 = TransferFunction(cn_gn, s)
-    return h1, h2, h3

@@ -138,10 +138,6 @@ def poly_roots(coeffs) -> list:
     return z + [0j] * zeros
 
 
-def poly_add(a: Poly, b: Poly) -> Poly:
-    return Poly(add_aligned(a.coeffs, b.coeffs, Fraction(0)))
-
-
 def poly_mul(a: Poly, b: Poly) -> Poly:
     return Poly(convolve(a.coeffs, b.coeffs, Fraction(0)))
 

@@ -18,8 +18,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from dcsynth import (Controller, FixedPointFormat, Limits, NoiseModel,
-                     PlantFamily, Poly, Status, TransferFunction,
+from dcsynth import (Controller, FixedPointFormat, Limits, PlantFamily, Poly,
+                     Status, TransferFunction,
                      cancellation_on_or_outside_unit_circle, cegis_one_stage,
                      cegis_two_stage, char_poly, ContinuousTF,
                      family_to_interval_poly, frequency_margins,
@@ -65,8 +65,7 @@ def test_criterion_2_instability_reproduction():
     s = char_poly(QUANTIZED_CTL, CRUISE_PLANT)
     verdict = jury_stable(s)
     rho = root_oracle(s)
-    trace = step_response(QUANTIZED_CTL, CRUISE_PLANT, T, 500,
-                          NoiseModel.zero(), SEED, stop_on_divergence=True)
+    trace = step_response(QUANTIZED_CTL, CRUISE_PLANT, T, 500)
     elapsed = time.perf_counter() - t0
     ok = (not verdict.is_stable and rho > 1.0 and trace.diverged()
           and trace.divergence_step() < 500 and elapsed < 1.0)
@@ -81,9 +80,7 @@ def test_criterion_3_stability_reproduction():
     s = char_poly(FINAL_CTL_Q, CRUISE_PLANT)
     verdict = jury_stable(s)
     rho = root_oracle(s)
-    q = F416.step
-    trace = step_response(FINAL_CTL_Q, CRUISE_PLANT, T, 10 ** 4,
-                          NoiseModel.worst_case(q, q), SEED)
+    trace = step_response(FINAL_CTL_Q, CRUISE_PLANT, T, 10 ** 4, F416.step)
     elapsed = time.perf_counter() - t0
     ok = (verdict.is_stable and rho < 1.0 and not trace.diverged()
           and elapsed < 5.0)

@@ -831,20 +831,34 @@ def test_box_verdict_reads_each_vertex_as_it_reaches_it():
             assert found.status is Status.UNSTABLE
 
 
+LEAD_ON_A_FACE = PlantFamily(TransferFunction([2, 0], [1, 0]),
+                             delta_num=[0, 1], delta_den=[1, 0],
+                             plant_format=FixedPointFormat(8, 8))
+
+
 def test_lead_step_reads_the_lead_off_the_vertices_with_a_plant():
     # S = (a - 2)·z - n1 over a in [0, 2], n1 in [-1, 1]: the corners at
-    # a = 0 have no plant, and every other corner has a zero first
-    # coefficient.  The lead is the next coefficient, -n1, whose zero the
-    # one failing edge between the plant corners straddles.
-    fam = PlantFamily(TransferFunction([2, 0], [1, 0]), delta_num=[0, 1],
-                      delta_den=[1, 0], plant_format=FixedPointFormat(8, 8))
+    # a = 0 have no plant, and the lead a - 2 vanishes on the face a = 2.
+    # The two edges from a = 0 to a = 2 straddle that zero; the grid point
+    # just short of it, a = 511/256, has a plant.
+    fam = LEAD_ON_A_FACE
     c = make_controller([-1], [1])
     verdict, failing = cegis_mod._box_verdict(
         c, *family_grid_box(fam), None, fam.plant_format)
     assert verdict == JuryVerdict(Status.UNSTABLE, "lead", Fraction(0),
                                   "vertices")
-    assert failing == [(((2, -1), (2, 0)), ((2, 1), (2, 0)),
-                        [Fraction(255, 512), Fraction(257, 512)])]
+    assert failing == [(((2, n1), (0, 0)), ((2, n1), (2, 0)),
+                        [Fraction(511, 512)]) for n1 in (-1, 1)]
+
+
+def test_verify_uncertainty_returns_the_unstable_plant_beside_a_lead_face():
+    # The grid plant beside the face where the lead of S vanishes, reached
+    # by an edge whose low corner has no plant: S = -z/256 + 1, a root at
+    # 256.
+    c = make_controller([-1], [1])
+    plant = verify_uncertainty(c, LEAD_ON_A_FACE)
+    assert plant == TransferFunction([2, -1], [Fraction(511, 256), 0])
+    assert concrete_verdict(c, plant).violated == "R1"
 
 
 FOURTH_ORDER = str(pathlib.Path(__file__).resolve().parents[1] / "perfbench"

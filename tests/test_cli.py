@@ -168,6 +168,56 @@ def test_verify_trace_emission(tmp_path):
     assert len(lines) == 101
 
 
+def test_verify_trace_pins_the_worst_case_noise(tmp_path):
+    # cruise_stable.ctl at <4,16>, q = 2^-16: raws b = 723202, 383130,
+    # 321247 and a = 71952, 4135, 8412.  Derived by hand: each converter
+    # adds q/2 with the sign of its signal x (x + q/2 for x >= 0, else
+    # x - q/2), and trunc rounds toward zero:
+    #   e_k = trunc((1 - y_k ± q/2)·2^16),
+    #   u_k = trunc((sum_j trunc(b_j·e_{k-j}/2^16)
+    #                - sum_{j>=1} trunc(a_j·u_{k-j}/2^16))·2^16/a_0),
+    #   y_{k+1} = 0.9998·y_k + 0.0264·(u_{k-1}·2^-16 ± q/2), y_0 = y_1 = 0
+    # (the plant path reads u one sample back).  Without the noise, e_2
+    # would be 48145 and y_2 0.0264·u_0·2^-16.
+    trace = tmp_path / "trace.csv"
+    code, _ = run(["verify", CRUISE, "--controller", STABLE_CTL,
+                   "--trace-out", str(trace), "--steps", "6"])
+    assert code == 0
+    rows = [line.split(",") for line in trace.read_text().splitlines()[1:]]
+    scale = FixedPointFormat(40, 16).scale
+    assert [[int(Fraction(e) * scale), int(Fraction(u) * scale), y]
+            for _, _, _, e, u, y in rows] == [
+        [65536, 658713, "0.0"],
+        [65536, 969824, "0.0"],
+        [48146, 992745, "0.2653508972167969"],
+        [22546, 605147, "0.6559742003283692"],
+        [-3654, 147445, "1.0557526917676003"],
+        [-19616, -195179, "1.2993143378601062"]]
+
+
+@pytest.mark.parametrize("name,key,value", [
+    ("cruise.bench", "controller_orders", "--1, 2"),
+    ("cruise.bench", "controller_orders", "\u00b2, 2"),
+    ("cruise.bench", "controller_format", "4, --16"),
+    ("cruise_stable.ctl", "format", "\u00b2, 16"),
+], ids=["orders-double-minus", "orders-superscript", "format-double-minus",
+        "ctl-format-superscript"])
+def test_malformed_integer_pair_is_a_parse_error(tmp_path, capsys, name,
+                                                 key, value):
+    # str.isdigit accepts "²", and "--1" has digits after its minus signs;
+    # int() rejects both.  Each is a parse error naming its line, exit 2.
+    path = tmp_path / name
+    lines = (BENCH_DIR / name).read_text().splitlines()
+    lineno = next(i for i, line in enumerate(lines, 1)
+                  if line.startswith(f"{key} ="))
+    lines[lineno - 1] = f"{key} = {value}"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    bench, ctl = ((path, STABLE_CTL) if name.endswith(".bench")
+                  else (CRUISE, path))
+    assert main(["verify", str(bench), "--controller", str(ctl)]) == 2
+    assert f"line {lineno}: expected two integers" in capsys.readouterr().err
+
+
 def test_verify_trace_ends_at_an_overflow_past_divergence(tmp_path,
                                                           capsys):
     # u = 2^41·e leaves <48,8> at step 2, whose y, about 5.8e10, is past

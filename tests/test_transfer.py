@@ -12,7 +12,7 @@ from dcsynth.errors import DegenerateCharPoly
 from dcsynth.fixedpoint import FixedPointFormat, quantize_poly
 from dcsynth.simulate import cancellation_on_or_outside_unit_circle
 from dcsynth.transfer import (Controller, PlantFamily, Poly, TransferFunction,
-                              char_poly, integerize, poly_add, poly_mul)
+                              char_poly, integerize, poly_mul)
 
 F416 = FixedPointFormat(4, 16)
 
@@ -34,7 +34,6 @@ def test_poly_basics():
 def test_poly_arithmetic():
     a = Poly([1, 2])          # z + 2
     b = Poly([1, 0, -1])      # z^2 - 1
-    assert poly_add(a, b).coeffs == (1, 1, 1)
     assert poly_mul(a, b).coeffs == (1, 2, -1, -2)
 
 
@@ -101,7 +100,6 @@ def test_poly_mul_evaluation_homomorphism(ca, cb):
     a, b = Poly(ca), Poly(cb)
     z = Fraction(3, 2)
     assert poly_mul(a, b)(z) == a(z) * b(z)
-    assert poly_add(a, b)(z) == a(z) + b(z)
 
 
 @given(st.lists(st.one_of(st.integers(-10 ** 6, 10 ** 6), st.fractions(),
