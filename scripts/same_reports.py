@@ -46,6 +46,9 @@ working tree's `src/`, runs:
   -1/5 where the first numerator coefficient is high (it ends at an
   unstable vertex, most of them past the first half of the scan); none
   reaches the edge scan, whose cost grows as 2^k on both trees;
+- interval Jury (`jury_stable_interval`) on 4000 seeded interval
+  polynomials of degree 0-8 (`interval_polys`), comparing the status, the
+  violated condition and the margin;
 - the candidate search (`synthesize_candidate`, no placement starts) on
   cruise_uncertain's first two counterexamples at budgets 1, 50, 2000,
   9876 and 12000, seeds 1, 3, 14 and 801681276; on a plant whose unstable
@@ -275,6 +278,25 @@ for fam, c in families:
 print(json.dumps(out))
 """
 
+INTERVAL_POLYS = 4000
+# Reads [[[lo, hi], ...], ...] as strings on stdin; prints one JSON list of
+# [status, violated condition, margin as hexadecimal p/q] per interval
+# polynomial.
+JURY_CHILD = """
+import json, sys
+from fractions import Fraction
+from dcsynth.intervals import IntervalPoly, RationalInterval
+from dcsynth.stability import jury_stable_interval
+out = []
+for ends in json.load(sys.stdin):
+    v = jury_stable_interval(IntervalPoly(
+        [RationalInterval(Fraction(lo), Fraction(hi)) for lo, hi in ends]))
+    m = v.margin  # in hexadecimal: a decimal string may exceed Python's limit
+    out.append([v.status.value, v.violated,
+                f"{m.numerator:x}/{m.denominator:x}"])
+print(json.dumps(out))
+"""
+
 SEARCH_SETS = 18
 SEARCH_BUDGETS = (4000, 2345, 17)
 # Sweepable (format bits, orders): at most 50625 grid points.
@@ -348,6 +370,38 @@ def search_cases():
         cases += [[plants, bits, orders, 14, budget]
                   for budget in SEARCH_BUDGETS]
     return cases
+
+
+def interval_polys(count):
+    """`count` seeded interval polynomials of degree 0-8, as [lo, hi]
+    strings: around random coefficients or a product of real roots in
+    (-0.95, 0.95), each coefficient a point or of radius up to 0.1; a fifth
+    with a lead through zero, a third negated."""
+    rng = random.Random(0)
+    polys = []
+    for k in range(count):
+        degree = rng.randint(0, 8)
+        if k % 2:
+            centre = [Fraction(rng.randint(-2000, 2000), 1000) or Fraction(1)
+                      for _ in range(degree + 1)]
+        else:
+            centre = [Fraction(1)]
+            for _ in range(degree):
+                root = Fraction(rng.randint(-950, 950), 1000)
+                centre = [a - root * b
+                          for a, b in zip(centre + [0], [0] + centre)]
+        ends = []
+        for c in centre:
+            r = (0 if rng.random() < 0.3 else
+                 Fraction(rng.randint(1, 10 ** rng.randint(1, 3)), 10 ** 4))
+            ends.append((c - r, c + r))
+        if k % 5 == 0:
+            ends[0] = (Fraction(rng.randint(-5, 0), 10),
+                       Fraction(rng.randint(0, 5), 10))
+        if k % 3 == 0:
+            ends = [(-hi, -lo) for lo, hi in ends]
+        polys.append([[str(lo), str(hi)] for lo, hi in ends])
+    return polys
 
 
 def screen_loops(count):
@@ -504,6 +558,14 @@ def box_verdicts(src):
     return json.loads(proc.stdout)
 
 
+def interval_verdicts(src, polys):
+    proc = run(src, ["-c", JURY_CHILD], json.dumps(polys))
+    if proc.returncode != 0:
+        sys.exit(f"interval-Jury child failed on {src}:\n"
+                 f"{proc.stderr[-2000:]}")
+    return json.loads(proc.stdout)
+
+
 def searches(src, cases):
     proc = run(src, ["-c", SEARCH_CHILD], json.dumps(cases))
     if proc.returncode != 0:
@@ -546,6 +608,9 @@ def main():
         placed = {name: starts(src) for name, src in trees.items()}
         steps = {name: step_responses(src) for name, src in trees.items()}
         boxes = {name: box_verdicts(src) for name, src in trees.items()}
+        ipolys = interval_polys(INTERVAL_POLYS)
+        juries = {name: interval_verdicts(src, ipolys)
+                  for name, src in trees.items()}
         cases = search_cases()
         found = {name: searches(src, cases) for name, src in trees.items()}
         loops = screen_loops(SCREEN_LOOPS)
@@ -588,6 +653,12 @@ def main():
             differences += 1
             print(f"box verdict {k} (family {k // 4}): {a} != {b}")
     settled, verdicts = Counter(a[0] for a in old), len(old)
+    old, new = (juries[name] for name in trees)
+    for ends, a, b in zip(ipolys, old, new):
+        if a != b:
+            differences += 1
+            print(f"interval Jury on {ends}: {a} != {b}")
+    statuses = Counter(a[0] for a in old)
     old, new = (found[name] for name in trees)
     for case, a, b in zip(cases, old, new):
         if a != b:
@@ -604,6 +675,8 @@ def main():
           f"placement start lists, {len(steps[rev])} step responses "
           f"({overflowing} overflowing), {verdicts} box verdicts ("
           + ", ".join(f"{n} {k}" for k, n in sorted(settled.items()))
+          + f"), {len(ipolys)} interval Jury verdicts ("
+          + ", ".join(f"{n} {k}" for k, n in sorted(statuses.items()))
           + f"), {len(cases)} searches ({accepted} accepting) "
           f"and {len(loops)} cancellation screens ({sum(old)} flagged) "
           f"compared against {rev}: {differences} differences")

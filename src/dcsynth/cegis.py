@@ -7,11 +7,12 @@ sign of the lead of S, exact Jury of the box centre and the zero-exclusion
 sweep, with no vertex (`_box_proof`, these steps and interval Jury); then,
 where one of those refuses, exact Jury of the vertices, the lead (where its
 sign test failed) or the edges, walked one at a time with none kept, all on
-the box ends as integers over one denominator (`integerize`).  The two-stage
-loop runs `_box_proof` on the inflated box first: the grid box lies inside it,
-so a proof passes both stages.  Else it checks the grid box, then finishes the
-inflated box's verdict from that proof attempt.  The one-stage engine's
-certificate is the interval Jury verdict that accepted its controller.
+the box ends as integers over one denominator (`IntervalPoly.ends`).  The
+two-stage loop runs `_box_proof` on the inflated box, built once per plant
+format, first: the grid box lies inside it, so a proof passes both stages.
+Else it checks the grid box, then finishes the inflated box's verdict from
+that proof attempt.  The one-stage engine's certificate is the interval Jury
+verdict that accepted its controller.
 
 The candidate search is deterministic seeded hill climbing over the <I,F>
 coefficient grid with restarts, run one at a time, falling back to
@@ -46,7 +47,7 @@ from .intervals import (IntervalPoly, family_grid_box,
                         family_to_interval_poly, ipoly_add, ipoly_mul)
 from .stability import (JuryVerdict, Status, has_root, jury_conditions,
                         jury_stable, jury_stable_interval, root_bound,
-                        segment_chain, solve, tarski_query, zero_excluded)
+                        segment_chain, solve, tarski_queries, zero_excluded)
 from .transfer import (Controller, PlantFamily, Poly, TransferFunction,
                        char_poly, closed_loop_coeffs, convolve, integerize,
                        poly_mul)
@@ -326,12 +327,12 @@ def _sign_obstructed(inputs) -> bool:
     first = next(p for p in inputs
                  if p.den == den and p.num.degree < den.degree)
     bound = root_bound(den)
-    ends = (-bound, -1, 1, bound)
-    roots = tarski_query(den, Poly([1]), ends)
+    query = tarski_queries(den, (-bound, -1, 1, bound))
+    roots = query(Poly([1]))
     if roots[0] == roots[2] == 0 and den(1) != 0:
         return False
     q = poly_mul(first.num, num)
-    signs = tarski_query(den, q, ends)
+    signs = query(q)
     return (signs[0] < roots[0] or signs[2] < roots[2]
             or den(1) == 0 and q(1) <= 0)
 
@@ -362,8 +363,8 @@ def _float_jury_margin(c) -> float:
 
 def _interval_char_poly(candidate: Controller, num_iv: IntervalPoly,
                         den_iv: IntervalPoly) -> IntervalPoly:
-    cn = IntervalPoly([v.value for v in candidate.num])
-    cd = IntervalPoly([v.value for v in candidate.den])
+    cn, cd = (IntervalPoly([(v.raw, v.raw) for v in p], candidate.format.scale)
+              for p in (candidate.num, candidate.den))
     return ipoly_add(ipoly_mul(cn, num_iv), ipoly_mul(cd, den_iv))
 
 
@@ -418,10 +419,9 @@ def _box_proof(candidate, num_iv, den_iv, deadline):
     # Each S below is in integers, from the controller's raws and the plant
     # coefficients times 2d (so the box centre is integer too): a positive
     # multiple of S, with the same signs, ratios and primitive Sturm chains.
-    nn = len(num_iv.coeffs)
-    ends, d = integerize([x for c in num_iv.coeffs + den_iv.coeffs
-                          for x in (c.lo, c.hi)])
-    ends = list(zip(ends[::2], ends[1::2]))
+    nn, d = len(num_iv.ends), math.lcm(num_iv.den, den_iv.den)
+    ends = [(lo * (d // p.den), hi * (d // p.den))
+            for p in (num_iv, den_iv) for lo, hi in p.ends]
     cn, cd = ([v.raw for v in p] for p in (candidate.num, candidate.den))
 
     def s_of(plant):
@@ -491,7 +491,7 @@ def _box_verdict(candidate, num_iv, den_iv, deadline, grid=None, proof=None):
     if verdict.status is Status.STABLE:
         return verdict, []
     unit, centre, generators, ends, d, top, steady = form
-    nn = len(num_iv.coeffs)
+    nn = len(num_iv.ends)
     # Bit i of k from the top picks g_i's sign and its coefficient's end at
     # vertex k (a point coefficient's ends agree).
     bits = [sum(lo != hi for lo, hi in ends[j + 1:]) for j in range(len(ends))]
@@ -566,8 +566,9 @@ def verify_precision(candidate: Controller, family: PlantFamily,
     by the same steps as the first stage's grid box, where given from
     `proof`, what `_box_proof` returned on that box; raises
     DeadlineExceeded past the `deadline`."""
-    num_iv, den_iv = family_to_interval_poly(family)
-    return _box_verdict(candidate, num_iv, den_iv, deadline,
+    if proof is not None and proof[0].is_stable:
+        return proof[0]
+    return _box_verdict(candidate, *family_to_interval_poly(family), deadline,
                         proof=proof)[0]
 
 
@@ -617,7 +618,7 @@ def cegis_two_stage(family: PlantFamily, controller_format: FixedPointFormat,
     starts = functools.cache(lambda: placement_starts(
         family.nominal, controller_format, orders))
     inputs = []
-    candidate = certificate = None
+    candidate = certificate = box = None
     iteration = 0
     transcript = []
     reason = "iteration-limit"  # unless the loop ends before the limit
@@ -626,6 +627,7 @@ def cegis_two_stage(family: PlantFamily, controller_format: FixedPointFormat,
             check_deadline(deadline)
             iteration += 1
             fam = family.with_format(plant_format)
+            box = box or family_to_interval_poly(fam)  # built per format
             # inputs[-1], if any, is new: the last iteration found it.
             if inputs and _sign_obstructed(inputs):
                 raise NoCandidate("no controller stabilizes counterexample "
@@ -638,8 +640,7 @@ def cegis_two_stage(family: PlantFamily, controller_format: FixedPointFormat,
                                "inputs": len(inputs)})
             # The grid box lies inside the inflated box: where the proving
             # steps prove the inflated box, the grid box needs no check.
-            proof = _box_proof(candidate, *family_to_interval_poly(fam),
-                               deadline)
+            proof = _box_proof(candidate, *box, deadline)
             cex = (None if proof[0].is_stable
                    else verify_uncertainty(candidate, fam, deadline))
             if cex is not None:
@@ -668,7 +669,7 @@ def cegis_two_stage(family: PlantFamily, controller_format: FixedPointFormat,
                     or bits[1] > limits.max_precision.fraction_bits):
                 reason = "precision-limit"
                 break
-            plant_format = FixedPointFormat(*bits)
+            plant_format, box = FixedPointFormat(*bits), None
             inputs.clear()  # stale: they were found at lower precision
     except DeadlineExceeded:
         reason = "timeout"

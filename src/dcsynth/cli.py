@@ -55,6 +55,9 @@ def _synthesis(spec: BenchmarkSpec, engine: str, seed: int, limits: Limits,
     engines = {"two": cegis_two_stage, "one": cegis_one_stage}
     result = engines[engine](spec.family, spec.controller_format,
                              spec.controller_orders, seed, limits)
+    # A Success's controller is the candidate the transcript describes last:
+    # the report keeps that one description, not a copy.
+    described = [t["candidate"] for t in result.transcript if "candidate" in t]
     report = {
         "format_version": FORMAT_VERSION,
         "command": "synth",
@@ -63,8 +66,7 @@ def _synthesis(spec: BenchmarkSpec, engine: str, seed: int, limits: Limits,
         "seed": seed,
         "outcome": "Success" if result.success else "Failure",
         "reason": result.reason,
-        "controller": describe_controller(result.controller
-                                          if result.success else None),
+        "controller": described[-1] if result.success else None,
         "plant_format": str(result.plant_format),
         "iterations": result.iterations,
         "certificate": _certificate_report(result.certificate),

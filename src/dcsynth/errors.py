@@ -15,10 +15,6 @@ class DivisionByZero(DcsynthError):
     """Fixed-point division by an exactly-zero divisor."""
 
 
-class DivisorContainsZero(DcsynthError):
-    """Interval division where the divisor interval straddles zero."""
-
-
 class DegenerateCharPoly(DcsynthError):
     """Characteristic polynomial normalized to the zero polynomial."""
 

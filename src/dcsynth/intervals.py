@@ -1,8 +1,9 @@
-"""Interval arithmetic with exact rational endpoints.
+"""Interval polynomials with exact rational coefficient ends.
 
-Endpoints are `Fraction`s, so every operation encloses its exact result set
-with no rounding at all.  Plant quantization enters only as a widening of each
-coefficient by one grid step (`family_to_interval_poly`).
+Ends are integer (lo, hi) pairs over one denominator per polynomial, so every
+operation encloses its exact result set with no rounding at all.  Plant
+quantization enters only as a widening of each coefficient by one grid step
+(`family_to_interval_poly`).
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DivisorContainsZero
 from .fixedpoint import FixedPointFormat, quantize_nearest
 from .transfer import PlantFamily, add_aligned, integerize
 
@@ -43,39 +43,6 @@ class RationalInterval:
     def midpoint(self) -> Fraction:
         return (self.lo + self.hi) / 2
 
-    def __neg__(self):
-        return RationalInterval(-self.hi, -self.lo)
-
-    def __abs__(self):
-        if self.contains_zero():
-            return RationalInterval(0, max(-self.lo, self.hi))
-        if self.hi < 0:
-            return -self
-        return self
-
-    def __add__(self, other):
-        return RationalInterval(self.lo + other.lo, self.hi + other.hi)
-
-    def __radd__(self, other):
-        # sum() starts from the number 0.
-        return self + RationalInterval(other)
-
-    def __sub__(self, other):
-        return RationalInterval(self.lo - other.hi, self.hi - other.lo)
-
-    def __mul__(self, other):
-        p = (self.lo * other.lo, self.lo * other.hi,
-             self.hi * other.lo, self.hi * other.hi)
-        return RationalInterval(min(p), max(p))
-
-    def __truediv__(self, other):
-        if other.contains_zero():
-            raise DivisorContainsZero(
-                f"divisor [{other.lo}, {other.hi}] contains zero")
-        p = (self.lo / other.lo, self.lo / other.hi,
-             self.hi / other.lo, self.hi / other.hi)
-        return RationalInterval(min(p), max(p))
-
     def subset_of(self, other: "RationalInterval") -> bool:
         return other.lo <= self.lo and self.hi <= other.hi
 
@@ -92,40 +59,54 @@ class RationalInterval:
 
 @dataclass(frozen=True)
 class IntervalPoly:
-    """Polynomial with interval coefficients, descending powers of z."""
+    """Polynomial with interval coefficients, descending powers of z: integer
+    (lo, hi) `ends` over their least positive `den`; built from intervals or
+    numbers, or from integer pairs over a given positive `den`."""
 
-    coeffs: tuple
+    ends: tuple
+    den: int
 
-    def __init__(self, coeffs):
-        coeffs = tuple(c if isinstance(c, RationalInterval)
-                       else RationalInterval(c) for c in coeffs)
+    def __init__(self, coeffs, den=None):
+        if den is None:
+            coeffs = [c if isinstance(c, RationalInterval)
+                      else RationalInterval(c) for c in coeffs]
+            ints, den = integerize([x for c in coeffs for x in (c.lo, c.hi)])
+            coeffs = zip(ints[::2], ints[1::2])
+        coeffs = list(coeffs)
         if not coeffs:
             raise ValueError("interval polynomial needs at least one coefficient")
-        object.__setattr__(self, "coeffs", coeffs)
+        g = math.gcd(den, *(x for c in coeffs for x in c))
+        object.__setattr__(self, "ends",
+                           tuple((lo // g, hi // g) for lo, hi in coeffs))
+        object.__setattr__(self, "den", den // g)
+
+    @property
+    def coeffs(self) -> tuple:  # as RationalIntervals
+        return tuple(RationalInterval(*(Fraction(x, self.den) for x in e))
+                     for e in self.ends)
 
     @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.ends) - 1
 
 
 def ipoly_add(a: IntervalPoly, b: IntervalPoly) -> IntervalPoly:
-    return IntervalPoly(add_aligned(a.coeffs, b.coeffs, RationalInterval(0)))
+    den = math.lcm(a.den, b.den)
+    lo, hi = (add_aligned(*([e[k] * (den // p.den) for e in p.ends]
+                            for p in (a, b)), 0) for k in (0, 1))
+    return IntervalPoly(zip(lo, hi), den)
 
 
 def ipoly_mul(a: IntervalPoly, b: IntervalPoly) -> IntervalPoly:
-    """The interval product, on integer endpoints over each factor's least
-    common denominator: the same enclosure, one Fraction per endpoint."""
-    (na, da), (nb, db) = (integerize([x for c in p.coeffs
-                                      for x in (c.lo, c.hi)]) for p in (a, b))
-    na, nb = (list(zip(n[::2], n[1::2])) for n in (na, nb))  # (lo, hi)s
-    out = [[0, 0] for _ in range(len(na) + len(nb) - 1)]
-    for i, x in enumerate(na):
-        for j, y in enumerate(nb, i):
+    """The interval product, on the integer ends over the product of the
+    denominators."""
+    out = [[0, 0] for _ in range(len(a.ends) + len(b.ends) - 1)]
+    for i, x in enumerate(a.ends):
+        for j, y in enumerate(b.ends, i):
             p = [u * v for u in x for v in y]
             out[j][0] += min(p)
             out[j][1] += max(p)
-    return IntervalPoly([RationalInterval(*(Fraction(v, da * db) for v in c))
-                         for c in out])
+    return IntervalPoly(out, a.den * b.den)
 
 
 def _coeff_interval(c: Fraction, delta: Fraction,

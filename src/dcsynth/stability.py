@@ -11,13 +11,13 @@ For S(z) = a0 z^N + ... + aN with a0 > 0 the verdict is Stable iff:
       (N-1 reductions, down to a degree-1 row; stopping one step earlier
       provably disagrees with the root oracle).
 
-`jury_conditions` states these once in plain arithmetic operators, so the
-same recursion runs on RationalInterval and float coefficients;
-`jury_stable` runs its reduction on integer rows over a denominator, with
-the values it gives on Fraction coefficients.
+`jury_conditions` states these once in plain arithmetic operators, on floats
+and exact numbers; `jury_stable` and `jury_stable_interval` run the exact
+and the interval recursion on integer rows over a denominator, with the
+values the Fraction recursion gives.
 `segment_chain` and `has_root` are Białas' exact segment test,
 `zero_excluded` the zero-exclusion sweep of a box's value set, and
-`tarski_query` the signs of one polynomial at the real roots of another.
+`tarski_queries` the signs of polynomials at the real roots of another.
 `eliminate` is the one fraction-free elimination on integer rows, for the
 segment test's Hurwitz minors (`determinant`), its interpolation of Δ(t)
 from them and the pole-placement starts (`solve`).
@@ -62,9 +62,9 @@ def jury_conditions(c, may_be_zero):
     `c` (descending powers, at least two, positive leading coefficient):
     R1, R2, R3, then one R4 value per table reduction.
 
-    Works in any arithmetic with + - * /, abs() and sum().  When
-    `may_be_zero(pivot)` holds the recursion cannot divide by the pivot, and
-    ("R4", None) ends the sequence.
+    Works on floats or exact numbers.  When `may_be_zero(pivot)` holds the
+    recursion cannot divide by the pivot, and ("R4", None) ends the
+    sequence.
     """
     yield "R1", sum(c)
     yield "R2", sum(x if i % 2 == 0 else -x for i, x in enumerate(c))
@@ -98,25 +98,35 @@ def jury_stable(s: Poly) -> JuryVerdict:
     if c[0] < 0:
         c = [-x for x in c]
 
-    def conditions():  # (label, numerator, positive denominator)
+    def conditions():  # (label, (value, value), positive denominator)
         # R1-R3 have no division: the generator stops before R4.
         for label, value in itertools.islice(jury_conditions(c, None), 3):
-            yield label, value, den
+            yield label, (value, value), den
         row, d = c, den
         while len(row) > 2:
             pivot, last = row[0], row[-1]
             row = [pivot * x - last * y for x, y in zip(row, row[:0:-1])]
             g = math.gcd(d * pivot, *row)
             row, d = [x // g for x in row], d * pivot // g
-            yield "R4", row[0], d
+            yield "R4", (row[0], row[0]), d
 
-    margin = None
-    for label, value, d in conditions():
-        if margin is None or value * margin[1] < margin[0] * d:
-            margin = value, d
-        if value <= 0:
+    return _verdict(conditions())
+
+
+def _verdict(conditions) -> JuryVerdict:
+    """Verdict on Jury's (label, (lo, hi), positive denominator) values, in
+    order, with the least lo as margin (where Unknown, at most its label's
+    lo, so at most 0)."""
+    margin = first_violated = None  # margin: (numerator, denominator)
+    for label, (lo, hi), d in conditions:
+        if margin is None or lo * margin[1] < margin[0] * d:
+            margin = lo, d
+        if hi <= 0:
             return JuryVerdict(Status.UNSTABLE, label, Fraction(*margin))
-    return JuryVerdict(Status.STABLE, None, Fraction(*margin))
+        if lo <= 0:
+            first_violated = first_violated or label
+    status = Status.STABLE if first_violated is None else Status.UNKNOWN
+    return JuryVerdict(status, first_violated, Fraction(*margin))
 
 
 def jury_stable_interval(s: IntervalPoly, deadline=None) -> JuryVerdict:
@@ -125,34 +135,45 @@ def jury_stable_interval(s: IntervalPoly, deadline=None) -> JuryVerdict:
     Stable: every condition strictly positive over the whole family.
     Unstable: some condition nonpositive for every member.
     Unknown otherwise (including a leading or pivot interval through zero).
-    Raises DeadlineExceeded past `deadline`, checked before each reduction.
-    """
+    Raises DeadlineExceeded past `deadline`, checked before each table
+    reduction and after each element of it.  Runs on integer (lo, hi) rows
+    over a positive denominator: a pivot [p, q] that divides is positive,
+    so α = last/pivot has the ends of {l·p'} over p·q, and a row maps to
+    x·p·q - α·y over the denominator times p·q, α and row each less their
+    common content: the values of interval arithmetic on the rational ends."""
+    c, den = s.ends, s.den
+    if c[0][0] <= 0 <= c[0][1]:
+        return JuryVerdict(Status.UNKNOWN, None, Fraction(c[0][0], den))
+    if c[0][1] < 0:
+        c = [(-hi, -lo) for lo, hi in c]
+    if len(c) == 1:
+        return JuryVerdict(Status.STABLE, None, Fraction(c[0][0], den))
 
-    def may_be_zero(pivot):
-        check_deadline(deadline)
-        return pivot.contains_zero()
+    def conditions():  # (label, (lo, hi), positive denominator)
+        alternating = [e if i % 2 == 0 else (-e[1], -e[0])
+                       for i, e in enumerate(c)]
+        for label, row in ("R1", c), ("R2", alternating):
+            yield label, tuple(map(sum, zip(*row))), den
+        (lo, hi), (a, b) = c[0], c[-1]
+        yield "R3", (lo - max(-a, b), hi - max(a, -b, 0)), den
+        row, d = c, den
+        # A pivot through zero ends the values: it is an R4 value, Unknown.
+        while len(row) > 2 and row[0][0] > 0:
+            check_deadline(deadline)
+            (p, q), last = row[0], row[-1]
+            a = [x * y for x in last for y in (p, q)]
+            g = math.gcd(min(a), max(a), p * q)  # α's ends and denominator
+            alpha, pq, ends = (min(a) // g, max(a) // g), p * q // g, []
+            for (lo, hi), y in zip(row, row[:0:-1]):
+                m = [u * v for u in alpha for v in y]
+                ends += lo * pq - max(m), hi * pq - min(m)
+                check_deadline(deadline)
+            g = math.gcd(d * pq, *ends)
+            row = [(lo // g, hi // g) for lo, hi in zip(ends[::2], ends[1::2])]
+            d = d * pq // g
+            yield "R4", row[0], d
 
-    lead = s.coeffs[0]
-    if lead.contains_zero():
-        return JuryVerdict(Status.UNKNOWN, None, min(Fraction(0), lead.lo))
-    civ = [-c for c in s.coeffs] if lead.hi < 0 else list(s.coeffs)
-    if len(civ) == 1:
-        return JuryVerdict(Status.STABLE, None, civ[0].lo)
-    margin = first_violated = None
-    for label, iv in jury_conditions(civ, may_be_zero):
-        if iv is None:
-            first_violated = first_violated or "R4"
-            break
-        if margin is None or iv.lo < margin:
-            margin = iv.lo
-        if iv.hi <= 0:
-            return JuryVerdict(Status.UNSTABLE, label, margin)
-        if iv.lo <= 0 and first_violated is None:
-            first_violated = label
-    if first_violated is not None:
-        return JuryVerdict(Status.UNKNOWN, first_violated,
-                           min(margin, Fraction(0)))
-    return JuryVerdict(Status.STABLE, None, margin)
+    return _verdict(conditions())
 
 
 def segment_chain(p0, p1) -> list:
@@ -352,7 +373,8 @@ def _sign_at(c, x) -> int:
 
 def _square_free(p: Poly) -> Poly:
     """p over gcd(p, p'): p's distinct roots, each simple."""
-    return poly_divmod(p, Poly(sturm_chain(p)[-1]))[0]
+    g = sturm_chain(p)[-1]
+    return p if len(g) == 1 else poly_divmod(p, Poly(g))[0]
 
 
 def root_bound(p: Poly) -> int:
@@ -362,25 +384,29 @@ def root_bound(p: Poly) -> int:
     return max(map(abs, c)) // abs(c[0]) + 2
 
 
-def tarski_query(p: Poly, q: Poly, ends) -> list:
-    """Σ sign q(x) over the distinct real roots x of the nonzero p in each
-    interval (lo, hi] of consecutive `ends`, ascending rationals.  By
-    Sylvester's theorem (Basu, Pollack & Roy, *Algorithms in Real Algebraic
-    Geometry*, §2.2) it is the sign changes of sturm_chain(p, p'·q) at lo
-    less those at hi, where neither is a root of p: so it runs on p's
-    square-free part with its roots at the ends divided out, each counted
-    by the sign of q there in the interval it closes."""
-    p, at_ends = _square_free(p), []
+def tarski_queries(p: Poly, ends):
+    """The query q -> Σ sign q(x) over the distinct real roots x of the
+    nonzero p in each interval (lo, hi] of consecutive `ends`, ascending
+    rationals.  By Sylvester's theorem (Basu, Pollack & Roy, *Algorithms in
+    Real Algebraic Geometry*, §2.2) it is the sign changes of
+    sturm_chain(p, p'·q) at lo less those at hi, where neither is a root of
+    p: so it runs on p's square-free part with its roots at the ends
+    divided out, found once for every q, each counted by the sign of q
+    there in the interval it closes."""
+    p, roots = _square_free(p), []
     for x in ends:
-        root = p(x) == 0
-        if root:
+        roots.append(p(x) == 0)
+        if roots[-1]:
             p = poly_divmod(p, Poly([1, -x]))[0]
-        at_ends.append(root and (q(x) > 0) - (q(x) < 0))
     n = p.degree
     dp = Poly([c * (n - i) for i, c in enumerate(p.coeffs[:-1])] or [0])
-    chain = sturm_chain(p, poly_mul(dp, q))
-    changes = [_sign_changes(chain, x) for x in ends]
-    return [a - b + c for a, b, c in zip(changes, changes[1:], at_ends[1:])]
+
+    def query(q):
+        chain = sturm_chain(p, poly_mul(dp, q))
+        changes = [_sign_changes(chain, x) for x in ends]
+        return [a - b + (root and (q(x) > 0) - (q(x) < 0)) for a, b, root, x
+                in zip(changes, changes[1:], roots[1:], ends[1:])]
+    return query
 
 
 def positive_roots(p: Poly) -> list:

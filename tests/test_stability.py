@@ -17,7 +17,7 @@ from dcsynth.stability import (Status, bilinear, determinant, has_root,
                                jury_conditions, jury_stable,
                                jury_stable_interval, positive_roots,
                                root_bound, root_oracle, segment_chain,
-                               segment_minor, sturm_chain, tarski_query,
+                               segment_minor, sturm_chain, tarski_queries,
                                zero_excluded)
 from dcsynth.transfer import Poly, poly_mul, poly_roots
 
@@ -196,6 +196,111 @@ def test_interval_jury_honours_deadline():
     line = IntervalPoly([RationalInterval(1),
                          RationalInterval(Fraction(-1, 5))])
     assert jury_stable_interval(line, time.perf_counter() - 1).is_stable
+
+
+def test_interval_jury_checks_the_deadline_inside_a_reduction(monkeypatch):
+    # The clock ticks once a read.  It is read before each reduction and
+    # after each element of it: reads 0-4 cover the first reduction (4
+    # elements), read 5 opens the second, whose R4 value ends the run
+    # Unstable, and read 6 follows that reduction's first element.  The
+    # deadline passes there, so the call raises before that R4 value.
+    s = IntervalPoly([RationalInterval(1), RationalInterval(0),
+                      RationalInterval(0), RationalInterval(Fraction(-1, 2)),
+                      RationalInterval(Fraction(9, 10))])
+    v = jury_stable_interval(s)
+    assert (v.status, v.violated) == (Status.UNSTABLE, "R4")
+    ticks = iter(range(100))
+    monkeypatch.setattr(time, "perf_counter", lambda: next(ticks))
+    with pytest.raises(DeadlineExceeded):
+        jury_stable_interval(s, deadline=5.5)
+    assert next(ticks) == 7
+
+
+class _Ends:
+    """An interval with Fraction ends, in the arithmetic `jury_conditions`
+    uses: the reference for the interval Jury recursion."""
+
+    def __init__(self, lo, hi=None):
+        self.lo, self.hi = Fraction(lo), Fraction(lo if hi is None else hi)
+
+    def __add__(self, other):
+        return _Ends(self.lo + other.lo, self.hi + other.hi)
+
+    def __radd__(self, other):  # sum() starts from the number 0
+        return self + _Ends(other)
+
+    def __neg__(self):
+        return _Ends(-self.hi, -self.lo)
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __abs__(self):
+        if self.lo <= 0 <= self.hi:
+            return _Ends(0, max(-self.lo, self.hi))
+        return -self if self.hi < 0 else self
+
+    def __mul__(self, other):
+        p = [x * y for x in (self.lo, self.hi) for y in (other.lo, other.hi)]
+        return _Ends(min(p), max(p))
+
+    def __truediv__(self, other):
+        p = [x / y for x in (self.lo, self.hi) for y in (other.lo, other.hi)]
+        return _Ends(min(p), max(p))
+
+
+def _interval_jury_reference(ends):
+    """(status, label, margin) of the interval Jury recursion on the
+    Fraction (lo, hi) `ends`, by `jury_conditions` on `_Ends`."""
+    c = [_Ends(lo, hi) for lo, hi in ends]
+    if c[0].lo <= 0 <= c[0].hi:
+        return Status.UNKNOWN, None, min(Fraction(0), c[0].lo)
+    c = [-x for x in c] if c[0].hi < 0 else c
+    if len(c) == 1:
+        return Status.STABLE, None, c[0].lo
+    margin = first_violated = None
+    for label, iv in jury_conditions(c, lambda p: p.lo <= 0 <= p.hi):
+        if iv is None:
+            first_violated = first_violated or "R4"
+            break
+        margin = iv.lo if margin is None else min(margin, iv.lo)
+        if iv.hi <= 0:
+            return Status.UNSTABLE, label, margin
+        if iv.lo <= 0 and first_violated is None:
+            first_violated = label
+    if first_violated is not None:
+        return Status.UNKNOWN, first_violated, min(margin, Fraction(0))
+    return Status.STABLE, None, margin
+
+
+def test_interval_jury_is_the_fraction_recursion():
+    # On integer pairs over one denominator, interval Jury gives the status,
+    # label and margin of interval arithmetic on Fraction ends: 5000 seeded
+    # families of degree 0-8, with negative leads, leads and pivots through
+    # zero, and point coefficients.
+    rng = random.Random(29)
+    seen = set()
+    for k in range(5000):
+        degree = rng.randint(0, 8)
+        centre = (_random_poly(rng, max_degree=8).coeffs[:degree + 1]
+                  if k % 2 else _random_stable_poly(rng, degree).coeffs)
+        ends = []
+        for c in centre:
+            r = (0 if rng.random() < 0.3 else
+                 Fraction(rng.randint(1, 10 ** rng.randint(1, 3)), 10 ** 4))
+            ends.append((c - r, c + r))
+        if k % 5 == 0:  # a lead through zero
+            ends[0] = (Fraction(rng.randint(-5, 0), 10),
+                       Fraction(rng.randint(0, 5), 10))
+        if k % 3 == 0:
+            ends = [(-hi, -lo) for lo, hi in ends]
+        want = _interval_jury_reference(ends)
+        got = jury_stable_interval(IntervalPoly(
+            [RationalInterval(lo, hi) for lo, hi in ends]))
+        assert (got.status, got.violated, got.margin) == want, ends
+        seen.add(want[:2])
+    assert {(Status.STABLE, None), (Status.UNKNOWN, None),
+            (Status.UNKNOWN, "R4"), (Status.UNSTABLE, "R4")} <= seen
 
 
 def test_interval_soundness_sample():
@@ -463,19 +568,19 @@ def test_tarski_query_small_cases():
     p = Poly([1, -3, 1])
     bound = root_bound(p)
     assert bound > 2.62
-    assert tarski_query(p, Poly([1]), (-bound, bound)) == [2]
-    assert tarski_query(p, Poly([1, -1]), (-bound, 1, bound)) == [-1, 1]
-    assert tarski_query(p, Poly([1, -3]), (-bound, bound)) == [-2]
-    assert tarski_query(p, Poly([0]), (-bound, bound)) == [0]
+    assert tarski_queries(p, (-bound, bound))(Poly([1])) == [2]
+    assert tarski_queries(p, (-bound, 1, bound))(Poly([1, -1])) == [-1, 1]
+    assert tarski_queries(p, (-bound, bound))(Poly([1, -3])) == [-2]
+    assert tarski_queries(p, (-bound, bound))(Poly([0])) == [0]
     # (z - 1)^2 (z - 2): a root at an end counts in the interval it closes,
     # by the sign of q there, 0 where q vanishes.
     p = poly_mul(Poly([1, -2, 1]), Poly([1, -2]))
-    assert tarski_query(p, Poly([1]), (0, 1, 2, 5)) == [1, 1, 0]
-    assert tarski_query(p, Poly([-1]), (0, 2)) == [-2]
-    assert tarski_query(p, Poly([1, -1]), (0, 1, 2)) == [0, 1]
+    assert tarski_queries(p, (0, 1, 2, 5))(Poly([1])) == [1, 1, 0]
+    assert tarski_queries(p, (0, 2))(Poly([-1])) == [-2]
+    assert tarski_queries(p, (0, 1, 2))(Poly([1, -1])) == [0, 1]
     # Constants have no roots, and one end gives no interval.
-    assert tarski_query(Poly([3]), Poly([1]), (-5, 5)) == [0]
-    assert tarski_query(p, Poly([1]), (1,)) == []
+    assert tarski_queries(Poly([3]), (-5, 5))(Poly([1])) == [0]
+    assert tarski_queries(p, (1,))(Poly([1])) == []
 
 
 def test_tarski_query_matches_the_signs_at_known_roots():
@@ -500,7 +605,7 @@ def test_tarski_query_matches_the_signs_at_known_roots():
                            for _ in range(3)]))
         expected = [sum((q(r) > 0) - (q(r) < 0) for r in set(roots)
                         if lo < r <= hi) for lo, hi in zip(ends, ends[1:])]
-        assert tarski_query(p, q, ends) == expected, (p, q, ends)
+        assert tarski_queries(p, ends)(q) == expected, (p, q, ends)
 
 
 def test_root_bound_exceeds_every_root():
