@@ -59,7 +59,16 @@ working tree's `src/`, runs:
   comparing the raws found or the `NoCandidate` message;
 - the cancellation screen (`cancellation_on_or_outside_unit_circle`) on
   3000 seeded loops whose open-loop numerator and denominator share a
-  planted factor (`screen_loops`), comparing its value.
+  planted factor (`screen_loops`), comparing its value;
+- the exact closed-loop verdict (`cegis.concrete_verdict`) on 3000 seeded
+  controller-plant pairs (`verdict_pairs`), a tenth with the zero
+  controller and a tenth with a zero denominator lead, comparing the
+  status, the violated condition and the margin;
+- the sign test (`cegis._sign_obstructed`) along 400 seeded
+  counterexample sequences of two to six plants over one or two shared
+  denominators (`sign_sequences`), called on each prefix in turn with one
+  query dict per sequence where the tree's sign test takes one, comparing
+  its answers.
 
 Both trees read the working tree's benchmark files.  Prints every
 differing line of each differing report and exits 1 on any difference,
@@ -342,6 +351,122 @@ for cn, cd, gn, gd in json.load(sys.stdin):
 print(json.dumps(out))
 """
 
+VERDICT_PAIRS = 3000
+# Reads [[Cn raws, Cd raws, format bits, Gn, Gd], ...], the plant as
+# strings, on stdin; prints one JSON list of [status, violated condition,
+# margin as hexadecimal p/q] per pair.
+VERDICT_CHILD = """
+import json, sys
+from fractions import Fraction
+from dcsynth.cegis import concrete_verdict
+from dcsynth.fixedpoint import FixedPointFormat, FixedPointValue
+from dcsynth.transfer import Controller, TransferFunction
+out = []
+for cn, cd, bits, gn, gd in json.load(sys.stdin):
+    fmt = FixedPointFormat(*bits)
+    c = Controller(*([FixedPointValue(r, fmt) for r in p] for p in (cn, cd)))
+    v = concrete_verdict(c, TransferFunction(
+        *([Fraction(x) for x in p] for p in (gn, gd))))
+    m = v.margin
+    out.append([v.status.value, v.violated,
+                f"{m.numerator:x}/{m.denominator:x}"])
+print(json.dumps(out))
+"""
+
+SIGN_SEQUENCES = 400
+# Reads [[[num, den], ...], ...] as strings on stdin; prints one JSON list,
+# per sequence, of the sign test's answer on each prefix.
+SIGN_CHILD = """
+import inspect, json, sys
+from fractions import Fraction
+from dcsynth.cegis import _sign_obstructed
+from dcsynth.transfer import TransferFunction
+takes_queries = len(inspect.signature(_sign_obstructed).parameters) > 1
+out = []
+for sequence in json.load(sys.stdin):
+    plants = [TransferFunction(*([Fraction(x) for x in p] for p in plant))
+              for plant in sequence]
+    queries = {}
+    out.append([_sign_obstructed(plants[:k], *[queries] * takes_queries)
+                for k in range(1, len(plants) + 1)])
+print(json.dumps(out))
+"""
+
+
+def mul(a, b):
+    """Coefficients of the product of two descending coefficient lists."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b, i):
+            out[j] += x * y
+    return out
+
+
+def verdict_pairs(count):
+    """`count` seeded [Cn raws, Cd raws, format bits, Gn, Gd]: controllers
+    of order 0-3 on <4,8>, <6,12> or <8,16>, plants of order 1-4 with
+    coefficients over 1000, 2^12 or 21.  Every other pair has a monic
+    controller denominator, raws below an eighth of the limit and plant
+    poles in (-0.9, 0.9), so that many of them are stable; of the rest, a
+    fifth have the zero controller and a fifth a zero denominator lead."""
+    rng = random.Random(0)
+    pairs = []
+    for k in range(count):
+        bits = rng.choice(((4, 8), (6, 12), (8, 16)))
+        limit, order = 1 << (bits[0] + bits[1] - 1), rng.randint(0, 3)
+        small = limit // 8 if k % 2 else limit
+        cn, cd = ([rng.randrange(-small + 1, small) for _ in range(n)]
+                  for n in (rng.randint(1, order + 1), order + 1))
+        q = rng.choice((1000, 1 << 12, 21))
+        plant_order = rng.randint(1, 4)
+        gd = [1] + [rng.randint(-2 * q, 2 * q) for _ in range(plant_order)]
+        if k % 2:
+            cd[0], gd = 1 << bits[1], [q]
+            for _ in range(plant_order):
+                gd = mul(gd, [q, -round(rng.uniform(-0.9, 0.9) * q)])
+            gd = [Fraction(x, q ** plant_order) for x in gd]
+        elif k % 10 == 0:
+            cn, cd = [0] * len(cn), [0] * len(cd)
+        elif k % 10 == 2:
+            cd[0] = 0
+        gn = [rng.randint(-q, q) for _ in range(rng.randint(1, plant_order))]
+        pairs.append([cn, cd, bits, *([str(Fraction(x, q)) for x in p]
+                                      for p in (gn, gd))])
+    return pairs
+
+
+def sign_sequences(count):
+    """`count` seeded counterexample sequences, each of two to six plants
+    N/D with deg N < deg D but one in eight, over one or two denominators:
+    products of real factors z - r for r in quarters or tenths of [-2, 2]
+    (±1 among them) and of quadratics z^2 + b z + c, as strings."""
+    rng = random.Random(0)
+
+    def denominator():
+        den = [Fraction(1)]
+        for _ in range(rng.randint(1, 4)):
+            den = mul(den, [1, -Fraction(rng.randint(-8, 8), 4)]
+                      if rng.random() < 0.5 else
+                      [1, -Fraction(rng.randint(-20, 20), 10)]
+                      if rng.random() < 0.5 else
+                      [1, Fraction(rng.randint(-30, 30), 10),
+                       Fraction(rng.randint(-20, 20), 10)])
+        return den
+
+    sequences = []
+    for _ in range(count):
+        dens = [denominator() for _ in range(rng.randint(1, 2))]
+        sequence = []
+        for _ in range(rng.randint(2, 6)):
+            den = rng.choice(dens)
+            degree = (len(den) - 1 if rng.random() < 0.125
+                      else rng.randint(0, len(den) - 2))
+            num = [Fraction(rng.randint(-1000, 1000), 1000) or Fraction(1)
+                   for _ in range(degree + 1)]
+            sequence.append([[str(x) for x in p] for p in (num, den)])
+        sequences.append(sequence)
+    return sequences
+
 
 def search_cases():
     """The searches to compare, as SEARCH_CHILD reads them."""
@@ -415,14 +540,6 @@ def screen_loops(count):
     quarters = [Fraction(k, 4) for k in range(-8, 9)]
     squares = ((Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)),
                (Fraction(1),), (Fraction(5, 4), Fraction(3, 2), 2, 3))
-
-    def mul(a, b):
-        out = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            for j, y in enumerate(b, i):
-                out[j] += x * y
-        return out
-
     loops = []
     while len(loops) < count:
         region = rng.randrange(3)  # inside, on, outside
@@ -580,6 +697,20 @@ def screen_values(src, loops):
     return json.loads(proc.stdout)
 
 
+def concrete_verdicts(src, pairs):
+    proc = run(src, ["-c", VERDICT_CHILD], json.dumps(pairs))
+    if proc.returncode != 0:
+        sys.exit(f"verdict child failed on {src}:\n{proc.stderr[-2000:]}")
+    return json.loads(proc.stdout)
+
+
+def sign_answers(src, sequences):
+    proc = run(src, ["-c", SIGN_CHILD], json.dumps(sequences))
+    if proc.returncode != 0:
+        sys.exit(f"sign-test child failed on {src}:\n{proc.stderr[-2000:]}")
+    return json.loads(proc.stdout)
+
+
 def line_differences(a, b):
     """Every differing line of two texts, as indented unified-diff lines
     without context (REV's lines -, the working tree's +)."""
@@ -616,6 +747,12 @@ def main():
         loops = screen_loops(SCREEN_LOOPS)
         screened = {name: screen_values(src, loops)
                     for name, src in trees.items()}
+        pairs = verdict_pairs(VERDICT_PAIRS)
+        concrete = {name: concrete_verdicts(src, pairs)
+                    for name, src in trees.items()}
+        sequences = sign_sequences(SIGN_SEQUENCES)
+        signs = {name: sign_answers(src, sequences)
+                 for name, src in trees.items()}
     old, new = (cli[name] for name in trees)
     for key in old:
         for part, a, b in zip(("exit code", "report", "CSV"), old[key],
@@ -670,6 +807,20 @@ def main():
         if a != b:
             differences += 1
             print(f"cancellation screen on {loop}: {a} != {b}")
+    flagged = sum(old)
+    old, new = (concrete[name] for name in trees)
+    for pair, a, b in zip(pairs, old, new):
+        if a != b:
+            differences += 1
+            print(f"concrete verdict on {pair}: {a} != {b}")
+    stable = sum(a[0] == "Stable" for a in old)
+    old, new = (signs[name] for name in trees)
+    for sequence, a, b in zip(sequences, old, new):
+        if a != b:
+            differences += 1
+            print(f"sign test along {sequence}: {a} != {b}")
+    calls = sum(map(len, old))
+    obstructions = sum(map(sum, old))
     print(f"{len(rows) * len(CLI_SEEDS)} cli calls, {len(synth[rev])} "
           f"synthesis runs, {len(plants)} ZOH plants, {len(placed[rev])} "
           f"placement start lists, {len(steps[rev])} step responses "
@@ -677,9 +828,11 @@ def main():
           + ", ".join(f"{n} {k}" for k, n in sorted(settled.items()))
           + f"), {len(ipolys)} interval Jury verdicts ("
           + ", ".join(f"{n} {k}" for k, n in sorted(statuses.items()))
-          + f"), {len(cases)} searches ({accepted} accepting) "
-          f"and {len(loops)} cancellation screens ({sum(old)} flagged) "
-          f"compared against {rev}: {differences} differences")
+          + f"), {len(cases)} searches ({accepted} accepting), "
+          f"{len(loops)} cancellation screens ({flagged} flagged), "
+          f"{len(pairs)} concrete verdicts ({stable} Stable) and {calls} "
+          f"sign tests along {len(sequences)} sequences ({obstructions} "
+          f"obstructed) compared against {rev}: {differences} differences")
     return 1 if differences else 0
 
 

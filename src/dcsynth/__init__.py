@@ -3,11 +3,11 @@
 Synthesizes controllers in a finite word length format that provably
 BIBO-stabilize every plant in a coefficient-box uncertainty family, using a
 counterexample-guided loop with a fast exact stage over the plant grid and a
-sound stage over the inflated family.  Both decide a box by interval Jury,
-then a strict sign of the closed loop's leading coefficient, exact Jury of
-the box centre and a zero-exclusion sweep of the unit circle; only where
-one of these refuses, by exact Jury of the box vertices, the sign of the
-leading coefficient there, and the box edges (Edge Theorem).
+sound stage over the inflated family.  Both decide a box by interval Jury
+(the sound stage only), a strict lead sign of the closed loop, exact Jury
+of the box centre and a zero-exclusion sweep of the unit circle; only
+where one of these refuses, by exact Jury of the box vertices, the sign
+of the leading coefficient there, and the box edges (Edge Theorem).
 """
 
 from .benchmark import BenchmarkSpec, parse_benchmark, parse_controller

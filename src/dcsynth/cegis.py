@@ -2,17 +2,17 @@
 set, two-stage verification, plant-precision escalation; plus the sound
 one-stage engine.
 
-Each stage decides a box of plants by `_box_verdict`: interval Jury; then the
-sign of the lead of S, exact Jury of the box centre and the zero-exclusion
-sweep, with no vertex (`_box_proof`, these steps and interval Jury); then,
-where one of those refuses, exact Jury of the vertices, the lead (where its
-sign test failed) or the edges, walked one at a time with none kept, all on
-the box ends as integers over one denominator (`IntervalPoly.ends`).  The
-two-stage loop runs `_box_proof` on the inflated box, built once per plant
-format, first: the grid box lies inside it, so a proof passes both stages.
-Else it checks the grid box, then finishes the inflated box's verdict from
-that proof attempt.  The one-stage engine's certificate is the interval Jury
-verdict that accepted its controller.
+Each stage decides a box of plants by `_box_verdict`: interval Jury, except
+on the grid box; then the sign of the lead of S, exact Jury of the box centre
+and the zero-exclusion sweep, with no vertex (`_box_proof`); then, where one
+of those refuses, exact Jury of the vertices, the lead (where its sign test
+failed) or the edges, walked one at a time with none kept, all on the box
+ends as integers over one denominator (`IntervalPoly.ends`).  The two-stage
+loop builds the inflated box and the grid box once per plant format, and
+runs `_box_proof` on the inflated box first: the grid box lies inside it, so
+a proof passes both stages.  Else it checks the grid box, then finishes the
+inflated box's verdict from that proof attempt.  The one-stage engine's
+certificate is the interval Jury verdict that accepted its controller.
 
 The candidate search is deterministic seeded hill climbing over the <I,F>
 coefficient grid with restarts, run one at a time, falling back to
@@ -36,6 +36,7 @@ import itertools
 import math
 import operator
 import random
+import sys
 import time
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
@@ -48,6 +49,7 @@ from .intervals import (IntervalPoly, family_grid_box,
 from .stability import (JuryVerdict, Status, has_root, jury_conditions,
                         jury_stable, jury_stable_interval, root_bound,
                         segment_chain, solve, tarski_queries, zero_excluded)
+# char_poly is not called here; perfbench's tracer binds dcsynth.cegis's.
 from .transfer import (Controller, PlantFamily, Poly, TransferFunction,
                        char_poly, closed_loop_coeffs, convolve, integerize,
                        poly_mul)
@@ -98,12 +100,14 @@ def _controller_from_raws(raws, fmt: FixedPointFormat, orders) -> Controller:
 
 def concrete_verdict(candidate: Controller, plant: TransferFunction) -> JuryVerdict:
     """Exact Jury verdict of the closed loop; a degenerate S counts as
-    unstable."""
-    try:
-        s = char_poly(candidate, plant)
-    except DegenerateCharPoly:
-        return JuryVerdict(Status.UNSTABLE, None, -_BIG_PENALTY)
-    return jury_stable(s)
+    unstable.  Decided on the integer S of the controller's raws and the
+    plant's coefficients times their least integerizer d: S times scale·d."""
+    nn = len(plant.num.coeffs)
+    g, d = integerize(plant.num.coeffs + plant.den.coeffs)
+    return _scaled_verdict(
+        closed_loop_coeffs([v.raw for v in candidate.num], g[:nn],
+                           [v.raw for v in candidate.den], g[nn:], 0),
+        candidate.format.scale * d)
 
 
 def _grid_search(n_coeffs, fmt, seed, budget, evaluate, num_len,
@@ -306,7 +310,7 @@ def synthesize_candidate(inputs, controller_format: FixedPointFormat, orders,
     return _controller_from_raws(raws, controller_format, orders)
 
 
-def _sign_obstructed(inputs) -> bool:
+def _sign_obstructed(inputs, queries) -> bool:
     """Whether no controller the search can accept stabilizes the last plant
     N/D in `inputs` together with the first N_1/D there (itself, if it is
     that first), for deg N, deg N_1 < deg D; False where deg N >= deg D.
@@ -320,15 +324,18 @@ def _sign_obstructed(inputs) -> bool:
     and by Tarski queries on (-B, -1] and (1, B] for a root bound B of D,
     of q = N_1·N against those of 1, the root counts.
     Checking each new plant against the first one keeps every pair in
-    check, as each then shares the first one's nonzero signs."""
+    check, as each then shares the first one's nonzero signs.  `queries`
+    maps each D already met to its query and root counts, and gains D's."""
     num, den = inputs[-1].num, inputs[-1].den
     if num.degree >= den.degree:
         return False
     first = next(p for p in inputs
                  if p.den == den and p.num.degree < den.degree)
-    bound = root_bound(den)
-    query = tarski_queries(den, (-bound, -1, 1, bound))
-    roots = query(Poly([1]))
+    if den not in queries:
+        bound = root_bound(den)
+        query = tarski_queries(den, (-bound, -1, 1, bound))
+        queries[den] = query, query(Poly([1]))
+    query, roots = queries[den]
     if roots[0] == roots[2] == 0 and den(1) != 0:
         return False
     q = poly_mul(first.num, num)
@@ -375,17 +382,20 @@ def _make_plant(num_coeffs, den_coeffs) -> TransferFunction | None:
 
 
 def verify_uncertainty(candidate: Controller, family: PlantFamily,
-                       deadline=None):
-    """First (fast) verification stage over the representable-plant box.
+                       deadline=None, box=None):
+    """First (fast) verification stage over the representable-plant box,
+    `box` where given (`family_grid_box`, built once per plant format).
     Returns a certified unstable grid plant (a vertex, the grid point just
     past an unstable edge's first root, or one beside a zero of the lead of
     S on an edge), else None: the box is stable, or no such grid point is
     unstable, and the precision stage, whose box contains the grid box,
-    rejects.  Raises DeadlineExceeded past the `deadline` (a
-    time.perf_counter() value)."""
-    num_iv, den_iv = family_grid_box(family)
-    _, evidence = _box_verdict(candidate, num_iv, den_iv, deadline,
-                               family.plant_format)
+    rejects.  Decided by `_box_verdict` without interval Jury, which gives
+    no plant: where it proves the box, the steps left return None too.
+    Raises DeadlineExceeded past the `deadline` (a perf_counter() value)."""
+    box = box or family_grid_box(family)
+    _, evidence = _box_verdict(candidate, *box, deadline, family.plant_format,
+                               _box_proof(candidate, *box, deadline,
+                                          interval=False))
     if isinstance(evidence, TransferFunction):
         return evidence
     for lo, hi, positions in evidence:
@@ -399,21 +409,24 @@ def verify_uncertainty(candidate: Controller, family: PlantFamily,
     return None
 
 
-def _box_proof(candidate, num_iv, den_iv, deadline):
+def _box_proof(candidate, num_iv, den_iv, deadline, interval=True):
     """The steps of `_box_verdict` that can prove a box of plants Stable with
-    no vertex, in order: a Stable interval Jury verdict ("interval"); else,
-    where it is Unknown, the lead test (a strict sign of the lead of S,
-    |lead of S_c| > Σ |lead of g_i|, and a plant at each corner), exact Jury
-    finding S_c stable and the zero-exclusion sweep proving 0 outside the
-    value set on the unit circle ("sweep").  Returns the Stable verdict of
-    the step that proves the box, else interval Jury's, and the box's affine
-    form (None where interval Jury proves the box): the unit that scales an
+    no vertex, in order: a Stable interval Jury verdict ("interval"), where
+    `interval` holds; else, where it is Unknown or not run, the lead test (a
+    strict sign of the lead of S, |lead of S_c| > Σ |lead of g_i|, and a
+    plant at each corner), exact Jury finding S_c stable and the
+    zero-exclusion sweep proving 0 outside the value set on the unit circle
+    ("sweep").  Returns the Stable verdict of the step that proves the box,
+    else interval Jury's (Unknown where not run), and the box's affine form
+    (None where interval Jury proves the box): the unit that scales an
     integer S to the closed loop, the centre S_c and the generators g_i, each
     S a list of integers, the box ends as integer (lo, hi) pairs over their
     least denominator d, d, the lead's index `top` and the test's outcome."""
-    verdict = replace(jury_stable_interval(
-        _interval_char_poly(candidate, num_iv, den_iv), deadline),
-        settled_by="interval")
+    verdict = JuryVerdict(Status.UNKNOWN, None, None)
+    if interval:
+        verdict = replace(jury_stable_interval(
+            _interval_char_poly(candidate, num_iv, den_iv), deadline),
+            settled_by="interval")
     if verdict.status is Status.STABLE:
         return verdict, None
     # Each S below is in integers, from the controller's raws and the plant
@@ -444,22 +457,22 @@ def _box_proof(candidate, num_iv, den_iv, deadline):
     unit = candidate.format.scale * 2 * d
     form = unit, centre, generators, ends, d, top, steady
     if (verdict.status is Status.UNKNOWN and steady
-            and _vertex_verdict(centre, unit).is_stable
+            and _scaled_verdict(centre, unit).is_stable
             and zero_excluded(centre[top:], [g[top:] for g in generators],
                               deadline)):
         return JuryVerdict(Status.STABLE, None, None, "sweep"), form
     return verdict, form
 
 
-def _vertex_verdict(s, unit):
+def _scaled_verdict(s, unit, settled_by=None):
     """concrete_verdict at the plant whose closed loop is the integer S `s`
     over `unit`: Jury's conditions are homogeneous of degree 1 in S, so
     only the margin is rescaled."""
     try:
-        v = jury_stable(Poly(s))
+        v = jury_stable(s)
     except DegenerateCharPoly:
-        return JuryVerdict(Status.UNSTABLE, None, -_BIG_PENALTY, "vertices")
-    return JuryVerdict(v.status, v.violated, v.margin / unit, "vertices")
+        return JuryVerdict(Status.UNSTABLE, None, -_BIG_PENALTY, settled_by)
+    return JuryVerdict(v.status, v.violated, v.margin / unit, settled_by)
 
 
 def _box_verdict(candidate, num_iv, den_iv, deadline, grid=None, proof=None):
@@ -517,7 +530,7 @@ def _box_verdict(candidate, num_iv, den_iv, deadline, grid=None, proof=None):
     for k, s in walk():
         if not any(corner(k)[nn:]):  # no plant: it fails the lead test
             continue
-        v = _vertex_verdict(s, unit)
+        v = _scaled_verdict(s, unit, "vertices")
         if v.status is Status.UNSTABLE:
             return (verdict if verdict.status is Status.UNSTABLE else v,
                     _make_plant(*plant(k)))
@@ -573,14 +586,16 @@ def verify_precision(candidate: Controller, family: PlantFamily,
 
 
 def describe_controller(c: Controller | None):
-    """Report form of a controller: exact decimals, raw integers, format."""
+    """Report form of a controller: exact decimals, raw integers, format;
+    the strings interned, as reports repeat them (every two-stage
+    transcript opens with the zero candidate) and callers may keep many."""
     if c is None:
         return None
-    return {"num": [v.decimal_str() for v in c.num],
-            "den": [v.decimal_str() for v in c.den],
+    return {"num": [sys.intern(v.decimal_str()) for v in c.num],
+            "den": [sys.intern(v.decimal_str()) for v in c.den],
             "num_raw": [v.raw for v in c.num],
             "den_raw": [v.raw for v in c.den],
-            "format": str(c.format)}
+            "format": sys.intern(str(c.format))}
 
 
 def _describe_plant(p: TransferFunction):
@@ -617,8 +632,9 @@ def cegis_two_stage(family: PlantFamily, controller_format: FixedPointFormat,
     # Placed once per run, when a search first needs them.
     starts = functools.cache(lambda: placement_starts(
         family.nominal, controller_format, orders))
+    queries = {}  # the sign test's, per counterexample denominator
     inputs = []
-    candidate = certificate = box = None
+    candidate = certificate = boxes = None
     iteration = 0
     transcript = []
     reason = "iteration-limit"  # unless the loop ends before the limit
@@ -627,9 +643,11 @@ def cegis_two_stage(family: PlantFamily, controller_format: FixedPointFormat,
             check_deadline(deadline)
             iteration += 1
             fam = family.with_format(plant_format)
-            box = box or family_to_interval_poly(fam)  # built per format
+            # The inflated box and the grid box, built once per format.
+            boxes = boxes or (family_to_interval_poly(fam),
+                              family_grid_box(fam))
             # inputs[-1], if any, is new: the last iteration found it.
-            if inputs and _sign_obstructed(inputs):
+            if inputs and _sign_obstructed(inputs, queries):
                 raise NoCandidate("no controller stabilizes counterexample "
                                   f"{len(inputs)} with an earlier one")
             candidate = synthesize_candidate(
@@ -640,9 +658,9 @@ def cegis_two_stage(family: PlantFamily, controller_format: FixedPointFormat,
                                "inputs": len(inputs)})
             # The grid box lies inside the inflated box: where the proving
             # steps prove the inflated box, the grid box needs no check.
-            proof = _box_proof(candidate, *box, deadline)
-            cex = (None if proof[0].is_stable
-                   else verify_uncertainty(candidate, fam, deadline))
+            proof = _box_proof(candidate, *boxes[0], deadline)
+            cex = (None if proof[0].is_stable else verify_uncertainty(
+                candidate, fam, deadline, box=boxes[1]))
             if cex is not None:
                 inputs.append(cex)
                 transcript.append({"phase": "counterexample",
@@ -669,7 +687,7 @@ def cegis_two_stage(family: PlantFamily, controller_format: FixedPointFormat,
                     or bits[1] > limits.max_precision.fraction_bits):
                 reason = "precision-limit"
                 break
-            plant_format, box = FixedPointFormat(*bits), None
+            plant_format, boxes = FixedPointFormat(*bits), None
             inputs.clear()  # stale: they were found at lower precision
     except DeadlineExceeded:
         reason = "timeout"

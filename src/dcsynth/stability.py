@@ -30,6 +30,7 @@ import enum
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -79,19 +80,21 @@ def jury_conditions(c, may_be_zero):
         yield "R4", row[0]
 
 
-def jury_stable(s: Poly) -> JuryVerdict:
-    """Jury verdict for an exact polynomial, Stable or Unstable, with the
-    label and margin `jury_conditions` gives on its Fraction coefficients,
+def jury_stable(s) -> JuryVerdict:
+    """Jury verdict for an exact polynomial, a Poly or a list of integer
+    coefficients (descending, leading zeros allowed), Stable or Unstable,
+    with the label and margin `jury_conditions` gives on its coefficients,
     computed on integers: each row is an integer row over a positive
-    denominator, reduced to row[0]·row - row[-1]·reversed(row) over the
-    denominator times row[0], less their common content.  Each condition is
-    homogeneous of degree 1 in the row, so the values are the same.  The
-    table is never singular, as its first pivot is the positive leading
-    coefficient and each later one an R4 value already required > 0."""
-    s = s.normalize()
-    if all(x == 0 for x in s.coeffs):
+    denominator (a Poly's least one, an integer list's 1), reduced to
+    row[0]·row - row[-1]·reversed(row) over the denominator times row[0],
+    less their common content.  Each condition is homogeneous of degree 1
+    in the row, so the values are the same.  The table is never singular,
+    as its first pivot is the positive leading coefficient and each later
+    one an R4 value already required > 0."""
+    c, den = integerize(s.coeffs) if isinstance(s, Poly) else (s, 1)
+    c = c[next((i for i, x in enumerate(c) if x), len(c)):]
+    if not c:
         raise DegenerateCharPoly("zero polynomial")
-    c, den = integerize(s.coeffs)
     if len(c) == 1:
         # Degree zero: no roots at all.
         return JuryVerdict(Status.STABLE, None, Fraction(abs(c[0]), den))
@@ -278,22 +281,30 @@ def _sweep(parts, deadline) -> bool:
 
 def _best_direction(c, generators) -> tuple:
     """The angle θ that maximizes Re(e^(-jθ)·c) - Σ|Re(e^(-jθ)·g)| over the
-    generators g, in floats, and that maximum: the best of the breakpoints
-    arg(g) ± π/2 and of each arc's optimum arg(c - Σ ±g)."""
-    def separation(theta):
-        w = cmath.exp(-1j * theta)
-        return (w * c).real - sum(abs((w * g).real) for g in generators)
-
-    breaks = sorted((cmath.phase(g) + side) % (2 * math.pi)
-                    for g in generators if g for side in (0.5 * math.pi,
-                                                          1.5 * math.pi))
-    candidates = [cmath.phase(c)] + breaks
-    for a, b in zip(breaks, breaks[1:] + breaks[:1]):
-        w = cmath.exp(-1j * (a + (b - a) % (2 * math.pi) / 2))
-        candidates.append(cmath.phase(c - sum(g if (w * g).real > 0 else -g
-                                              for g in generators)))
-    best = max(candidates, key=separation)
-    return best, separation(best)
+    generators g, in floats, and that maximum, in one pass over the sorted
+    breakpoints arg(g) ± π/2.  Between two of them each sign s of
+    Re(e^(-jθ)·g) holds and the value is Re(e^(-jθ)·v), v = c - Σ s·g;
+    passing arg(g) + π/2 (s turns negative) or arg(g) - π/2 adds ±2g to v.
+    On an arc it peaks at |v| at arg v where that lies on it, else at an
+    end; each arc's start is read, the value being continuous."""
+    tau, events = 2 * math.pi, []
+    for i, g in enumerate(generators):
+        if g:
+            events += [((cmath.phase(g) + side) % tau, i, step)
+                       for side, step in ((0.5 * math.pi, 2 * g),
+                                          (1.5 * math.pi, -2 * g))]
+    if not events:
+        return cmath.phase(c), abs(c)
+    events.sort(key=operator.itemgetter(0))
+    # v on the arc past the last breakpoint: each g's later step, halved.
+    v = c + sum({i: step for _, i, step in events}.values()) / 2
+    ends, arcs = [e[0] for e in events[1:]] + [events[0][0] + tau], []
+    for (a, _, step), b in zip(events, ends):
+        v += step
+        phi = cmath.phase(v)
+        arcs.append((phi, abs(v)) if (phi - a) % tau <= b - a
+                    else (a, (cmath.exp(-1j * a) * v).real))
+    return max(arcs, key=operator.itemgetter(1))
 
 
 def _taylor_shift(a, c) -> list:

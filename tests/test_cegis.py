@@ -21,7 +21,7 @@ from dcsynth.cegis import (DEFAULT_PLANT_FORMAT, Limits, cegis_one_stage,
                            cegis_two_stage, concrete_verdict,
                            synthesize_candidate, verify_precision,
                            verify_uncertainty)
-from dcsynth.errors import DeadlineExceeded, NoCandidate
+from dcsynth.errors import DeadlineExceeded, DegenerateCharPoly, NoCandidate
 from dcsynth.fixedpoint import FixedPointFormat, FixedPointValue, quantize_poly
 from dcsynth.intervals import family_grid_box, family_to_interval_poly
 from dcsynth.stability import (JuryVerdict, Status, jury_stable,
@@ -312,7 +312,8 @@ CRUISE_UNCERTAIN_CEX = [
 def obstructed(*plants):
     """Whether the sign test finds that no controller stabilizes the last
     of the `plants` with the earlier ones."""
-    return cegis_mod._sign_obstructed([TransferFunction(*p) for p in plants])
+    return cegis_mod._sign_obstructed([TransferFunction(*p) for p in plants],
+                                      {})
 
 
 def test_sign_test_on_cruise_uncertain_counterexamples():
@@ -397,8 +398,8 @@ def test_sign_test_never_flags_pairs_a_static_gain_stabilizes():
                    for p in plants):
             continue  # rounding moved a root of s out
         assert plants[0].num.degree < order
-        assert not cegis_mod._sign_obstructed(plants), plants
-        assert not cegis_mod._sign_obstructed(plants[::-1]), plants
+        assert not cegis_mod._sign_obstructed(plants, {}), plants
+        assert not cegis_mod._sign_obstructed(plants[::-1], {}), plants
 
 
 def test_climb_steps_over_neighbours_known_not_to_improve(monkeypatch):
@@ -717,6 +718,114 @@ def test_grid_box_shortcut_keeps_the_uncertainty_verdict(monkeypatch):
     assert min(counts.values()) >= 10, counts
 
 
+def _grid_box_witness(c, fam):
+    """The verdict of `_box_verdict` over the family's grid box, interval
+    Jury included, and the uncertainty stage's answer read off it: None
+    where it is Stable, else its unstable vertex or the first unstable grid
+    plant at the positions its failing edges give."""
+    verdict, evidence = cegis_mod._box_verdict(c, *family_grid_box(fam), None,
+                                               fam.plant_format)
+    if verdict.is_stable or isinstance(evidence, TransferFunction):
+        return verdict, evidence or None
+    for lo, hi, positions in evidence:
+        for t in positions:
+            num, den = ([x + (y - x) * t for x, y in zip(a, b)]
+                        for a, b in zip(lo, hi))
+            if any(den) and not concrete_verdict(
+                    c, plant := TransferFunction(num, den)).is_stable:
+                return verdict, plant
+    return verdict, None
+
+
+def test_grid_check_keeps_the_counterexample_of_the_full_grid_verdict(
+        monkeypatch):
+    # The uncertainty stage decides the grid box without interval Jury.  On
+    # seeded families, with the sweep and with it refusing, it returns the
+    # counterexample that `_box_verdict` over the grid box, interval Jury
+    # included, gives as evidence, and None where that verdict is Stable:
+    # also where interval Jury alone proves the box, the sweep refusing,
+    # and the vertices and the edges decide in its place.
+    rng = random.Random(31)
+    cases = [case for case, _ in _sweep_cases(random.Random(2024))]
+    cases += [_fuzz_family(rng, FixedPointFormat(8, 12), i % 2 == 0)
+              for i in range(80)]
+    counts = {"witness": 0, "Stable": 0, "interval only": 0}
+    for refuse in (False, True):
+        with monkeypatch.context() as mp:
+            if refuse:
+                mp.setattr(cegis_mod, "zero_excluded", lambda *args: False)
+            for fam, c in cases:
+                verdict, want = _grid_box_witness(c, fam)
+                assert repr(verify_uncertainty(c, fam)) == repr(want), (fam, c)
+                counts["witness"] += want is not None
+                counts["Stable"] += verdict.is_stable
+                counts["interval only"] += (refuse and
+                                            verdict.settled_by == "interval")
+    assert min(counts.values()) >= 10, counts
+    # A grid box that interval Jury alone proves with the sweep as it is:
+    # each denominator coefficient has 0 at an end, so one corner has no
+    # plant, the lead test fails and the sweep is not tried.
+    fam = PlantFamily(TransferFunction([1, 0], [1, Fraction(1, 4)]),
+                      delta_den=[1, Fraction(1, 4)],
+                      plant_format=FixedPointFormat(4, 4))
+    c = make_controller([3], [1])
+    box = family_grid_box(fam)
+    assert _grid_box_witness(c, fam)[0].settled_by == "interval"
+    assert not cegis_mod._box_proof(c, *box, None, interval=False)[0].is_stable
+    assert verify_uncertainty(c, fam) is None
+
+
+def test_concrete_verdict_is_exact_jury_of_the_closed_loop():
+    # concrete_verdict decides the integer S of the controller's raws and
+    # the integerized plant: status, label and margin are exact Jury's on
+    # char_poly, and a zero S, as under the zero controller, is Unstable
+    # with the search's penalty as margin.
+    rng = random.Random(17)
+    degenerate = stable = 0
+    for k in range(600):
+        fmt = rng.choice((FixedPointFormat(4, 8), F416))
+        order = rng.randint(0, 3)
+        limit = fmt.raw_limit // rng.choice((1, 8, 64))
+        raws = [[rng.randrange(-limit + 1, limit) for _ in range(n)]
+                for n in (rng.randint(1, order + 1), order + 1)]
+        if k % 6 == 0:
+            raws = [[0] * len(r) for r in raws]
+        elif k % 2:
+            raws[1][0] = fmt.scale
+        c = Controller(*([FixedPointValue(r, fmt) for r in p] for p in raws))
+        den = random_stable_poly(rng, rng.randint(1, 4), min_modulus=0.1,
+                                 scale=rng.choice((1000, 4096)))
+        plant = TransferFunction(
+            [Fraction(rng.randint(-999, 999), rng.choice((1000, 7, 4096)))
+             for _ in range(rng.randint(1, len(den) - 1))], den)
+        try:
+            want = jury_stable(char_poly(c, plant))
+        except DegenerateCharPoly:
+            want = JuryVerdict(Status.UNSTABLE, None, -cegis_mod._BIG_PENALTY)
+            degenerate += 1
+        assert concrete_verdict(c, plant) == want, (c, plant)
+        stable += want.is_stable
+    assert degenerate >= 100 and stable >= 50, (degenerate, stable)
+
+
+def test_sign_test_builds_one_query_per_denominator(monkeypatch):
+    # The two-stage run keeps each counterexample denominator's Tarski
+    # query, with its root counts, for the rest of the run.
+    built = []
+
+    def tarski_queries(p, ends):
+        built.append(p)
+        return real(p, ends)
+
+    real = cegis_mod.tarski_queries
+    monkeypatch.setattr(cegis_mod, "tarski_queries", tarski_queries)
+    fam = cruise_family(delta_num=[Fraction(1, 2)],
+                        delta_den=[0, Fraction(1, 2)])
+    result = cegis_two_stage(fam, F416, (2, 2), seed=1)
+    assert (result.reason, result.iterations) == ("no-candidate", 3)
+    assert built == [CRUISE_UNCERTAIN_CEX[0].den]
+
+
 def test_grid_box_shortcut_needs_a_strict_lead_and_a_plant_at_every_corner():
     # Two boxes with a stable centre whose value set keeps 0 outside on the
     # unit circle, which the shortcut must still leave to the full path.
@@ -773,7 +882,7 @@ def test_vertex_polynomials_read_off_the_affine_form(monkeypatch):
     for (num_iv, den_iv), c in boxes:
         seen = []
         monkeypatch.setattr(cegis_mod, "jury_stable",
-                            lambda s: seen.append(s) or jury_stable(s))
+                            lambda s: seen.append(list(s)) or jury_stable(s))
         with contextlib.suppress(EdgeScan):
             cegis_mod._box_verdict(c, num_iv, den_iv, None)
         coeffs = num_iv.coeffs + den_iv.coeffs
@@ -787,11 +896,10 @@ def test_vertex_polynomials_read_off_the_affine_form(monkeypatch):
                 [v.raw for v in c.num], plant[:nn], [v.raw for v in c.den],
                 plant[nn:], 0)
 
-        if seen and list(seen[0].coeffs) == s_of([b.midpoint
-                                                  for b in coeffs]):
+        if seen and seen[0] == s_of([b.midpoint for b in coeffs]):
             seen = seen[1:]
         for s, (num, den) in zip(seen, box_vertices(num_iv, den_iv)):
-            assert list(s.coeffs) == s_of(num + den)
+            assert s == s_of(num + den)
             checked += 1
     assert checked >= 1000
 
@@ -1078,9 +1186,9 @@ def test_uncertainty_stage_honours_deadline(monkeypatch):
     seen = []
 
     def spy(real, at):  # `at`: the deadline's position
-        def stage(*args):
+        def stage(*args, **kwargs):
             seen.append((real.__name__, args[at]))
-            return real(*args)
+            return real(*args, **kwargs)
         return stage
 
     for name, at in (("_box_proof", 3), ("verify_uncertainty", 2),

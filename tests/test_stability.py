@@ -13,7 +13,8 @@ import pytest
 from dcsynth.cegis import _float_jury_margin
 from dcsynth.errors import DeadlineExceeded, DegenerateCharPoly
 from dcsynth.intervals import IntervalPoly, RationalInterval
-from dcsynth.stability import (Status, bilinear, determinant, has_root,
+from dcsynth.stability import (Status, _best_direction, bilinear,
+                               determinant, has_root,
                                jury_conditions, jury_stable,
                                jury_stable_interval, positive_roots,
                                root_bound, root_oracle, segment_chain,
@@ -137,6 +138,42 @@ def test_exact_verdict_is_the_fraction_recursion():
         assert (got.status, got.violated, got.margin) == want, p.coeffs
         stable += got.is_stable
     assert stable > 250
+
+
+def test_integer_rows_give_the_jury_verdict_of_their_poly():
+    # jury_stable takes integer coefficients as they are, with denominator
+    # 1: status, label and margin are those of the Poly, which it
+    # integerizes first.  Leading zeros are stripped, a negative lead is
+    # normalized, and the zero row is degenerate either way.
+    rng = random.Random(31)
+    rows = [[0] * n for n in range(1, 4)]
+    while len(rows) < 5000:
+        degree = rng.randint(0, 8)
+        if rng.random() < 0.5:  # a product of real roots, mostly stable
+            row = [1]
+            for _ in range(degree):
+                q = rng.choice((4, 10, 1000))
+                row = [q * a - rng.randint(-q, q) * b
+                       for a, b in zip(row + [0], [0] + row)]
+        else:
+            row = [rng.randint(-10 ** rng.randint(1, 6), 10 ** 6)
+                   for _ in range(degree + 1)]
+        if rng.random() < 0.3:
+            row = [-x for x in row]
+        rows.append([0] * rng.choice((0, 0, 1, 3)) + row)
+    stable = degenerate = 0
+    for row in rows:
+        if not any(row):
+            degenerate += 1
+            for s in (row, Poly(row)):
+                with pytest.raises(DegenerateCharPoly):
+                    jury_stable(s)
+            continue
+        got, want = jury_stable(row), jury_stable(Poly(row))
+        assert (got.status, got.violated, got.margin) == (
+            want.status, want.violated, want.margin), row
+        stable += got.is_stable
+    assert degenerate == 3 and stable > 500, stable
 
 
 def test_float_guidance_tracks_exact_margin():
@@ -648,6 +685,64 @@ def test_zero_exclusion_sweep_interval_budget():
         centre = [2 ** e * x for x in (2, -1)]
         generator = [(2 ** e - 1) * x for x in (2, -1)]
         assert zero_excluded(centre, [generator]) is proven
+
+
+def _direction_reference(c, generators):
+    """The sweep's direction by a scan of O(k) candidates at O(k) each: the
+    breakpoints arg(g) ± π/2, arg c and, per arc, arg(c - Σ s·g) for the
+    signs s at its midpoint; the best of them and the separation there."""
+    def separation(theta):
+        w = cmath.exp(-1j * theta)
+        return (w * c).real - sum(abs((w * g).real) for g in generators)
+
+    breaks = sorted((cmath.phase(g) + side) % (2 * math.pi)
+                    for g in generators if g for side in (0.5 * math.pi,
+                                                          1.5 * math.pi))
+    candidates = [cmath.phase(c)] + breaks
+    for a, b in zip(breaks, breaks[1:] + breaks[:1]):
+        w = cmath.exp(-1j * (a + (b - a) % (2 * math.pi) / 2))
+        candidates.append(cmath.phase(c - sum(g if (w * g).real > 0 else -g
+                                              for g in generators)))
+    best = max(candidates, key=separation)
+    return best, separation(best), separation
+
+
+def test_one_pass_direction_separates_as_well_as_the_candidate_scan():
+    # On seeded centres and generators, some zero, some collinear (so that
+    # breakpoints coincide), one or none, and centres at 0: the separation
+    # at the one-pass direction is at least the reference scan's, and the
+    # value it returns is the separation there, both up to a relative 1e-12.
+    rng = random.Random(5)
+
+    def point(scale=1.0):
+        return complex(rng.gauss(0, scale), rng.gauss(0, scale))
+
+    kinds = {"none": 0, "one": 0, "zero": 0, "collinear": 0, "c = 0": 0}
+    for trial in range(3000):
+        k = (0, 1, rng.randint(2, 12))[trial % 3]
+        c = 0j if trial % 7 == 0 else point(rng.choice((0.5, 3, 20)))
+        gs = []
+        for _ in range(k):
+            r = rng.random()
+            if r < 0.1:
+                gs.append(0j)
+            elif r < 0.4 and gs:
+                gs.append(gs[-1] * rng.choice((1, -1, 2, -0.5, 3)))
+            else:
+                gs.append(point())
+        kinds["none"] += not any(gs)
+        kinds["one"] += k == 1
+        kinds["zero"] += 0j in gs
+        kinds["collinear"] += any(
+            a and b and abs((a * b.conjugate()).imag) <= 1e-12 * abs(a * b)
+            for i, a in enumerate(gs) for b in gs[i + 1:])
+        kinds["c = 0"] += c == 0
+        _, best, separation = _direction_reference(c, gs)
+        theta, value = _best_direction(c, gs)
+        tol = 1e-12 * (abs(c) + sum(map(abs, gs)) or 1)
+        assert separation(theta) >= best - tol, (c, gs)
+        assert abs(value - separation(theta)) <= tol, (c, gs)
+    assert min(kinds.values()) >= 50, kinds
 
 
 def test_zero_exclusion_sweep_honours_deadline():
