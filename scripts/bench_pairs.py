@@ -15,8 +15,10 @@ repository directory itself, `setup_s` reads differently.  Pair N runs
 seed N on both sides, REV first in odd pairs.  The output keeps each run's
 last JSON line and, per metric, both sides' medians and quartiles and the
 pairs the working tree won (ties count for neither side), in the better
-direction `BENCHMARK.json` gives.  A run that fails or reports a wrong
-verdict stops the script.
+direction `BENCHMARK.json` gives.  It also keeps each run's per-row median
+latencies, its `row NAME: ... p50_ms=X` lines, and per row both sides'
+medians of them, so that a change of `geomean_ms` can be traced to its
+rows.  A run that fails or reports a wrong verdict stops the script.
 
 A `certification` block follows: on `perfbench/fixtures/fourth_order.bench`
 with seeds 1, 4 and 8, each tree synthesizes (two-stage,
@@ -32,6 +34,7 @@ calls in each of the two stages.
 import argparse
 import json
 import os
+import re
 import shutil
 import statistics
 import subprocess
@@ -42,6 +45,7 @@ from pathlib import Path
 from same_reports import extract
 
 ROOT = Path(__file__).resolve().parents[1]
+ROW_LINE = re.compile(r"\s*row (\S+): .*\bp50_ms=(\S+)")
 CERT_SEEDS = (1, 4, 8)
 CERT_REPEATS = 3
 # Runs in a child process from one tree's directory: one JSON line, per
@@ -145,7 +149,7 @@ def materialize(rev, dest):
 
 def in_fresh_tree(rev, scratch, argv, timeout):
     """Runs `python3 argv` in a fresh copy of REV (or the working tree);
-    returns its last stdout line, parsed as JSON.  Exits on a child that
+    returns its stdout lines, the last one JSON.  Exits on a child that
     exits other than 0 or 1 (perfbench's wrong-verdict exit) or prints
     nothing."""
     tree = Path(tempfile.mkdtemp(dir=scratch)) / "tree"
@@ -161,7 +165,15 @@ def in_fresh_tree(rev, scratch, argv, timeout):
     if proc.returncode not in (0, 1) or not lines:
         sys.exit(f"{argv} in {rev or 'working tree'} exited "
                  f"{proc.returncode}:\n{proc.stderr[-2000:]}")
-    return json.loads(lines[-1])
+    return lines
+
+
+def row_medians(parent, change):
+    """Per row of the workload: both sides' medians of the runs' p50_ms."""
+    return {row: {f"{side}_median": statistics.median(
+                      run["row_p50_ms"][row] for run in runs)
+                  for side, runs in (("parent", parent), ("change", change))}
+            for row in parent[0]["row_p50_ms"]}
 
 
 def summarize(parent, change, better):
@@ -216,29 +228,33 @@ def main():
             order = (("parent", rev), ("change", None))
             for position, (side, tree) in enumerate(
                     order if seed % 2 else order[::-1]):
-                result = in_fresh_tree(
+                lines = in_fresh_tree(
                     tree, args.scratch,
                     ["perfbench/run.py", "--workload", workload, "--seed",
                      str(seed), "--seconds", str(seconds)],
                     timeout=10 * seconds + 600)
+                result = json.loads(lines[-1])
                 if not result.get("correct"):
                     sys.exit(f"{workload} seed {seed} on the {side}: wrong "
                              f"verdict reported:\n{json.dumps(result)}")
-                runs[side].append({"seed": seed, "first": position == 0,
-                                   "result": result})
+                runs[side].append({
+                    "seed": seed, "first": position == 0, "result": result,
+                    "row_p50_ms": {m[1]: float(m[2]) for m in map(
+                        ROW_LINE.match, lines) if m}})
                 print(f"{workload} seed {seed} {side}: " + ", ".join(
                     f"{k} {v['value']:.4g}"
                     for k, v in result["metrics"].items()), flush=True)
         report["workloads"][workload] = {
             "summary": summarize(runs["parent"], runs["change"], better),
+            "row_p50_ms": row_medians(runs["parent"], runs["change"]),
             "runs": runs}
     certification = {}
     for side, tree in (("parent", rev), ("change", None)):
-        certification[side] = in_fresh_tree(
+        certification[side] = json.loads(in_fresh_tree(
             tree, args.scratch,
             ["-c", CERT_CHILD, json.dumps([CERT_SEEDS, CERT_REPEATS,
                                            certification.get("parent")])],
-            timeout=900)
+            timeout=900)[-1])
     report["certification"] = {
         "what": "on fourth_order.bench, synth_s is the wall time of "
                 "two-stage synthesis (Limits(timeout_s=60)), and the other "

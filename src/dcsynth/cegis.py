@@ -23,6 +23,10 @@ engine the restarts start at the origin, then at pole-placement
 controllers for the nominal plant, placed once per run when first needed,
 then at seeded random points.
 
+Both engines first look for a member of the family's box with a fixed
+mode (`_fixed_mode`), a root on or outside the unit circle of every closed
+loop: where they find one, no controller exists, and the run ends
+`no-candidate` at iteration 0, before any box is built or searched.
 Before each search, the two-stage loop runs a sign test on the newest
 counterexample (`_sign_obstructed`): where it proves that no controller
 the search can accept stabilizes it together with an earlier one, the run
@@ -48,11 +52,12 @@ from .intervals import (IntervalPoly, family_grid_box,
                         family_to_interval_poly, ipoly_add, ipoly_mul)
 from .stability import (JuryVerdict, Status, has_root, jury_conditions,
                         jury_stable, jury_stable_interval, root_bound,
-                        segment_chain, solve, tarski_queries, zero_excluded)
+                        segment_chain, solve, sturm_chain, tarski_queries,
+                        zero_excluded)
 # char_poly is not called here; perfbench's tracer binds dcsynth.cegis's.
 from .transfer import (Controller, PlantFamily, Poly, TransferFunction,
                        char_poly, closed_loop_coeffs, convolve, integerize,
-                       poly_mul)
+                       poly_mul, poly_roots)
 
 DEFAULT_PLANT_FORMAT = FixedPointFormat(16, 24)
 PRECISION_STEP = (4, 4)
@@ -344,6 +349,71 @@ def _sign_obstructed(inputs, queries) -> bool:
             or den(1) == 0 and q(1) <= 0)
 
 
+def _fixed_mode(family: PlantFamily) -> dict | None:
+    """Evidence that some member N/D of the family's box has a fixed mode,
+    a root on or outside the unit circle of every closed loop Cn·N + Cd·D,
+    so that no controller stabilizes the family (Wang & Davison 1973);
+    None where none is found.  Tried in order:
+
+    - the nominal's exact common factor, the last term of
+      sturm_chain(N, D), where it is not constant and exact Jury does not
+      find it stable: the `factor`, and the nominal as the `plant`;
+    - x = 1, x = -1 and each real root of the nominal D as a nearby
+      rational, |x| >= 1, where D's lead interval excludes 0 and the box's
+      values at x, Nc(x) ± Σ δ_i·|x|^(n−i) and the same for D, both hold 0:
+      `x`, and as the `plant` the member that moves each coefficient by
+      −t·δ_i·sign(x^(n−i)), t = Nc(x)/Σ δ_i·|x|^(n−i), and the same for D,
+      so that N(x) = D(x) = 0;
+    - where D is a point, at each real root of it, |x| >= 1, whose nearby
+      rational is no root, the two numerator vertices with the least and
+      the largest N there, where the sign test (`_sign_obstructed`, exact
+      Tarski queries at D's roots) flags them: a member between them has
+      N = 0 at a root of D; the two are the evidence (`between`).
+
+    Floats only pick the candidates; exact arithmetic decides."""
+    nominal, dn, dd = family.nominal, family.delta_num, family.delta_den
+    common = sturm_chain(nominal.num, nominal.den)[-1]
+    if len(common) > 1 and not jury_stable(common).is_stable:
+        return {"factor": [str(c if common[0] > 0 else -c) for c in common],
+                "plant": _describe_plant(nominal)}
+    if abs(nominal.den.coeffs[0]) <= dd[0]:
+        return None
+
+    def vertex(coeffs, deltas, x, side):
+        n = len(coeffs) - 1
+        return [c + side * d * (1 if x > 0 or (n - i) % 2 == 0 else -1)
+                for i, (c, d) in enumerate(zip(coeffs, deltas))]
+
+    roots = {Fraction(z.real).limit_denominator(10 ** 6): z.real
+             for z in poly_roots(nominal.den.coeffs) if math.isfinite(z.real)
+             and abs(z.imag) <= 1e-6 * max(1.0, abs(z))}
+    for x in dict.fromkeys([Fraction(1), Fraction(-1), *roots]):
+        if abs(x) < 1:
+            continue
+        member = []
+        for p, deltas in ((nominal.num, dn), (nominal.den, dd)):
+            centre = p(x)
+            reach = sum(d * abs(x) ** (p.degree - i)
+                        for i, d in enumerate(deltas))
+            if abs(centre) > reach:
+                break
+            member.append(vertex(p.coeffs, deltas, x,
+                                 -centre / reach if reach else 0))
+        else:
+            return {"x": str(x), "plant": _describe_plant(
+                TransferFunction(*member))}
+    if any(dd):
+        return None
+    for x, r in roots.items():
+        if abs(x) < 1 or nominal.den(x) == 0:
+            continue
+        pair = [TransferFunction(vertex(nominal.num.coeffs, dn, r, side),
+                                 nominal.den) for side in (-1, 1)]
+        if _sign_obstructed(pair, {}):
+            return {"between": [_describe_plant(p) for p in pair]}
+    return None
+
+
 def _float_jury_margin(c) -> float:
     """Min slack of the stability conditions in float arithmetic (search
     guidance only; never a verdict)."""
@@ -620,15 +690,20 @@ def cegis_two_stage(family: PlantFamily, controller_format: FixedPointFormat,
                     orders, seed: int, limits: Limits | None = None) -> SynthesisResult:
     """Fig-4-style loop: synthesize -> uncertainty check -> precision check,
     escalating the plant precision (and dropping stale counterexamples)
-    whenever the sound stage rejects.  An iteration whose counterexamples
-    fail the sign test (`_sign_obstructed`) raises NoCandidate in place of
-    its search, so the iteration count and the transcript are those of a
-    search that failed."""
+    whenever the sound stage rejects.  A family with a fixed mode
+    (`_fixed_mode`) ends the run `no-candidate` at iteration 0, its
+    transcript one `fixed-mode` entry with the evidence.  An iteration
+    whose counterexamples fail the sign test (`_sign_obstructed`) raises
+    NoCandidate in place of its search, so the iteration count and the
+    transcript are those of a search that failed."""
     _check_orders(orders)
     limits = limits or Limits()
     start = time.perf_counter()
     deadline = start + limits.timeout_s
     plant_format = family.plant_format or DEFAULT_PLANT_FORMAT
+    if (evidence := _fixed_mode(family)) is not None:
+        return _result(start, deadline, "no-candidate", None, plant_format, 0,
+                       [{"phase": "fixed-mode", "iteration": 0, **evidence}])
     # Placed once per run, when a search first needs them.
     starts = functools.cache(lambda: placement_starts(
         family.nominal, controller_format, orders))
@@ -700,12 +775,17 @@ def cegis_two_stage(family: PlantFamily, controller_format: FixedPointFormat,
 def cegis_one_stage(family: PlantFamily, controller_format: FixedPointFormat,
                     orders, seed: int, limits: Limits | None = None) -> SynthesisResult:
     """Sound single-stage engine: search directly against the interval Jury
-    test over the fully inflated family; no counterexample set."""
+    test over the fully inflated family; no counterexample set.  A family
+    with a fixed mode (`_fixed_mode`) ends the run `no-candidate` at
+    iteration 0, before the search, as in `cegis_two_stage`."""
     _check_orders(orders)
     limits = limits or Limits()
     start = time.perf_counter()
     deadline = start + limits.timeout_s
     fmt_p = family.plant_format or DEFAULT_PLANT_FORMAT
+    if (evidence := _fixed_mode(family)) is not None:
+        return _result(start, deadline, "no-candidate", None, fmt_p, 0,
+                       [{"phase": "fixed-mode", "iteration": 0, **evidence}])
     fam = family.with_format(fmt_p)
     num_iv, den_iv = family_to_interval_poly(fam)
     transcript = []

@@ -26,8 +26,9 @@ from dcsynth.fixedpoint import FixedPointFormat, FixedPointValue, quantize_poly
 from dcsynth.intervals import family_grid_box, family_to_interval_poly
 from dcsynth.stability import (JuryVerdict, Status, jury_stable,
                                jury_stable_interval, root_oracle, solve)
-from dcsynth.transfer import (Controller, PlantFamily, TransferFunction,
-                              char_poly, convolve)
+from dcsynth.transfer import (Controller, PlantFamily, Poly,
+                              TransferFunction, char_poly, convolve,
+                              poly_divmod, poly_roots)
 from test_stability import random_stable_poly
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "scripts"))
@@ -134,7 +135,31 @@ SHARED_UNSTABLE_FACTOR = TransferFunction(
     [1, Fraction(-11, 4), Fraction(5, 2), Fraction(-11, 16)])
 
 
-def test_exhaustive_sweep_honours_deadline():
+def no_fixed_mode_proof(monkeypatch):
+    """Switches the engines' fixed-mode proof off, so that a family it
+    settles reaches the loop that follows it."""
+    monkeypatch.setattr(cegis_mod, "_fixed_mode", lambda family: None)
+
+
+def assert_fixed_mode(result, **evidence):
+    """The run ended at iteration 0 on the fixed-mode proof's one transcript
+    entry, which holds `evidence`."""
+    assert (result.reason, result.iterations) == ("no-candidate", 0)
+    (entry,) = result.transcript
+    assert entry["phase"] == "fixed-mode" and entry["iteration"] == 0
+    assert {key: entry[key] for key in evidence} == evidence
+
+
+def test_exhaustive_sweep_honours_deadline(monkeypatch):
+    # The fixed-mode proof settles both families below at iteration 0: the
+    # shared factor, and the zero gain's pole, gcd(0, D) = D.
+    for plant, factor in ((SHARED_UNSTABLE_FACTOR, ["8", "-18", "11"]),
+                          (TransferFunction([0], [1, Fraction(-3, 2)]),
+                           ["2", "-3"])):
+        result = cegis_two_stage(PlantFamily(plant), FixedPointFormat(2, 2),
+                                 (1, 1), 1, Limits(timeout_s=0.05))
+        assert_fixed_mode(result, factor=factor)
+    no_fixed_mode_proof(monkeypatch)
     # The <2,2> grid of a (1,1) controller is small enough to sweep (about
     # 9e5 points, about ten seconds), and no controller stabilizes the plant:
     # past the deadline the sweep must stop, not run on for seconds.  A
@@ -400,6 +425,201 @@ def test_sign_test_never_flags_pairs_a_static_gain_stabilizes():
         assert plants[0].num.degree < order
         assert not cegis_mod._sign_obstructed(plants, {}), plants
         assert not cegis_mod._sign_obstructed(plants[::-1], {}), plants
+
+
+def _box_member(coeffs, nominal, deltas):
+    """Whether the coefficients, padded to the nominal's length, lie in the
+    box nominal ± deltas."""
+    coeffs = [Fraction(0)] * (len(nominal) - len(coeffs)) + coeffs
+    return (len(coeffs) == len(nominal)
+            and all(abs(c - m) <= d
+                    for c, m, d in zip(coeffs, nominal, deltas)))
+
+
+def check_fixed_mode(family, evidence, rng):
+    """Checks the fixed-mode proof's `evidence` on `family` by itself: its
+    plants lie in the box, and a real x, |x| >= 1, is a root of N and D, or
+    the factor divides both and exact Jury finds it unstable, or the two
+    vertices' numerators differ in sign at a real root of D, |x| >= 1.  A
+    member with a fixed mode makes each of a few seeded controllers'
+    closed loops unstable."""
+    nominal = family.nominal
+    plants = [TransferFunction(*([Fraction(c) for c in p[key]]
+                                 for key in ("num", "den")))
+              for p in evidence.get("between", [evidence.get("plant")])]
+    for p in plants:
+        assert _box_member(list(p.num.coeffs), nominal.num.coeffs,
+                           family.delta_num)
+        assert _box_member(list(p.den.coeffs), nominal.den.coeffs,
+                           family.delta_den)
+    if "between" in evidence:
+        (a, b) = plants
+        assert a.den == b.den == nominal.den
+        assert any(abs(r.real) >= 1 and abs(r.imag) < 1e-9
+                   and float(a.num(r.real)) * float(b.num(r.real)) <= 0
+                   for r in poly_roots(nominal.den.coeffs))
+        return
+    (member,) = plants
+    if "factor" in evidence:
+        factor = Poly([Fraction(c) for c in evidence["factor"]])
+        assert member == nominal and factor.degree >= 1
+        assert not jury_stable(factor).is_stable
+        for p in (member.num, member.den):
+            assert poly_divmod(p, factor)[1].is_zero()
+    else:
+        x = Fraction(evidence["x"])
+        assert abs(x) >= 1 and member.num(x) == member.den(x) == 0
+    for _ in range(5):
+        c = Controller(*([FixedPointValue(rng.randint(-1 << 18, 1 << 18),
+                                          F416) for _ in range(3)]
+                         for _ in range(2)))
+        assert concrete_verdict(c, member).status is Status.UNSTABLE
+
+
+def test_fixed_mode_on_families_with_and_without_one():
+    rng = random.Random(5)
+    point_den = [1, -3, 1]  # roots (3 ± √5)/2, about 2.618 and 0.382
+    flagged = [
+        (PlantFamily(SHARED_UNSTABLE_FACTOR), {"factor": ["8", "-18", "11"]}),
+        (PlantFamily(TransferFunction([0], [1, Fraction(-3, 2)])),
+         {"factor": ["2", "-3"]}),
+        (cruise_family(delta_num=[Fraction(1, 2)],
+                       delta_den=[0, Fraction(1, 2)]),
+         {"x": "1", "plant": {"num": ["0"], "den": ["1", "-1"]}}),
+        # At -1: N = 1/2 ± 1, D(-1) = 1/4 ± 1/2.
+        (PlantFamily(TransferFunction([Fraction(1, 2)], [1, Fraction(5, 4)]),
+                     [1], [0, Fraction(1, 2)]), {"x": "-1"}),
+        # An irrational root of a point D: N = z - 13/5 ± 1/10 changes sign
+        # there, so a member between the two vertices vanishes at it.
+        (PlantFamily(TransferFunction([1, Fraction(-13, 5)], point_den),
+                     [0, Fraction(1, 10)]),
+         {"between": [{"num": ["1", "-27/10"], "den": ["1", "-3", "1"]},
+                      {"num": ["1", "-5/2"], "den": ["1", "-3", "1"]}]}),
+        # The same with an uncertain D: a rational near the root decides.
+        (PlantFamily(TransferFunction([1, Fraction(-13, 5)], point_den),
+                     [0, Fraction(1, 10)], [0, 0, Fraction(1, 1000)]), {}),
+    ]
+    for family, expected in flagged:
+        evidence = cegis_mod._fixed_mode(family)
+        assert evidence is not None, family
+        assert {key: evidence[key] for key in expected} == expected
+        check_fixed_mode(family, evidence, rng)
+    assert "x" in cegis_mod._fixed_mode(flagged[-1][0])
+    # No member has a fixed mode: N keeps its sign at 2.618, the stable
+    # common factor z - 1/2 fixes no unstable mode, and the numerator box
+    # holds 0 at 1 where the denominator's does not.
+    for family in (
+            PlantFamily(TransferFunction([1, -2], point_den),
+                        [0, Fraction(1, 10)]),
+            PlantFamily(TransferFunction([1, Fraction(-1, 2)],
+                                         [1, Fraction(-5, 2), 1])),
+            cruise_family(delta_num=[Fraction(1, 2)]),
+            cruise_family(delta_num=[Fraction("0.0132")],
+                          delta_den=[0, Fraction("0.05")]),
+            parse_benchmark(FOURTH_ORDER).family):
+        assert cegis_mod._fixed_mode(family) is None, family
+
+
+def _seeded_family(rng, planted):
+    """A box family of order 1-4 with 1-4 uncertain coefficients, none the
+    denominator's lead.  Where `planted`, a member N/D shares the root x =
+    ±1 or ±k/8, k = 9-16, and the nominal D keeps a root at x unless x =
+    ±1; the nominal is that member moved inside the box."""
+    n = rng.randint(1, 4)
+    picks = rng.sample(range(2 * n), rng.randint(1, min(4, 2 * n)))
+    deltas = [Fraction(rng.randint(1, 20), 100) if i in picks else 0
+              for i in range(2 * n)]
+    x = rng.choice((1, -1, Fraction(rng.choice((-1, 1)) * rng.randint(9, 16),
+                                    8)))
+    roots = [Fraction(rng.randint(-13, 13), 10) for _ in range(n)]
+    num = [Fraction(rng.choice((-1, 1)) * rng.randint(1, 8), 2)]
+    for _ in range(n - 1):
+        num = convolve(num, [1, Fraction(rng.randint(-20, 20), 10)], 0)
+    if planted:
+        roots[0] = x
+        num = [0] if n == 1 else convolve(num[:-1], [1, -x], 0)
+    den = [Fraction(1)]
+    for r in roots:
+        den = convolve(den, [1, -r], 0)
+    if planted:  # move the member inside the box
+        moved = [True] * n + [abs(x) == 1] * n
+        offsets = [Fraction(rng.randint(-4, 4), 4) * d if m else 0
+                   for m, d in zip(moved, deltas)]
+        num = [c + o for c, o in zip(num, offsets)]
+        den = den[:1] + [c + o for c, o in zip(den[1:], offsets[n:])]
+    return PlantFamily(TransferFunction(num, den), deltas[:n],
+                       [0] + deltas[n:], FixedPointFormat(8, 12))
+
+
+def test_fixed_mode_differential_against_both_engines(monkeypatch):
+    # Every planted family is flagged, every flag's evidence checks out by
+    # itself, and neither engine, with the proof off, certifies a flagged
+    # family Stable.
+    rng = random.Random(34)
+    flagged = planted_count = 0
+    for i in range(240):
+        planted = i % 3 == 0
+        family = _seeded_family(rng, planted)
+        evidence = cegis_mod._fixed_mode(family)
+        assert evidence is not None or not planted, family
+        planted_count += planted
+        if evidence is None:
+            continue
+        flagged += 1
+        check_fixed_mode(family, evidence, rng)
+        with monkeypatch.context() as patched:
+            no_fixed_mode_proof(patched)
+            for engine in (cegis_two_stage, cegis_one_stage):
+                result = engine(family, FixedPointFormat(4, 8), (1, 1), i,
+                                Limits(max_iterations=4, timeout_s=0.02,
+                                       synth_budget=300))
+                assert not result.success, (family, engine)
+    assert planted_count == 80 and flagged > planted_count
+
+
+def ladder_rung(n, k, seed):
+    """A rung of the scaling ladder: poles 1.05 and n - 1 seeded ones in
+    [-0.8, 0.8], zeros seeded in [-0.5, 0.5], numerator scaled by 1/100,
+    k seeded uncertain coefficients among the numerator's n and the
+    denominator's n non-monic ones, radius 1/1000 on the numerator's and
+    2/1000 on the denominator's, plant grid <16,24>."""
+    rng = random.Random(1000 * n + 10 * k + seed)
+    poles = [Fraction(105, 100)] + [Fraction(rng.randint(-80, 80), 100)
+                                    for _ in range(n - 1)]
+    zeros = [Fraction(rng.randint(-50, 50), 100) for _ in range(n - 1)]
+    den, num = [Fraction(1)], [Fraction(1, 100)]
+    for p in poles:
+        den = convolve(den, [1, -p], 0)
+    for z in zeros:
+        num = convolve(num, [1, -z], 0)
+    picks = rng.sample(range(2 * n), k)
+    return PlantFamily(
+        TransferFunction(num, den),
+        [Fraction(1, 1000) if i in picks else 0 for i in range(n)],
+        [0] + [Fraction(2, 1000) if n + i in picks else 0 for i in range(n)],
+        FixedPointFormat(16, 24))
+
+
+LADDER = ([(n, k, seed) for n in range(5, 9) for k in (2, 4, 8)
+           for seed in (1, 2)]
+          + [(n, 2 * n, seed) for n in range(4, 9) for seed in (1, 2)])
+# Rungs no engine has solved, none of them proven unstabilizable either.
+LADDER_OPEN = {(5, 8, 1), (6, 12, 2), (7, 14, 1), (8, 16, 2)}
+
+
+def test_fixed_mode_on_the_ladder():
+    # (8, 8, 2) and (8, 16, 1) have a member with a fixed mode at the pole
+    # 1.05 and at 1; every rung a controller is known for has none.
+    rng = random.Random(8)
+    found = {}
+    for rung in LADDER:
+        family = ladder_rung(*rung)
+        evidence = cegis_mod._fixed_mode(family)
+        if evidence is not None:
+            check_fixed_mode(family, evidence, rng)
+            found[rung] = evidence.get("x")
+    assert {r: x for r, x in found.items() if r not in LADDER_OPEN} == {
+        (8, 8, 2): "21/20", (8, 16, 1): "1"}
 
 
 def test_climb_steps_over_neighbours_known_not_to_improve(monkeypatch):
@@ -821,6 +1041,10 @@ def test_sign_test_builds_one_query_per_denominator(monkeypatch):
     monkeypatch.setattr(cegis_mod, "tarski_queries", tarski_queries)
     fam = cruise_family(delta_num=[Fraction(1, 2)],
                         delta_den=[0, Fraction(1, 2)])
+    # The fixed-mode proof settles the family at x = 1, with no query.
+    assert_fixed_mode(cegis_two_stage(fam, F416, (2, 2), seed=1), x="1")
+    assert built == []
+    no_fixed_mode_proof(monkeypatch)
     result = cegis_two_stage(fam, F416, (2, 2), seed=1)
     assert (result.reason, result.iterations) == ("no-candidate", 3)
     assert built == [CRUISE_UNCERTAIN_CEX[0].den]
@@ -1307,20 +1531,29 @@ def test_two_stage_timeout():
     assert not result.success and result.reason == "timeout"
 
 
-def test_deadline_inside_search_reports_timeout():
-    # Unstabilizable family: the deadline passes inside the candidate
-    # search, and both engines name it the same way.
+def test_deadline_inside_search_reports_timeout(monkeypatch):
+    # Both families below have a fixed mode: each engine proves it at
+    # iteration 0, before its deadline.
     fam = PlantFamily(SHARED_UNSTABLE_FACTOR,
                       plant_format=DEFAULT_PLANT_FORMAT)
+    uncertain = cruise_family(delta_num=[Fraction(1, 2)],
+                              delta_den=[0, Fraction(1, 2)])
+    for engine in (cegis_two_stage, cegis_one_stage):
+        assert_fixed_mode(engine(fam, F416, (2, 2), seed=1,
+                                 limits=Limits(timeout_s=0.05)),
+                          factor=["8", "-18", "11"])
+        assert_fixed_mode(engine(uncertain, F416, (2, 2), seed=1,
+                                 limits=Limits(timeout_s=0.05)), x="1")
+    no_fixed_mode_proof(monkeypatch)
+    # Unstabilizable family: the deadline passes inside the candidate
+    # search, and both engines name it the same way.
     for engine in (cegis_two_stage, cegis_one_stage):
         result = engine(fam, F416, (2, 2), seed=1,
                         limits=Limits(timeout_s=0.05))
         assert not result.success and result.reason == "timeout", engine
     # cruise_uncertain's family: its first two counterexamples fail the
     # sign test, so the two-stage run ends before its third search.
-    fam = cruise_family(delta_num=[Fraction(1, 2)],
-                        delta_den=[0, Fraction(1, 2)])
-    result = cegis_two_stage(fam, F416, (2, 2), seed=1,
+    result = cegis_two_stage(uncertain, F416, (2, 2), seed=1,
                              limits=Limits(timeout_s=0.05))
     assert (result.reason, result.iterations) == ("no-candidate", 3)
 
@@ -1406,8 +1639,6 @@ def test_determinism_same_seed_same_controller():
 
 
 def test_failure_on_unstabilizable_family(monkeypatch):
-    # The second counterexample fails the sign test against the first: the
-    # third iteration ends the run in place of its search.
     searches = []
     search = cegis_mod.synthesize_candidate
 
@@ -1418,9 +1649,16 @@ def test_failure_on_unstabilizable_family(monkeypatch):
     monkeypatch.setattr(cegis_mod, "synthesize_candidate", counted)
     fam = cruise_family(delta_num=[Fraction(1, 2)],
                         delta_den=[0, Fraction(1, 2)])
-    result = cegis_two_stage(fam, F416, (2, 2), seed=1,
-                             limits=Limits(max_iterations=4,
-                                           synth_budget=3000))
+    limits = Limits(max_iterations=4, synth_budget=3000)
+    # Its member 0/(z - 1) has the fixed mode x = 1: no search runs.
+    assert_fixed_mode(cegis_two_stage(fam, F416, (2, 2), seed=1,
+                                      limits=limits),
+                      x="1", plant={"num": ["0"], "den": ["1", "-1"]})
+    assert searches == []
+    no_fixed_mode_proof(monkeypatch)
+    # The second counterexample fails the sign test against the first: the
+    # third iteration ends the run in place of its search.
+    result = cegis_two_stage(fam, F416, (2, 2), seed=1, limits=limits)
     assert not result.success
     assert (result.reason, result.iterations) == ("no-candidate", 3)
     assert [len(inputs) for inputs in searches] == [0, 1]
