@@ -28,11 +28,15 @@ working tree's `src/`, runs:
   rejects never reaches a report);
 - in-process `step_response` on seeded loops, six to each combination of
   controller order 0-2, format <4, F> for F in 8, 12, 16, 20, and the
-  ADC/DAC step in 0, q, 3q (q = 2^-F), 200 steps, stopping at
-  divergence, each tree called through its own signature (a tree with
-  `NoiseModel` gets worst-case noise of that step at both converters),
-  comparing the e and u raws, the outputs y as strings and the length,
-  or, for a loop that overflows, the `ArithmeticOverflow` step and
+  ADC/DAC step in 0, q, 3q (q = 2^-F), then two to each combination of
+  order 0-2, format <4,40>, <1,48>, <20,40> or <48,8>, and step 0, q, 3q
+  or 1/3000, with numerator gains up to half the format's range and
+  denominator leads 1, 3/4 or -3/2, so that many overflow, before
+  divergence or at it; 200 steps, stopping at divergence, each tree
+  called through its own signature (a tree with `NoiseModel` gets
+  worst-case noise of that step at both converters), comparing the e and
+  u raws, the outputs y as strings and the length, or, for a loop that
+  overflows before divergence, the `ArithmeticOverflow` step and
   message;
 - the box verdict (`cegis._box_verdict`) on seeded random families, a
   third each around a box with one unstable edge between stable
@@ -155,8 +159,10 @@ print(json.dumps(out))
 """
 
 STEP_ROUNDS = 6
-# Reads the rounds in argv[1]; prints one JSON list, per loop, of
-# [e raws, u raws, y strings, length] or ["overflow", step, message].
+OVERFLOW_ROUNDS = 2
+# Reads the rounds in argv[1] and the overflowing loops' rounds in argv[2];
+# prints one JSON list, per loop, of [e raws, u raws, y strings, length] or
+# ["overflow", step, message].
 STEP_CHILD = """
 import itertools, json, random, sys
 from fractions import Fraction
@@ -177,6 +183,14 @@ def respond(ctl, plant, noise):
             stop_on_divergence=True)
     return simulate.step_response(ctl, plant, Fraction(1, 5), 200, noise)
 
+def record(ctl, plant, noise):
+    try:
+        trace = respond(ctl, plant, noise)
+    except ArithmeticOverflow as exc:
+        return ["overflow", exc.step, str(exc)]
+    return [[v.raw for v in trace.e], [v.raw for v in trace.u],
+            [str(y) for y in trace.y], len(trace)]
+
 out = []
 for _, order, f, multiple in itertools.product(
         range(int(sys.argv[1])), range(3), (8, 12, 16, 20), (0, 1, 3)):
@@ -186,13 +200,26 @@ for _, order, f, multiple in itertools.product(
     ctl = Controller(quantize_poly(coeffs(rng.randint(1, order + 1), 3000),
                                    fmt),
                      quantize_poly([1] + coeffs(order, 1000), fmt))
-    try:
-        trace = respond(ctl, plant, multiple * q)
-    except ArithmeticOverflow as exc:
-        out.append(["overflow", exc.step, str(exc)])
-        continue
-    out.append([[v.raw for v in trace.e], [v.raw for v in trace.u],
-                [str(y) for y in trace.y], len(trace)])
+    out.append(record(ctl, plant, multiple * q))
+
+# Numerator gains up to half the format's range and leads 1, 3/4, -3/2 on
+# narrow signal grids (<24,40>, <16,48>) and a wide one (<48,8>): many
+# overflow, before divergence or at it.
+rng = random.Random(1)
+for _, order, bits, k in itertools.product(
+        range(int(sys.argv[2])), range(3), ((4, 40), (1, 48), (20, 40),
+                                            (48, 8)), range(4)):
+    fmt = FixedPointFormat(*bits)
+    gd = [1] + coeffs(rng.randint(1, 3), 1500)
+    plant = TransferFunction(coeffs(rng.randint(1, len(gd)), 500), gd)
+    gain = 2 ** (fmt.integer_bits - 1)
+    ctl = Controller(
+        quantize_poly([c * gain for c in coeffs(rng.randint(1, order + 1),
+                                                1999)], fmt),
+        quantize_poly([rng.choice((1, Fraction(3, 4), Fraction(-3, 2)))]
+                      + coeffs(order, 1000), fmt))
+    out.append(record(ctl, plant, (0, fmt.step, 3 * fmt.step,
+                                   Fraction(1, 3000))[k]))
 print(json.dumps(out))
 """
 
@@ -659,7 +686,8 @@ def starts(src):
 
 
 def step_responses(src):
-    proc = run(src, ["-c", STEP_CHILD, str(STEP_ROUNDS)])
+    proc = run(src, ["-c", STEP_CHILD, str(STEP_ROUNDS),
+                     str(OVERFLOW_ROUNDS)])
     if proc.returncode != 0:
         sys.exit(f"step-response child failed on {src}:\n"
                  f"{proc.stderr[-2000:]}")
@@ -784,6 +812,7 @@ def main():
             differences += 1
             print(f"step response loop {k}: {a} != {b}")
     overflowing = sum(r[0] == "overflow" for r in old)
+    at_divergence = sum(r[0] != "overflow" and len(r[0]) < r[3] for r in old)
     old, new = (boxes[name] for name in trees)
     for k, (a, b) in enumerate(zip(old, new)):
         if a != b:
@@ -824,7 +853,8 @@ def main():
     print(f"{len(rows) * len(CLI_SEEDS)} cli calls, {len(synth[rev])} "
           f"synthesis runs, {len(plants)} ZOH plants, {len(placed[rev])} "
           f"placement start lists, {len(steps[rev])} step responses "
-          f"({overflowing} overflowing), {verdicts} box verdicts ("
+          f"({overflowing} overflowing, {at_divergence} overflowing at "
+          f"divergence), {verdicts} box verdicts ("
           + ", ".join(f"{n} {k}" for k, n in sorted(settled.items()))
           + f"), {len(ipolys)} interval Jury verdicts ("
           + ", ".join(f"{n} {k}" for k, n in sorted(statuses.items()))

@@ -15,7 +15,7 @@ from .cegis import (Limits, SynthesisResult, cegis_one_stage, cegis_two_stage,
                     synthesize_candidate, verify_precision, verify_uncertainty)
 from .discretize import ContinuousTF, zoh_discretize
 from .errors import (ArithmeticOverflow, DcsynthError, DeadlineExceeded,
-                     DegenerateCharPoly, DegenerateLoop, DivisionByZero,
+                     DegenerateCharPoly, DegenerateLoop,
                      ImproperTransferFunction, NoCandidate,
                      NonpositiveSampleTime, Overflow, ParseError,
                      ValidationError)

@@ -11,10 +11,6 @@ class Overflow(DcsynthError):
     """A fixed-point result left the representable range of its format."""
 
 
-class DivisionByZero(DcsynthError):
-    """Fixed-point division by an exactly-zero divisor."""
-
-
 class DegenerateCharPoly(DcsynthError):
     """Characteristic polynomial normalized to the zero polynomial."""
 

@@ -1,8 +1,11 @@
-"""Exact fixed-point arithmetic on scaled integers.
+"""Fixed-point formats, values and quantizers on scaled integers.
 
 A format <I,F> represents the dyadic grid {raw * 2**-F} restricted to the
 open range (-2**I, 2**I).  Values are stored as the raw integer, so every
-quantity here is exact; there is no floating-point state anywhere.
+quantity here is exact; there is no floating-point state anywhere.  The
+arithmetic a deployed controller does on them (truncating products, sums
+checked against the range) runs on the raws in the simulator's integer
+loop, `simulate.step_response`.
 """
 
 from __future__ import annotations
@@ -10,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DivisionByZero, Overflow
+from .errors import Overflow
 
 MAX_TOTAL_BITS = 64
 
@@ -73,24 +76,6 @@ class FixedPointValue:
     def __str__(self):
         return f"{self.decimal_str()}{self.format}"
 
-    # Every operator takes two values of one format and raises Overflow when
-    # the result leaves it; products and quotients truncate toward zero.
-    def __add__(self, other: "FixedPointValue") -> "FixedPointValue":
-        return FixedPointValue(self.raw + other.raw, _same_format(self, other))
-
-    def __sub__(self, other: "FixedPointValue") -> "FixedPointValue":
-        return FixedPointValue(self.raw - other.raw, _same_format(self, other))
-
-    def __mul__(self, other: "FixedPointValue") -> "FixedPointValue":
-        fmt = _same_format(self, other)
-        return FixedPointValue(_trunc_div(self.raw * other.raw, fmt.scale), fmt)
-
-    def __truediv__(self, other: "FixedPointValue") -> "FixedPointValue":
-        fmt = _same_format(self, other)
-        if other.raw == 0:
-            raise DivisionByZero("fixed-point division by zero")
-        return FixedPointValue(_trunc_div(self.raw * fmt.scale, other.raw), fmt)
-
 
 def quantize_truncate(x, fmt: FixedPointFormat) -> FixedPointValue:
     """Round toward zero onto the 2**-F grid."""
@@ -120,15 +105,3 @@ def quantize_poly(coeffs, fmt: FixedPointFormat, mode: str = "truncate"):
     if q is None:
         raise ValueError(f"unknown rounding mode {mode!r}")
     return [q(c, fmt) for c in coeffs]
-
-
-def _same_format(a: FixedPointValue, b: FixedPointValue) -> FixedPointFormat:
-    if a.format != b.format:
-        raise ValueError(f"format mismatch: {a.format} vs {b.format}")
-    return a.format
-
-
-def _trunc_div(num: int, den: int) -> int:
-    # Python's // floors; truncate toward zero instead.
-    q = abs(num) // abs(den)
-    return q if (num >= 0) == (den > 0) else -q

@@ -3,12 +3,14 @@ screen, the last two on the open loop's exact common factor.
 
 The loop is the fully digital unity-negative-feedback arrangement: the
 fixed-point `Controller` runs on its own raws, on a signal grid with its
-fraction bits and a wide integer range (truncating arithmetic), the plant
-runs in exact rationals with each output rounded to the fixed dyadic grid
+fraction bits and a wide integer range (each product truncated toward
+zero, each sum checked against the grid's range), the plant runs on its
+integerized coefficients with each output rounded to the fixed dyadic grid
 of multiples of 2^-200, and the ADC and DAC errors of one quantization
 step q enter at their worst: +-q/2 on the error fed to the controller and
 on its output, each with the sign of its signal, pushing it away from zero
-(q = 0: no noise).
+(q = 0: no noise).  The loop runs on Python integers; its trace holds
+`FixedPointValue`s and `Fraction`s built from them.
 """
 
 from __future__ import annotations
@@ -19,11 +21,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import ArithmeticOverflow, DegenerateLoop, Overflow
-from .fixedpoint import (MAX_TOTAL_BITS, FixedPointFormat, FixedPointValue,
-                         quantize_truncate)
+from .fixedpoint import MAX_TOTAL_BITS, FixedPointFormat, FixedPointValue
 from .stability import bilinear, jury_stable, positive_roots, sturm_chain
 from .transfer import (Controller, Poly, TransferFunction, convolve,
-                       poly_divmod, poly_mul)
+                       integerize, poly_divmod, poly_mul)
 
 SIGNAL_INTEGER_BITS = 40
 DIVERGENCE_FACTOR = 10 ** 6
@@ -33,8 +34,9 @@ _DECIMAL_DIGITS = 20  # fractional digits of a non-terminating CSV time
 @dataclass
 class SimulationTrace:
     """Time-indexed (e, u, y) samples of the response to the unit step
-    r = 1; e and u live on the controller signal grid (FixedPointValue), y
-    is exact rationals; a last y may lack e and u (`step_response`)."""
+    r = 1, built from `step_response`'s integers: e and u on the controller
+    signal grid (FixedPointValue), y exact rationals; a last y may lack e
+    and u."""
 
     sample_time: Fraction
     e: list = field(default_factory=list)
@@ -99,10 +101,6 @@ def _controller_polys(controller):
     return controller.num, controller.den
 
 
-def _pad_front(coeffs, n):
-    return [Fraction(0)] * (n - len(coeffs)) + list(coeffs)
-
-
 def step_response(controller: Controller, plant: TransferFunction, T,
                   steps: int, noise=0) -> SimulationTrace:
     """Unity-negative-feedback response of a fixed-point controller to a
@@ -111,84 +109,97 @@ def step_response(controller: Controller, plant: TransferFunction, T,
     controller reads and to the output it writes.
 
     The controller path runs on the signal grid <max(min(40, 64 - F), I),
-    F> for the controller format <I, F>: its raws go onto the grid as they
-    are, and every operation truncates exactly as deployed code would,
-    while signal headroom failures still surface as ArithmeticOverflow.
-    For F <= 24 that grid is <max(40, I), F>; past it, the widest format
-    with F fraction bits, as I + F <= 64.  The plant path runs in exact
-    rationals, each new output rounded to the nearest multiple of 2^-200.
+    F> for the controller format <I, F>, as deployed code would: its raws
+    go onto the grid as they are, and the error, each product (truncated
+    toward zero), each partial sum and the quotient by the denominator's
+    lead (truncated too) must fit it, or the step fails with the Overflow
+    of a FixedPointValue off the grid.  For F <= 24 that grid is
+    <max(40, I), F>; past it, the widest format with F fraction bits, as
+    I + F <= 64.  The plant path pairs its numerator with [u_k, u_(k-1),
+    ...] for y_(k+1), rounded half-to-even to a multiple of 2^-200.  Both
+    paths run on Python integers.
 
     The loop ends early at the first |y| above the threshold `diverged()`
     reads, in a y without e and u if that step's controller path
     overflows; the trace is then shorter than `steps`.  An overflow before
-    divergence raises ArithmeticOverflow.
+    divergence raises ArithmeticOverflow.  ValueError: steps < 1, or a
+    nonzero controller whose denominator, front-padded to the numerator,
+    leads with zero.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    half = Fraction(noise) / 2
     i, f = controller.format.integer_bits, controller.format.fraction_bits
     sig_fmt = FixedPointFormat(
         max(min(SIGNAL_INTEGER_BITS, MAX_TOTAL_BITS - f), i), f)
-    zero = FixedPointValue(0, sig_fmt)
+    scale, limit = sig_fmt.scale, sig_fmt.raw_limit
+
+    def fit(raw):
+        # Off the grid, FixedPointValue raises the Overflow.
+        return (raw if -limit < raw < limit
+                else FixedPointValue(raw, sig_fmt).raw)
+
     n_c = max(len(controller.num), len(controller.den))
-    b, a = ([zero] * (n_c - len(p))
-            + [FixedPointValue(v.raw, sig_fmt) for v in p]
+    b, a = ([0] * (n_c - len(p)) + [v.raw for v in p]
             for p in (controller.num, controller.den))
-    controller_is_zero = all(v.raw == 0 for v in controller.num)
-
+    if a[0] == 0 and any(b):
+        raise ValueError("the padded controller denominator leads with zero")
+    # The plant's coefficients over one denominator, which the division by
+    # the lead cancels; negated if need be for a positive lead.
     n_g = max(len(plant.num.coeffs), len(plant.den.coeffs))
-    gn = _pad_front(plant.num.coeffs, n_g)
-    gd = _pad_front(plant.den.coeffs, n_g)
+    g, _ = integerize([c for p in (plant.num, plant.den)
+                       for c in [0] * (n_g - len(p.coeffs)) + list(p.coeffs)])
+    g = [-c for c in g] if g[n_g] < 0 else g
+    gn, gd = g[:n_g], g[n_g:]
+    # The converters' inputs and outputs over den, a multiple of the signal
+    # grid's and the plant grid's denominators and of q/2's.
+    half = Fraction(noise) / 2
+    den = math.lcm(_PLANT_GRID, half.denominator)
+    h = half.numerator * (den // half.denominator)
+    per_raw, per_y = den // scale, den // _PLANT_GRID
 
-    uin_hist = [Fraction(0)] * n_g
-    y_hist = [Fraction(0)] * n_g
+    es, us = [0] * n_c, [0] * n_c  # signal raws, latest first
+    vs, ys = [0] * n_g, [0] * n_g  # DAC outputs over den, y over 2^200
     trace = SimulationTrace(sample_time=Fraction(T))
     for k in range(steps):
-        y = y_hist[0]
-        diverged = abs(y) > DIVERGENCE_FACTOR
-        e_pre = 1 - y
+        trace.y.append(Fraction(ys[0], _PLANT_GRID))
+        diverged = abs(ys[0]) > DIVERGENCE_FACTOR * _PLANT_GRID
         try:
-            e_q = quantize_truncate(e_pre + (-half if e_pre < 0 else half),
-                                    sig_fmt)
-            u_q = (zero if controller_is_zero
-                   else _controller_step(b, a, e_q, trace))
+            x = (_PLANT_GRID - ys[0]) * per_y  # 1 - y over den
+            es = [fit(_trunc_div(x + (-h if x < 0 else h), per_raw)), *es[:-1]]
+            # Direct form I: a0*u[k] = sum b_j e[k-j] - sum_{j>=1} a_j u[k-j].
+            acc = 0
+            for c, s in zip(b, es):
+                acc = fit(acc + fit(_trunc_div(c * s, scale)))
+            for c, s in zip(a[1:], us):
+                acc = fit(acc - fit(_trunc_div(c * s, scale)))
+            # acc is 0 throughout for the zero controller, whatever its a0.
+            u = fit(_trunc_div(acc * scale, a[0])) if acc else 0
         except Overflow as exc:
             if diverged:
-                trace.y.append(y)
                 break
             raise ArithmeticOverflow(k, str(exc)) from exc
-        u_in = u_q.value + (-half if u_q.value < 0 else half)
-        y_next = _plant_step(gn, gd, u_in, uin_hist, y_hist)
-        uin_hist = [u_in] + uin_hist[:-1]
-        y_hist = [y_next] + y_hist[:-1]
-        trace.e.append(e_q)
-        trace.u.append(u_q)
-        trace.y.append(y)
+        us = [u] + us[:-1]
+        vs = [u * per_raw + (-h if u < 0 else h)] + vs[:-1]
+        z = (sum(c * v for c, v in zip(gn, vs))
+             - per_y * sum(c * v for c, v in zip(gd[1:], ys)))
+        ys = [_round_half_even(z, per_y * gd[0])] + ys[:-1]
+        trace.e.append(FixedPointValue(es[0], sig_fmt))
+        trace.u.append(FixedPointValue(u, sig_fmt))
         if diverged:
             break
     return trace
 
 
-def _controller_step(b, a, e_q, trace):
-    """Direct-form-I update a0*u[k] = sum b_j e[k-j] - sum_{j>=1} a_j u[k-j],
-    every operation truncating on the signal grid.  The past e and u are
-    the trace's, latest first; a term older than the trace is a zero
-    product and is skipped."""
-    acc = FixedPointValue(0, e_q.format)
-    for coeff, sig in zip(b, [e_q, *trace.e[:-len(b):-1]]):
-        acc = acc + coeff * sig
-    for coeff, sig in zip(a[1:], trace.u[:-len(a):-1]):
-        acc = acc - coeff * sig
-    return acc / a[0]
+def _trunc_div(num: int, den: int) -> int:
+    """num/den rounded toward zero (Python's // floors)."""
+    q = abs(num) // abs(den)
+    return q if (num >= 0) == (den > 0) else -q
 
 
-def _plant_step(gn, gd, u_in, uin_hist, y_hist):
-    """Next plant output: the exact difference-equation value, rounded to
-    the nearest multiple of 1/_PLANT_GRID."""
-    us = [u_in] + uin_hist[:len(gn) - 1]
-    acc = sum(c * v for c, v in zip(gn, us))
-    acc -= sum(c * v for c, v in zip(gd[1:], y_hist))
-    return Fraction(round(acc / gd[0] * _PLANT_GRID), _PLANT_GRID)
+def _round_half_even(num: int, den: int) -> int:
+    """round(Fraction(num, den)) for den > 0: ties to even."""
+    q, r = divmod(num, den)
+    return q + (2 * r > den or (2 * r == den and q % 2 == 1))
 
 
 def _open_loop(controller, plant: TransferFunction) -> tuple:

@@ -1,12 +1,12 @@
-"""Fixed-point format, quantization, and arithmetic."""
+"""Fixed-point format, values and quantization."""
 
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
-from dcsynth.errors import DivisionByZero, Overflow
+from dcsynth.errors import Overflow
 from dcsynth.fixedpoint import (FixedPointFormat, FixedPointValue,
                                 quantize_nearest, quantize_poly,
                                 quantize_truncate)
@@ -86,40 +86,6 @@ def test_value_and_convert():
     assert v.value == Fraction(-120848, 65536)
 
 
-def test_arithmetic_truncates_toward_zero():
-    a = quantize_truncate(Fraction("1.5"), F416)
-    b = quantize_truncate(Fraction("0.2"), F416)
-    prod = a * b
-    exact = a.value * b.value
-    assert prod.value <= exact if exact >= 0 else prod.value >= exact
-    assert abs(exact - prod.value) < F416.step
-    quot = a / b
-    assert abs(quot.value - a.value / b.value) < F416.step
-
-
-def test_arithmetic_errors():
-    a = quantize_truncate(15, F416)
-    with pytest.raises(Overflow):
-        a + a
-    with pytest.raises(Overflow):
-        a - quantize_truncate(-15, F416)
-    with pytest.raises(Overflow):
-        a * a
-    with pytest.raises(Overflow):
-        a / quantize_truncate(Fraction(1, 2), F416)
-    with pytest.raises(DivisionByZero):
-        a / quantize_truncate(0, F416)
-    with pytest.raises(ValueError):
-        a + quantize_truncate(1, FixedPointFormat(8, 8))
-
-
-def test_sub_and_exactness_of_grid_ops():
-    a = FixedPointValue(3, F416)
-    b = FixedPointValue(5, F416)
-    assert (a - b).raw == -2
-    assert (a + b).raw == 8
-
-
 rationals = st.fractions(min_value=-15, max_value=15)
 
 
@@ -140,18 +106,3 @@ def test_nearest_properties(x):
 def test_decimal_str_round_trip(x):
     q = quantize_truncate(x, F416)
     assert Fraction(q.decimal_str()) == q.value
-
-
-@given(st.integers(-2 ** 19, 2 ** 19), st.integers(-2 ** 19, 2 ** 19))
-@settings(max_examples=300)
-def test_mul_matches_exact_then_truncate(ra, rb):
-    a = FixedPointValue(ra, F416)
-    b = FixedPointValue(rb, F416)
-    exact = a.value * b.value
-    if abs(exact) >= 16:
-        with pytest.raises(Overflow):
-            a * b
-        return
-    got = (a * b).value
-    expected = Fraction(int(exact * F416.scale), F416.scale)
-    assert got == expected

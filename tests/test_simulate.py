@@ -12,8 +12,7 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
-import dcsynth.simulate as simulate
-from dcsynth.errors import ArithmeticOverflow, DegenerateLoop
+from dcsynth.errors import ArithmeticOverflow, DegenerateLoop, Overflow
 from dcsynth.fixedpoint import FixedPointFormat, quantize_poly
 from dcsynth.simulate import (_controller_polys, _wrap_margin,
                               cancellation_on_or_outside_unit_circle,
@@ -121,9 +120,9 @@ def _mpf50(x: Fraction):
 
 
 def mpmath_plant_step(gn, gd, u_in, uin_hist, y_hist):
-    """_plant_step as it was: the difference equation in mpmath at 50
-    digits, on coefficients and inputs rounded to 50 digits.  It returns
-    the exact value of its mpf, which converts back to the same mpf."""
+    """A plant path in mpmath: the difference equation at 50 digits, on
+    coefficients and inputs rounded to 50 digits.  It returns the exact
+    value of its mpf, which converts back to the same mpf."""
     with mp.workdps(50):
         us = [u_in] + uin_hist[:len(gn) - 1]
         acc = mp.mpf(0)
@@ -135,11 +134,138 @@ def mpmath_plant_step(gn, gd, u_in, uin_hist, y_hist):
         return Fraction(-man if sign else man) * Fraction(2) ** exp
 
 
-def test_plant_path_matches_mpmath(monkeypatch):
-    # Differential check against the 50-digit mpmath plant path on seeded
-    # loops around open-loop-stable plants, without noise and with noise
-    # Q in turn: the same controller signals, plant outputs to a float, and
-    # stop step.
+GRID = 2 ** 200
+
+
+def exact_plant_step(gn, gd, u_in, uin_hist, y_hist):
+    """The plant's next output: the exact difference-equation value,
+    rounded half-to-even to the nearest multiple of 2^-200."""
+    us = [u_in] + uin_hist[:len(gn) - 1]
+    acc = sum(c * v for c, v in zip(gn, us))
+    acc -= sum(c * v for c, v in zip(gd[1:], y_hist))
+    return Fraction(round(acc / gd[0] * GRID), GRID)
+
+
+def reference_response(ctl, plant, steps, noise, plant_step=exact_plant_step):
+    """`step_response` in plain Fractions: (e, u, y) as values, or
+    ("overflow", step, message).  The controller path truncates each
+    exact product and the quotient toward zero onto the signal grid and
+    checks the error, each product and each partial sum against its range;
+    the plant path, `plant_step`, gets u_k and returns y_(k+1)."""
+    f = ctl.format.fraction_bits
+    grid = FixedPointFormat(max(min(40, 64 - f), ctl.format.integer_bits), f)
+
+    def fit(x):
+        if abs(x) >= 2 ** grid.integer_bits:
+            raise Overflow(f"value {x} does not fit {grid}")
+        return x
+
+    def trunc(x):
+        return Fraction(int(x * grid.scale), grid.scale)
+
+    n_c = max(len(ctl.num), len(ctl.den))
+    b, a = ([Fraction(0)] * (n_c - len(p)) + [v.value for v in p]
+            for p in (ctl.num, ctl.den))
+    n_g = max(len(plant.num.coeffs), len(plant.den.coeffs))
+    gn, gd = ([Fraction(0)] * (n_g - len(p.coeffs)) + list(p.coeffs)
+              for p in (plant.num, plant.den))
+    half = Fraction(noise) / 2
+    e, u, y = [], [], [Fraction(0)]
+    uin_hist, y_hist = [Fraction(0)] * n_g, [Fraction(0)] * n_g
+    for k in range(steps):
+        diverged = abs(y[k]) > 10 ** 6
+        try:
+            x = 1 - y[k]
+            e.append(fit(trunc(x + (-half if x < 0 else half))))
+            acc = Fraction(0)
+            for j in range(min(k + 1, n_c)):
+                acc = fit(acc + fit(trunc(b[j] * e[k - j])))
+            for j in range(1, min(k + 1, n_c)):
+                acc = fit(acc - fit(trunc(a[j] * u[k - j])))
+            u.append(fit(trunc(acc / a[0])) if any(b) else Fraction(0))
+        except Overflow as exc:
+            if diverged:
+                return e[:k], u, y
+            return "overflow", k, str(exc)
+        if diverged:
+            break
+        u_in = u[k] + (-half if u[k] < 0 else half)
+        y.append(plant_step(gn, gd, u_in, uin_hist, y_hist))
+        uin_hist = [u_in] + uin_hist[:-1]
+        y_hist = [y[-1]] + y_hist[:-1]
+    return e, u, y[:len(u)]
+
+
+def response(ctl, plant, steps, noise):
+    """`step_response` as `reference_response` returns it."""
+    try:
+        trace = step_response(ctl, plant, T, steps, noise)
+    except ArithmeticOverflow as exc:
+        return "overflow", exc.step, str(exc)
+    f = ctl.format.fraction_bits
+    grid = FixedPointFormat(max(min(40, 64 - f), ctl.format.integer_bits), f)
+    assert {v.format for v in trace.e + trace.u} <= {grid}
+    return ([v.value for v in trace.e], [v.value for v in trace.u],
+            list(trace.y))
+
+
+# Past F = 24, past I = 40, and both grids in between.
+DIFFERENTIAL_FORMATS = [FixedPointFormat(*bits) for bits in (
+    (4, 12), (4, 16), (2, 30), (4, 40), (1, 56), (44, 12), (48, 8))]
+
+
+def test_step_response_matches_the_fraction_reference():
+    # Seeded loops of controller orders 0-2 with a denominator lead of 1,
+    # 3/4 or -3/2 and numerator gains, and in every other loop denominator
+    # gains, up to the format's range, under ADC/DAC steps 0, q, 3q
+    # (q = 2^-F) and 1/3000: the same e, u and y, or the same overflow step
+    # and message.
+    rng = random.Random(5)
+    outcomes = {"overflow": 0, "at divergence": 0, "diverged": 0, "ran": 0}
+    for k in range(280):
+        fmt = DIFFERENTIAL_FORMATS[k % len(DIFFERENTIAL_FORMATS)]
+        order = rng.randint(0, 2)
+
+        def coeffs(count, gains):
+            top = fmt.integer_bits - 1 if gains else 0
+            return [Fraction(rng.randint(-1999, 1999), 1000)
+                    * 2 ** rng.randint(0, top) for _ in range(count)]
+
+        ctl = make_controller(coeffs(rng.randint(1, order + 1), True),
+                              [rng.choice((1, Fraction(3, 4),
+                                           Fraction(-3, 2)))]
+                              + coeffs(order, k % 2 == 1), fmt)
+        gd = [1] + [Fraction(rng.randint(-1500, 1500), 1000)
+                    for _ in range(rng.randint(1, 3))]
+        plant = TransferFunction(
+            [Fraction(rng.randint(-500, 500), 1000)
+             for _ in range(rng.randint(1, len(gd)))], gd)
+        noise = rng.choice((0, fmt.step, 3 * fmt.step, Fraction(1, 3000)))
+        expected = reference_response(ctl, plant, 150, noise)
+        assert response(ctl, plant, 150, noise) == expected, (ctl, plant,
+                                                              noise)
+        if expected[0] == "overflow":
+            outcomes["overflow"] += 1
+        elif len(expected[0]) < len(expected[2]):
+            outcomes["at divergence"] += 1
+        else:
+            outcomes["diverged" if abs(expected[2][-1]) > 10 ** 6
+                     else "ran"] += 1
+    assert min(outcomes.values()) >= 10, outcomes
+    # Two numerator products that fit, and their sum that does not.
+    ctl = make_controller([3 * 2 ** 42] * 2, [1, Fraction(1, 4096)],
+                          FixedPointFormat(44, 12))
+    tiny = TransferFunction([Fraction(1, 2 ** 100)], [1, 0])
+    overflow = response(ctl, tiny, 10, 0)
+    assert overflow == reference_response(ctl, tiny, 10, 0)
+    assert overflow[:2] == ("overflow", 1)
+
+
+def test_plant_path_matches_mpmath():
+    # Differential check of the 2^-200 grid against a 50-digit mpmath plant
+    # path on seeded loops around open-loop-stable plants, without noise
+    # and with noise Q in turn: the same controller signals, plant outputs
+    # to a float, and stop step.
     # (Around an unstable plant the 50 digits drift away from the exact
     # output, which the 2^-200 grid follows further.)
     rng = random.Random(11)
@@ -147,6 +273,11 @@ def test_plant_path_matches_mpmath(monkeypatch):
     def coeffs(count, scale):
         return [Fraction(rng.randint(-scale, scale), 1000)
                 for _ in range(count)]
+
+    def summary(run):
+        if run[0] == "overflow":
+            return run[1]
+        return run[0], run[1], [float(y) for y in run[2]], len(run[2])
 
     loops = stopped = 0
     while loops < 120:
@@ -158,18 +289,10 @@ def test_plant_path_matches_mpmath(monkeypatch):
         ctl = make_controller(coeffs(order + 1, 3000),
                               [1] + coeffs(order, 1000))
         noise = Q * (loops % 2)
-        runs = []
-        for plant_step in (simulate._plant_step, mpmath_plant_step):
-            monkeypatch.setattr(simulate, "_plant_step", plant_step)
-            try:
-                trace = step_response(ctl, plant, T, 150, noise)
-            except ArithmeticOverflow as exc:
-                runs.append(exc.step)
-                continue
-            runs.append(([v.raw for v in trace.e], [v.raw for v in trace.u],
-                         [float(y) for y in trace.y], len(trace)))
-        assert runs[0] == runs[1], (plant, ctl, noise)
-        stopped += not isinstance(runs[0], tuple) or runs[0][-1] < 150
+        got = summary(response(ctl, plant, 150, noise))
+        assert got == summary(reference_response(
+            ctl, plant, 150, noise, mpmath_plant_step)), (plant, ctl, noise)
+        stopped += not isinstance(got, tuple) or got[-1] < 150
         loops += 1
     assert stopped >= 20
 
@@ -439,5 +562,10 @@ def test_worst_case_noise_pushes_harder_than_none():
 
 
 def test_steps_validation():
-    with pytest.raises(ValueError):
-        step_response(STABLE_CTL, CRUISE, T, 0)
+    # No step, and a denominator that, front-padded to the numerator, leads
+    # with zero.
+    for controller, steps in ((STABLE_CTL, 0),
+                              (make_controller([1, Fraction(1, 2)], [1]), 10),
+                              (make_controller([1], [0, 1]), 10)):
+        with pytest.raises(ValueError):
+            step_response(controller, CRUISE, T, steps)
